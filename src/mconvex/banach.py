@@ -15,17 +15,13 @@ import math
 import random
 from fractions import Fraction
 
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, is_integral
 
 SLACK_REL_TOL = 1e-9
 
 
-def _is_int(p):
-    return isinstance(p, int) or (isinstance(p, float) and p.is_integer())
-
-
 def _exactable(p, *vectors):
-    if not _is_int(p):
+    if not is_integral(p):
         return False
     return all(isinstance(c, (int, Fraction)) for v in vectors for c in v)
 
@@ -195,7 +191,7 @@ def check_prop21(chain, f, space, K, k_max=None):
     p = space.p
     target = space.as_metric_space([f(s) for s in chain.states])
     report = convexity_ratio(chain, lambda s: tuple(f(s)), target, p, k_max=k_max)
-    if _is_int(p) and isinstance(K, (int, Fraction)):
+    if is_integral(p) and isinstance(K, (int, Fraction)):
         bound = Fraction(4 * K) ** int(p) * report.rhs
         holds = report.lhs_total <= bound
     else:

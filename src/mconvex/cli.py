@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MconvexError
+from .errors import BadInput, MconvexError
 from .metric import FiniteMetricSpace, PointMap, rat_from_str, rat_to_str
 
 
@@ -174,14 +174,14 @@ def _run_prop21_check(args):
 
 def _run_htree_validate(args):
     import random
-    from .trees import HTreeSpace, scaled_distance_matrix
+    from .trees import HTreeSpace, scaled_distance_matrix, triangle_violations
     from .embeddings.generators import random_valid_epsilon, htree_random_triple_violations
     rng = random.Random(args.seed)
     results = []
     for i in range(args.sequences):
         eps = random_valid_epsilon(rng, args.max_depth)
         mat, _ = scaled_distance_matrix(eps, args.exhaustive_depth)
-        exhaustive_bad = _triangle_violations(mat)
+        exhaustive_bad = triangle_violations(mat)
         space = HTreeSpace(eps, args.max_depth)
         sampled_bad = htree_random_triple_violations(space, rng, args.samples)
         results.append({"sequence": i, "exhaustive_violations": exhaustive_bad,
@@ -192,14 +192,6 @@ def _run_htree_validate(args):
                               "all_ok": all(r["exhaustive_violations"] == 0
                                             and r["sampled_violations"] == 0
                                             for r in results)})}
-
-
-def _triangle_violations(mat):
-    count = 0
-    n = len(mat)
-    for j in range(n):
-        count += int(((mat[:, j, None] + mat[None, j, :]) < mat).sum())
-    return count
 
 
 def _run_classify(args):
@@ -272,24 +264,37 @@ def _run_distortion_gap(args):
                                  for k, v in out.items()}})}
 
 
+def _load(path, what, build):
+    """build(data) for the JSON document at `path`; unreadable or malformed
+    input raises BadInput."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    # TypeError/AttributeError: a JSON value of the wrong shape, e.g. a list
+    # where an object is expected
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise BadInput(f"bad {what} file {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_map(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    src = FiniteMetricSpace.from_json(json.dumps(data["source"]))
-    tgt = FiniteMetricSpace.from_json(json.dumps(data["target"]))
-    assignment = {p: data["assignment"][str(p)] for p in src.points}
-    return PointMap(src, tgt, assignment)
+    def build(data):
+        src = FiniteMetricSpace.from_json(json.dumps(data["source"]))
+        tgt = FiniteMetricSpace.from_json(json.dumps(data["target"]))
+        assignment = {p: data["assignment"][str(p)] for p in src.points}
+        return PointMap(src, tgt, assignment)
+    return _load(path, "map", build)
 
 
 def _load_chain(path):
     from .markov import ChainSpec
-    with open(path) as fh:
-        data = json.load(fh)
-    kernels = {int(t): {z: {x: rat_from_str(p) for x, p in row.items()}
-                        for z, row in kernel.items()}
-               for t, kernel in data["kernels"].items()}
-    initial = {z: rat_from_str(p) for z, p in data["initial"].items()}
-    return ChainSpec(data["states"], data["t_min"], data["t_max"], kernels, initial)
+
+    def build(data):
+        kernels = {int(t): {z: {x: rat_from_str(p) for x, p in row.items()}
+                            for z, row in kernel.items()}
+                   for t, kernel in data["kernels"].items()}
+        initial = {z: rat_from_str(p) for z, p in data["initial"].items()}
+        return ChainSpec(data["states"], data["t_min"], data["t_max"], kernels, initial)
+    return _load(path, "chain", build)
 
 
 def _run_quotient_verify(args):
@@ -470,15 +475,16 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.name == "run":
-        prefix = ["--out", args.out] if args.out else []
-        return main(prefix + [args.experiment] + args.rest)
-    if args.name == "list":
-        print(_report({"experiments": args.catalog}), end="")
-        return 0
-    out_dir = args.out or os.environ.get("MCONVEX_OUTPUT_DIR", ".")
     try:
+        # number arguments are parsed here, so bad ones surface as BadInput
+        args = parser.parse_args(argv)
+        if args.name == "run":
+            prefix = ["--out", args.out] if args.out else []
+            return main(prefix + [args.experiment] + args.rest)
+        if args.name == "list":
+            print(_report({"experiments": args.catalog}), end="")
+            return 0
+        out_dir = args.out or os.environ.get("MCONVEX_OUTPUT_DIR", ".")
         artifacts = args.runner(args)
     except MconvexError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

@@ -22,10 +22,11 @@ search over ancestor heights.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from ..errors import NotApproximatePath, PreconditionViolated
-from ..metric import is_midpoint
-from ..trees import tree_distance
+from ..metric import distortion_of, is_midpoint
+from ..trees import enumerate_bn, tree_distance
 from .vertical import vertical_report
 
 # label characters: 'P' = (x,y,z) path-type, 'T' = (x,y,z) tent-type,
@@ -354,9 +355,6 @@ def b4_bound_check(space, f, delta):
     Returns (dist, bound, holds); dist is computed over all vertex pairs of
     B_4 (inf when f collapses a non-ancestor pair).
     """
-    from ..trees import enumerate_bn
-    import math as _math
-
     if not Fraction(delta) < Fraction(1, 400):
         raise PreconditionViolated("requires delta < 1/400")
     verts = enumerate_bn(4)
@@ -365,31 +363,18 @@ def b4_bound_check(space, f, delta):
     rep = vertical_report(lambda v: images[v],
                           [(a, b) for b in verts for a in
                            (b.ancestor(h) for h in range(b.depth))],
-                          _SpaceAdapter(space))
+                          space)
     if not rep.faithful(delta):
         raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {rep.D}")
-    lip = 0
-    colip = 0
-    collapsed = False
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            dt = tree_distance(a, b)
-            dx = space.distance(images[a], images[b])
-            if dx == 0:
-                collapsed = True
-                continue
-            r = Fraction(dx) / dt
-            lip = max(lip, r)
-            colip = max(colip, 1 / r)
-    dist = _math.inf if collapsed else lip * colip
+    dist = b4_distortion(space, images)
     h0 = min(v.depth for v in images.values())
     bound = 1 / (500 * Fraction(delta) + space.eps[h0])
     holds = dist >= bound
     return dist, bound, holds
 
 
-class _SpaceAdapter:
-    """Expose HTreeSpace through the .dist attribute vertical_report expects."""
-
-    def __init__(self, space):
-        self.dist = space.distance
+def b4_distortion(space, images):
+    """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
+    vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
+    return distortion_of((tree_distance(a, b), space.distance(images[a], images[b]))
+                         for a, b in combinations(enumerate_bn(4), 2))[2]

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from ..errors import BoostFailed, PipelineFailed, TooLarge
+from ..metric import distortion_of
 from ..trees import TreeVertex, enumerate_bn, tree_distance
 from .paths import PathMap, path_boost
 from .ramsey import ExhaustionReport, ramsey_search
@@ -128,15 +130,10 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
         for h in range(v.depth):
             if not phi[v.ancestor(h)].is_strict_ancestor_of(phi[v]):
                 raise PipelineFailed("verify", "ancestor relation not preserved")
-    lip = 0
-    colip = 0
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            r = Fraction(tree_distance(phi[u], phi[v]), tree_distance(u, v))
-            lip = max(lip, r)
-            colip = max(colip, 1 / r)
-    if lip * colip > 1 + Fraction(xi):
-        raise PipelineFailed("verify", f"dist(phi) = {float(lip * colip):.4f} > 1 + xi")
+    dist = distortion_of((tree_distance(u, v), tree_distance(phi[u], phi[v]))
+                         for u, v in combinations(verts, 2))[2]
+    if dist > 1 + Fraction(xi):
+        raise PipelineFailed("verify", f"dist(phi) = {float(dist):.4f} > 1 + xi")
     rep = vertical_report(lambda v: f(phi[v]),
                           [(v.ancestor(h), v) for v in verts for h in range(v.depth)],
                           target)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 from ..errors import BoostFailed, LengthMismatch, PreconditionViolated
+from ..metric import distortion_of
 
 
 class PathMap:
@@ -46,30 +48,13 @@ class PathMap:
 
 def t_functional(f):
     """T(f) in [0, 1]; 0 for constant maps by convention."""
-    steps = f.step_dists()
-    mx = max(steps) if steps else 0
-    if mx == 0:
-        return 0
-    end = f.target.dist(f(0), f(f.n))
-    if isinstance(end, (int, Fraction)) and isinstance(mx, (int, Fraction)):
-        return Fraction(end) / (f.n * Fraction(mx))
-    return float(end) / (f.n * float(mx))
+    return _block_t(f, 0, f.n)
 
 
 def path_distortion(f):
     """dist(f) viewing the domain as the unit-step path metric; inf on collapse."""
-    lip = 0
-    colip = 0
-    for i in range(f.n + 1):
-        for j in range(i + 1, f.n + 1):
-            dt = f.target.dist(f(i), f(j))
-            if dt == 0:
-                return math.inf
-            ratio = (Fraction(dt) / (j - i)
-                     if isinstance(dt, (int, Fraction)) else float(dt) / (j - i))
-            lip = max(lip, ratio)
-            colip = max(colip, 1 / ratio)
-    return lip * colip
+    return distortion_of((j - i, f.target.dist(f(i), f(j)))
+                         for i, j in combinations(range(f.n + 1), 2))[2]
 
 
 def _block_t(f, lo, hi):

@@ -13,8 +13,8 @@ import math
 import random
 from fractions import Fraction
 
-from ..trees import TreeVertex, enumerate_bn, tree_distance
-from .classify import b4_bound_check
+from ..trees import TreeVertex, enumerate_bn
+from .classify import b4_bound_check, b4_distortion
 
 
 def _nested_embedding(L, h0, root_bits, descents):
@@ -63,21 +63,6 @@ def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):
     return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))
 
 
-def _distortion(space, images):
-    verts = enumerate_bn(4)
-    lip = 0
-    colip = 0
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            dx = space.distance(images[a], images[b])
-            if dx == 0:
-                return math.inf
-            r = Fraction(dx) / tree_distance(a, b)
-            lip = max(lip, r)
-            colip = max(colip, 1 / r)
-    return lip * colip
-
-
 def b4_search(space, delta, trials=2000, seed=0, L=None):
     """Simulated annealing over nested faithful embeddings, minimizing dist.
 
@@ -92,7 +77,7 @@ def b4_search(space, delta, trials=2000, seed=0, L=None):
     root_bits = tuple(rng.randint(0, 1) for _ in range(h0))
     descents = _random_descents(rng, L)
     cur = _nested_embedding(L, h0, root_bits, descents)
-    cur_d = _distortion(space, cur)
+    cur_d = b4_distortion(space, cur)
     best, best_d = cur, cur_d
     verts = [v for v in enumerate_bn(4) if v.depth > 0]
     for step in range(trials):
@@ -106,7 +91,7 @@ def b4_search(space, delta, trials=2000, seed=0, L=None):
             bits = (1 - sib[0],) + bits[1:]
         trial[v] = bits
         cand = _nested_embedding(L, h0, root_bits, trial)
-        cand_d = _distortion(space, cand)
+        cand_d = b4_distortion(space, cand)
         if cand_d <= cur_d or rng.random() < math.exp(-float(cand_d - cur_d) / temp):
             descents, cur, cur_d = trial, cand, cand_d
             if cur_d < best_d:

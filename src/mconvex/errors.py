@@ -5,6 +5,10 @@ class MconvexError(Exception):
     """Base class for all package-specific errors."""
 
 
+class BadInput(MconvexError):
+    """Input data is malformed: unparsable JSON or numbers, missing keys, a zero denominator."""
+
+
 class TooLarge(MconvexError):
     """A size guard was exceeded (memory / runtime protection)."""
 

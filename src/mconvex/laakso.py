@@ -120,9 +120,8 @@ class LaaksoGraph:
         return self._dist_cache[u][v]
 
     def distance(self, u, v):
+        """Shortest-path distance, an exact rational with denominator dividing 4^m."""
         return self.hop_distance(u, v) * self.edge_length
-
-    dist = distance
 
     def directed_edges(self):
         """Edges oriented away from the root (acyclic by the level structure)."""
@@ -167,16 +166,6 @@ def build_laakso(m):
         raise TooLarge(f"m = {m} > {BUILD_LIMIT}")
     edges, root, sink = _build_edges(m)
     return LaaksoGraph(m, edges, root, sink)
-
-
-def laakso_distance(G, u, v):
-    """Shortest-path distance, an exact rational with denominator dividing 4^m."""
-    return G.distance(u, v)
-
-
-def orient(G):
-    """The root-to-sink orientation as a sorted directed edge list."""
-    return G.directed_edges()
 
 
 def doubling_check(G, samples):

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateChain, OutOfRange, TooLarge
-from .metric import rat_to_str
+from .metric import is_integral, rat_to_str
 
 DOWNWARD_LIMIT = 16
 
@@ -45,14 +45,13 @@ class ChainSpec:
         self.kernels = {t: {z: dict(row) for z, row in k.items()}
                         for t, k in kernels.items()}
         self.initial = dict(initial)
-        if sum(self.initial.values()) != 1:
-            raise ValueError("initial law must sum to 1")
+        known = set(self.states)
+        _check_law(self.initial, known, "initial law")
         for t, kernel in self.kernels.items():
             if not (t_min < t <= t_max):
                 raise ValueError(f"kernel time {t} outside ({t_min}, {t_max}]")
             for z, row in kernel.items():
-                if sum(row.values()) != 1:
-                    raise ValueError(f"kernel row at time {t}, state {z!r} does not sum to 1")
+                _check_law(row, known, f"kernel row at time {t}, state {z!r}")
         self._laws = None
 
     @property
@@ -84,6 +83,17 @@ class ChainSpec:
             self._laws = laws
         t = min(max(t, self.t_min), self.t_max)
         return self._laws[t - self.t_min]
+
+
+def _check_law(law, known, where):
+    """A probability law must sum to 1 with nonnegative mass on known states."""
+    if sum(law.values()) != 1:
+        raise ValueError(f"{where} does not sum to 1")
+    for x, px in law.items():
+        if px < 0:
+            raise ValueError(f"{where} gives negative mass {px} to {x!r}")
+        if x not in known:
+            raise ValueError(f"{where} puts mass on unknown state {x!r}")
 
 
 class ConvexityReport:
@@ -166,10 +176,7 @@ def laakso_walk(G):
 # dict are identity rows.  A "vector" is (den, {state: num}).
 
 def _fractions_to_common(rows):
-    den = 1
-    for row in rows.values():
-        for p in row.values():
-            den = den * p.denominator // math.gcd(den, p.denominator)
+    den = math.lcm(*(p.denominator for row in rows.values() for p in row.values()))
     out = {z: {x: int(p * den) for x, p in row.items() if p}
            for z, row in rows.items()}
     return den, out
@@ -282,7 +289,6 @@ def pair_expectation(chain, f, space, t, s, p):
     if s >= t:
         return 0
     mu = chain.law(s)
-    cache = _CondCache(chain)
     # compose single steps from s to t (direct calls need no dyadic alignment)
     M = None
     for t_ in range(s + 1, t + 1):
@@ -329,7 +335,7 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     rhs = rhs_step_sum(chain, f, space, p)
     dpow = _DistPowCache(space, f, p)
     cache = _CondCache(chain)
-    exact_p = isinstance(p, int) or (isinstance(p, float) and p.is_integer())
+    exact_p = is_integral(p)
     per_k = []
     for k in range(k_max + 1):
         gap = 2 ** k
@@ -381,7 +387,7 @@ def bn_pair_expectation(n, t, s, p):
     g = min(t, n) - s
     if g <= 0:
         return 0
-    exact = isinstance(p, int) or (isinstance(p, float) and p.is_integer())
+    exact = is_integral(p)
     total = 0
     for j in range(g):
         d = 2 * (g - j)
@@ -401,7 +407,7 @@ def bn_ratio(n, p, k_max=None):
         raise OutOfRange(f"n = {n} < 1")
     if k_max is None:
         k_max = max(1, math.ceil(math.log2(n))) + 1
-    exact = isinstance(p, int) or (isinstance(p, float) and p.is_integer())
+    exact = is_integral(p)
     rhs = n * (Fraction(1) if exact else 1.0)  # unit steps
     per_k = []
     for k in range(k_max + 1):
@@ -450,8 +456,7 @@ def per_k_laakso_bound(G, k, p):
     """The proof's counting lower bound on the k-th per-scale term:
     |T_k| * 2^(-(2m+3)p - 1).  Returns (|T_k|, bound)."""
     count = laakso_time_set(G.m, k)
-    exact = isinstance(p, int) or (isinstance(p, float) and p.is_integer())
-    if exact:
+    if is_integral(p):
         bound = count * Fraction(1, 2 ** ((2 * G.m + 3) * int(p) + 1))
     else:
         bound = count * 2.0 ** (-(2 * G.m + 3) * p - 1)

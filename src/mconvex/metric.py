@@ -10,12 +10,16 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from .errors import CollapsedPair
+from .errors import BadInput, CollapsedPair
 
 # number of points up to which verify_metric checks every triple
 EXHAUSTIVE_LIMIT = 2000
 SAMPLED_TRIPLES = 10 ** 6
+
+# the number types a distance is exact in
+_EXACT = (int, Fraction)
 
 
 def rat_to_str(x):
@@ -28,10 +32,23 @@ def rat_to_str(x):
 
 
 def rat_from_str(s):
+    """Parse "p/q" or "p" as an exact rational; any other value as float.
+
+    Raises BadInput on a malformed string or a zero denominator.
+    """
     if isinstance(s, str):
         num, _, den = s.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        try:
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadInput(f"not a rational number: {s!r}") from exc
     return float(s)
+
+
+def is_integral(p):
+    """Whether the exponent p is an integer (an int or an integer-valued
+    float), so that p-th powers of exact numbers stay exact."""
+    return isinstance(p, int) or (isinstance(p, float) and p.is_integer())
 
 
 class FiniteMetricSpace:
@@ -59,7 +76,7 @@ class FiniteMetricSpace:
         if self._dist_pow is not None:
             return self._dist_pow(x, y, p)
         d = self._dist(x, y)
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
+        if is_integral(p):
             return d ** int(p)
         return float(d) ** p
 
@@ -209,15 +226,11 @@ def _numpy_matrix(rows, exact):
     if not exact:
         mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
         return mat, 1e-12 * max(1.0, float(mat.max()))
-    den = 1
-    for row in rows:
-        for d in row:
-            if isinstance(d, Fraction):
-                den = den * d.denominator // math.gcd(den, d.denominator)
-            elif not isinstance(d, int):
-                return None
-            if den > 10 ** 9:
-                return None
+    if not all(isinstance(d, _EXACT) for row in rows for d in row):
+        return None
+    den = math.lcm(*{d.denominator for row in rows for d in row})
+    if den > 10 ** 9:
+        return None
     scaled = [[int(d * den) for d in row] for row in rows]
     top = max(max(row) for row in scaled)
     if top > 2 ** 61:
@@ -241,35 +254,58 @@ class PointMap:
 
     def stats(self):
         """(lip, colip, dist); dist is math.inf when a pair is collapsed."""
-        if self._stats is not None:
-            return self._stats
-        lip = 0
-        colip = 0
-        collapsed = False
-        pts = self.source.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                ds = self.source.dist(pts[i], pts[j])
-                if ds == 0:
-                    raise ValueError("source distances must be positive off-diagonal")
-                dt = self.target.dist(self(pts[i]), self(pts[j]))
-                if dt == 0:
-                    collapsed = True
-                    continue
-                if isinstance(dt, (int, Fraction)) and isinstance(ds, (int, Fraction)):
-                    ratio = Fraction(dt) / Fraction(ds)
-                else:
-                    ratio = float(dt) / float(ds)
-                if ratio > lip:
-                    lip = ratio
-                inv = 1 / ratio
-                if inv > colip:
-                    colip = inv
-        if collapsed:
-            self._stats = (lip, colip, math.inf)
-        else:
-            self._stats = (lip, colip, lip * colip)
+        if self._stats is None:
+            self._stats = distortion_of(
+                (self.source.dist(x, y), self.target.dist(self(x), self(y)))
+                for x, y in combinations(self.source.points, 2))
         return self._stats
+
+
+def distortion_of(pairs):
+    """(lip, colip, dist) of a map, from the (d_source, d_target) distances of
+    its pairs of distinct source points.
+
+    lip and colip are the largest d_target / d_source and d_source / d_target
+    over the pairs with d_target != 0; dist = lip * colip, or math.inf when
+    some pair collapses (d_target == 0).  No pairs give (0, 0, 0).  Exact
+    (int/Fraction) ratios are compared by integer cross-multiplication and
+    only the final two become Fractions; a pair with a float distance has the
+    float ratio float(d_target) / float(d_source).
+    """
+    lip_n, lip_d, co_n, co_d = 0, 1, 0, 1   # exact lip = lip_n/lip_d, colip = co_n/co_d
+    lip = colip = None                      # the running maxima once a float appears
+    collapsed = False
+    for ds, dt in pairs:
+        if ds == 0:
+            raise ValueError("source distances must be positive off-diagonal")
+        if dt == 0:
+            collapsed = True
+            continue
+        exact = isinstance(ds, _EXACT) and isinstance(dt, _EXACT)
+        if exact and lip is None:
+            n = dt.numerator * ds.denominator
+            d = dt.denominator * ds.numerator
+            if n * lip_d > lip_n * d:
+                lip_n, lip_d = n, d
+            if d * co_d > co_n * n:
+                co_n, co_d = d, n
+            continue
+        if lip is None:
+            lip, colip = _exact_ratio(lip_n, lip_d), _exact_ratio(co_n, co_d)
+        ratio = Fraction(dt) / Fraction(ds) if exact else float(dt) / float(ds)
+        if ratio > lip:
+            lip = ratio
+        inv = 1 / ratio
+        if inv > colip:
+            colip = inv
+    if lip is None:
+        lip, colip = _exact_ratio(lip_n, lip_d), _exact_ratio(co_n, co_d)
+    return lip, colip, math.inf if collapsed else lip * colip
+
+
+def _exact_ratio(n, d):
+    """n/d as a Fraction, or the int 0 when no ratio was seen (n == 0)."""
+    return Fraction(n, d) if n else 0
 
 
 def distortion(f, strict=False):

@@ -58,12 +58,7 @@ class TreeVertex:
         return TreeVertex(self.path + (0,) * k)
 
     def lca(self, other):
-        p, q = self.path, other.path
-        i = 0
-        m = min(len(p), len(q))
-        while i < m and p[i] == q[i]:
-            i += 1
-        return TreeVertex(p[:i])
+        return TreeVertex(self.path[:self.lca_depth(other)])
 
     def lca_depth(self, other):
         p, q = self.path, other.path
@@ -245,11 +240,6 @@ class HTreeSpace:
                    max_depth=data["max_depth"])
 
 
-def h_tree_distance(space, x, y):
-    """d_eps(x, y) in the given HTreeSpace (exact rational)."""
-    return space.distance(x, y)
-
-
 def enumerate_bn(n):
     """All 2^(n+1)-1 vertices of the depth-n binary tree, in BFS order."""
     if n > ENUMERATE_LIMIT:
@@ -319,6 +309,29 @@ def heap_lca_depth_block(rows, cols):
     return depth
 
 
+def _scaled_blocks(eps, depth, block):
+    """Integer-scaled d_eps over all vertices to `depth`, in row blocks.
+
+    Yields (denom, row depths (k, 1), column depths (n,), lca depths (k, n),
+    scaled block) per `block` consecutive heap-ordered rows, where denom is
+    the common denominator of eps_0..eps_depth and the scaled block holds
+    denom * d_eps(v_i, v_j) exactly.
+    """
+    import numpy as np
+
+    denom = math.lcm(*(v.denominator for v in eps.values[:depth + 1]))
+    # 2 * eps_m scaled to integers
+    two_eps = np.array([int(2 * eps[m] * denom) for m in range(depth + 1)],
+                       dtype=np.int64)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    depths = np.frexp(idx)[1].astype(np.int64) - 1
+    for lo in range(0, len(idx), block):
+        rd = depths[lo:lo + block, None]
+        lca = heap_lca_depth_block(idx[lo:lo + block], idx)
+        m = np.minimum(rd, depths)
+        yield denom, rd, depths, lca, np.abs(rd - depths) * denom + two_eps[m] * (m - lca)
+
+
 def scaled_distance_matrix(eps, depth):
     """Integer-scaled d_eps distance matrix over all vertices to `depth`.
 
@@ -326,20 +339,7 @@ def scaled_distance_matrix(eps, depth):
     matrix[i][j] = denom * d_eps(v_i, v_j) exactly.  Used by the exhaustive
     triangle check; exact because all entries share one denominator.
     """
-    import numpy as np
-
-    denom = 1
-    for v in eps.values[:depth + 1]:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    # 2 * eps_m scaled to integers
-    two_eps = np.array([int(2 * eps[m] * denom) for m in range(depth + 1)],
-                       dtype=np.int64)
-    n = 2 ** (depth + 1) - 1
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    depths = np.frexp(idx)[1].astype(np.int64) - 1
-    lca = heap_lca_depth_block(idx, idx)
-    m = np.minimum(depths[:, None], depths[None, :])
-    mat = np.abs(depths[:, None] - depths[None, :]) * denom + two_eps[m] * (m - lca)
+    [(denom, _, _, _, mat)] = _scaled_blocks(eps, depth, 2 ** (depth + 1))
     return mat, denom
 
 
@@ -351,26 +351,15 @@ def tree_metric_equality_violations(eps, depth, block=256):
     count must be 0: the contraction term 2*eps*(min - lca) then equals the
     full horizontal travel of the shortest path.
     """
-    import numpy as np
+    return sum(int((d_eps != (rd + cd - 2 * lca) * denom).sum())
+               for denom, rd, cd, lca, d_eps in _scaled_blocks(eps, depth, block))
 
-    denom = 1
-    for v in eps.values[:depth + 1]:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    two_eps = np.array([int(2 * eps[m] * denom) for m in range(depth + 1)],
-                       dtype=np.int64)
-    n = 2 ** (depth + 1) - 1
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    depths = np.frexp(idx)[1].astype(np.int64) - 1
-    bad = 0
-    for lo in range(0, n, block):
-        r = idx[lo:lo + block]
-        rd = depths[lo:lo + block]
-        lca = heap_lca_depth_block(r, idx)
-        m = np.minimum(rd[:, None], depths[None, :])
-        d_eps = np.abs(rd[:, None] - depths[None, :]) * denom + two_eps[m] * (m - lca)
-        d_tree = (rd[:, None] + depths[None, :] - 2 * lca) * denom
-        bad += int((d_eps != d_tree).sum())
-    return bad
+
+def triangle_violations(mat):
+    """Number of ordered triples (i, j, k) of a square numpy distance matrix
+    with mat[i, k] > mat[i, j] + mat[j, k]."""
+    return sum(int(((mat[:, j, None] + mat[None, j, :]) < mat).sum())
+               for j in range(len(mat)))
 
 
 # ---------------------------------------------------------------------------

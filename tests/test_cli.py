@@ -82,3 +82,33 @@ def test_quotient_commands(tmp_path, capsys):
     # every lifted point maps back onto the trajectory's endpoint under folding
     for traj, u in lifts.items():
         assert abs(2 - int(u)) == int(traj.split("/")[-1])
+
+
+def test_bad_input_reported_as_json(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_source = tmp_path / "nosource.json"
+    no_source.write_text(json.dumps({"target": {}, "assignment": {}}))
+    zero_den = tmp_path / "zero.json"
+    zero_den.write_text(json.dumps({
+        "source": {"points": ["0", "1"], "dist": [["0/1", "1/0"], ["1/0", "0/1"]],
+                   "exact": True},
+        "target": {"points": ["0"], "dist": [["0/1"]], "exact": True},
+        "assignment": {"0": "0", "1": "0"}}))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "states": ["0", "1"], "t_min": 0, "t_max": 1,
+        "kernels": {"1": {"0": {"0": "3/2", "1": "-1/2"}}}, "initial": {"0": "1"}}))
+    runs = [["quotient-verify", "--map", str(bad_json), "--a", "1", "--b", "1"],
+            ["quotient-verify", "--map", str(no_source), "--a", "1", "--b", "1"],
+            ["quotient-verify", "--map", str(zero_den), "--a", "1", "--b", "1"],
+            ["quotient-verify", "--map", str(tmp_path / "missing.json"), "--a", "1",
+             "--b", "1"],
+            ["quotient-verify", "--map", str(bad_json), "--a", "1/0", "--b", "1"],
+            ["quotient-lift", "--map", str(zero_den), "--chain", str(chain),
+             "--a", "1", "--b", "1"]]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path)] + argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput" and err["message"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mconvex.errors import TooLarge
-from mconvex.laakso import build_laakso, doubling_check, laakso_distance, orient
+from mconvex.laakso import build_laakso, doubling_check
 from mconvex.metric import verify_metric
 
 
@@ -41,7 +41,7 @@ def test_distance_scaling():
     for m in (1, 2):
         G = build_laakso(m)
         assert G.hop_distance(G.root, G.sink) == 4 ** m
-        assert laakso_distance(G, G.root, G.sink) == Fraction(1)
+        assert G.distance(G.root, G.sink) == Fraction(1)
 
 
 def test_level_respects_edges():
@@ -53,8 +53,10 @@ def test_level_respects_edges():
 
 def test_orient_is_topological_edge_list():
     G = build_laakso(2)
-    edges = orient(G)
-    assert set(edges) == set(G.directed_edges())
+    edges = G.directed_edges()
+    # the undirected edges, each oriented away from the root
+    assert len(edges) == len(G.edges)
+    assert set(map(frozenset, edges)) == set(map(frozenset, G.edges))
     assert all(G.level[u] < G.level[v] for u, v in edges)
     # sorted by source level, so prefixes never reference later levels
     levels = [G.level[u] for u, _ in edges]

@@ -96,6 +96,22 @@ def test_law_with_held_fixed_rows():
     assert chain.law(10) == chain.law(1)  # constant extension past horizon
 
 
+def test_chain_spec_rejects_negative_or_unknown_mass():
+    with pytest.raises(ValueError, match="negative"):
+        ChainSpec([0, 1], 0, 2, {2: {0: {0: Fraction(3, 2), 1: Fraction(-1, 2)}}},
+                  {0: Fraction(1)})
+    with pytest.raises(ValueError):
+        # once accepted: law(2) was {0: 3/2, 7: -1/2}
+        ChainSpec([0, 1], 0, 2, {2: {0: {0: Fraction(3, 2), 7: Fraction(-1, 2)}}},
+                  {0: Fraction(1)})
+    with pytest.raises(ValueError, match="unknown state"):
+        ChainSpec([0, 1], 0, 2, {2: {0: {7: Fraction(1)}}}, {0: Fraction(1)})
+    with pytest.raises(ValueError, match="unknown state"):
+        ChainSpec([0, 1], 0, 2, {}, {5: Fraction(1)})
+    with pytest.raises(ValueError, match="negative"):
+        ChainSpec([0, 1], 0, 2, {}, {0: Fraction(2), 1: Fraction(-1)})
+
+
 def test_bn_ratio_matches_generic_dp():
     for n in (3, 4, 5):
         chain = downward_walk(n)

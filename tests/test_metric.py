@@ -1,12 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mconvex.errors import CollapsedPair
-from mconvex.metric import (FiniteMetricSpace, PointMap, distortion, is_midpoint,
-                            midpoint_set, rat_from_str, rat_to_str, verify_metric)
+from mconvex.embeddings.classify import b4_distortion
+from mconvex.embeddings.generators import make_space
+from mconvex.embeddings.paths import PathMap, path_distortion
+from mconvex.embeddings.search import generate_faithful_b4
+from mconvex.errors import BadInput, CollapsedPair
+from mconvex.metric import (FiniteMetricSpace, PointMap, distortion, distortion_of,
+                            is_integral, is_midpoint, midpoint_set, rat_from_str,
+                            rat_to_str, verify_metric)
+from mconvex.trees import enumerate_bn, tree_distance, triangle_violations
 
 
 def line_space(n, exact=True):
@@ -27,6 +35,17 @@ def test_rat_from_str_accepts_integers():
     assert rat_from_str("7") == 7
     assert rat_from_str("-3/4") == Fraction(-3, 4)
     assert rat_from_str(1.5) == 1.5
+
+
+def test_rat_from_str_rejects_bad_input():
+    for text in ("1/0", "a/2", "1.5/2", ""):
+        with pytest.raises(BadInput):
+            rat_from_str(text)
+
+
+def test_is_integral():
+    assert is_integral(2) and is_integral(3.0)
+    assert not is_integral(2.5) and not is_integral(Fraction(2))
 
 
 def test_verify_metric_clean():
@@ -98,3 +117,164 @@ def test_is_midpoint_matches_definition(x, y, z, delta):
     half = Fraction(1 + delta) * sp.dist(x, z) / 2
     expected = sp.dist(x, y) <= half and sp.dist(y, z) <= half
     assert is_midpoint(sp, x, y, z, delta) == expected
+
+
+# ---------------------------------------------------------------------------
+# the distortion kernel against the lip/colip loops it replaced
+# ---------------------------------------------------------------------------
+
+def old_stats(f):
+    """The PointMap.stats loop before distortion_of, verbatim."""
+    lip = 0
+    colip = 0
+    collapsed = False
+    pts = f.source.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            ds = f.source.dist(pts[i], pts[j])
+            if ds == 0:
+                raise ValueError("source distances must be positive off-diagonal")
+            dt = f.target.dist(f(pts[i]), f(pts[j]))
+            if dt == 0:
+                collapsed = True
+                continue
+            if isinstance(dt, (int, Fraction)) and isinstance(ds, (int, Fraction)):
+                ratio = Fraction(dt) / Fraction(ds)
+            else:
+                ratio = float(dt) / float(ds)
+            if ratio > lip:
+                lip = ratio
+            inv = 1 / ratio
+            if inv > colip:
+                colip = inv
+    if collapsed:
+        return (lip, colip, math.inf)
+    return (lip, colip, lip * colip)
+
+
+def old_b4_distortion(space, images):
+    """The B_4 search loop before distortion_of, verbatim."""
+    verts = enumerate_bn(4)
+    lip = 0
+    colip = 0
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            dx = space.distance(images[a], images[b])
+            if dx == 0:
+                return math.inf
+            r = Fraction(dx) / tree_distance(a, b)
+            lip = max(lip, r)
+            colip = max(colip, 1 / r)
+    return lip * colip
+
+
+def old_path_distortion(f):
+    """The path-map loop before distortion_of, verbatim."""
+    lip = 0
+    colip = 0
+    for i in range(f.n + 1):
+        for j in range(i + 1, f.n + 1):
+            dt = f.target.dist(f(i), f(j))
+            if dt == 0:
+                return math.inf
+            ratio = (Fraction(dt) / (j - i)
+                     if isinstance(dt, (int, Fraction)) else float(dt) / (j - i))
+            lip = max(lip, ratio)
+            colip = max(colip, 1 / ratio)
+    return lip * colip
+
+
+def assert_identical(new, old):
+    """Equal values of the same types, component by component."""
+    if not isinstance(new, tuple):
+        new, old = (new,), (old,)
+    assert [type(v) for v in new] == [type(v) for v in old]
+    assert new == old
+
+
+def random_distance(rng, zero_prob):
+    """A positive distance that is an int, a Fraction or a float (or 0)."""
+    if rng.random() < zero_prob:
+        return 0
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(1, 6)
+    if kind == 1:
+        return Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    return rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 9.0)])
+
+
+def random_point_map(rng, mode):
+    """A PointMap between random (not necessarily metric) distance tables;
+    mode "exact", "float" or "mixed" picks the number types."""
+    n = rng.randint(1, 8)
+    pts = list(range(n))
+
+    def table(zero_prob):
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = random_distance(rng, zero_prob)
+                if mode == "exact" and isinstance(d, float):
+                    d = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                if mode == "float":
+                    d = float(d)
+                mat[i][j] = mat[j][i] = d
+        return FiniteMetricSpace.from_matrix(pts, mat, exact=mode == "exact")
+
+    source = table(0)
+    target = table(rng.choice([0, 0, 0.1]))
+    return PointMap(source, target, {p: p for p in pts})
+
+
+def test_distortion_of_matches_old_loops_on_seeded_maps():
+    rng = random.Random(20261017)
+    checked = 0
+    # nested faithful B_4 maps, sibling collisions included
+    for _ in range(300):
+        space = make_space(Fraction(1, rng.choice([4, 5, 7, 12])), depth=60)
+        images = generate_faithful_b4(space, rng, collide_prob=0.05)
+        assert_identical(b4_distortion(space, images), old_b4_distortion(space, images))
+        verts = enumerate_bn(4)
+        f = PointMap(FiniteMetricSpace(verts, tree_distance), space, images)
+        assert_identical(f.stats(), old_stats(f))
+        checked += 1
+    # exact, float and mixed point maps between small tables
+    for i in range(400):
+        f = random_point_map(rng, ("exact", "float", "mixed")[i % 3])
+        assert_identical(f.stats(), old_stats(f))
+        checked += 1
+    # path maps into the line, exact and float, with collapses
+    for i in range(300):
+        n = rng.randint(0, 9)
+        conv = Fraction if i % 2 else float
+        vals = [conv(rng.randint(-6, 6)) / rng.choice([1, 2, 3]) for _ in range(n + 1)]
+        line = FiniteMetricSpace(vals, lambda a, b: abs(a - b), exact=conv is Fraction)
+        p = PathMap(n, line, vals)
+        assert_identical(path_distortion(p), old_path_distortion(p))
+        steps = FiniteMetricSpace(range(n + 1), lambda a, b: abs(a - b))
+        f = PointMap(steps, line, dict(enumerate(vals)))
+        assert_identical(f.stats(), old_stats(f))
+        checked += 1
+    assert checked == 1000
+
+
+def test_distortion_of_edge_cases():
+    assert distortion_of([]) == (0, 0, 0)
+    assert distortion_of([(2, 0)]) == (0, 0, math.inf)
+    assert distortion_of([(1, 2), (2, 1)]) == (2, 2, 4)
+    with pytest.raises(ValueError):
+        distortion_of([(0, 1)])
+
+
+def test_triangle_violations_counts_ordered_triples():
+    # the line 0..3 with d(0, 3) stretched to 7: (0, j, 3) and (3, j, 0)
+    # break the triangle inequality for j = 1, 2
+    mat = np.array([[0, 1, 2, 7],
+                    [1, 0, 1, 2],
+                    [2, 1, 0, 1],
+                    [7, 2, 1, 0]])
+    brute = sum(mat[i, k] > mat[i, j] + mat[j, k]
+                for i in range(4) for j in range(4) for k in range(4))
+    assert triangle_violations(mat) == brute == 4
+    assert triangle_violations(np.abs(np.subtract.outer(range(6), range(6)))) == 0

@@ -19,12 +19,15 @@ from .metric import FiniteMetricSpace, PointMap, rat_from_str, rat_to_str
 
 
 def _frac(text):
-    """Parse a CLI number: "1/32", "0.5", or "3"."""
+    """Parse a CLI number: "1/32", "0.5", or "3".  Raises BadInput otherwise."""
     if "/" in text:
         return rat_from_str(text)
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+    try:
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        return int(text)
+    except ValueError as exc:
+        raise BadInput(f"not a number: {text!r}") from exc
 
 
 def _int_range(text):

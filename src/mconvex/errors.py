@@ -9,6 +9,17 @@ class BadInput(MconvexError):
     """Input data is malformed: unparsable JSON or numbers, missing keys, a zero denominator."""
 
 
+class InvariantViolated(MconvexError):
+    """A structural invariant or proof obligation does not hold."""
+
+
+def check(cond, msg, *args):
+    """Raise InvariantViolated(msg % args) unless cond; unlike assert, this
+    survives python -O.  The message is formatted only on failure."""
+    if not cond:
+        raise InvariantViolated(msg % args if args else msg)
+
+
 class TooLarge(MconvexError):
     """A size guard was exceeded (memory / runtime protection)."""
 

@@ -5,6 +5,9 @@ G_0 is a single unit edge.  G_m glues six copies of G_{m-1}, each scaled by
 branches u -> v1 -> w and u -> v2 -> w, and a pendant copy from w to the sink.
 All 6^m edges have length 4^{-m}; every root-to-sink directed path has exactly
 4^m edges, so the diameter is 1.
+
+A vertex id is its copy-index path followed by a junction name, so hop
+distances are read off the ids in O(m) (`LaaksoGraph.hop_distance`).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import json
 from collections import deque
 from fractions import Fraction
 
-from .errors import TooLarge
+from .errors import TooLarge, check
 
 BUILD_LIMIT = 6
 
@@ -31,6 +34,15 @@ _JUNCTION_GLUE = {
     4: ("v2", "w"),
     5: ("w", None),      # sink pendant: root becomes w, keeps its sink
 }
+
+# the skeleton r - u - {v1, v2} - w - s that the six copies are the edges of:
+# the skeleton node each copy starts / ends at, each node's level in units of
+# one copy, and the skeleton distance between two nodes, in copies
+_COPY_ENDS = [("r", "u"), ("u", "v1"), ("v1", "w"), ("u", "v2"), ("v2", "w"), ("w", "s")]
+_SKELETON_LEVEL = {"r": 0, "u": 1, "v1": 2, "v2": 2, "w": 3, "s": 4}
+_SKELETON_DIST = {(a, b): abs(_SKELETON_LEVEL[a] - _SKELETON_LEVEL[b])
+                  for a in _SKELETON_LEVEL for b in _SKELETON_LEVEL}
+_SKELETON_DIST["v1", "v2"] = _SKELETON_DIST["v2", "v1"] = 2
 
 
 def _build_edges(m):
@@ -71,7 +83,8 @@ class LaaksoGraph:
         self.adjacency = adj
         self.vertices = sorted(adj, key=_vkey)
         self.level = self._bfs_levels()
-        self._dist_cache = {}
+        self._pow4 = [4 ** i for i in range(m + 1)]
+        self._dist_cache = {}  # always empty; bench/runner.py still reads its size
         self._check_invariants()
 
     def _bfs_levels(self):
@@ -79,45 +92,78 @@ class LaaksoGraph:
         queue = deque([self.root])
         while queue:
             v = queue.popleft()
-            for w in self.adjacency[v]:
+            for w in self.adjacency.get(v, ()):
                 if w not in level:
                     level[w] = level[v] + 1
                     queue.append(w)
         return level
 
     def _check_invariants(self):
-        assert len(self.edges) == 6 ** self.m
-        assert len(self.adjacency[self.root]) == 1
-        assert len(self.adjacency[self.sink]) == 1
-        assert len(self.level) == len(self.vertices)
+        check(len(self.edges) == 6 ** self.m, "G_m has 6^m edges")
+        check(len(self.adjacency.get(self.root, ())) == 1, "the root has one neighbour")
+        check(len(self.adjacency.get(self.sink, ())) == 1, "the sink has one neighbour")
+        check(len(self.level) == len(self.vertices), "G_m is connected")
         top = 4 ** self.m
         for a, b in self.edges:
             # no edge joins two vertices equidistant from the root
-            assert abs(self.level[a] - self.level[b]) == 1, (a, b)
-        assert self.level[self.sink] == top
+            check(abs(self.level[a] - self.level[b]) == 1,
+                  "edge %r-%r joins levels %d and %d", a, b, self.level[a], self.level[b])
+        check(self.level[self.sink] == top, "the sink is 4^m hops from the root")
         for v in self.vertices:
             out = [w for w in self.adjacency[v] if self.level[w] == self.level[v] + 1]
-            if v == self.sink:
-                assert not out
-            else:
-                # every maximal directed path continues to the sink
-                assert len(out) in (1, 2), v
+            # every maximal directed path continues to the sink
+            check(not out if v == self.sink else len(out) in (1, 2),
+                  "%r has %d out-neighbours", v, len(out))
+            # hop_distance reads levels off the ids
+            label_level = self._label_level(v, 0)
+            check(label_level == self.level[v], "%r is %d hops from the root, its id says %s",
+                  v, self.level[v], label_level)
         # only the sink sits at the top level, so all directed paths have 4^m edges
-        assert [v for v in self.vertices if self.level[v] == top] == [self.sink]
+        check([v for v in self.vertices if self.level[v] == top] == [self.sink],
+              "only the sink is at the top level")
+
+    def _label_level(self, v, i):
+        """Hops from the root of the copy v[:i] to v: the level of v within
+        that copy, a G_{m-i}, read off the id."""
+        pow4 = self._pow4
+        k = self.m - i
+        level = 0
+        for part in v[i:]:
+            if isinstance(part, str):
+                # a junction of the current G_k; at k = 0, "r" is 0 and "s" 1
+                return level + _SKELETON_LEVEL[part] * pow4[k] // 4
+            k -= 1
+            level += _SKELETON_LEVEL[_COPY_ENDS[part][0]] * pow4[k]
 
     def hop_distance(self, u, v):
-        """Unweighted hop distance (BFS, cached per source)."""
-        if u not in self._dist_cache:
-            dist = {u: 0}
-            queue = deque([u])
-            while queue:
-                a = queue.popleft()
-                for b in self.adjacency[a]:
-                    if b not in dist:
-                        dist[b] = dist[a] + 1
-                        queue.append(b)
-            self._dist_cache[u] = dist
-        return self._dist_cache[u][v]
+        """Unweighted hop distance, read off the vertex ids in O(m).
+
+        Below the longest common copy path, u and v lie in one G_k.  If k = 0
+        they are its two ends.  Otherwise each is a junction of G_k or lies
+        in one of its six copies, which meets the rest only at its two ends;
+        the distance is the shortest way through those ends and the skeleton.
+        """
+        if u == v:
+            return 0
+        i = 0
+        while u[i] == v[i]:
+            i += 1
+        k = self.m - i
+        if k == 0:
+            return 1
+        copy_len = self._pow4[k - 1]
+        return min(da + _SKELETON_DIST[a, b] * copy_len + db
+                   for a, da in self._copy_ends(u, i, copy_len)
+                   for b, db in self._copy_ends(v, i, copy_len))
+
+    def _copy_ends(self, v, i, copy_len):
+        """(skeleton node, hops from v) for the ends of v's copy in G_{m-i}."""
+        part = v[i]
+        if isinstance(part, str):
+            return ((part, 0),)
+        level = self._label_level(v, i + 1)
+        start, end = _COPY_ENDS[part]
+        return ((start, level), (end, copy_len - level))
 
     def distance(self, u, v):
         """Shortest-path distance, an exact rational with denominator dividing 4^m."""

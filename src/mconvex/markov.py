@@ -9,7 +9,7 @@ against the one-step sum:
 
 Chains use the constant extension X_t = X_{t_min} for t < t_min and
 X_t = X_{t_max} for t > t_max, which makes the time sums finite: every
-summand vanishes outside a provable window (asserted, not assumed).
+summand vanishes outside a provable window (checked, not assumed).
 
 All probabilities are exact rationals.  Internally, laws and conditional-law
 matrices are stored as integer numerators over a single common denominator so
@@ -24,7 +24,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import DegenerateChain, OutOfRange, TooLarge
+from .errors import DegenerateChain, OutOfRange, TooLarge, check
 from .metric import is_integral, rat_to_str
 
 DOWNWARD_LIMIT = 16
@@ -157,14 +157,16 @@ def downward_walk(n):
 def laakso_walk(G):
     """The standard downward random walk on the directed Laakso graph."""
     T = 4 ** G.m
+    by_level = {}
+    for v in G.vertices:
+        by_level.setdefault(G.level[v], []).append(v)
     kernels = {}
     for t in range(1, T + 1):
         kernel = {}
-        for v in G.vertices:
-            if G.level[v] == t - 1:
-                out = G.out_neighbors(v)
-                p = Fraction(1, len(out))
-                kernel[v] = {w: p for w in out}
+        for v in by_level[t - 1]:
+            out = G.out_neighbors(v)
+            p = Fraction(1, len(out))
+            kernel[v] = {w: p for w in out}
         kernels[t] = kernel
     return ChainSpec(G.vertices, 0, T, kernels, {G.root: Fraction(1)})
 
@@ -175,15 +177,19 @@ def laakso_walk(G):
 # A "matrix" is None (identity) or (den, {z: {x: num}}); rows missing from the
 # dict are identity rows.  A "vector" is (den, {state: num}).
 
-def _fractions_to_common(rows):
+def _fractions_to_common(rows, keep=None):
+    """Integer rows over one common denominator.  With `keep`, only the rows
+    of states in it are converted; the denominator still covers every row."""
     den = math.lcm(*(p.denominator for row in rows.values() for p in row.values()))
     out = {z: {x: int(p * den) for x, p in row.items() if p}
-           for z, row in rows.items()}
+           for z, row in rows.items() if keep is None or z in keep}
     return den, out
 
 
-def _compose(A, B):
-    """Matrix product A then B (A covers earlier steps)."""
+def _compose(A, B, keep=None):
+    """Matrix product A then B (A covers earlier steps).  With `keep`, the
+    product has only the rows of states in it; B must have every row that
+    those rows of A reach."""
     if A is None:
         return B
     if B is None:
@@ -192,6 +198,8 @@ def _compose(A, B):
     denB, rowsB = B
     out = {}
     for z, row in rowsA.items():
+        if keep is not None and z not in keep:
+            continue
         acc = {}
         for w, nw in row.items():
             rb = rowsB.get(w)
@@ -202,14 +210,20 @@ def _compose(A, B):
                     acc[x] = acc.get(x, 0) + nw * nx
         out[z] = acc
     # identity rows of A followed by B: any z not in rowsA but in rowsB
-    for z, rb in rowsB.items():
-        if z not in out:
+    for z in rowsB if keep is None else keep:
+        rb = rowsB.get(z)
+        if rb is not None and z not in out:
             out[z] = {x: nx * denA for x, nx in rb.items()}
     return denA * denB, out
 
 
 class _CondCache:
-    """Conditional laws over dyadic step counts, built by binary composition."""
+    """Conditional laws over dyadic step counts, built by binary composition.
+
+    cond(s, j) keeps only the rows of states in supp(law(s)), the rows that
+    _fork_term reads.  This is exact: from supp(law(s)) the first half lands
+    in supp(law(s + 2^(j-1))), whose rows the second half keeps.
+    """
 
     def __init__(self, chain):
         self.chain = chain
@@ -220,13 +234,14 @@ class _CondCache:
         key = (s, j)
         if key in self.cache:
             return self.cache[key]
+        keep = self.chain.law(s)
         if j == 0:
             kernel = self.chain.step_kernel(s + 1)
-            M = None if not kernel else _fractions_to_common(kernel)
+            M = None if not kernel else _fractions_to_common(kernel, keep)
         else:
             A = self.cond(s, j - 1)
             B = self.cond(s + 2 ** (j - 1), j - 1)
-            M = _compose(A, B)
+            M = _compose(A, B, keep)
         self.cache[key] = M
         return M
 
@@ -249,14 +264,20 @@ class _DistPowCache:
         return val
 
 
+def _integer_law(mu):
+    """A law {state: Fraction} as the vector (den, {state: num})."""
+    den, rows = _fractions_to_common({None: mu})
+    return den, rows[None]
+
+
 def _fork_term(mu, M, dpow):
-    """E[d(f(X_t), f(X~_t))^p] for one (t, s): both copies share X_s ~ mu and
-    then evolve independently with conditional law M."""
+    """E[d(f(X_t), f(X~_t))^p] for one (t, s): both copies share X_s ~ mu,
+    an integer law vector, and then evolve independently with conditional
+    law M."""
     if M is None:
         return 0
     denM, rows = M
-    den_mu, mu_num = _fractions_to_common({None: mu})
-    mu_num = mu_num[None]
+    den_mu, mu_num = mu
     weights = {}
     for z, nz in mu_num.items():
         row = rows.get(z)
@@ -296,7 +317,7 @@ def pair_expectation(chain, f, space, t, s, p):
         step = None if not kernel else _fractions_to_common(kernel)
         M = _compose(M, step)
     dpow = _DistPowCache(space, f, p)
-    return _fork_term(mu, M, dpow)
+    return _fork_term(_integer_law(mu), M, dpow)
 
 
 def rhs_step_sum(chain, f, space, p):
@@ -327,8 +348,9 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     """Exact per-scale sums, their total, the one-step sum, and the ratio.
 
     Raises DegenerateChain (carrying the zero report) when the one-step sum
-    vanishes.  Asserts that the truncated time window is exact (boundary
-    summands vanish) and the crude per-scale sanity bound per_k <= 4^p * rhs.
+    vanishes.  Raises InvariantViolated unless the truncated time window is
+    exact (boundary summands vanish) and the crude per-scale sanity bound
+    per_k <= 4^p * rhs holds.
     """
     if k_max is None:
         k_max = default_k_max(chain)
@@ -336,6 +358,8 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     dpow = _DistPowCache(space, f, p)
     cache = _CondCache(chain)
     exact_p = is_integral(p)
+    # integer law vectors, once per time (the law is constant before t_min)
+    laws = [_integer_law(chain.law(s)) for s in range(chain.t_min, chain.t_max + 1)]
     per_k = []
     for k in range(k_max + 1):
         gap = 2 ** k
@@ -345,19 +369,19 @@ def convexity_ratio(chain, f, space, p, k_max=None):
             s = t - gap
             if s >= chain.t_max:
                 break  # conditional law is the identity from here on
-            mu = chain.law(s)
+            mu = laws[max(s - chain.t_min, 0)]
             term = _fork_term(mu, cache.cond(s, k), dpow)
             if t == chain.t_min:
                 boundary_lo = term
             if t == chain.t_max + gap:
                 boundary_hi = term
             total += term
-        assert not boundary_lo, "lower boundary summand must vanish"
-        assert not boundary_hi, "upper boundary summand must vanish"
+        check(not boundary_lo, "lower boundary summand must vanish at k=%d", k)
+        check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
         scale = Fraction(2) ** (k * int(p)) if exact_p else 2.0 ** (k * p)
         term_k = total / scale if total else total
         sanity = (Fraction(4) ** int(p) if exact_p else 4.0 ** p) * rhs
-        assert term_k <= sanity, f"per-k sanity bound failed at k={k}"
+        check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
         per_k.append(term_k)
     lhs = sum(per_k)
     if rhs == 0:

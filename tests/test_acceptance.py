@@ -32,12 +32,17 @@ from mconvex.metric import FiniteMetricSpace, PointMap
 from mconvex.trees import (EpsilonSequence, HTreeSpace, scaled_distance_matrix,
                            tree_metric_equality_violations, triangle_violations)
 
-# frozen Laakso convexity ratios at p = 2 (exact DP, first verified run)
+# frozen Laakso convexity ratios at p = 2 (exact DP, first verified run).
+# m = 5 is out of reach of the DP that composed every row and ran BFS per
+# source; it was first computed by the support-restricted DP with label
+# distances, whose provenance is its bit-for-bit agreement with that DP for
+# m <= 4 (test_markov.py::test_laakso_dp_matches_frozen_full_dp).
 LAAKSO_RATIO_P2 = {
     1: Fraction(85, 128),
     2: Fraction(10427, 8192),
     3: Fraction(932193, 524288),
     4: Fraction(75007459, 33554432),
+    5: Fraction(5745252521, 2147483648),
 }
 
 
@@ -80,13 +85,18 @@ def test_laakso_per_k_counting_bound(m, p):
 # ------------------------------------------------------------------------- 3
 
 def test_laakso_ratio_growth_and_fixtures():
-    ratios = {m: _laakso_report(m, 2).ratio for m in range(1, 5)}
+    ratios = {m: _laakso_report(m, 2).ratio for m in range(1, 6)}
     assert ratios == LAAKSO_RATIO_P2
-    for m in range(1, 4):
+    for m in range(1, 5):
         assert ratios[m + 1] > ratios[m]
     # ratio(m)/m bounded below by a positive constant (here 1/2 suffices)
-    for m in range(2, 5):
+    for m in range(2, 6):
         assert ratios[m] / m >= Fraction(1, 2)
+    # the per-scale counting bound at the frontier, k = 0..2m-2
+    G5 = build_laakso(5)
+    per_k = _laakso_report(5, 2).per_k
+    violations = [k for k in range(2 * 5 - 1) if per_k[k] < per_k_laakso_bound(G5, k, 2)[1]]
+    assert violations == []
 
 
 # ------------------------------------------------------------------------- 4

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.cli import main
+from mconvex.cli import _frac, main
 from mconvex.metric import FiniteMetricSpace
 
 
@@ -105,6 +105,8 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["quotient-verify", "--map", str(tmp_path / "missing.json"), "--a", "1",
              "--b", "1"],
             ["quotient-verify", "--map", str(bad_json), "--a", "1/0", "--b", "1"],
+            ["quotient-verify", "--map", str(bad_json), "--a", "abc", "--b", "1"],
+            ["quotient-verify", "--map", str(bad_json), "--a", "1", "--b", "2.x"],
             ["quotient-lift", "--map", str(zero_den), "--chain", str(chain),
              "--a", "1", "--b", "1"]]
     for argv in runs:
@@ -112,3 +114,7 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
         assert main(["--out", str(tmp_path)] + argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadInput" and err["message"]
+    # plain numbers keep their type: "3" is the int 3, "0.5" a float
+    assert _frac("3") == 3 and type(_frac("3")) is int
+    assert _frac("0.5") == 0.5 and type(_frac("0.5")) is float
+    assert _frac("1/32") == Fraction(1, 32)

@@ -1,11 +1,12 @@
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from mconvex.errors import TooLarge
-from mconvex.laakso import build_laakso, doubling_check
+from mconvex.errors import InvariantViolated, TooLarge
+from mconvex.laakso import LaaksoGraph, build_laakso, doubling_check
 from mconvex.metric import verify_metric
 
 
@@ -42,6 +43,52 @@ def test_distance_scaling():
         G = build_laakso(m)
         assert G.hop_distance(G.root, G.sink) == 4 ** m
         assert G.distance(G.root, G.sink) == Fraction(1)
+
+
+def bfs_hops(G, source):
+    """Hop distances from source by breadth-first search over the edge list."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        a = queue.popleft()
+        for b in G.adjacency[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    return dist
+
+
+@pytest.mark.parametrize("m,stride", [(0, 1), (1, 1), (2, 1), (3, 1), (4, 7)])
+def test_hop_distance_matches_bfs(m, stride):
+    # every ordered pair for m <= 3; every 7th source to all targets at m = 4
+    G = build_laakso(m)
+    mismatches = []
+    for u in G.vertices[::stride]:
+        hops = bfs_hops(G, u)
+        for v in G.vertices:
+            d = G.hop_distance(u, v)
+            if type(d) is not int or d != hops[v]:
+                mismatches.append((u, v, d, hops[v]))
+    assert mismatches == []
+
+
+def test_corrupted_edge_list_raises_invariant_violated():
+    G = build_laakso(2)
+    # an edge inside copy 3 replaced by one between the two vertices on level 2
+    edges = list(G.edges)
+    edges[20] = ((0, "v1"), (0, "v2"))
+    with pytest.raises(InvariantViolated, match="joins levels 2 and 2"):
+        LaaksoGraph(2, edges, G.root, G.sink)
+    with pytest.raises(InvariantViolated, match="6\\^m edges"):
+        LaaksoGraph(2, G.edges[:-1], G.root, G.sink)
+    with pytest.raises(InvariantViolated, match="root"):
+        LaaksoGraph(2, G.edges[1:] + [((0, "v1"), (0, "v2"))], G.root, G.sink)
+    # two ids swapped: the edges still form G_2, but the ids no longer give
+    # the levels that hop_distance reads off them
+    swap = {(0, "w"): (1, "u"), (1, "u"): (0, "w")}
+    edges = [(swap.get(a, a), swap.get(b, b)) for a, b in G.edges]
+    with pytest.raises(InvariantViolated, match="its id says"):
+        LaaksoGraph(2, edges, G.root, G.sink)
 
 
 def test_level_respects_edges():

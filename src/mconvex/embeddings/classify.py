@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import NotApproximatePath, PreconditionViolated
+from ..errors import NotApproximatePath, PreconditionViolated, check
 from ..metric import distortion_of, is_midpoint
 from ..trees import enumerate_bn, tree_distance
 from .vertical import vertical_report
@@ -69,7 +69,7 @@ def _certify_labels(space, x, y, z, budget):
                    if space.distance(v, c) <= budget]
 
     labels = {}
-    for label, (o1, o2, o3), check in (
+    for label, (o1, o2, o3), shape in (
             ("P", (x, y, z), _path_type),
             ("T", (x, y, z), _tent_type),
             ("p", (z, y, x), _path_type),
@@ -77,12 +77,12 @@ def _certify_labels(space, x, y, z, budget):
         best = None
         for a, na in near[o1]:
             for b, nb in near[o2]:
-                if check is _path_type and not b.is_ancestor_of(a):
+                if shape is _path_type and not b.is_ancestor_of(a):
                     continue
-                if check is _tent_type and not a.is_ancestor_of(b):
+                if shape is _tent_type and not a.is_ancestor_of(b):
                     continue
                 for c, nc in near[o3]:
-                    if check(a, b, c):
+                    if shape(a, b, c):
                         n = max(na, nb, nc)
                         if best is None or n < best[0]:
                             best = (n, (a, b, c))
@@ -116,24 +116,22 @@ def _require_ready(space, delta, limit, what):
 
 def _check_exclusions(space, x, y, z, labels):
     """The certified labels can never combine in geometrically impossible ways
-    below the stated nearness thresholds; assert that, since a violation would
-    mean the configuration predicates themselves are wrong."""
+    below the stated nearness thresholds; check that (InvariantViolated), since
+    a violation would mean the configuration predicates themselves are wrong."""
     dxy = space.distance(x, y)
     dzy = space.distance(z, y)
 
     def tight(l, bound):
         return l in labels and labels[l][0] <= bound
 
+    exclusions = []
     if x != y:
-        assert not (tight("P", dxy / 5) and tight("T", dxy / 5)), \
-            (x, y, z, labels)
-        assert not (tight("P", dxy / 11) and tight("p", dxy / 11)), \
-            (x, y, z, labels)
-        assert not (tight("T", dxy / 11) and tight("t", dxy / 11)), \
-            (x, y, z, labels)
+        exclusions += [("P", "T", dxy / 5), ("P", "p", dxy / 11), ("T", "t", dxy / 11)]
     if z != y:
-        assert not (tight("p", dzy / 5) and tight("t", dzy / 5)), \
-            (x, y, z, labels)
+        exclusions.append(("p", "t", dzy / 5))
+    for l1, l2, bound in exclusions:
+        check(not (tight(l1, bound) and tight(l2, bound)),
+              "labels %s and %s both within %s: %s", l1, l2, bound, (x, y, z, labels))
 
 
 def classify_midpoint(space, x, y, z, delta):
@@ -208,7 +206,7 @@ def classify_fork(space, x, y, z, w, delta):
         nz, wz = lz
         nw, ww = lw
         n = max(nz, nw)
-        assert n <= cap, (variant, n, cap)
+        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
         return ForkClass(variant, (wz, ww), n, cap, prong_bound=extra)
 
     # the four direct shapes (both prongs symmetric except where noted)
@@ -229,7 +227,7 @@ def classify_fork(space, x, y, z, w, delta):
         h0 = min(x.depth, y.depth, z.depth, w.depth)
         bound = 2 * (35 * delta + space.eps[h0]) * d
         dzw = space.distance(z, w)
-        assert dzw <= bound, (dzw, bound)
+        check(dzw <= bound, "contracted prongs %s apart, above %s", dzw, bound)
         key = "p" if ("p" in sz and "p" in sw) else "t"
         fc = result("ProngsContracted", sz[key], sw[key], extra=bound)
         return fc
@@ -243,7 +241,7 @@ def classify_fork(space, x, y, z, w, delta):
             if best is not None:
                 n_b, bar = best
                 n = max(n_p, sb["t"][0], n_b)
-                assert n <= cap, (n, cap)
+                check(n <= cap, "promoted fork: nearness %s above cap %s", n, cap)
                 wit_a = sa["P"][1]
                 wit_b = (xp, yp, bar)
                 wits = (wit_a, wit_b) if not swap else (wit_b, wit_a)
@@ -309,7 +307,7 @@ def classify_3path(space, x0, x1, x2, x3, delta):
 
     def result(variant, l1, l2):
         n = max(l1[0], l2[0])
-        assert n <= cap, (variant, n, cap)
+        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
         return ThreePathClass(variant, (l1[1], l2[1]), n, cap, scale)
 
     combos = (
@@ -337,7 +335,7 @@ def classify_3path(space, x0, x1, x2, x3, delta):
             if best is not None:
                 n_f, far_w = best
                 n = max(sa[la][0], n_b, n_f)
-                assert n <= cap, (variant, n, cap)
+                check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
                 path_wit = (b2, a2, far_w)   # path-type for the reversed triple
                 return ThreePathClass(variant, (path_wit, sb[lb][1]), n, cap, scale)
     return ThreePathClass("Unclassified", None, None, cap, scale)
@@ -346,6 +344,12 @@ def classify_3path(space, x0, x1, x2, x3, delta):
 # ---------------------------------------------------------------------------
 # the depth-4 rigidity bound
 # ---------------------------------------------------------------------------
+
+_B4 = enumerate_bn(4)
+# (i, j, tree distance) over the index pairs i < j of _B4
+_B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
+             for i, j in combinations(range(len(_B4)), 2)]
+
 
 def b4_bound_check(space, f, delta):
     """For a (1 + delta)-vertically faithful map f of B_4 into (B_infty, d_eps)
@@ -357,11 +361,10 @@ def b4_bound_check(space, f, delta):
     """
     if not Fraction(delta) < Fraction(1, 400):
         raise PreconditionViolated("requires delta < 1/400")
-    verts = enumerate_bn(4)
-    images = {v: f(v) for v in verts}
+    images = {v: f(v) for v in _B4}
     space.check_depth(*images.values())
     rep = vertical_report(lambda v: images[v],
-                          [(a, b) for b in verts for a in
+                          [(a, b) for b in _B4 for a in
                            (b.ancestor(h) for h in range(b.depth))],
                           space)
     if not rep.faithful(delta):
@@ -375,6 +378,10 @@ def b4_bound_check(space, f, delta):
 
 def b4_distortion(space, images):
     """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
-    vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
-    return distortion_of((tree_distance(a, b), space.distance(images[a], images[b]))
-                         for a, b in combinations(enumerate_bn(4), 2))[2]
+    vertex -> image) over all vertex pairs of B_4; inf on a collapse.
+
+    The target distances are the ints den * d_eps: scaling them all by den
+    divides lip by den and multiplies colip by it, so dist is unchanged."""
+    imgs = [images[v] for v in _B4]
+    sd = space.scaled_distance
+    return distortion_of([(d, sd(imgs[i], imgs[j])) for i, j, d in _B4_PAIRS])[2]

@@ -238,8 +238,9 @@ def htree_random_triple_violations(space, rng, count):
     """Triangle-inequality violations over random vertex triples (exact)."""
     bad = []
     N = space.max_depth
+    sd = space.scaled_distance
     for _ in range(count):
         x, y, z = (_rand_vertex(rng, rng.randint(0, N)) for _ in range(3))
-        if space.distance(x, z) > space.distance(x, y) + space.distance(y, z):
+        if sd(x, z) > sd(x, y) + sd(y, z):
             bad.append((x, y, z))
     return bad

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+from ..errors import check
 from ..trees import TreeVertex, enumerate_bn
 from .classify import b4_bound_check, b4_distortion
 
@@ -97,7 +98,7 @@ def b4_search(space, delta, trials=2000, seed=0, L=None):
             if cur_d < best_d:
                 best, best_d = cur, cur_d
     dist, bound, holds = b4_bound_check(space, lambda v: best[v], delta)
-    assert dist == best_d
+    check(dist == best_d, "rigidity check dist %s != search dist %s", dist, best_d)
     return best, best_d, bound, holds
 
 
@@ -112,7 +113,8 @@ def distortion_gap_experiment(space, s, n, seed=0, trials=500):
     if n > 12:
         raise ValueError("n <= 12")
     upper = max(1 / space.eps[m] for m in range(1, n + 1))
-    assert upper == Fraction(s(n)).limit_denominator(10 ** 6)
+    s_n = Fraction(s(n)).limit_denominator(10 ** 6)
+    check(upper == s_n, "upper bound %s != s(%s) = %s", upper, n, s_n)
     L = max(1, n // 4)
     delta = Fraction(1, 512)
     best, best_d, bound, holds = b4_search(space, delta, trials=trials, seed=seed, L=L)

@@ -231,7 +231,7 @@ def _numpy_matrix(rows, exact):
     den = math.lcm(*{d.denominator for row in rows for d in row})
     if den > 10 ** 9:
         return None
-    scaled = [[int(d * den) for d in row] for row in rows]
+    scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
     top = max(max(row) for row in scaled)
     if top > 2 ** 61:
         return None

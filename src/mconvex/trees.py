@@ -9,13 +9,19 @@ their root path, a finite bit sequence.  The contracted metric is
 which is a metric exactly when {eps_n} is non-increasing and {n * eps_n} is
 non-decreasing.  With eps identically 1 it coincides with the tree metric
 h(x) + h(y) - 2 h(lca(x, y)).
+
+Every d_eps value to depth N is an integer multiple of 1/den, where den is the
+lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
+(`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only
+(`HTreeSpace.scaled_distance`); `distance` is that int over den, and the
+numpy distance matrices scale by the same den.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import DepthExceeded, HypothesisViolated, PreconditionViolated, TooLarge
+from .errors import DepthExceeded, HypothesisViolated, PreconditionViolated, TooLarge, check
 from .metric import FiniteMetricSpace
 
 DEFAULT_MAX_DEPTH = 64
@@ -190,6 +196,14 @@ def epsilon_from_growth(s, N):
     return seq
 
 
+def _scaled_eps(eps, depth):
+    """(den, two_eps): den is the lcm of the denominators of eps_0..eps_depth
+    and two_eps[m] the int 2 * eps_m * den."""
+    vals = eps.values[:depth + 1]
+    den = math.lcm(*(v.denominator for v in vals))
+    return den, [2 * v.numerator * (den // v.denominator) for v in vals]
+
+
 class HTreeSpace:
     """The binary tree up to max_depth with the contracted metric d_eps."""
 
@@ -200,6 +214,7 @@ class HTreeSpace:
             raise ValueError(f"max_depth {max_depth} exceeds epsilon horizon {eps.N}")
         self.eps = eps
         self.max_depth = max_depth
+        self.den, self._two_eps = _scaled_eps(eps, max_depth)
 
     @property
     def classifier_ready(self):
@@ -210,11 +225,16 @@ class HTreeSpace:
             if v.depth > self.max_depth:
                 raise DepthExceeded(f"depth {v.depth} > max_depth {self.max_depth}")
 
-    def distance(self, x, y):
-        self.check_depth(x, y)
-        hx, hy = x.depth, y.depth
+    def scaled_distance(self, x, y):
+        """den * d_eps(x, y), as an int."""
+        hx, hy = len(x.path), len(y.path)
+        if hx > self.max_depth or hy > self.max_depth:
+            self.check_depth(x, y)
         m = min(hx, hy)
-        return abs(hy - hx) + 2 * self.eps[m] * (m - x.lca_depth(y))
+        return abs(hy - hx) * self.den + self._two_eps[m] * (m - x.lca_depth(y))
+
+    def distance(self, x, y):
+        return Fraction(self.scaled_distance(x, y), self.den)
 
     # alias so HTreeSpace quacks like FiniteMetricSpace for the classifiers
     dist = distance
@@ -319,10 +339,8 @@ def _scaled_blocks(eps, depth, block):
     """
     import numpy as np
 
-    denom = math.lcm(*(v.denominator for v in eps.values[:depth + 1]))
-    # 2 * eps_m scaled to integers
-    two_eps = np.array([int(2 * eps[m] * denom) for m in range(depth + 1)],
-                       dtype=np.int64)
+    denom, two_eps = _scaled_eps(eps, depth)
+    two_eps = np.array(two_eps, dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
     depths = np.frexp(idx)[1].astype(np.int64) - 1
     for lo in range(0, len(idx), block):
@@ -370,7 +388,8 @@ def stitch_ancestor(x, x_prime, y, y_prime, space):
     """Matched ancestors move no further apart than the originals.
 
     Requires y ancestor of x, y' ancestor of x', with equal depth offsets.
-    Returns (d_eps(y, y'), d_eps(x, x')), asserting the first <= the second.
+    Returns (d_eps(y, y'), d_eps(x, x')); InvariantViolated unless the first
+    is <= the second.
     """
     if not (y.is_ancestor_of(x) and y_prime.is_ancestor_of(x_prime)):
         raise PreconditionViolated("y, y' must be ancestors of x, x'")
@@ -378,7 +397,7 @@ def stitch_ancestor(x, x_prime, y, y_prime, space):
         raise PreconditionViolated("depth offsets must match")
     dy = space.distance(y, y_prime)
     dx = space.distance(x, x_prime)
-    assert dy <= dx, f"ancestor stitching bound violated: {dy} > {dx}"
+    check(dy <= dx, "ancestor stitching bound violated: %s > %s", dy, dx)
     return dy, dx
 
 
@@ -414,9 +433,9 @@ def stitch_horizontal(x, x_prime, y, space):
                 raise DepthExceeded("required descendant exceeds max_depth")
     dxx = space.distance(x, x_prime)
     dyy = space.distance(y, y_prime)
-    assert dyy <= dxx, f"horizontal stitching bound violated: {dyy} > {dxx}"
+    check(dyy <= dxx, "horizontal stitching bound violated: %s > %s", dyy, dxx)
     gap = abs(space.distance(y_prime, x_prime) - space.distance(x, y))
-    assert gap <= 2 * dxx, f"horizontal distance drift {gap} > 2*{dxx}"
+    check(gap <= 2 * dxx, "horizontal distance drift %s > 2*%s", gap, dxx)
     return y_prime
 
 
@@ -424,8 +443,9 @@ def stitch_descendant(x, x_prime, y, y_prime, space):
     """Matched descendants drift by at most the horizontal contraction term.
 
     Requires y descendant of x, y' descendant of x', equal depth offsets.
-    Asserts d_eps(y, y') <= d_eps(x, x') + 2 eps_{h(y)} (h(y) - h(x) + d_eps(x, x'))
-    (via the sharper min-height form) and returns (d_eps(y, y'), bound).
+    Checks d_eps(y, y') <= d_eps(x, x') + 2 eps_{h(y)} (h(y) - h(x) + d_eps(x, x'))
+    (via the sharper min-height form; InvariantViolated if it fails) and
+    returns (d_eps(y, y'), bound).
     """
     if not (x.is_ancestor_of(y) and x_prime.is_ancestor_of(y_prime)):
         raise PreconditionViolated("y, y' must be descendants of x, x'")
@@ -436,6 +456,6 @@ def stitch_descendant(x, x_prime, y, y_prime, space):
     k = y.depth - x.depth
     sharp = dxx + 2 * space.eps[min(y.depth, y_prime.depth)] * k
     loose = dxx + 2 * space.eps[y.depth] * (k + dxx)
-    assert dyy <= sharp <= loose, \
-        f"descendant stitching bound violated: {dyy} vs {sharp} vs {loose}"
+    check(dyy <= sharp <= loose,
+          "descendant stitching bound violated: %s vs %s vs %s", dyy, sharp, loose)
     return dyy, loose

@@ -11,9 +11,9 @@ from mconvex.embeddings.generators import make_space
 from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import BadInput, CollapsedPair
-from mconvex.metric import (FiniteMetricSpace, PointMap, distortion, distortion_of,
-                            is_integral, is_midpoint, midpoint_set, rat_from_str,
-                            rat_to_str, verify_metric)
+from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, distortion,
+                            distortion_of, is_integral, is_midpoint, midpoint_set,
+                            rat_from_str, rat_to_str, verify_metric)
 from mconvex.trees import enumerate_bn, tree_distance, triangle_violations
 
 
@@ -152,14 +152,23 @@ def old_stats(f):
     return (lip, colip, lip * colip)
 
 
+def old_htree_distance(space, x, y):
+    """HTreeSpace.distance before integer scaling, verbatim: d_eps in Fractions."""
+    space.check_depth(x, y)
+    hx, hy = x.depth, y.depth
+    m = min(hx, hy)
+    return abs(hy - hx) + 2 * space.eps[m] * (m - x.lca_depth(y))
+
+
 def old_b4_distortion(space, images):
-    """The B_4 search loop before distortion_of, verbatim."""
+    """The B_4 search loop before distortion_of, verbatim, on the Fraction
+    distances of old_htree_distance."""
     verts = enumerate_bn(4)
     lip = 0
     colip = 0
     for i, a in enumerate(verts):
         for b in verts[i + 1:]:
-            dx = space.distance(images[a], images[b])
+            dx = old_htree_distance(space, images[a], images[b])
             if dx == 0:
                 return math.inf
             r = Fraction(dx) / tree_distance(a, b)
@@ -229,16 +238,19 @@ def random_point_map(rng, mode):
 
 def test_distortion_of_matches_old_loops_on_seeded_maps():
     rng = random.Random(20261017)
-    checked = 0
+    checked = collapsed = 0
     # nested faithful B_4 maps, sibling collisions included
     for _ in range(300):
         space = make_space(Fraction(1, rng.choice([4, 5, 7, 12])), depth=60)
         images = generate_faithful_b4(space, rng, collide_prob=0.05)
-        assert_identical(b4_distortion(space, images), old_b4_distortion(space, images))
+        old = old_b4_distortion(space, images)
+        assert_identical(b4_distortion(space, images), old)
+        collapsed += old == math.inf
         verts = enumerate_bn(4)
         f = PointMap(FiniteMetricSpace(verts, tree_distance), space, images)
         assert_identical(f.stats(), old_stats(f))
         checked += 1
+    assert 0 < collapsed < 300
     # exact, float and mixed point maps between small tables
     for i in range(400):
         f = random_point_map(rng, ("exact", "float", "mixed")[i % 3])
@@ -257,6 +269,13 @@ def test_distortion_of_matches_old_loops_on_seeded_maps():
         assert_identical(f.stats(), old_stats(f))
         checked += 1
     assert checked == 1000
+
+
+def test_numpy_matrix_scales_exactly():
+    rows = [[0, Fraction(3, 4), 2], [Fraction(3, 4), 0, Fraction(5, 6)], [2, Fraction(5, 6), 0]]
+    mat, tol = _numpy_matrix(rows, exact=True)
+    assert tol == 0 and mat.dtype == np.int64
+    assert mat.tolist() == [[int(d * 12) for d in row] for row in rows]
 
 
 def test_distortion_of_edge_cases():

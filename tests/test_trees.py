@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mconvex.errors import DepthExceeded, HypothesisViolated, PreconditionViolated
+from mconvex.embeddings.generators import random_valid_epsilon
+from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
+                            PreconditionViolated)
 from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
                            heap_lca_depth, heap_lca_depth_block,
@@ -106,6 +109,32 @@ def test_htree_distance_formula():
     assert sp.distance(x, y) == sp.distance(y, x)
     # ancestor pairs are pure height differences
     assert sp.distance(x, x.ancestor(1)) == 3
+    assert sp.dist == sp.distance
+
+
+def test_distance_matches_fraction_formula_on_seeded_inputs():
+    """distance and scaled_distance against the d_eps formula in Fractions
+    (the distance before integer scaling), over random valid schedules."""
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(60):
+        N = rng.randint(0, 40)
+        eps = random_valid_epsilon(rng, N)
+        sp = HTreeSpace(eps, rng.randint(0, N))
+        assert sp.den == math.lcm(*(v.denominator for v in eps.values[:sp.max_depth + 1]))
+        for k in range(20):
+            # the first pairs pin depth 0 and max_depth
+            hx = (0, sp.max_depth, 0)[k] if k < 3 else rng.randint(0, sp.max_depth)
+            hy = (0, sp.max_depth, sp.max_depth)[k] if k < 3 else rng.randint(0, sp.max_depth)
+            x, y = rand_vertex(rng, hx), rand_vertex(rng, hy)
+            m = min(hx, hy)
+            old = abs(hy - hx) + 2 * eps[m] * (m - x.lca_depth(y))
+            new = sp.distance(x, y)
+            assert type(new) is Fraction and new == old
+            scaled = sp.scaled_distance(x, y)
+            assert type(scaled) is int and scaled == new * sp.den
+            checked += 1
+    assert checked == 1200
 
 
 def test_htree_eps_one_is_tree_metric():
@@ -119,8 +148,12 @@ def test_htree_eps_one_is_tree_metric():
 
 def test_htree_depth_guard():
     sp = htree(Fraction(1, 5), 4)
-    with pytest.raises(DepthExceeded):
-        sp.distance(ROOT, TreeVertex((0,) * 5))
+    deep = TreeVertex((0,) * 5)
+    for x, y in ((ROOT, deep), (deep, ROOT), (deep, deep)):
+        with pytest.raises(DepthExceeded):
+            sp.distance(x, y)
+        with pytest.raises(DepthExceeded):
+            sp.scaled_distance(x, y)
 
 
 def test_htree_json_roundtrip():
@@ -191,3 +224,39 @@ def test_stitch_ancestor_rejects_mismatched_offsets():
     x = TreeVertex((0, 0, 1))
     with pytest.raises(PreconditionViolated):
         stitch_ancestor(x, x.ancestor(1), x, x.ancestor(2), sp)
+
+
+class FakeDistances(HTreeSpace):
+    """A contracted tree whose distance between distinct vertices is replaced
+    by `fake(x, y)`, to drive the stitching checks past their bounds."""
+
+    def __init__(self, fake):
+        super().__init__(EpsilonSequence([Fraction(1, 5)] * 11), 10)
+        self.fake = fake
+
+    def distance(self, x, y):
+        return Fraction(0) if x == y else Fraction(self.fake(x, y))
+
+
+def test_stitch_ancestor_bound_is_checked():
+    # shallow pairs farther apart than deep ones
+    sp = FakeDistances(lambda x, y: Fraction(1, 1 + min(x.depth, y.depth)))
+    x, x_prime = TreeVertex((0, 0, 1)), TreeVertex((1, 1, 0))
+    with pytest.raises(InvariantViolated, match="ancestor stitching"):
+        stitch_ancestor(x, x_prime, x.ancestor(1), x_prime.ancestor(1), sp)
+
+
+def test_stitch_horizontal_bound_is_checked():
+    sp = FakeDistances(lambda x, y: Fraction(1, 1 + min(x.depth, y.depth)))
+    x, x_prime, y = TreeVertex((0, 0, 0, 0)), TreeVertex((1, 1, 1)), TreeVertex((0, 1))
+    # h(x) > h(x'): y' is y's ancestor at depth 1, so d(y, y') = 1/2 > d(x, x') = 1/4
+    with pytest.raises(InvariantViolated, match="horizontal stitching"):
+        stitch_horizontal(x, x_prime, y, sp)
+
+
+def test_stitch_descendant_bound_is_checked():
+    # deep pairs stretched far beyond 2 eps per level
+    sp = FakeDistances(lambda x, y: 1 + x.depth + y.depth)
+    x, x_prime = TreeVertex((0,)), TreeVertex((1,))
+    with pytest.raises(InvariantViolated, match="descendant stitching"):
+        stitch_descendant(x, x_prime, x.descend((0, 0)), x_prime.descend((0, 0)), sp)

@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+from .errors import check
 from .metric import FiniteMetricSpace, is_integral
 
 SLACK_REL_TOL = 1e-9
@@ -205,7 +206,7 @@ def trivial_renorm_bound(x, m, space):
     X_t = t*x over m steps: the chain is deterministic, so the fork terms all
     vanish and the per-step average is ||x||^p, i.e. the value is ||x||.
 
-    Asserts value <= ||x|| and returns it.
+    Checks value <= ||x|| (InvariantViolated otherwise) and returns it.
     """
     if m > 10:
         raise ValueError("m <= 10")
@@ -214,5 +215,6 @@ def trivial_renorm_bound(x, m, space):
     avg = sum(steps) / (Fraction(m) if not isinstance(steps[0], float) else m)
     value = float(avg) ** (1.0 / p)
     nx = space.norm(x)
-    assert value <= nx + SLACK_REL_TOL * max(1.0, nx)
+    check(value <= nx + SLACK_REL_TOL * max(1.0, nx),
+          "straight-line value %s exceeds ||x|| = %s", value, nx)
     return value

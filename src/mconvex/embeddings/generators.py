@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..metric import is_midpoint
+from ..randbits import random_bits
 from ..trees import EpsilonSequence, HTreeSpace, TreeVertex
 from .classify import path_scale_range
 from ..errors import NotApproximatePath
@@ -43,18 +44,14 @@ def random_valid_epsilon(rng, N):
     return EpsilonSequence(vals)
 
 
-def _rand_bits(rng, k):
-    return tuple(rng.randint(0, 1) for _ in range(k))
-
-
 def _rand_vertex(rng, depth):
-    return TreeVertex(_rand_bits(rng, depth))
+    return TreeVertex(random_bits(rng, depth))
 
 
 def _branch_off(rng, line, lca_depth, depth):
     """A depth-`depth` vertex whose lca with `line` has depth exactly lca_depth."""
     prefix = line.path[:lca_depth] + (1 - line.path[lca_depth],)
-    return TreeVertex(prefix + _rand_bits(rng, depth - lca_depth - 1))
+    return TreeVertex(prefix + random_bits(rng, depth - lca_depth - 1))
 
 
 def gen_midpoint(rng, delta, depth=40):
@@ -83,7 +80,7 @@ def gen_midpoint(rng, delta, depth=40):
             # other side of a branch point above the apex
             h_a = rng.randint(1, depth - 2 * M - 1)
             apex = _rand_vertex(rng, h_a)
-            y = apex.descend(_rand_bits(rng, M))
+            y = apex.descend(random_bits(rng, M))
             l = rng.randint(0, h_a - 1)
             z = _branch_off(rng, apex, l, h_a + 2 * M + rng.choice((-1, 0)))
             x = apex
@@ -114,7 +111,7 @@ def gen_fork(rng, delta, depth=40):
             # two tents off one apex
             h_a = rng.randint(2, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_a)
-            y = x.descend(_rand_bits(rng, M))
+            y = x.descend(random_bits(rng, M))
             l1 = rng.randint(0, h_a - 1)
             l2 = rng.randint(0, h_a - 1)
             z = _branch_off(rng, x, l1, h_a + 2 * M)
@@ -123,15 +120,15 @@ def gen_fork(rng, delta, depth=40):
             # both prongs descend below y
             h_x = rng.randint(0, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_x)
-            y = x.descend(_rand_bits(rng, M))
-            z = y.descend((0,) + _rand_bits(rng, M - 1))
-            w = y.descend((1,) + _rand_bits(rng, M - 1))
+            y = x.descend(random_bits(rng, M))
+            z = y.descend((0,) + random_bits(rng, M - 1))
+            w = y.descend((1,) + random_bits(rng, M - 1))
         elif family == 2:
             # chain x -> y -> z with a tent prong w off the apex
             h_a = rng.randint(1, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_a)
-            y = x.descend(_rand_bits(rng, M))
-            z = y.descend(_rand_bits(rng, M))
+            y = x.descend(random_bits(rng, M))
+            z = y.descend(random_bits(rng, M))
             w = _branch_off(rng, x, rng.randint(0, h_a - 1), h_a + 2 * M)
         else:
             # parallel branches: w above y on one branch, z above x on the other

@@ -12,7 +12,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import BoostFailed, LengthMismatch, PreconditionViolated
+from ..errors import BoostFailed, LengthMismatch, PreconditionViolated, check
 from ..metric import distortion_of
 
 
@@ -73,8 +73,8 @@ def submultiplicative_split(f, m, n):
     """Split f over P_{mn} into the coarse map i -> i*n over P_m and the best
     contiguous length-n block (argmax T, ties to the lowest index).
 
-    Returns (coarse PathMap, best block PathMap, block index); asserts the
-    product inequality T(f) <= T(coarse) * T(block).
+    Returns (coarse PathMap, best block PathMap, block index); checks the
+    product inequality T(f) <= T(coarse) * T(block) (InvariantViolated).
     """
     if f.n != m * n:
         raise LengthMismatch(f"path length {f.n} != {m} * {n}")
@@ -91,9 +91,10 @@ def submultiplicative_split(f, m, n):
     tc = t_functional(coarse)
     tb = t_functional(block)
     if isinstance(tf, Fraction) and isinstance(tc, Fraction) and isinstance(tb, Fraction):
-        assert tf <= tc * tb, f"submultiplicativity violated: {tf} > {tc} * {tb}"
+        holds = tf <= tc * tb
     else:
-        assert float(tf) <= float(tc) * float(tb) * (1 + 1e-12) + 1e-15
+        holds = float(tf) <= float(tc) * float(tb) * (1 + 1e-12) + 1e-15
+    check(holds, "submultiplicativity violated: %s > %s * %s", tf, tc, tb)
     return coarse, block, best_i
 
 
@@ -167,9 +168,12 @@ def path_boost(f, t, delta, D=None):
     dist = path_distortion(composed)
     # the log-embedding bound: T >= 1 - eps with eps < 1/t gives dist <= 1/(1 - t eps)
     eps = 1 - best_t
-    assert eps < Fraction(1, t) if isinstance(eps, Fraction) else eps < 1 / t
+    check(eps < Fraction(1, t) if isinstance(eps, Fraction) else eps < 1 / t,
+          "1 - T = %s is not below 1/t = 1/%s", eps, t)
     bound = 1 / (1 - t * eps)
-    assert dist <= bound if isinstance(dist, Fraction) and isinstance(bound, Fraction) \
-        else float(dist) <= float(bound) * (1 + 1e-12)
-    assert float(bound) <= 1 + float(delta) * (1 + 1e-12)
+    check(dist <= bound if isinstance(dist, Fraction) and isinstance(bound, Fraction)
+          else float(dist) <= float(bound) * (1 + 1e-12),
+          "distortion %s exceeds the log-embedding bound %s", dist, bound)
+    check(float(bound) <= 1 + float(delta) * (1 + 1e-12),
+          "log-embedding bound %s exceeds 1 + delta = 1 + %s", bound, delta)
     return BoostResult(best_grid, best_t, dist, warned)

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from ..errors import check
+from ..randbits import random_bits
 from ..trees import TreeVertex, enumerate_bn
 from .classify import b4_bound_check, b4_distortion
 
@@ -38,7 +39,7 @@ def _random_descents(rng, L, collide_prob=0.0):
     for v in enumerate_bn(4):
         if v.depth == 0:
             continue
-        bits = tuple(rng.randint(0, 1) for _ in range(L))
+        bits = random_bits(rng, L)
         if v.path[-1] == 1:
             sib = descents[TreeVertex(v.path[:-1] + (0,))]
             if rng.random() < collide_prob:
@@ -60,7 +61,7 @@ def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):
     if L is None:
         L = rng.randint(3, 14)
     h0 = rng.randint(0, space.max_depth - 4 * L)
-    root_bits = tuple(rng.randint(0, 1) for _ in range(h0))
+    root_bits = random_bits(rng, h0)
     return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))
 
 
@@ -75,7 +76,7 @@ def b4_search(space, delta, trials=2000, seed=0, L=None):
     if L is None:
         L = rng.randint(3, 8)
     h0 = rng.randint(0, space.max_depth - 4 * L)
-    root_bits = tuple(rng.randint(0, 1) for _ in range(h0))
+    root_bits = random_bits(rng, h0)
     descents = _random_descents(rng, L)
     cur = _nested_embedding(L, h0, root_bits, descents)
     cur_d = b4_distortion(space, cur)
@@ -86,7 +87,7 @@ def b4_search(space, delta, trials=2000, seed=0, L=None):
         v = rng.choice(verts)
         old = descents[v]
         trial = dict(descents)
-        bits = tuple(rng.randint(0, 1) for _ in range(L))
+        bits = random_bits(rng, L)
         sib = descents.get(TreeVertex(v.path[:-1] + (1 - v.path[-1],)))
         if sib is not None and bits[0] == sib[0]:
             bits = (1 - sib[0],) + bits[1:]

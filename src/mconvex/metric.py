@@ -158,15 +158,18 @@ def verify_metric(space, seed=0):
     violations = []
     tol = 0 if space.exact else space.tol
     rows = space.distance_matrix()
-
-    for i in range(n):
-        if rows[i][i] != 0:
-            violations.append(("diagonal", pts[i]))
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                violations.append(("symmetry", pts[i], pts[j]))
-            if rows[i][j] < 0:
-                violations.append(("negative", pts[i], pts[j]))
+    as_np = None
+    if 64 < n <= EXHAUSTIVE_LIMIT:
+        as_np = _numpy_matrix(rows, space.exact)
+    if as_np is None or not _integer_axioms_hold(as_np[0]):
+        for i in range(n):
+            if rows[i][i] != 0:
+                violations.append(("diagonal", pts[i]))
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    violations.append(("symmetry", pts[i], pts[j]))
+                if rows[i][j] < 0:
+                    violations.append(("negative", pts[i], pts[j]))
 
     def tri_bad(a, b, c):
         # d(a,c) <= d(a,b) + d(b,c), with relative slack in floating mode
@@ -179,21 +182,12 @@ def verify_metric(space, seed=0):
     if n <= EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         checked = 0
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover
-            np = None
-        as_np = None
-        if np is not None and n > 64:
-            as_np = _numpy_matrix(rows, space.exact)
         if as_np is not None:
             mat, np_tol = as_np
             checked = n * n * n
-            for k in range(n):
-                bad = mat > mat[:, k][:, None] + mat[k, :][None, :] + np_tol
-                if bad.any():
-                    for i, j in zip(*bad.nonzero()):
-                        violations.append(("triangle", pts[i], pts[k], pts[j]))
+            for k, bad in triangle_failures(mat, np_tol):
+                for i, j in zip(*bad.nonzero()):
+                    violations.append(("triangle", pts[i], pts[k], pts[j]))
         else:
             for i in range(n):
                 for j in range(n):
@@ -214,6 +208,46 @@ def verify_metric(space, seed=0):
             if tri_bad(i, j, k):
                 violations.append(("triangle", pts[i], pts[j], pts[k]))
     return MetricReport(violations, mode, checked)
+
+
+def _integer_axioms_hold(mat):
+    """Whether an integer numpy matrix has a zero diagonal and is symmetric
+    and nonnegative (False for a float matrix: the scalar loop decides)."""
+    import numpy as np
+
+    return (mat.dtype.kind == "i" and not mat.diagonal().any()
+            and np.array_equal(mat, mat.T) and not (mat < 0).any())
+
+
+def triangle_failures(mat, tol=0):
+    """Yield (k, bad) for each middle index k of a square numpy distance
+    matrix with a triangle violation, where the boolean matrix bad marks the
+    (i, j) with mat[i, j] > mat[i, k] + mat[k, j] + tol.
+
+    bad is one buffer, overwritten for the next k: read it before resuming.
+    An integer matrix (whose tol must be an int) is cast once to the
+    narrowest signed dtype (int16, int32, int64) that holds
+    2 * max|x| + |tol|, so the sums cannot overflow and the comparisons are
+    exact.
+    """
+    import numpy as np
+
+    n = len(mat)
+    if n == 0:
+        return
+    if mat.dtype.kind in "iu":
+        top = 2 * max(int(mat.max()), -int(mat.min())) + abs(tol)
+        dtype = next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max), np.int64)
+        mat = mat.astype(dtype)
+    total = np.empty_like(mat)
+    bad = np.empty(mat.shape, dtype=bool)
+    for k in range(n):
+        np.add(mat[:, k, None], mat[None, k, :], out=total)
+        if tol:
+            total += tol
+        np.greater(mat, total, out=bad)
+        if bad.any():
+            yield k, bad
 
 
 def _numpy_matrix(rows, exact):

@@ -119,7 +119,6 @@ def lift_chain(q, chain, g):
         step = q.a * f.target.dist(g(traj[-2]), y)
         for u in source_order:
             if f(u) == y and f.source.dist(prev, u) <= step:
-                assert f(u) == y
                 cache[traj] = u
                 return u
         raise LiftFailed(

@@ -9,7 +9,7 @@ from mconvex.banach import (LpSpace, check_pconvexity, check_prop21, find_K,
                             fork_slack, norm_pow, pconvexity_slacks,
                             trivial_renorm_bound)
 from mconvex.embeddings.generators import random_chain
-from mconvex.errors import DegenerateChain
+from mconvex.errors import DegenerateChain, InvariantViolated
 
 
 def test_norm_pow_exact_vs_float():
@@ -83,6 +83,16 @@ def test_trivial_renorm_bound():
     assert val == pytest.approx(5.0)
     with pytest.raises(ValueError):
         trivial_renorm_bound(x, 11, sp)
+
+
+def test_trivial_renorm_bound_is_checked():
+    # a space whose norm under-reports ||x|| breaks value <= ||x||
+    class ShortNorm(LpSpace):
+        def norm(self, v):
+            return super().norm(v) / 2
+
+    with pytest.raises(InvariantViolated, match="exceeds"):
+        trivial_renorm_bound((Fraction(3), Fraction(4)), 5, ShortNorm(2, 2))
 
 
 def test_as_metric_space_dist_pow_exact():

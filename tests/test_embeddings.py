@@ -6,14 +6,15 @@ import pytest
 
 from mconvex.embeddings.extract import extract_vertically_faithful
 from mconvex.embeddings.generators import RealLine, gen_boost_path, make_space
+from mconvex.embeddings import paths
 from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
 from mconvex.embeddings.search import b4_search, distortion_gap_experiment, \
     generate_faithful_b4
 from mconvex.embeddings.vertical import bn_vertical_report, vertical_report
-from mconvex.errors import (BoostFailed, CollapsedAncestorPair, PipelineFailed,
-                            TooLarge)
+from mconvex.errors import (BoostFailed, CollapsedAncestorPair, InvariantViolated,
+                            PipelineFailed, TooLarge)
 from mconvex.trees import TreeVertex, enumerate_bn, tree_distance
 
 
@@ -36,7 +37,7 @@ def test_path_distortion():
 
 
 def test_submultiplicative_split():
-    # the product inequality is asserted inside; exercise it over random maps
+    # the product inequality is checked inside; exercise it over random maps
     rng = random.Random(5)
     for _ in range(100):
         total = rng.choice([4, 6, 8, 12])
@@ -48,6 +49,33 @@ def test_submultiplicative_split():
         coarse, block, idx = submultiplicative_split(f, m, total // m)
         assert coarse.n == m and block.n == total // m
         assert 0 <= idx < m
+
+
+@pytest.mark.parametrize("one", [Fraction(1), 1.0])
+def test_submultiplicative_split_is_checked(monkeypatch, one):
+    # T(f) = 1 against T(coarse) = T(block) = 1/2, in exact and float mode
+    f = line_map(range(5))
+    monkeypatch.setattr(paths, "t_functional", lambda g: one if g is f else one / 2)
+    with pytest.raises(InvariantViolated, match="submultiplicativity"):
+        submultiplicative_split(f, 2, 2)
+
+
+@pytest.mark.parametrize("grid_t, delta, dist, match", [
+    # T = 3/5 clears the threshold 1/2 of delta = 4, but 1 - T >= 1/t
+    (Fraction(3, 5), 4, None, "not below 1/t"),
+    # a distortion above the bound 1/(1 - t(1 - T))
+    (None, 0.5, Fraction(100), "log-embedding bound"),
+    # T = 13/16 clears the threshold of delta = 1.5, but the bound 4 > 2.5
+    (Fraction(13, 16), 1.5, None, "exceeds 1 \\+ delta"),
+])
+def test_path_boost_bounds_are_checked(monkeypatch, grid_t, delta, dist, match):
+    f = gen_boost_path(random.Random(9), 4 ** 4)
+    if grid_t is not None:
+        monkeypatch.setattr(paths, "t_functional", lambda g: grid_t)
+    if dist is not None:
+        monkeypatch.setattr(paths, "path_distortion", lambda g: dist)
+    with pytest.raises(InvariantViolated, match=match):
+        path_boost(f, 4, delta)
 
 
 def test_path_boost_success_and_bound():

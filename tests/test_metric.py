@@ -13,8 +13,9 @@ from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import BadInput, CollapsedPair
 from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, distortion,
                             distortion_of, is_integral, is_midpoint, midpoint_set,
-                            rat_from_str, rat_to_str, verify_metric)
-from mconvex.trees import enumerate_bn, tree_distance, triangle_violations
+                            rat_from_str, rat_to_str, triangle_failures, verify_metric)
+from mconvex.trees import HTreeSpace, enumerate_bn, tree_distance, triangle_violations
+from mconvex.embeddings.generators import random_valid_epsilon
 
 
 def line_space(n, exact=True):
@@ -297,3 +298,133 @@ def test_triangle_violations_counts_ordered_triples():
                 for i in range(4) for j in range(4) for k in range(4))
     assert triangle_violations(mat) == brute == 4
     assert triangle_violations(np.abs(np.subtract.outer(range(6), range(6)))) == 0
+
+
+# ---------------------------------------------------------------------------
+# the triangle kernel against brute force, and verify_metric against its old loops
+# ---------------------------------------------------------------------------
+
+def brute_failures(rows, tol):
+    """[(k, [(i, j), ...])] with rows[i][j] > rows[i][k] + rows[k][j] + tol,
+    in Python numbers, in the kernel's order."""
+    n = len(rows)
+    out = []
+    for k in range(n):
+        bad = [(i, j) for i in range(n) for j in range(n)
+               if rows[i][j] > rows[i][k] + rows[k][j] + tol]
+        if bad:
+            out.append((k, bad))
+    return out
+
+
+def kernel_failures(mat, tol):
+    return [(k, [(int(i), int(j)) for i, j in zip(*bad.nonzero())])
+            for k, bad in triangle_failures(mat, tol)]
+
+
+# (max |entry|, tol): 2 * max + |tol| at each edge of int16 and int32
+DTYPE_EDGES = [(2 ** 14 - 1, 1), (2 ** 14 - 1, -1), (2 ** 14, 0),
+               (2 ** 30 - 1, 1), (2 ** 30 - 1, -1), (2 ** 30, 0), (2 ** 40, 0)]
+
+
+@pytest.mark.parametrize("big, tol", DTYPE_EDGES)
+def test_triangle_failures_exact_at_dtype_edges(big, tol):
+    rng = random.Random(big + tol)
+    pool = [big, big, big - 1, big // 2, 1, 0, 0, -1, -big // 2, -big]
+    found = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        mat = np.array(rows, dtype=np.int64)
+        expected = brute_failures(rows, tol)
+        assert kernel_failures(mat, tol) == expected
+        if tol == 0:
+            assert triangle_violations(mat) == sum(len(bad) for _, bad in expected)
+        found += bool(expected)
+    assert found
+
+
+def test_triangle_failures_float_with_tol():
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(2, 8)
+        rows = [[rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(-1, 3)]) for _ in range(n)]
+                for _ in range(n)]
+        mat = np.array(rows)
+        tol = (0, 0.25, 1e-12 * max(1.0, float(mat.max())))[trial % 3]
+        assert kernel_failures(mat, tol) == brute_failures(rows, tol)
+
+
+def test_triangle_failures_small_and_clean():
+    assert list(triangle_failures(np.zeros((0, 0), dtype=np.int64))) == []
+    assert list(triangle_failures(np.zeros((1, 1), dtype=np.int64))) == []
+    line = np.abs(np.subtract.outer(range(100), range(100)))
+    assert list(triangle_failures(line)) == []
+    assert triangle_violations(line) == 0 and type(triangle_violations(line)) is int
+
+
+def old_verify_violations(space):
+    """The violation list of verify_metric's numpy route (n > 64) before
+    triangle_failures, verbatim: the scalar axiom loop, then the numpy loop."""
+    pts = space.points
+    n = len(pts)
+    violations = []
+    rows = space.distance_matrix()
+
+    for i in range(n):
+        if rows[i][i] != 0:
+            violations.append(("diagonal", pts[i]))
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                violations.append(("symmetry", pts[i], pts[j]))
+            if rows[i][j] < 0:
+                violations.append(("negative", pts[i], pts[j]))
+
+    as_np = _numpy_matrix(rows, space.exact)
+    if as_np is not None:
+        mat, np_tol = as_np
+        for k in range(n):
+            bad = mat > mat[:, k][:, None] + mat[k, :][None, :] + np_tol
+            if bad.any():
+                for i, j in zip(*bad.nonzero()):
+                    violations.append(("triangle", pts[i], pts[k], pts[j]))
+    return violations
+
+
+def corrupt(rng, rows, faults):
+    """Apply the named faults to random entries of a square matrix in place."""
+    n = len(rows)
+    for fault in faults:
+        i, j = rng.sample(range(n), 2)
+        d = rows[i][j]
+        if fault == "diagonal":
+            rows[i][i] = d / 3
+        elif fault == "symmetry":
+            rows[i][j] = d + Fraction(1, 7)
+        elif fault == "negative":
+            rows[i][j] = rows[j][i] = -d
+        else:  # triangle: stretch one pair far beyond any detour
+            rows[i][j] = rows[j][i] = 5 * d + 3
+
+
+def test_verify_metric_matches_old_loops_on_corrupted_matrices():
+    rng = random.Random(20261018)
+    kinds = ["diagonal", "symmetry", "negative", "triangle"]
+    seen = set()
+    for trial in range(48):
+        space = HTreeSpace(random_valid_epsilon(rng, 8), 8)
+        verts = rng.sample(enumerate_bn(6), rng.randint(65, 127))
+        rows = [list(row) for row in space.as_metric_space(verts).distance_matrix()]
+        faults = ([] if trial % 8 == 0 else [kinds[trial % 4]] if trial % 8 < 5
+                  else rng.sample(kinds, rng.randint(2, 4)))
+        corrupt(rng, rows, faults)
+        # every 6th space in floating mode: a float matrix, checked with a tolerance
+        fms = FiniteMetricSpace.from_matrix(verts, rows, exact=trial % 6 != 5)
+        rep = verify_metric(fms)
+        expected = old_verify_violations(fms)
+        assert rep.violations == expected
+        assert (rep.mode, rep.triples_checked) == ("exhaustive", len(verts) ** 3)
+        seen.update(v[0] for v in expected)
+        if not faults:
+            assert expected == []
+    assert seen == {"diagonal", "symmetry", "negative", "triangle"}

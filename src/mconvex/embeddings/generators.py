@@ -45,13 +45,13 @@ def random_valid_epsilon(rng, N):
 
 
 def _rand_vertex(rng, depth):
-    return TreeVertex(random_bits(rng, depth))
+    return TreeVertex._from_bits(random_bits(rng, depth))
 
 
 def _branch_off(rng, line, lca_depth, depth):
     """A depth-`depth` vertex whose lca with `line` has depth exactly lca_depth."""
     prefix = line.path[:lca_depth] + (1 - line.path[lca_depth],)
-    return TreeVertex(prefix + random_bits(rng, depth - lca_depth - 1))
+    return TreeVertex._from_bits(prefix + random_bits(rng, depth - lca_depth - 1))
 
 
 def gen_midpoint(rng, delta, depth=40):

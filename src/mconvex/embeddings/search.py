@@ -23,11 +23,11 @@ def _nested_embedding(L, h0, root_bits, descents):
     """The nested B_4 embedding: root at the depth-h0 vertex `root_bits`, each
     child placed `L` levels below its parent along its bit string in
     `descents` (dict non-root TreeVertex -> tuple of L bits)."""
-    images = {TreeVertex(()): TreeVertex(root_bits)}
+    images = {TreeVertex(()): TreeVertex._from_bits(root_bits)}
     for v in enumerate_bn(4):
         if v.depth == 0:
             continue
-        images[v] = images[v.parent()].descend(descents[v])
+        images[v] = TreeVertex._from_bits(images[v.parent()].path + descents[v])
     return images
 
 

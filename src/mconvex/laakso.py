@@ -184,7 +184,8 @@ class LaaksoGraph:
 
     def as_metric_space(self):
         from .metric import FiniteMetricSpace
-        return FiniteMetricSpace(self.vertices, self.distance, exact=True)
+        return FiniteMetricSpace(self.vertices, self.distance, exact=True,
+                                 scaled=(self.hop_distance, 4 ** self.m))
 
     def vertex_label(self, v):
         return "/".join(str(part) for part in v)
@@ -198,13 +199,6 @@ class LaaksoGraph:
             "root": lab(self.root),
             "sink": lab(self.sink),
         })
-
-    def to_dot(self):
-        lines = ["digraph laakso {", "  rankdir=LR;"]
-        for a, b in self.directed_edges():
-            lines.append(f'  "{self.vertex_label(a)}" -> "{self.vertex_label(b)}";')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def build_laakso(m):

@@ -14,7 +14,10 @@ summand vanishes outside a provable window (checked, not assumed).
 All probabilities are exact rationals.  Internally, laws and conditional-law
 matrices are stored as integer numerators over a single common denominator so
 the dynamic programming inner loops run on (big)ints; d^p stays exact for
-integer p and is floated only at the final power for non-integer p.
+integer p and is floated only at the final power for non-integer p.  When the
+space gives its distances as ints over one denominator (`den`) and p is an
+integer, the sums of probability weights times distance powers are ints too,
+divided once per term.
 """
 from __future__ import annotations
 
@@ -181,7 +184,7 @@ def _fractions_to_common(rows, keep=None):
     """Integer rows over one common denominator.  With `keep`, only the rows
     of states in it are converted; the denominator still covers every row."""
     den = math.lcm(*(p.denominator for row in rows.values() for p in row.values()))
-    out = {z: {x: int(p * den) for x, p in row.items() if p}
+    out = {z: {x: p.numerator * (den // p.denominator) for x, p in row.items() if p}
            for z, row in rows.items() if keep is None or z in keep}
     return den, out
 
@@ -214,7 +217,24 @@ def _compose(A, B, keep=None):
         rb = rowsB.get(z)
         if rb is not None and z not in out:
             out[z] = {x: nx * denA for x, nx in rb.items()}
-    return denA * denB, out
+    return _reduced(denA * denB, out)
+
+
+def _reduced(den, rows):
+    """The matrix (den, rows) divided by the largest power of two that
+    divides den and every numerator.  Only powers of two: scaling by them is
+    exact in floats, so the float sums of non-integer p do not move, which
+    dividing by an odd factor of the gcd would break (for the Laakso walk
+    the whole gcd is a power of two)."""
+    acc = den
+    for row in rows.values():
+        for n in row.values():
+            acc |= n
+        if acc & 1:
+            return den, rows
+    shift = (acc & -acc).bit_length() - 1
+    return den >> shift, {z: {x: n >> shift for x, n in row.items()}
+                          for z, row in rows.items()}
 
 
 class _CondCache:
@@ -222,43 +242,61 @@ class _CondCache:
 
     cond(s, j) keeps only the rows of states in supp(law(s)), the rows that
     _fork_term reads.  This is exact: from supp(law(s)) the first half lands
-    in supp(law(s + 2^(j-1))), whose rows the second half keeps.
+    in supp(law(s + 2^(j-1))), whose rows the second half keeps.  Levels are
+    held per j; `release(j)` drops one once no later level is built from it.
     """
 
     def __init__(self, chain):
         self.chain = chain
-        self.cache = {}
+        self.levels = {}   # j -> {s: cond(s, j)}
 
     def cond(self, s, j):
         """Conditional law of X_{s + 2^j} given X_s (None = identity)."""
-        key = (s, j)
-        if key in self.cache:
-            return self.cache[key]
-        keep = self.chain.law(s)
+        chain = self.chain
+        if s >= chain.t_max or s + 2 ** j <= chain.t_min:
+            return None  # no kernel in (s, s + 2^j]
+        level = self.levels.setdefault(j, {})
+        if s in level:
+            return level[s]
+        keep = chain.law(s)
         if j == 0:
-            kernel = self.chain.step_kernel(s + 1)
+            kernel = chain.step_kernel(s + 1)
             M = None if not kernel else _fractions_to_common(kernel, keep)
         else:
             A = self.cond(s, j - 1)
             B = self.cond(s + 2 ** (j - 1), j - 1)
             M = _compose(A, B, keep)
-        self.cache[key] = M
+        level[s] = M
         return M
+
+    def release(self, j):
+        self.levels.pop(j, None)
 
 
 class _DistPowCache:
+    """d(f(a), f(b))^p per pair of states.  For integer p >= 0 on a space
+    with integer distances over `space.den`, the values are the ints
+    scaled_distance^p over the denominator `self.den` = space.den^p;
+    otherwise `self.den` is None and the values are space.dist_pow's."""
+
     def __init__(self, space, f, p):
-        self.space = space
         self.f = f
-        self.p = p
         self.cache = {}
+        if space.den is not None and is_integral(p) and p >= 0:
+            q = int(p)
+            scaled = space.scaled_distance
+            self.den = space.den ** q
+            self.dist_pow = lambda x, y: scaled(x, y) ** q
+        else:
+            self.den = None
+            self.dist_pow = lambda x, y: space.dist_pow(x, y, p)
 
     def get(self, a, b):
         key = (a, b)
         val = self.cache.get(key)
         if val is None:
             fa, fb = self.f(a), self.f(b)
-            val = self.space.dist_pow(fa, fb, self.p) if fa != fb else 0
+            val = self.dist_pow(fa, fb) if fa != fb else 0
             self.cache[key] = val
             self.cache[(b, a)] = val
         return val
@@ -284,15 +322,11 @@ def _fork_term(mu, M, dpow):
         if row is None or len(row) < 2:
             continue
         items = list(row.items())
-        for i in range(len(items)):
-            x, nx = items[i]
+        for i, (x, nx) in enumerate(items, 1):
             nzx = nz * nx
-            for j in range(i + 1, len(items)):
-                y, ny = items[j]
-                w = nzx * ny
+            for y, ny in items[i:]:
                 key = (x, y)
-                cur = weights.get(key)
-                weights[key] = w if cur is None else cur + w
+                weights[key] = weights.get(key, 0) + nzx * ny
     if not weights:
         return 0
     total = 0
@@ -300,6 +334,8 @@ def _fork_term(mu, M, dpow):
         d = dpow.get(x, y)
         if d:
             total += d * w
+    if dpow.den is not None:
+        return Fraction(2 * total, den_mu * denM ** 2 * dpow.den)
     if isinstance(total, float):
         return 2 * total / (den_mu * denM ** 2)
     return 2 * total / Fraction(den_mu * denM ** 2)
@@ -337,6 +373,8 @@ def rhs_step_sum(chain, f, space, p):
                 d = dpow.get(z, x)
                 if d:
                     total += pz * px * d
+    if dpow.den is not None and total:
+        total = total / dpow.den
     return total
 
 
@@ -376,6 +414,7 @@ def convexity_ratio(chain, f, space, p, k_max=None):
             if t == chain.t_max + gap:
                 boundary_hi = term
             total += term
+        cache.release(k - 1)  # scale k + 1 composes level k only
         check(not boundary_lo, "lower boundary summand must vanish at k=%d", k)
         check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
         scale = Fraction(2) ** (k * int(p)) if exact_p else 2.0 ** (k * p)
@@ -485,18 +524,3 @@ def per_k_laakso_bound(G, k, p):
     else:
         bound = count * 2.0 ** (-(2 * G.m + 3) * p - 1)
     return count, bound
-
-
-def embedding_distortion_certificate(G, f, p, Pi):
-    """Lower bound on dist(f) for f: G_m -> X, given a Markov p-convexity
-    upper bound Pi for the target space.
-
-    The walk's ratio in G_m forces (A*B)^p * Pi^p >= ratio for any bi-Lipschitz
-    constants A, B of f, so dist(f) >= ratio^(1/p) / Pi.
-    """
-    if Pi is None or Pi <= 0:
-        raise ValueError("requires a certified convexity upper bound Pi for the target")
-    chain = laakso_walk(G)
-    space = G.as_metric_space()
-    report = convexity_ratio(chain, lambda v: v, space, p)
-    return report.pi_lower / Pi

@@ -59,14 +59,20 @@ class FiniteMetricSpace:
     metric axioms in floating mode.  An optional `dist_pow(x, y, p)` hook lets
     a space expose exact p-th powers of distances (e.g. squared l2 distances)
     even when the distance itself is irrational.
+
+    An exact space may also give its distances as ints over one common
+    denominator: `scaled=(scaled_distance, den)` with
+    scaled_distance(x, y) == den * dist(x, y) an int.  `den` is None when the
+    space has no such representation.
     """
 
-    def __init__(self, points, dist, exact=True, tol=1e-12, dist_pow=None):
+    def __init__(self, points, dist, exact=True, tol=1e-12, dist_pow=None, scaled=None):
         self.points = list(points)
         self._dist = dist
         self._dist_pow = dist_pow
         self.exact = exact
         self.tol = tol
+        self.scaled_distance, self.den = scaled or (None, None)
 
     def dist(self, x, y):
         return self._dist(x, y)
@@ -157,11 +163,11 @@ def verify_metric(space, seed=0):
         raise ValueError("space must have at least one point")
     violations = []
     tol = 0 if space.exact else space.tol
-    rows = space.distance_matrix()
     as_np = None
     if 64 < n <= EXHAUSTIVE_LIMIT:
-        as_np = _numpy_matrix(rows, space.exact)
+        as_np = _scaled_matrix(space) or _numpy_matrix(space.distance_matrix(), space.exact)
     if as_np is None or not _integer_axioms_hold(as_np[0]):
+        rows = space.distance_matrix()
         for i in range(n):
             if rows[i][i] != 0:
                 violations.append(("diagonal", pts[i]))
@@ -248,6 +254,28 @@ def triangle_failures(mat, tol=0):
         np.greater(mat, total, out=bad)
         if bad.any():
             yield k, bad
+
+
+def _scaled_matrix(space):
+    """The space's integer distances as (int64 matrix, 0), read straight from
+    scaled_distance; None when it has none or an entry exceeds 2^61 in size.
+    The matrix is den times the distances, so every check on it other than
+    the triangle tolerance (0 here) is unaffected by the scale."""
+    import numpy as np
+
+    if space.den is None:
+        return None
+    pts = space.points
+    scaled = space.scaled_distance
+    n = len(pts)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        x, row = pts[i], rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = scaled(x, pts[j])
+    if max(max(map(abs, row)) for row in rows) > 2 ** 61:
+        return None
+    return np.array(rows, dtype=np.int64), 0
 
 
 def _numpy_matrix(rows, exact):

@@ -40,6 +40,14 @@ class TreeVertex:
         if any(b not in (0, 1) for b in self.path):
             raise ValueError("path bits must be 0/1")
 
+    @classmethod
+    def _from_bits(cls, bits):
+        """The vertex on a tuple of bits known to be 0/1 (e.g. from
+        random_bits), without the per-bit check."""
+        v = object.__new__(cls)
+        v.path = bits
+        return v
+
     @property
     def depth(self):
         return len(self.path)
@@ -240,8 +248,14 @@ class HTreeSpace:
     dist = distance
 
     def as_metric_space(self, vertices):
+        """The vertices with d_eps, also as ints over the lcm of the
+        denominators of eps_0..eps_d for the deepest vertex depth d (not over
+        `den`, which covers eps to max_depth and can overflow int64)."""
         verts = list(vertices)
-        return FiniteMetricSpace(verts, self.distance, exact=True)
+        local = HTreeSpace(self.eps, min(max((v.depth for v in verts), default=0),
+                                         self.max_depth))
+        return FiniteMetricSpace(verts, self.distance, exact=True,
+                                 scaled=(local.scaled_distance, local.den))
 
     def to_json(self):
         import json
@@ -271,14 +285,6 @@ def enumerate_bn(n):
         level = [v.child(b) for v in level for b in (0, 1)]
         out.extend(level)
     return out
-
-
-def bn_leaves(n):
-    return [v for v in enumerate_bn(n) if v.depth == n]
-
-
-def bn_internal(n):
-    return [v for v in enumerate_bn(n) if v.depth < n]
 
 
 def sp_pairs(n):

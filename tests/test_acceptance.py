@@ -36,13 +36,16 @@ from mconvex.trees import (EpsilonSequence, HTreeSpace, scaled_distance_matrix,
 # m = 5 is out of reach of the DP that composed every row and ran BFS per
 # source; it was first computed by the support-restricted DP with label
 # distances, whose provenance is its bit-for-bit agreement with that DP for
-# m <= 4 (test_markov.py::test_laakso_dp_matches_frozen_full_dp).
+# m <= 4 (test_markov.py::test_laakso_dp_matches_frozen_full_dp).  m = 6 was
+# first computed by that DP with Fraction distance powers (41 s, 463 MB) and
+# agrees with the integer DP, whose full per_k lists match at m <= 5.
 LAAKSO_RATIO_P2 = {
     1: Fraction(85, 128),
     2: Fraction(10427, 8192),
     3: Fraction(932193, 524288),
     4: Fraction(75007459, 33554432),
     5: Fraction(5745252521, 2147483648),
+    6: Fraction(427374142971, 137438953472),
 }
 
 
@@ -86,7 +89,7 @@ def test_laakso_per_k_counting_bound(m, p):
 
 def test_laakso_ratio_growth_and_fixtures():
     ratios = {m: _laakso_report(m, 2).ratio for m in range(1, 6)}
-    assert ratios == LAAKSO_RATIO_P2
+    assert ratios == {m: LAAKSO_RATIO_P2[m] for m in range(1, 6)}
     for m in range(1, 5):
         assert ratios[m + 1] > ratios[m]
     # ratio(m)/m bounded below by a positive constant (here 1/2 suffices)
@@ -96,6 +99,17 @@ def test_laakso_ratio_growth_and_fixtures():
     G5 = build_laakso(5)
     per_k = _laakso_report(5, 2).per_k
     violations = [k for k in range(2 * 5 - 1) if per_k[k] < per_k_laakso_bound(G5, k, 2)[1]]
+    assert violations == []
+
+
+def test_laakso_ratio_frontier_m6():
+    G6 = build_laakso(6)
+    rep = convexity_ratio(laakso_walk(G6), lambda v: v, G6.as_metric_space(), 2)
+    assert rep.ratio == LAAKSO_RATIO_P2[6]
+    assert rep.ratio > LAAKSO_RATIO_P2[5]
+    assert rep.ratio / 6 >= Fraction(1, 2)
+    violations = [k for k in range(2 * 6 - 1)
+                  if rep.per_k[k] < per_k_laakso_bound(G6, k, 2)[1]]
     assert violations == []
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mconvex import markov
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
 from mconvex.laakso import build_laakso
 from mconvex.markov import (ChainSpec, bn_pair_expectation, bn_ratio,
@@ -202,6 +203,18 @@ LAAKSO_DP_FROZEN = {
                          "33801/8589934592", "188713/34359738368", "1610735/549755813888",
                          "8885991/2199023255552", "8490595/8796093022208",
                          "8490595/70368744177664", "8490595/562949953421312"]),
+    # m = 5 from the DP with Fraction distance powers and unreduced laws
+    (5, 2): ("1/1024", ["341/524288", "1277/4194304", "5527/16777216", "27845/134217728",
+                        "67861/268435456", "397263/2147483648", "972079/4294967296",
+                        "5576185/34359738368", "12534337/68719476736",
+                        "11735141/137438953472", "11735141/549755813888",
+                        "11735141/2199023255552"]),
+    (5, 3): ("1/1048576", ["341/268435456", "1957/4294967296", "17427/34359738368",
+                           "140185/549755813888", "791705/2199023255552",
+                           "7520667/35184372088832", "44163451/140737488355328",
+                           "399742925/2251799813685248", "2223727797/9007199254740992",
+                           "2172988201/36028797018963968", "2172988201/288230376151711744",
+                           "2172988201/2305843009213693952"]),
 }
 
 
@@ -304,6 +317,146 @@ def test_convexity_ratio_matches_trajectory_enumeration(chain_and_map, p):
     assert rep.rhs == rhs
     assert rep.per_k == per_k
     assert rep.ratio == sum(per_k) / rhs
+
+
+# ---------------------------------------------------------------------------
+# the integer-distance path, reduced laws and the two-level cache against
+# the paths they replace
+# ---------------------------------------------------------------------------
+
+def same(a, b):
+    """Equal in value and in type; floats equal bit for bit."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def same_report(a, b):
+    return (len(a.per_k) == len(b.per_k) and all(map(same, a.per_k, b.per_k))
+            and same(a.rhs, b.rhs) and same(a.lhs_total, b.lhs_total)
+            and same(a.ratio, b.ratio) and same(a.pi_lower, b.pi_lower))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 2.0, 1.5])
+def test_integer_distance_path_matches_dist_pow_path(p):
+    # the Laakso space gives hop counts over 4^m; the same distances as a plain
+    # space run through dist_pow (Fractions, or floats for p = 1.5)
+    for m in (1, 2, 3):
+        G = build_laakso(m)
+        chain = laakso_walk(G)
+        scaled, plain = G.as_metric_space(), FiniteMetricSpace(G.vertices, G.distance)
+        assert (scaled.den, plain.den) == (4 ** m, None)
+        assert same_report(convexity_ratio(chain, lambda v: v, scaled, p),
+                           convexity_ratio(chain, lambda v: v, plain, p))
+        for t, s in ((4 ** m, 0), (4 ** m // 2 + 1, 1), (3, -2), (2, 2)):
+            assert same(pair_expectation(chain, lambda v: v, scaled, t, s, p),
+                        pair_expectation(chain, lambda v: v, plain, t, s, p))
+
+
+def _unreduced(den, rows):
+    return den, rows
+
+
+def _random_rational_chain(rng):
+    """A chain with laws of denominators up to 35 (so compositions have odd
+    common factors), some rows left out, on points of the line at rational
+    positions."""
+    n = rng.randint(2, 5)
+    states = list(range(n))
+    t_min = rng.randint(-1, 1)
+    t_max = t_min + rng.randint(1, 6)
+
+    def law():
+        support = rng.sample(states, rng.randint(1, min(3, n)))
+        weights = [rng.randint(1, 7) for _ in support]
+        return {x: Fraction(w, sum(weights)) for x, w in zip(support, weights)}
+
+    kernels = {t: {z: law() for z in states if rng.random() < 0.8}
+               for t in range(t_min + 1, t_max + 1)}
+    pos = [Fraction(rng.randint(-300, 300), rng.randint(1, 97)) for _ in states]
+    space = FiniteMetricSpace(states, lambda a, b: abs(pos[a] - pos[b]))
+    return ChainSpec(states, t_min, t_max, kernels, law()), space
+
+
+def test_reduced_laws_leave_every_output_unchanged(monkeypatch):
+    # conditional laws divided by powers of two against the unreduced ones:
+    # exact outputs equal, and the float sums of non-integer p bit for bit
+    # (dividing by the whole gcd moves those floats on 24 of the 100 chains
+    # here with p = 1.5 or 2.5)
+    rng = random.Random(20261018)
+
+    def run(chain, space, p):
+        try:
+            return convexity_ratio(chain, lambda v: v, space, p)
+        except DegenerateChain as exc:
+            return exc.report
+
+    for trial in range(200):
+        chain, space = _random_rational_chain(rng)
+        p = (1.5, 2.5, 2, 3)[trial % 4]
+        reduced = run(chain, space, p)
+        with monkeypatch.context() as mp:
+            mp.setattr(markov, "_reduced", _unreduced)
+            unreduced = run(chain, space, p)
+        assert len(reduced.per_k) == len(unreduced.per_k)
+        assert all(map(same, reduced.per_k, unreduced.per_k))
+        assert same(reduced.rhs, unreduced.rhs)
+
+
+def test_reduced_divides_by_the_power_of_two_part():
+    assert markov._reduced(12, {0: {1: 4, 2: 8}}) == (3, {0: {1: 1, 2: 2}})
+    assert markov._reduced(12, {0: {1: 6}, 1: {2: 3}}) == (12, {0: {1: 6}, 1: {2: 3}})
+    assert markov._reduced(6, {0: {1: 3, 2: 3}}) == (6, {0: {1: 3, 2: 3}})
+    assert markov._reduced(8, {}) == (1, {})
+
+
+def _spy_cond_cache(monkeypatch):
+    """Record the most dyadic levels the cache held and how often each
+    (s, j) was composed."""
+    seen = {"levels": 0, "composed": {}}
+    orig = markov._CondCache.cond
+
+    def cond(self, s, j):
+        fresh = s not in self.levels.get(j, {})
+        M = orig(self, s, j)
+        if fresh and j > 0 and s in self.levels.get(j, {}):
+            seen["composed"][s, j] = seen["composed"].get((s, j), 0) + 1
+        seen["levels"] = max(seen["levels"], len(self.levels))
+        return M
+
+    monkeypatch.setattr(markov._CondCache, "cond", cond)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cond_cache_holds_two_levels_and_composes_once(m, monkeypatch):
+    G = build_laakso(m)
+    chain = laakso_walk(G)
+    expected = convexity_ratio(chain, lambda v: v, G.as_metric_space(), 2)
+    seen = _spy_cond_cache(monkeypatch)
+    composed = []
+    compose = markov._compose
+    monkeypatch.setattr(markov, "_compose", lambda *a: composed.append(1) or compose(*a))
+    rep = convexity_ratio(chain, lambda v: v, G.as_metric_space(), 2)
+    assert rep.per_k == expected.per_k
+    assert seen["levels"] == 2
+    assert set(seen["composed"].values()) == {1}
+    assert len(composed) == len(seen["composed"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_chains())
+def test_cond_cache_two_levels_on_general_chains(chain_and_map):
+    chain, f = chain_and_map
+    space = l1_space({z: f(z) for z in chain.states})
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_cond_cache(mp)
+        try:
+            convexity_ratio(chain, f, space, 2)
+        except DegenerateChain:
+            pass
+    assert seen["levels"] <= 2
+    assert set(seen["composed"].values()) <= {1}
 
 
 def test_degenerate_chain_raises_with_report():

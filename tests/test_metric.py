@@ -11,10 +11,13 @@ from mconvex.embeddings.generators import make_space
 from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import BadInput, CollapsedPair
-from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, distortion,
+from mconvex.laakso import build_laakso
+from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, _scaled_matrix,
+                            distortion,
                             distortion_of, is_integral, is_midpoint, midpoint_set,
                             rat_from_str, rat_to_str, triangle_failures, verify_metric)
-from mconvex.trees import HTreeSpace, enumerate_bn, tree_distance, triangle_violations
+from mconvex.trees import (EpsilonSequence, HTreeSpace, enumerate_bn, tree_distance,
+                           triangle_violations)
 from mconvex.embeddings.generators import random_valid_epsilon
 
 
@@ -428,3 +431,54 @@ def test_verify_metric_matches_old_loops_on_corrupted_matrices():
         if not faults:
             assert expected == []
     assert seen == {"diagonal", "symmetry", "negative", "triangle"}
+
+
+def test_scaled_matrix_equals_numpy_matrix_of_fractions():
+    # the int64 matrix read from scaled distances is den times the distances,
+    # so it is the matrix _numpy_matrix builds from the Fraction distances up
+    # to a positive scale; it declines only entries past 2^61
+    rng = random.Random(20261019)
+    spaces = []
+    for _ in range(12):
+        space = HTreeSpace(random_valid_epsilon(rng, 64), 64)
+        spaces.append(space.as_metric_space(rng.sample(enumerate_bn(7), rng.randint(65, 200))))
+    # denominators whose lcm exceeds 10^9 (the Fraction route declines, the
+    # scaled one does not), and one whose scaled ints pass 2^63 (both decline)
+    for primes in ([101, 103, 107, 109, 113, 127], [1009, 1013, 1019, 1021, 1031, 1033, 1039]):
+        wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
+        spaces.append(wide.as_metric_space(enumerate_bn(len(primes) - 1)))
+    spaces.append(build_laakso(3).as_metric_space())
+    declined = []
+    for ms in spaces:
+        rows = ms.distance_matrix()
+        fast, slow = _scaled_matrix(ms), _numpy_matrix(rows, True)
+        declined.append((fast is None, slow is None))
+        if fast is None:
+            continue
+        assert fast[1] == 0 and fast[0].dtype == np.int64
+        assert fast[0].tolist() == [[d * ms.den for d in row] for row in rows]
+        if slow is not None:
+            a, b = fast[0].astype(object), slow[0].astype(object)
+            assert slow[1] == 0 and np.array_equal(a * b[0, 1], b * a[0, 1])
+    assert declined == [(False, False)] * 12 + [(False, True), (True, True), (False, False)]
+    assert _scaled_matrix(line_space(70)) is None
+
+
+def test_verify_metric_on_scaled_spaces_matches_old_loops():
+    # unchecked schedules break the triangle inequality (eps increasing) or
+    # the sign (eps negative); the violation lists keep content and order
+    rng = random.Random(20261020)
+    schedules = [[Fraction(1, 8)] * 4 + [Fraction(1, 2)] * 4,
+                 [Fraction(1, 3)] * 3 + [Fraction(-1, 5)] * 5,
+                 [Fraction(1, 5), Fraction(1, 7), Fraction(1, 4), Fraction(1, 9),
+                  Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 11)]]
+    kinds = set()
+    for vals in schedules:
+        space = HTreeSpace(EpsilonSequence(vals, check=False), 7)
+        ms = space.as_metric_space(rng.sample(enumerate_bn(6), 90))
+        expected = old_verify_violations(ms)
+        assert verify_metric(ms).violations == expected
+        kinds.update(v[0] for v in expected)
+    assert kinds == {"negative", "triangle"}
+    ms = build_laakso(3).as_metric_space()
+    assert verify_metric(ms).violations == old_verify_violations(ms) == []

@@ -49,6 +49,16 @@ def test_vertex_basics():
     assert ROOT.is_ancestor_of(v) and not ROOT.is_strict_ancestor_of(ROOT)
 
 
+def test_vertex_bits_checked_unless_generated():
+    for bad in ((0, 2), (1, -1), "012", (True, 0.5)):
+        with pytest.raises(ValueError):
+            TreeVertex(bad)
+    bits = (1, 0, 1, 1)
+    v = TreeVertex._from_bits(bits)
+    assert v == TreeVertex(bits) and hash(v) == hash(TreeVertex(bits))
+    assert v.path is bits and v.depth == 4 and v.parent() == TreeVertex((1, 0, 1))
+
+
 def test_enumerate_bn_and_pairs():
     verts = enumerate_bn(3)
     assert len(verts) == 2 ** 4 - 1

@@ -28,9 +28,11 @@ def _exactable(p, *vectors):
 
 
 def norm_pow(v, p):
-    """||v||_p^p = sum |v_i|^p; exact for integer p and rational coordinates."""
+    """||v||_p^p = sum |v_i|^p; exact for integer p and rational coordinates,
+    and an int when the coordinates are ints and p >= 0."""
     if _exactable(p, v):
-        return sum(Fraction(abs(c)) ** int(p) for c in v)
+        q = int(p)
+        return sum((abs(c) if q >= 0 else Fraction(abs(c))) ** q for c in v)
     return sum(abs(float(c)) ** p for c in v)
 
 

@@ -21,6 +21,7 @@ search over ancestor heights.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,6 +53,7 @@ def _certify_labels(space, x, y, z, budget):
     configuration witnessing the label (ordered to match the triple the label
     refers to) and nearness = max over positions of d_eps(point, witness).
     Candidates are the ancestors of x, y, z at heights in {h(x), h(y), h(z)}.
+    Nearness is compared as den * d_eps ints; the winning one becomes a Fraction.
     """
     heights = sorted({x.depth, y.depth, z.depth})
     pool = []
@@ -63,10 +65,11 @@ def _certify_labels(space, x, y, z, budget):
                 if a.path not in seen:
                     seen.add(a.path)
                     pool.append(a)
-    near = {}
-    for v in (x, y, z):
-        near[v] = [(c, space.distance(v, c)) for c in pool
-                   if space.distance(v, c) <= budget]
+    sd, den = space.scaled_distance, space.den
+    # d = s / den <= budget  <=>  s * budget.denominator <= budget.numerator * den
+    top, scale = budget.numerator * den, budget.denominator
+    near = {v: [(c, s) for c in pool if (s := sd(v, c)) * scale <= top]
+            for v in (x, y, z)}
 
     labels = {}
     for label, (o1, o2, o3), shape in (
@@ -87,7 +90,7 @@ def _certify_labels(space, x, y, z, budget):
                         if best is None or n < best[0]:
                             best = (n, (a, b, c))
         if best is not None:
-            labels[label] = best
+            labels[label] = (Fraction(best[0], den), best[1])
     return labels
 
 
@@ -267,16 +270,20 @@ class ThreePathClass:
 
 def path_scale_range(space, pts, delta):
     """Feasible scales L with (j-i) L <= d(x_i, x_j) <= (1+delta)(j-i) L for
-    all i < j, or raise NotApproximatePath when the interval is empty."""
+    all i < j, or raise NotApproximatePath when the interval is empty.
+
+    Every ratio d(x_i, x_j) / (j-i) is an int over den * g, with g the lcm of
+    the gaps j-i: hi is the least of them, and lo the larger of 0 and the
+    greatest of them over 1+delta."""
     delta = Fraction(delta)
-    lo = Fraction(0)
-    hi = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dij = space.distance(pts[i], pts[j])
-            lo = max(lo, dij / ((1 + delta) * (j - i)))
-            cur = dij / (j - i)
-            hi = cur if hi is None else min(hi, cur)
+    n = len(pts)
+    g = math.lcm(*range(1, n))
+    sd = space.scaled_distance
+    ratios = [sd(pts[i], pts[j]) * (g // (j - i))
+              for i in range(n) for j in range(i + 1, n)]
+    unit = space.den * g
+    lo = max(Fraction(0), Fraction(max(ratios), unit) / (1 + delta))
+    hi = Fraction(min(ratios), unit)
     if lo > hi or hi == 0:
         raise NotApproximatePath(f"no feasible scale: need L in [{lo}, {hi}]")
     return lo, hi
@@ -349,6 +356,8 @@ _B4 = enumerate_bn(4)
 # (i, j, tree distance) over the index pairs i < j of _B4
 _B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
              for i, j in combinations(range(len(_B4)), 2)]
+# (ancestor, vertex) over the strict ancestor pairs of _B4
+_B4_ANCESTOR_PAIRS = [(b.ancestor(h), b) for b in _B4 for h in range(b.depth)]
 
 
 def b4_bound_check(space, f, delta):
@@ -363,10 +372,7 @@ def b4_bound_check(space, f, delta):
         raise PreconditionViolated("requires delta < 1/400")
     images = {v: f(v) for v in _B4}
     space.check_depth(*images.values())
-    rep = vertical_report(lambda v: images[v],
-                          [(a, b) for b in _B4 for a in
-                           (b.ancestor(h) for h in range(b.depth))],
-                          space)
+    rep = vertical_report(lambda v: images[v], _B4_ANCESTOR_PAIRS, space)
     if not rep.faithful(delta):
         raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {rep.D}")
     dist = b4_distortion(space, images)

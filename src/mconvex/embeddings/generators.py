@@ -22,8 +22,21 @@ MIDPOINT_EPS = [Fraction(1, 128), Fraction(1, 512), Fraction(1, 2048)]
 FORK_EPS = [Fraction(1, 1024), Fraction(1, 2048), Fraction(1, 4096)]
 
 
+_SPACES = {}
+
+
 def make_space(eps_value, depth=40):
-    return HTreeSpace(EpsilonSequence([eps_value] * (depth + 1)), depth)
+    """The space to `depth` under the constant schedule eps_value.
+
+    One validated space per (eps_value, depth), shared by every caller: the
+    generators ask for one of a few constant schedules once per candidate.
+    A plain function, not functools.lru_cache, so that tracers which wrap
+    module functions still see every call."""
+    key = (eps_value, depth)
+    space = _SPACES.get(key)
+    if space is None:
+        space = _SPACES[key] = HTreeSpace(EpsilonSequence([eps_value] * (depth + 1)), depth)
+    return space
 
 
 def random_valid_epsilon(rng, N):

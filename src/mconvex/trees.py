@@ -28,6 +28,12 @@ DEFAULT_MAX_DEPTH = 64
 ENUMERATE_LIMIT = 20
 
 
+def _checked_bits(bits):
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("path bits must be 0/1")
+    return bits
+
+
 class TreeVertex:
     """A vertex of the rooted binary tree, identified by its root path."""
 
@@ -36,14 +42,13 @@ class TreeVertex:
     def __init__(self, path=()):
         if isinstance(path, str):
             path = tuple(int(c) for c in path)
-        self.path = tuple(path)
-        if any(b not in (0, 1) for b in self.path):
-            raise ValueError("path bits must be 0/1")
+        self.path = _checked_bits(tuple(path))
 
     @classmethod
     def _from_bits(cls, bits):
         """The vertex on a tuple of bits known to be 0/1 (e.g. from
-        random_bits), without the per-bit check."""
+        random_bits, or a prefix of a checked path), without the per-bit
+        check."""
         v = object.__new__(cls)
         v.path = bits
         return v
@@ -56,23 +61,24 @@ class TreeVertex:
         """The ancestor at the given depth (height <= own depth)."""
         if not 0 <= height <= len(self.path):
             raise PreconditionViolated(f"no ancestor at height {height} of depth-{len(self.path)} vertex")
-        return TreeVertex(self.path[:height])
+        return TreeVertex._from_bits(self.path[:height])
 
     def parent(self):
         return self.ancestor(len(self.path) - 1)
 
     def child(self, bit):
-        return TreeVertex(self.path + (bit,))
+        return self.descend((bit,))
 
     def descend(self, bits):
-        return TreeVertex(self.path + tuple(bits))
+        """Only the added bits are checked: the own path already was."""
+        return TreeVertex._from_bits(self.path + _checked_bits(tuple(bits)))
 
     def descend_zeros(self, k):
         """The all-zeros descendant k levels down (the deterministic choice)."""
-        return TreeVertex(self.path + (0,) * k)
+        return TreeVertex._from_bits(self.path + (0,) * k)
 
     def lca(self, other):
-        return TreeVertex(self.path[:self.lca_depth(other)])
+        return TreeVertex._from_bits(self.path[:self.lca_depth(other)])
 
     def lca_depth(self, other):
         p, q = self.path, other.path
@@ -119,24 +125,23 @@ class EpsilonSequence:
     Validity (checked on construction): eps non-increasing, n*eps_n
     non-decreasing, eps_n <= 1.  `classifier_ready` additionally requires
     eps_n < 1/4 for all n, the hypothesis of the configuration classifiers.
+    The values are a tuple, so one sequence can be shared by many spaces.
     """
 
     def __init__(self, values, check=True):
-        self.values = [Fraction(v) for v in values]
+        self.values = tuple(Fraction(v) for v in values)
         if not self.values:
             raise ValueError("empty epsilon sequence")
         if check:
             bad = epsilon_violations(self.values)
             if bad:
                 raise ValueError(f"invalid epsilon sequence: {bad[0]}")
+        quarter = Fraction(1, 4)
+        self.classifier_ready = all(v < quarter for v in self.values)
 
     @property
     def N(self):
         return len(self.values) - 1
-
-    @property
-    def classifier_ready(self):
-        return all(v < Fraction(1, 4) for v in self.values)
 
     def __getitem__(self, n):
         return self.values[n]
@@ -149,26 +154,21 @@ class EpsilonSequence:
 
 
 def epsilon_violations(values):
-    """All invariant violations of a raw epsilon sequence (first index reported per kind)."""
-    violations = []
+    """All invariant violations of a raw epsilon sequence (first index reported per kind).
+
+    The checks compare the integer numerators num[n] = den * eps_n over one
+    common denominator den."""
     vals = [Fraction(v) for v in values]
-    for n, v in enumerate(vals):
-        if v <= 0:
-            violations.append(("nonpositive", n))
-            break
-    for n, v in enumerate(vals):
-        if v > 1:
-            violations.append(("above_one", n))
-            break
-    for n in range(len(vals) - 1):
-        if vals[n + 1] > vals[n]:
-            violations.append(("increasing", n + 1))
-            break
-    for n in range(len(vals) - 1):
-        if (n + 1) * vals[n + 1] < n * vals[n]:
-            violations.append(("n_eps_decreasing", n + 1))
-            break
-    return violations
+    den = math.lcm(*(v.denominator for v in vals))
+    num = [v.numerator * (den // v.denominator) for v in vals]
+    steps = list(enumerate(zip(num, num[1:]), 1))  # (n, (num[n-1], num[n]))
+    firsts = (
+        ("nonpositive", next((n for n, a in enumerate(num) if a <= 0), None)),
+        ("above_one", next((n for n, a in enumerate(num) if a > den), None)),
+        ("increasing", next((n for n, (a, b) in steps if b > a), None)),
+        ("n_eps_decreasing", next((n for n, (a, b) in steps if n * b < (n - 1) * a), None)),
+    )
+    return [(kind, n) for kind, n in firsts if n is not None]
 
 
 def validate_epsilon(raw):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mconvex.banach import (LpSpace, check_pconvexity, check_prop21, find_K,
+from mconvex.banach import (LpSpace, _exactable, check_pconvexity, check_prop21, find_K,
                             fork_slack, norm_pow, pconvexity_slacks,
                             trivial_renorm_bound)
 from mconvex.embeddings.generators import random_chain
 from mconvex.errors import DegenerateChain, InvariantViolated
+from mconvex.markov import convexity_ratio
 
 
 def test_norm_pow_exact_vs_float():
@@ -102,3 +103,63 @@ def test_as_metric_space_dist_pow_exact():
     # squared distances stay exact even though the distance is irrational
     assert ms.dist_pow(pts[0], pts[1], 2) == 2
     assert ms.dist(pts[0], pts[1]) == pytest.approx(math.sqrt(2))
+
+
+def old_norm_pow(v, p):
+    """norm_pow as it was before integer coordinates stayed ints, kept
+    verbatim as the oracle."""
+    if _exactable(p, v):
+        return sum(Fraction(abs(c)) ** int(p) for c in v)
+    return sum(abs(float(c)) ** p for c in v)
+
+
+def test_norm_pow_types():
+    assert norm_pow((3, -4), 2) == 25 and type(norm_pow((3, -4), 2)) is int
+    assert type(norm_pow((3, -4, 0), 3)) is int and norm_pow((3, -4, 0), 3) == 91
+    assert type(norm_pow((Fraction(3), Fraction(-4)), 2)) is Fraction
+    assert type(norm_pow((3, Fraction(1, 2)), 2)) is Fraction
+    assert norm_pow((3, Fraction(1, 2)), 2) == Fraction(37, 4)
+    assert type(norm_pow((3, -4), 2.5)) is float
+    assert type(norm_pow((3.0, -4.0), 2)) is float
+    # a negative integer power stays an exact Fraction, as before
+    assert norm_pow((2, -4), -1) == old_norm_pow((2, -4), -1) == Fraction(3, 4)
+    assert type(norm_pow((2, -4), -1)) is Fraction
+    sp = LpSpace(3, 2)
+    assert sp.dist_pow((1, 2, 3), (4, 6, 3), 2) == 25
+    assert type(sp.dist_pow((1, 2, 3), (4, 6, 3), 2)) is int
+
+
+def _prop21_outcome(chain, f, sp):
+    """(lhs, bound, holds, per_k, rhs) of check_prop21 and of the DP behind
+    it, or the name of the exception both raise."""
+    try:
+        lhs, bound, holds = check_prop21(chain, f, sp, 1)
+        target = sp.as_metric_space([f(s) for s in chain.states])
+        rep = convexity_ratio(chain, lambda s: tuple(f(s)), target, sp.p)
+    except DegenerateChain:
+        return "DegenerateChain"
+    return lhs, bound, holds, rep.per_k, rep.rhs
+
+
+def test_check_prop21_matches_fraction_norm_pow(monkeypatch):
+    """On 200+ seeded random chains, integer distance powers give the same
+    values of the same types as the Fraction norm_pow."""
+    import mconvex.banach as banach
+    rng = random.Random(2026)
+    instances = [random_chain(rng) for _ in range(240)]
+    new = [_prop21_outcome(chain, f, LpSpace(3, 2)) for chain, f in instances]
+    monkeypatch.setattr(banach, "norm_pow", old_norm_pow)
+    assert type(LpSpace(3, 2).dist_pow((1, 2, 3), (4, 6, 3), 2)) is Fraction
+    old = [_prop21_outcome(chain, f, LpSpace(3, 2)) for chain, f in instances]
+    assert sum(o != "DegenerateChain" for o in old) >= 200
+    assert len(new) == len(old)
+    nonzero = 0
+    for a, b in zip(new, old):
+        assert a == b
+        if b != "DegenerateChain":
+            lhs, bound, holds, per_k, rhs = a
+            assert [type(v) for v in (lhs, bound, holds, rhs)] == \
+                [type(v) for v in (b[0], b[1], b[2], b[4])]
+            assert [type(v) for v in per_k] == [type(v) for v in b[3]]
+            nonzero += type(lhs) is Fraction and type(bound) is Fraction
+    assert nonzero >= 100

@@ -130,3 +130,128 @@ def test_b4_bound_check_rejects_unfaithful():
         return TreeVertex(bits)
     with pytest.raises(PreconditionViolated):
         b4_bound_check(sp, f, Fraction(1, 512))
+
+
+def test_make_space_shares_one_space_per_schedule():
+    import inspect
+    from mconvex.embeddings import generators
+    sp = make_space(Fraction(1, 128))
+    assert make_space(Fraction(1, 128), 40) is sp
+    assert make_space(Fraction(1, 128), depth=41) is not sp
+    assert make_space(Fraction(1, 512)) is not sp
+    assert isinstance(sp.eps.values, tuple) and sp.classifier_ready
+    assert not make_space(Fraction(1, 3)).classifier_ready
+    # a plain function, so tracers that wrap module functions count each call
+    assert inspect.isfunction(generators.make_space)
+
+
+def old_certify_labels(space, x, y, z, budget):
+    """_certify_labels as it was before the integer distances, kept verbatim
+    as the oracle."""
+    from mconvex.embeddings.classify import _path_type, _tent_type
+    heights = sorted({x.depth, y.depth, z.depth})
+    pool = []
+    seen = set()
+    for v in (x, y, z):
+        for h in heights:
+            if h <= v.depth:
+                a = v.ancestor(h)
+                if a.path not in seen:
+                    seen.add(a.path)
+                    pool.append(a)
+    near = {}
+    for v in (x, y, z):
+        near[v] = [(c, space.distance(v, c)) for c in pool
+                   if space.distance(v, c) <= budget]
+
+    labels = {}
+    for label, (o1, o2, o3), shape in (
+            ("P", (x, y, z), _path_type),
+            ("T", (x, y, z), _tent_type),
+            ("p", (z, y, x), _path_type),
+            ("t", (z, y, x), _tent_type)):
+        best = None
+        for a, na in near[o1]:
+            for b, nb in near[o2]:
+                if shape is _path_type and not b.is_ancestor_of(a):
+                    continue
+                if shape is _tent_type and not a.is_ancestor_of(b):
+                    continue
+                for c, nc in near[o3]:
+                    if shape(a, b, c):
+                        n = max(na, nb, nc)
+                        if best is None or n < best[0]:
+                            best = (n, (a, b, c))
+        if best is not None:
+            labels[label] = best
+    return labels
+
+
+def old_path_scale_range(space, pts, delta):
+    """path_scale_range as it was before the integer distances, kept verbatim
+    as the oracle."""
+    delta = Fraction(delta)
+    lo = Fraction(0)
+    hi = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dij = space.distance(pts[i], pts[j])
+            lo = max(lo, dij / ((1 + delta) * (j - i)))
+            cur = dij / (j - i)
+            hi = cur if hi is None else min(hi, cur)
+    if lo > hi or hi == 0:
+        raise NotApproximatePath(f"no feasible scale: need L in [{lo}, {hi}]")
+    return lo, hi
+
+
+def _scale_outcome(fn, sp, pts, delta):
+    try:
+        return fn(sp, pts, delta)
+    except NotApproximatePath as exc:
+        return str(exc)
+
+
+def test_certify_labels_and_scale_range_match_fraction_code():
+    """Integer nearness and scale windows against the Fraction code, on
+    seeded generator instances, with the classifiers' budgets and budgets
+    that sit exactly on a candidate distance."""
+    from mconvex.embeddings.classify import _certify_labels
+    rng = random.Random(77)
+    triples = []
+    for _ in range(60):
+        sp, x, y, z = gen_midpoint(rng, Fraction(1, 32))
+        triples.append((sp, (x, y, z), 3 * Fraction(1, 32) * sp.distance(x, z)))
+        sp, x, y, z, w = gen_fork(rng, Fraction(1, 128))
+        for prong in (z, w):
+            triples.append((sp, (x, y, prong), 7 * Fraction(1, 128) * sp.distance(x, y)))
+        sp, *pts = gen_3path(rng, Fraction(1, 256))
+        for i in (0, 1):
+            triples.append((sp, pts[i:i + 3], 8 * Fraction(1, 256) * sp.distance(pts[0], pts[1])))
+        # scale windows: the generated path, a perturbed one, and other deltas
+        bent = list(pts)
+        bent[rng.randrange(4)] = bent[rng.randrange(4)].descend_zeros(rng.randint(0, 3))
+        for quad in (pts, bent, pts[::-1]):
+            for delta in (Fraction(1, 256), Fraction(1, 4), Fraction(0), Fraction(-1, 2), -3):
+                expected = _scale_outcome(old_path_scale_range, sp, quad, delta)
+                got = _scale_outcome(path_scale_range, sp, quad, delta)
+                assert got == expected
+                if isinstance(expected, tuple):
+                    assert [type(v) for v in got] == [Fraction, Fraction]
+    checked = 0
+    for sp, (x, y, z), budget in triples:
+        exact = sp.distance(x, y.ancestor(rng.randint(0, y.depth)))
+        for b in (budget, exact, exact * 3, Fraction(0)):
+            expected = old_certify_labels(sp, x, y, z, b)
+            got = _certify_labels(sp, x, y, z, b)
+            assert got == expected
+            assert all(type(n) is Fraction for n, _ in got.values())
+            checked += len(got)
+    assert checked >= 300
+
+
+def test_b4_ancestor_pairs_are_the_strict_ancestor_pairs():
+    from mconvex.embeddings.classify import _B4, _B4_ANCESTOR_PAIRS
+    from mconvex.trees import sp_pairs
+    assert _B4_ANCESTOR_PAIRS == list(sp_pairs(4))
+    assert _B4_ANCESTOR_PAIRS == [(a, b) for b in _B4 for a in
+                                  (b.ancestor(h) for h in range(b.depth))]

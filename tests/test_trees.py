@@ -270,3 +270,96 @@ def test_stitch_descendant_bound_is_checked():
     x, x_prime = TreeVertex((0,)), TreeVertex((1,))
     with pytest.raises(InvariantViolated, match="descendant stitching"):
         stitch_descendant(x, x_prime, x.descend((0, 0)), x_prime.descend((0, 0)), sp)
+
+
+def old_epsilon_violations(values):
+    """epsilon_violations as it was before the integer checks, kept verbatim
+    as the oracle."""
+    violations = []
+    vals = [Fraction(v) for v in values]
+    for n, v in enumerate(vals):
+        if v <= 0:
+            violations.append(("nonpositive", n))
+            break
+    for n, v in enumerate(vals):
+        if v > 1:
+            violations.append(("above_one", n))
+            break
+    for n in range(len(vals) - 1):
+        if vals[n + 1] > vals[n]:
+            violations.append(("increasing", n + 1))
+            break
+    for n in range(len(vals) - 1):
+        if (n + 1) * vals[n + 1] < n * vals[n]:
+            violations.append(("n_eps_decreasing", n + 1))
+            break
+    return violations
+
+
+def _faulty_schedule(rng):
+    """A valid schedule with zero, one or several random faults put in."""
+    vals = list(random_valid_epsilon(rng, rng.randint(0, 30)).values)
+    for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+        n = rng.randrange(len(vals))
+        fault = rng.randrange(6)
+        if fault == 0:    # zero tail: nonpositive, nothing else
+            vals[n:] = [Fraction(0)] * (len(vals) - n)
+        elif fault == 1:  # negative value
+            vals[n] = -vals[n]
+        elif fault == 2:  # constant above one
+            vals = [Fraction(rng.randint(5, 9), 4)] * len(vals)
+        elif fault == 3:  # a bump up
+            vals[n] *= Fraction(rng.randint(101, 300), 100)
+        elif fault == 4:  # a dip down
+            vals[n] *= Fraction(rng.randint(1, 99), 100)
+        else:             # a dip at the end only breaks n * eps_n
+            vals[-1] *= Fraction(rng.randint(1, 99), 100)
+    return vals
+
+
+def test_epsilon_violations_matches_old_fraction_loops():
+    """The integer-numerator checks list the same (kind, first index) pairs,
+    in the same order, as the Fraction loops, on valid schedules, each fault
+    alone, combined faults and raw int/str/Fraction inputs."""
+    rng = random.Random(20261019)
+    seen = {}
+    cases = [_faulty_schedule(rng) for _ in range(600)]
+    cases += [[Fraction(1, 3)] + [Fraction(0)] * k for k in range(1, 4)]
+    for vals in cases[:200]:
+        raw = rng.choice((str, Fraction, lambda v: v))
+        cases.append([raw(v) for v in vals])
+    cases += [[1, 1, 1], [2], [0], [1, 0], [3, 2, 1], ["1/4", "1/5", "1/6"],
+              ["1/2", 1, Fraction(1, 3)], [], [Fraction(-1, 7)]]
+    for vals in cases:
+        expected = old_epsilon_violations(vals)
+        assert epsilon_violations(vals) == expected, vals
+        kinds = tuple(kind for kind, _ in expected)
+        seen[kinds] = seen.get(kinds, 0) + 1
+    assert seen[()] >= 50
+    for kind in ("nonpositive", "above_one", "increasing", "n_eps_decreasing"):
+        assert seen.get((kind,), 0) >= 10, (kind, seen)
+    assert sum(c for kinds, c in seen.items() if len(kinds) >= 2) >= 50, seen
+
+
+def test_epsilon_sequence_is_immutable_and_precomputed():
+    eps = EpsilonSequence(["1/2", Fraction(1, 2), 0.25])
+    assert eps.values == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
+    assert isinstance(eps.values, tuple) and eps.classifier_ready is False
+    assert EpsilonSequence([Fraction(1, 5)] * 3).classifier_ready is True
+
+
+def test_vertex_derivations_check_only_new_bits():
+    v = TreeVertex((1, 0, 1, 1))
+    assert v.ancestor(2) == TreeVertex((1, 0)) and v.parent() == TreeVertex((1, 0, 1))
+    assert v.lca(TreeVertex((1, 0, 0))) == TreeVertex((1, 0))
+    assert v.descend_zeros(2) == TreeVertex((1, 0, 1, 1, 0, 0))
+    assert v.child(0) == TreeVertex((1, 0, 1, 1, 0))
+    assert v.descend([1, 0]) == TreeVertex((1, 0, 1, 1, 1, 0))
+    assert all(type(u.path) is tuple for u in (v.ancestor(0), v.lca(ROOT), v.descend([1])))
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError):
+            v.child(bad)
+        with pytest.raises(ValueError):
+            v.descend((0, bad))
+    with pytest.raises(PreconditionViolated):
+        v.ancestor(5)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadInput, CollapsedPair
+from .errors import BadInput, CollapsedPair, TooLarge
 
 # number of points up to which verify_metric checks every triple
 EXHAUSTIVE_LIMIT = 2000
@@ -63,16 +63,21 @@ class FiniteMetricSpace:
     An exact space may also give its distances as ints over one common
     denominator: `scaled=(scaled_distance, den)` with
     scaled_distance(x, y) == den * dist(x, y) an int.  `den` is None when the
-    space has no such representation.
+    space has no such representation.  With it, an optional
+    `scaled_matrix()` hook returns the int64 numpy matrix of those ints over
+    `points` at once, or raises TooLarge where it cannot; verify_metric then
+    reads scaled_distance pair by pair.
     """
 
-    def __init__(self, points, dist, exact=True, tol=1e-12, dist_pow=None, scaled=None):
+    def __init__(self, points, dist, exact=True, tol=1e-12, dist_pow=None, scaled=None,
+                 scaled_matrix=None):
         self.points = list(points)
         self._dist = dist
         self._dist_pow = dist_pow
         self.exact = exact
         self.tol = tol
         self.scaled_distance, self.den = scaled or (None, None)
+        self._scaled_matrix = scaled_matrix
 
     def dist(self, x, y):
         return self._dist(x, y)
@@ -257,14 +262,21 @@ def triangle_failures(mat, tol=0):
 
 
 def _scaled_matrix(space):
-    """The space's integer distances as (int64 matrix, 0), read straight from
-    scaled_distance; None when it has none or an entry exceeds 2^61 in size.
-    The matrix is den times the distances, so every check on it other than
-    the triangle tolerance (0 here) is unaffected by the scale."""
+    """The space's integer distances as (int64 matrix, 0), from its
+    scaled_matrix hook, or (without one, or where it raises TooLarge) read
+    pair by pair from scaled_distance; None when it has none or an entry
+    exceeds 2^61 in size.  The matrix is den times the distances, so every
+    check on it other than the triangle tolerance (0 here) is unaffected by
+    the scale."""
     import numpy as np
 
     if space.den is None:
         return None
+    if space._scaled_matrix is not None:
+        try:
+            return space._scaled_matrix(), 0
+        except TooLarge:
+            pass
     pts = space.points
     scaled = space.scaled_distance
     n = len(pts)

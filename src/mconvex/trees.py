@@ -14,7 +14,9 @@ Every d_eps value to depth N is an integer multiple of 1/den, where den is the
 lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
 (`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only
 (`HTreeSpace.scaled_distance`); `distance` is that int over den, and the
-numpy distance matrices scale by the same den.
+numpy distance matrices scale by the same den.  Those matrices all come from
+one heap-index kernel (`_scaled_block`, below), whether over all of B_n or
+over the points of `HTreeSpace.as_metric_space`.
 """
 from __future__ import annotations
 
@@ -250,12 +252,37 @@ class HTreeSpace:
     def as_metric_space(self, vertices):
         """The vertices with d_eps, also as ints over the lcm of the
         denominators of eps_0..eps_d for the deepest vertex depth d (not over
-        `den`, which covers eps to max_depth and can overflow int64)."""
+        `den`, which covers eps to max_depth and can overflow int64), whose
+        whole matrix the heap-index kernel computes at once."""
         verts = list(vertices)
         local = HTreeSpace(self.eps, min(max((v.depth for v in verts), default=0),
                                          self.max_depth))
         return FiniteMetricSpace(verts, self.distance, exact=True,
-                                 scaled=(local.scaled_distance, local.den))
+                                 scaled=(local.scaled_distance, local.den),
+                                 scaled_matrix=lambda: local._scaled_matrix(verts))
+
+    def _scaled_matrix(self, vertices):
+        """The int64 matrix of scaled_distance over the vertices, every entry
+        (both triangles and the diagonal) computed from heap indices in one
+        numpy pass.  Raises DepthExceeded as scaled_distance does, and
+        TooLarge when a vertex lies deeper than HEAP_EXACT_DEPTH or an entry
+        could exceed 2^61 in size."""
+        import numpy as np
+
+        depths = [len(v.path) for v in vertices]
+        top = max(depths, default=0)
+        if top > self.max_depth:
+            self.check_depth(*vertices)
+        if top > HEAP_EXACT_DEPTH:
+            raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
+        two_eps = self._two_eps[:top + 1]
+        # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
+        if top * (self.den + max(map(abs, two_eps))) > 2 ** 61:
+            raise TooLarge("scaled distances could exceed 2^61")
+        idx = np.array([int("1" + str(v), 2) for v in vertices], dtype=np.int64)
+        h = np.array(depths, dtype=np.int64)
+        return _scaled_block(idx[:, None], h[:, None], idx, h, self.den,
+                             np.array(two_eps, dtype=np.int64))[1]
 
     def to_json(self):
         import json
@@ -296,7 +323,20 @@ def sp_pairs(n):
 
 # ---------------------------------------------------------------------------
 # fast helpers for exhaustive checks: vertices as heap indices
+#
+# The heap index of a vertex is a 1 bit followed by its root path bits (root
+# = 1, children 2k and 2k+1), so its depth is bit_length - 1.  For depths dA,
+# dB and m = min(dA, dB), the lca depth is
+#
+#     m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
+#
+# The numpy kernels take bit lengths from the float64 exponent (np.frexp),
+# which is exact only below 2^53: they accept heap indices 1 .. 2^53 - 1,
+# i.e. depths 0..HEAP_EXACT_DEPTH, and raise TooLarge beyond.
 # ---------------------------------------------------------------------------
+
+HEAP_EXACT_DEPTH = 52
+
 
 def heap_lca_depth(i, j):
     """lca depth of heap-indexed vertices (root = 1, children 2k, 2k+1)."""
@@ -314,25 +354,45 @@ def heap_lca_depth(i, j):
     return d
 
 
+def _bit_length(a):
+    """Elementwise int64 bit length of a nonnegative int64 array below 2^53."""
+    import numpy as np
+
+    return np.frexp(a)[1].astype(np.int64)
+
+
+def _lca_block(A, dA, B, dB):
+    """(min depths, lca depths) of heap indices A against B (broadcast)."""
+    import numpy as np
+
+    m = np.minimum(dA, dB)
+    return m, m - _bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
+
+
+def _scaled_block(A, dA, B, dB, den, two_eps):
+    """(lca depths, den * d_eps) of heap indices A at depths dA against B at
+    depths dB (broadcast), where two_eps[m] is the int64 2 * eps_m * den."""
+    import numpy as np
+
+    m, lca = _lca_block(A, dA, B, dB)
+    return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
+
+
 def heap_lca_depth_block(rows, cols):
-    """Vectorized heap_lca_depth: int arrays rows (k,), cols (m,) -> (k, m)."""
+    """Vectorized heap_lca_depth: int arrays rows (k,), cols (m,) -> (k, m).
+
+    Raises TooLarge for an index of 2^53 or more (depth > HEAP_EXACT_DEPTH)
+    and PreconditionViolated for an index below 1."""
     import numpy as np
 
     A = np.asarray(rows, dtype=np.int64)[:, None]
     B = np.asarray(cols, dtype=np.int64)[None, :]
-    dA = np.frexp(A)[1].astype(np.int64) - 1
-    dB = np.frexp(B)[1].astype(np.int64) - 1
-    A = A >> np.clip(dA - dB, 0, None)
-    B = B >> np.clip(dB - dA, 0, None)
-    depth = np.minimum(dA, dB)
-    while True:
-        mask = A != B
-        if not mask.any():
-            break
-        A = np.where(mask, A >> 1, A)
-        B = np.where(mask, B >> 1, B)
-        depth -= mask
-    return depth
+    for a in (A, B):
+        if a.size and a.min() < 1:
+            raise PreconditionViolated("heap indices start at 1")
+        if a.size and a.max() >> (HEAP_EXACT_DEPTH + 1):
+            raise TooLarge(f"heap index {a.max()} >= 2^{HEAP_EXACT_DEPTH + 1}")
+    return _lca_block(A, _bit_length(A) - 1, B, _bit_length(B) - 1)[1]
 
 
 def _scaled_blocks(eps, depth, block):
@@ -348,12 +408,11 @@ def _scaled_blocks(eps, depth, block):
     denom, two_eps = _scaled_eps(eps, depth)
     two_eps = np.array(two_eps, dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    depths = np.frexp(idx)[1].astype(np.int64) - 1
+    depths = _bit_length(idx) - 1
     for lo in range(0, len(idx), block):
         rd = depths[lo:lo + block, None]
-        lca = heap_lca_depth_block(idx[lo:lo + block], idx)
-        m = np.minimum(rd, depths)
-        yield denom, rd, depths, lca, np.abs(rd - depths) * denom + two_eps[m] * (m - lca)
+        lca, mat = _scaled_block(idx[lo:lo + block, None], rd, idx, depths, denom, two_eps)
+        yield denom, rd, depths, lca, mat
 
 
 def scaled_distance_matrix(eps, depth):

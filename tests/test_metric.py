@@ -10,14 +10,15 @@ from mconvex.embeddings.classify import b4_distortion
 from mconvex.embeddings.generators import make_space
 from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.embeddings.search import generate_faithful_b4
-from mconvex.errors import BadInput, CollapsedPair
+from mconvex import metric
+from mconvex.errors import BadInput, CollapsedPair, TooLarge
 from mconvex.laakso import build_laakso
 from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, _scaled_matrix,
                             distortion,
                             distortion_of, is_integral, is_midpoint, midpoint_set,
                             rat_from_str, rat_to_str, triangle_failures, verify_metric)
-from mconvex.trees import (EpsilonSequence, HTreeSpace, enumerate_bn, tree_distance,
-                           triangle_violations)
+from mconvex.trees import (HEAP_EXACT_DEPTH, EpsilonSequence, HTreeSpace, TreeVertex,
+                           enumerate_bn, tree_distance, triangle_violations)
 from mconvex.embeddings.generators import random_valid_epsilon
 
 
@@ -448,6 +449,9 @@ def test_scaled_matrix_equals_numpy_matrix_of_fractions():
         wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
         spaces.append(wide.as_metric_space(enumerate_bn(len(primes) - 1)))
     spaces.append(build_laakso(3).as_metric_space())
+    # vertices past the heap-index kernel's exact range: read pair by pair
+    deep = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
+    spaces.append(deep.as_metric_space(deep_vertices(rng, 80, 60)))
     declined = []
     for ms in spaces:
         rows = ms.distance_matrix()
@@ -460,7 +464,8 @@ def test_scaled_matrix_equals_numpy_matrix_of_fractions():
         if slow is not None:
             a, b = fast[0].astype(object), slow[0].astype(object)
             assert slow[1] == 0 and np.array_equal(a * b[0, 1], b * a[0, 1])
-    assert declined == [(False, False)] * 12 + [(False, True), (True, True), (False, False)]
+    assert declined == ([(False, False)] * 12 + [(False, True), (True, True), (False, False)]
+                        + [(False, False)])
     assert _scaled_matrix(line_space(70)) is None
 
 
@@ -482,3 +487,81 @@ def test_verify_metric_on_scaled_spaces_matches_old_loops():
     assert kinds == {"negative", "triangle"}
     ms = build_laakso(3).as_metric_space()
     assert verify_metric(ms).violations == old_verify_violations(ms) == []
+
+
+def deep_vertices(rng, n, depth):
+    """n distinct random vertices of depth <= depth, one of them the all-ones
+    vertex at that depth (the largest heap index there)."""
+    verts = {TreeVertex((1,) * depth)}
+    while len(verts) < n:
+        verts.add(TreeVertex(tuple(rng.randrange(2) for _ in range(rng.randint(0, depth)))))
+    return sorted(verts)
+
+
+def old_scaled_matrix(space):
+    """_scaled_matrix before the heap-index kernel, verbatim: one
+    scaled_distance call per pair."""
+    if space.den is None:
+        return None
+    pts = space.points
+    scaled = space.scaled_distance
+    n = len(pts)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        x, row = pts[i], rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = scaled(x, pts[j])
+    if max(max(map(abs, row)) for row in rows) > 2 ** 61:
+        return None
+    return np.array(rows, dtype=np.int64), 0
+
+
+def test_verify_metric_kernel_matches_pair_loop(monkeypatch):
+    # the heap-index kernel gives verify_metric the very matrix and violation
+    # list of the old per-pair fill, on every route: kernel, refused (depth
+    # past HEAP_EXACT_DEPTH, or a possible entry past 2^61) and declined
+    rng = random.Random(20261021)
+    cases = []
+    for _ in range(8):
+        space = HTreeSpace(random_valid_epsilon(rng, 64), 64)
+        cases.append(space.as_metric_space(rng.sample(enumerate_bn(7), rng.randint(65, 300))))
+    # deepest heap indices the kernel takes (2^53 - 1), and just past them
+    for depth in (HEAP_EXACT_DEPTH, HEAP_EXACT_DEPTH + 1, 64):
+        for eps in (EpsilonSequence([Fraction(2, 9)] * 65), random_valid_epsilon(rng, 64)):
+            cases.append(HTreeSpace(eps, 64).as_metric_space(deep_vertices(rng, 70, depth)))
+    # unchecked schedules: increasing eps breaks the triangle inequality,
+    # negative eps the sign
+    for vals in ([Fraction(1, 8)] * 4 + [Fraction(1, 2)] * 4,
+                 [Fraction(1, 3)] * 3 + [Fraction(-1, 5)] * 5,
+                 [Fraction(1, 5), Fraction(1, 7), Fraction(1, 4), Fraction(1, 9),
+                  Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 11)]):
+        space = HTreeSpace(EpsilonSequence(vals, check=False), 7)
+        cases.append(space.as_metric_space(rng.sample(enumerate_bn(6), rng.randint(65, 90))))
+    for primes in ([101, 103, 107, 109, 113, 127], [1009, 1013, 1019, 1021, 1031, 1033, 1039]):
+        wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
+        cases.append(wide.as_metric_space(enumerate_bn(len(primes) - 1)))
+    routes, kinds = [], set()
+    for ms in cases:
+        try:
+            ms._scaled_matrix()
+            route = "kernel"
+        except TooLarge:
+            route = "refused"
+        new, old = _scaled_matrix(ms), old_scaled_matrix(ms)
+        routes.append((route, new is None))
+        assert (new is None) == (old is None)
+        if new is None:
+            continue  # verify_metric then runs the same code on both sides
+        assert new[1] == old[1] == 0 and new[0].dtype == old[0].dtype == np.int64
+        assert np.array_equal(new[0], old[0])
+        violations = verify_metric(ms).violations
+        with monkeypatch.context() as mp:
+            mp.setattr(metric, "_scaled_matrix", old_scaled_matrix)
+            assert verify_metric(ms).violations == violations
+        kinds.update(v[0] for v in violations)
+    assert routes == ([("kernel", False)] * 8
+                      + [("kernel", False)] * 2 + [("refused", False)] * 2
+                      + [("refused", False)] * 2
+                      + [("kernel", False)] * 3
+                      + [("kernel", False), ("refused", True)])
+    assert kinds == {"negative", "triangle"}

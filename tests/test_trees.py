@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
-                            PreconditionViolated)
+                            PreconditionViolated, TooLarge)
 from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
                            heap_lca_depth, heap_lca_depth_block,
@@ -194,6 +194,32 @@ def test_heap_lca_block_matches_scalar():
     for _ in range(400):
         a, b = rng.randrange(len(rows)), rng.randrange(len(cols))
         assert blk[a, b] == heap_lca_depth(int(rows[a]), int(cols[b]))
+
+
+def test_heap_lca_block_exact_below_2_53():
+    # 2^53 - 1 is the all-ones depth-52 vertex, the largest index whose bit
+    # length float64 holds exactly; pairs share prefixes of every length
+    rng = random.Random(8)
+    top = 2 ** 53 - 1
+    idx = [1, 2, 3, top, top - 1, 2 ** 52, 2 ** 52 + 1, top >> 1, top >> 30]
+    for _ in range(300):
+        d = rng.randint(1, 52)
+        a = rng.randrange(2 ** d, 2 ** (d + 1))
+        # the sibling of a's ancestor k levels up (the root for k = d), then
+        # s random levels down; and an ancestor of a
+        k = rng.randint(1, d)
+        b = (a >> k) ^ 1 if k < d else 1
+        s = rng.randint(0, 52 - (d - k))
+        idx += [a, (b << s) | rng.randrange(2 ** s), a >> rng.randint(0, d)]
+    blk = heap_lca_depth_block(idx, idx)
+    assert blk.tolist() == [[heap_lca_depth(i, j) for j in idx] for i in idx]
+    # past 2^53 float64 rounds: 2^54 - 1 read as 2^54 gave depth 54, not 53
+    for bad in (2 ** 53, 2 ** 54 - 1, 2 ** 62 - 1):
+        for rows, cols in (([bad], [1, 3]), ([5], [bad])):
+            with pytest.raises(TooLarge):
+                heap_lca_depth_block(rows, cols)
+    with pytest.raises(PreconditionViolated):
+        heap_lca_depth_block([0], [1])
 
 
 def test_tree_metric_equality_counts():

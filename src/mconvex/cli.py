@@ -30,12 +30,24 @@ def _frac(text):
         raise BadInput(f"not a number: {text!r}") from exc
 
 
+def _int(text, lo=None):
+    """Parse a CLI integer, at least `lo` when given.  Raises BadInput otherwise."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise BadInput(f"not an integer: {text!r}") from exc
+    if lo is not None and value < lo:
+        raise BadInput(f"{value} < {lo}")
+    return value
+
+
 def _int_range(text):
-    """Parse "1..4" or "3" into a list of ints."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """Parse "1..4" or "3" into a non-empty list of ints.  Raises BadInput otherwise."""
+    lo, sep, hi = text.partition("..")
+    values = list(range(_int(lo), _int(hi if sep else lo) + 1))
+    if not values:
+        raise BadInput(f"empty range: {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +271,7 @@ def _run_distortion_gap(args):
     from .embeddings.generators import make_space
     from .embeddings.search import distortion_gap_experiment
     space = make_space(Fraction(1, args.s_const), depth=max(60, 4 * args.n))
-    out = distortion_gap_experiment(space, lambda n: args.s_const, args.n,
-                                    seed=args.seed, trials=args.trials)
+    out = distortion_gap_experiment(space, lambda n: args.s_const, args.n, seed=args.seed)
     return {".json": _report({"experiment": "distortion-gap", "n": args.n,
                               "s_const": args.s_const, "seed": args.seed,
                               **{k: (rat_to_str(v) if isinstance(v, Fraction) else v)
@@ -431,15 +442,16 @@ def _build_parser():
 
     sp = cmd("b4-search", _run_b4_search,
              "rigidity bound on random faithful B_4 embeddings", randomized=True)
-    sp.add_argument("--s-const", type=int, default=5)
+    sp.add_argument("--s-const", type=lambda t: _int(t, lo=1), default=5)
     sp.add_argument("--delta", type=_frac, default=Fraction(1, 512))
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--trials", type=lambda t: _int(t, lo=0), default=10000)
 
     sp = cmd("distortion-gap", _run_distortion_gap,
-             "upper bound vs searched lower evidence", randomized=True)
-    sp.add_argument("--s-const", type=int, default=5)
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--trials", type=int, default=500)
+             "upper bound vs the rigidity floor on a nested B_4 image", randomized=True)
+    sp.add_argument("--s-const", type=lambda t: _int(t, lo=1), default=5)
+    sp.add_argument("--n", type=_int, default=8, help="depth budget, 1..12")
+    sp.add_argument("--trials", type=_int, default=500,
+                    help="ignored: one nested map gives the distortion of its family")
 
     sp = cmd("quotient-verify", _run_quotient_verify, "Lipschitz quotient inclusions")
     sp.add_argument("--map", required=True)

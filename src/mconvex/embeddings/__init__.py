@@ -8,7 +8,7 @@ from .classify import (MidpointClass, ForkClass, ThreePathClass,
                        b4_bound_check)
 from .ramsey import ramsey_search, ExhaustionReport, tkm_vertices
 from .extract import extract_vertically_faithful, ExtractResult
-from .search import b4_search, generate_faithful_b4, distortion_gap_experiment
+from .search import generate_faithful_b4, distortion_gap_experiment
 
 __all__ = [
     "PathMap", "t_functional", "submultiplicative_split", "path_boost", "BoostResult",
@@ -17,5 +17,5 @@ __all__ = [
     "classify_midpoint", "classify_fork", "classify_3path", "b4_bound_check",
     "ramsey_search", "ExhaustionReport", "tkm_vertices",
     "extract_vertically_faithful", "ExtractResult",
-    "b4_search", "generate_faithful_b4", "distortion_gap_experiment",
+    "generate_faithful_b4", "distortion_gap_experiment",
 ]

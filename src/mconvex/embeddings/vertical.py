@@ -9,9 +9,9 @@ No constraint is placed on non-ancestor pairs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ..errors import CollapsedAncestorPair
+from ..metric import distortion_of
 from ..trees import sp_pairs, tree_distance
 
 
@@ -34,32 +34,19 @@ def vertical_report(f, pairs, target, strict=True):
     `f` maps domain vertices to target points; `pairs` is an iterable of
     (ancestor, descendant) TreeVertex pairs.  A collapsed ancestor pair raises
     CollapsedAncestorPair, or yields lam = 0, D = inf with strict=False.
+    D is the distortion of f on the pairs (lip * colip, as metric.distortion_of
+    defines it) and lam = 1 / colip.
     """
-    lo = None
-    hi = None
-    count = 0
-    collapsed = False
+    dists = []
     for x, y in pairs:
-        count += 1
-        dt = tree_distance(x, y)
         dx = target.dist(f(x), f(y))
-        if dx == 0:
-            if strict:
-                raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
-            collapsed = True
-            continue
-        r = Fraction(dx) / dt if isinstance(dx, (int, Fraction)) else float(dx) / dt
-        if lo is None or r < lo:
-            lo = r
-        if hi is None or r > hi:
-            hi = r
-    if count == 0:
+        if dx == 0 and strict:
+            raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
+        dists.append((tree_distance(x, y), dx))
+    if not dists:
         raise ValueError("no ancestor pairs supplied")
-    if collapsed:
-        return VerticalReport(0, math.inf, count)
-    D = hi / lo if isinstance(hi, Fraction) and isinstance(lo, Fraction) \
-        else float(hi) / float(lo)
-    return VerticalReport(lo, D, count)
+    _, colip, D = distortion_of(dists)
+    return VerticalReport(0 if math.isinf(D) else 1 / colip, D, len(dists))
 
 
 def bn_vertical_report(f, n, target, strict=True):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.cli import _frac, main
+from mconvex.cli import _frac, _int_range, main
 from mconvex.metric import FiniteMetricSpace
 
 
@@ -108,13 +108,24 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["quotient-verify", "--map", str(bad_json), "--a", "abc", "--b", "1"],
             ["quotient-verify", "--map", str(bad_json), "--a", "1", "--b", "2.x"],
             ["quotient-lift", "--map", str(zero_den), "--chain", str(chain),
-             "--a", "1", "--b", "1"]]
-    for argv in runs:
+             "--a", "1", "--b", "1"],
+            ["b4-search", "--s-const", "0", "--seed", "1"],
+            ["b4-search", "--s-const", "-3", "--seed", "1"],
+            ["b4-search", "--trials", "-3", "--seed", "1"],
+            ["distortion-gap", "--s-const", "0", "--seed", "1"],
+            ["distortion-gap", "--s-const", "-3", "--seed", "1"],
+            ["laakso-ratio", "--m", "4..2"],
+            ["laakso-ratio", "--m", "1..x"]]
+    # the depth budget n of distortion-gap is checked by the experiment itself
+    out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
+    for argv in runs + out_of_range:
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "BadInput" and err["message"]
+        assert err["error"] == ("OutOfRange" if argv in out_of_range else "BadInput")
+        assert err["message"]
     # plain numbers keep their type: "3" is the int 3, "0.5" a float
     assert _frac("3") == 3 and type(_frac("3")) is int
     assert _frac("0.5") == 0.5 and type(_frac("0.5")) is float
     assert _frac("1/32") == Fraction(1, 32)
+    assert _int_range("3") == [3] and _int_range("2..4") == [2, 3, 4]

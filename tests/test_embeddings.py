@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from mconvex.embeddings.classify import b4_bound_check, b4_distortion
 from mconvex.embeddings.extract import extract_vertically_faithful
-from mconvex.embeddings.generators import RealLine, gen_boost_path, make_space
-from mconvex.embeddings import paths
+from mconvex.embeddings.generators import (RealLine, gen_boost_path, make_space,
+                                           random_valid_epsilon)
+from mconvex.embeddings import paths, search
 from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
-from mconvex.embeddings.search import b4_search, distortion_gap_experiment, \
-    generate_faithful_b4
-from mconvex.embeddings.vertical import bn_vertical_report, vertical_report
+from mconvex.embeddings.search import distortion_gap_experiment, generate_faithful_b4
+from mconvex.embeddings.vertical import VerticalReport, bn_vertical_report, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, InvariantViolated,
-                            PipelineFailed, TooLarge)
-from mconvex.trees import TreeVertex, enumerate_bn, tree_distance
+                            OutOfRange, PipelineFailed, TooLarge, check)
+from mconvex.randbits import random_bits
+from mconvex.trees import HTreeSpace, TreeVertex, enumerate_bn, sp_pairs, tree_distance
 
 
 def line_map(vals):
@@ -132,6 +134,112 @@ def test_vertical_report_stretch_ratio():
     assert rep.D == 1 and rep.lam == 2
 
 
+def _vertical_report_oracle(f, pairs, target, strict=True):
+    """The ratio loop vertical_report ran before it used metric.distortion_of,
+    kept verbatim as the reference."""
+    lo = None
+    hi = None
+    count = 0
+    collapsed = False
+    for x, y in pairs:
+        count += 1
+        dt = tree_distance(x, y)
+        dx = target.dist(f(x), f(y))
+        if dx == 0:
+            if strict:
+                raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
+            collapsed = True
+            continue
+        r = Fraction(dx) / dt if isinstance(dx, (int, Fraction)) else float(dx) / dt
+        if lo is None or r < lo:
+            lo = r
+        if hi is None or r > hi:
+            hi = r
+    if count == 0:
+        raise ValueError("no ancestor pairs supplied")
+    if collapsed:
+        return VerticalReport(0, math.inf, count)
+    D = hi / lo if isinstance(hi, Fraction) and isinstance(lo, Fraction) \
+        else float(hi) / float(lo)
+    return VerticalReport(lo, D, count)
+
+
+def _warped_b4(rng):
+    """A B_4 map into B_infty whose edges descend 1..5 levels: vertically
+    unfaithful, with integer tree distances."""
+    images = {TreeVertex(()): TreeVertex._from_bits(random_bits(rng, rng.randint(0, 3)))}
+    for v in enumerate_bn(4)[1:]:
+        images[v] = TreeVertex._from_bits(images[v.parent()].path
+                                          + random_bits(rng, rng.randint(1, 5)))
+    return images
+
+
+class _FloatTarget:
+    """An HTreeSpace whose distances are floats."""
+
+    def __init__(self, space):
+        self.space = space
+
+    def dist(self, x, y):
+        return float(self.space.distance(x, y))
+
+
+def _vertical_cases(rng):
+    """(f, pairs, target) inputs: faithful, warped and sibling-collapsed B_4
+    maps into contracted trees, and warped maps under the tree metric, each on
+    all ancestor pairs, on one pair, and with an ancestor pair collapsed."""
+    tree = type("T", (), {"dist": staticmethod(tree_distance)})()
+    space = HTreeSpace(random_valid_epsilon(rng, 40), 40)
+    maps = [generate_faithful_b4(space, rng, L=rng.randint(1, 8), collide_prob=0.0),
+            generate_faithful_b4(space, rng, L=rng.randint(1, 8), collide_prob=1.0),
+            _warped_b4(rng)]
+    all_pairs = list(sp_pairs(4))
+    for images, target in [(maps[0], space), (maps[1], space), (maps[2], space),
+                           (maps[2], tree), (maps[0], _FloatTarget(space))]:
+        collapsed = dict(images)
+        v = rng.choice(enumerate_bn(4)[1:])
+        collapsed[v] = collapsed[v.parent()]
+        for imgs in (images, collapsed):
+            yield imgs.__getitem__, all_pairs, target
+            yield imgs.__getitem__, [rng.choice(all_pairs)], target
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        rep = fn(*args, **kw)
+    except (CollapsedAncestorPair, ValueError) as exc:
+        return type(exc)
+    return rep.lam, rep.D, rep.pairs_checked
+
+
+def test_vertical_report_matches_ratio_loop():
+    rng = random.Random(17)
+    floats = 0
+    for _ in range(15):
+        for f, pairs, target in _vertical_cases(rng):
+            for strict in (True, False):
+                old = _outcome(_vertical_report_oracle, f, pairs, target, strict=strict)
+                new = _outcome(vertical_report, f, pairs, target, strict=strict)
+                if isinstance(target, _FloatTarget) and isinstance(old, tuple) \
+                        and not math.isinf(old[1]):
+                    # D is lip * colip, lam is 1 / colip: equal up to rounding
+                    floats += 1
+                    assert all(type(a) is type(b) for a, b in zip(old, new))
+                    assert math.isclose(old[0], new[0], rel_tol=1e-12)
+                    assert math.isclose(old[1], new[1], rel_tol=1e-12)
+                    assert old[2] == new[2]
+                    continue
+                assert old == new
+                if isinstance(old, tuple):
+                    assert [type(x) for x in old] == [type(x) for x in new]
+    assert floats > 0
+    for strict in (True, False):
+        for fn in (_vertical_report_oracle, vertical_report):
+            with pytest.raises(ValueError, match="no ancestor pairs"):
+                fn(lambda v: v, [], HTreeSpace(random_valid_epsilon(rng, 8), 8),
+                   strict=strict)
+
+
 # -------------------------------------------------------------------- ramsey
 
 def test_tkm_vertices_count():
@@ -209,16 +317,105 @@ def test_generate_faithful_b4_is_faithful():
         assert rep.D == 1
 
 
-def test_b4_search_respects_rigidity_floor():
+def test_nested_b4_map_respects_rigidity_floor():
     space = make_space(Fraction(1, 5), depth=60)
-    best, best_d, bound, holds = b4_search(space, Fraction(1, 512), trials=60, seed=2)
-    assert holds
-    assert best_d >= bound
+    for seed in range(5):
+        f = generate_faithful_b4(space, random.Random(seed), collide_prob=0.0)
+        dist, bound, holds = b4_bound_check(space, lambda v: f[v], Fraction(1, 512))
+        assert holds
+        assert dist >= bound
 
 
 def test_distortion_gap_experiment():
     space = make_space(Fraction(1, 5), depth=60)
-    out = distortion_gap_experiment(space, lambda n: 5, 8, seed=1, trials=40)
+    out = distortion_gap_experiment(space, lambda n: 5, 8, seed=1)
     assert out["floor_holds"]
     assert out["upper_bound"] == 5
     assert out["search_best_dist"] >= out["rigidity_floor"]
+    for n in (0, -2, 13):
+        with pytest.raises(OutOfRange):
+            distortion_gap_experiment(space, lambda n: 5, n, seed=1)
+
+
+def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None):
+    """The simulated annealer distortion-gap ran before, kept verbatim as the
+    reference: it returns its starting map, since the distortion is constant
+    on the nested family."""
+    rng = random.Random(seed)
+    if L is None:
+        L = rng.randint(3, 8)
+    h0 = rng.randint(0, space.max_depth - 4 * L)
+    root_bits = random_bits(rng, h0)
+    descents = search._random_descents(rng, L)
+    cur = search._nested_embedding(L, h0, root_bits, descents)
+    cur_d = b4_distortion(space, cur)
+    best, best_d = cur, cur_d
+    verts = [v for v in enumerate_bn(4) if v.depth > 0]
+    for step in range(trials):
+        temp = max(1e-3, 1.0 - step / trials)
+        v = rng.choice(verts)
+        old = descents[v]
+        trial = dict(descents)
+        bits = random_bits(rng, L)
+        sib = descents.get(TreeVertex(v.path[:-1] + (1 - v.path[-1],)))
+        if sib is not None and bits[0] == sib[0]:
+            bits = (1 - sib[0],) + bits[1:]
+        trial[v] = bits
+        cand = search._nested_embedding(L, h0, root_bits, trial)
+        cand_d = b4_distortion(space, cand)
+        if cand_d <= cur_d or rng.random() < math.exp(-float(cand_d - cur_d) / temp):
+            descents, cur, cur_d = trial, cand, cand_d
+            if cur_d < best_d:
+                best, best_d = cur, cur_d
+    dist, bound, holds = b4_bound_check(space, lambda v: best[v], delta)
+    check(dist == best_d, "rigidity check dist %s != search dist %s", dist, best_d)
+    return best, best_d, bound, holds
+
+
+def _schedules(rng, count):
+    """Constant schedules, then `count` random valid ones, all to depth 60."""
+    spaces = [make_space(Fraction(1, k), depth=60) for k in (1, 2, 5, 9)]
+    return spaces + [HTreeSpace(random_valid_epsilon(rng, 60), 60) for _ in range(count)]
+
+
+def test_one_nested_map_matches_the_annealer(monkeypatch):
+    calls = []
+    counted = search.b4_bound_check
+    monkeypatch.setattr(search, "b4_bound_check",
+                        lambda *args: calls.append(1) or counted(*args))
+    rng = random.Random(23)
+    delta = Fraction(1, 512)
+    for space in _schedules(rng, 12):
+        upper = lambda n: max(1 / space.eps[m] for m in range(1, n + 1))
+        seed = rng.randrange(10 ** 6)
+        for L in (None, 1, 2, 3, 5):
+            best, best_d, bound, holds = _b4_search_oracle(space, delta, trials=12,
+                                                           seed=seed, L=L)
+            gen = random.Random(seed)
+            f = generate_faithful_b4(space, gen, L=gen.randint(3, 8) if L is None else L,
+                                     collide_prob=0.0)
+            assert f == best
+            assert b4_bound_check(space, lambda v: f[v], delta) == (best_d, bound, holds)
+        for n in (1, 4, 8, 12):
+            best, best_d, bound, holds = _b4_search_oracle(space, delta, trials=12,
+                                                           seed=seed, L=max(1, n // 4))
+            del calls[:]
+            out = distortion_gap_experiment(space, upper, n, seed=seed)
+            assert len(calls) == 1
+            assert out == {"upper_bound": upper(n), "search_best_dist": best_d,
+                           "rigidity_floor": bound, "floor_holds": holds}
+            assert [type(x) for x in out.values()] == \
+                [type(x) for x in (upper(n), best_d, bound, holds)]
+
+
+def test_nested_b4_distortion_depends_only_on_L_h0_eps():
+    rng = random.Random(31)
+    for space in _schedules(rng, 20):
+        L = rng.randint(1, 14)
+        h0 = rng.randint(0, space.max_depth - 4 * L)
+        values = set()
+        for _ in range(3):
+            images = search._nested_embedding(L, h0, random_bits(rng, h0),
+                                              search._random_descents(rng, L))
+            values.add(b4_distortion(space, images))
+        assert len(values) == 1, (L, h0, values)

@@ -41,10 +41,15 @@ def _int(text, lo=None):
     return value
 
 
+def _at_least(lo):
+    """The argparse type of an integer option whose least value is `lo`."""
+    return lambda text: _int(text, lo)
+
+
 def _int_range(text):
-    """Parse "1..4" or "3" into a non-empty list of ints.  Raises BadInput otherwise."""
+    """Parse "1..4" or "3" into a non-empty list of ints >= 0, else BadInput."""
     lo, sep, hi = text.partition("..")
-    values = list(range(_int(lo), _int(hi if sep else lo) + 1))
+    values = list(range(_int(lo, 0), _int(hi if sep else lo, 0) + 1))
     if not values:
         raise BadInput(f"empty range: {text!r}")
     return values
@@ -191,6 +196,9 @@ def _run_htree_validate(args):
     import random
     from .trees import HTreeSpace, scaled_distance_matrix, triangle_violations
     from .embeddings.generators import random_valid_epsilon, htree_random_triple_violations
+    if args.exhaustive_depth > args.max_depth:
+        raise BadInput(f"--exhaustive-depth {args.exhaustive_depth} > "
+                       f"--max-depth {args.max_depth}")
     rng = random.Random(args.seed)
     results = []
     for i in range(args.sequences):
@@ -378,7 +386,7 @@ def _run_extract_subtree(args):
 # ---------------------------------------------------------------------------
 
 def _add_seed(sp):
-    sp.add_argument("--seed", type=int, required=True,
+    sp.add_argument("--seed", type=_int, required=True,
                     help="PRNG seed (mandatory: outputs must be reproducible)")
 
 
@@ -401,56 +409,56 @@ def _build_parser():
 
     sp = cmd("laakso-ratio", _run_laakso_ratio, "convexity ratio of Laakso walks")
     sp.add_argument("--m", type=_int_range, default=[1, 2, 3, 4], help='e.g. "1..4"')
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=_at_least(1), default=2)
 
     sp = cmd("bn-ratio", _run_bn_ratio, "convexity ratio of the B_n downward walk")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--n", type=_int, required=True)   # bn_ratio checks n >= 1
+    sp.add_argument("--p", type=_at_least(1), default=2)
 
     sp = cmd("per-k-bound", _run_per_k_bound, "per-scale counting bound for Laakso walks")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--m", type=_at_least(0), required=True)
+    sp.add_argument("--p", type=_at_least(1), default=2)
 
     sp = cmd("pconvex-check", _run_pconvex_check,
              "sampled p-convexity inequality slacks", randomized=True)
-    sp.add_argument("--d", type=int, default=8)
+    sp.add_argument("--d", type=_at_least(0), default=8)
     sp.add_argument("--p", type=_frac, default=2)
     sp.add_argument("--K", type=_frac, default=1)
-    sp.add_argument("--trials", type=int, default=100000)
+    sp.add_argument("--trials", type=_at_least(1), default=100000)
 
     sp = cmd("prop21-check", _run_prop21_check,
              "chain transfer inequality on random chains", randomized=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(0), default=100)
 
     sp = cmd("htree-validate", _run_htree_validate,
              "triangle inequality for contracted tree metrics", randomized=True)
-    sp.add_argument("--sequences", type=int, default=20)
-    sp.add_argument("--exhaustive-depth", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=5000)
-    sp.add_argument("--max-depth", type=int, default=64)
+    sp.add_argument("--sequences", type=_at_least(0), default=20)
+    sp.add_argument("--exhaustive-depth", type=_at_least(0), default=8)
+    sp.add_argument("--samples", type=_at_least(0), default=5000)
+    sp.add_argument("--max-depth", type=_at_least(0), default=64)
 
     sp = cmd("classify", _run_classify, "configuration classifier soundness",
              randomized=True)
     sp.add_argument("--kind", choices=["midpoint", "fork", "3path"], required=True)
     sp.add_argument("--delta", type=_frac, required=True)
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--trials", type=_at_least(0), default=10000)
 
     sp = cmd("boost", _run_boost, "path boosting on a generated map", randomized=True)
-    sp.add_argument("--n", type=int, default=4 ** 6)
-    sp.add_argument("--t", type=int, default=4)
+    sp.add_argument("--n", type=_at_least(0), default=4 ** 6)
+    sp.add_argument("--t", type=_at_least(2), default=4)
     sp.add_argument("--delta", type=_frac, default=Fraction(1, 2))
 
     sp = cmd("b4-search", _run_b4_search,
              "rigidity bound on random faithful B_4 embeddings", randomized=True)
-    sp.add_argument("--s-const", type=lambda t: _int(t, lo=1), default=5)
+    sp.add_argument("--s-const", type=_at_least(1), default=5)
     sp.add_argument("--delta", type=_frac, default=Fraction(1, 512))
-    sp.add_argument("--trials", type=lambda t: _int(t, lo=0), default=10000)
+    sp.add_argument("--trials", type=_at_least(0), default=10000)
 
     sp = cmd("distortion-gap", _run_distortion_gap,
              "upper bound vs the rigidity floor on a nested B_4 image", randomized=True)
-    sp.add_argument("--s-const", type=lambda t: _int(t, lo=1), default=5)
+    sp.add_argument("--s-const", type=_at_least(1), default=5)
     sp.add_argument("--n", type=_int, default=8, help="depth budget, 1..12")
-    sp.add_argument("--trials", type=_int, default=500,
+    sp.add_argument("--trials", type=_at_least(0), default=500,
                     help="ignored: one nested map gives the distortion of its family")
 
     sp = cmd("quotient-verify", _run_quotient_verify, "Lipschitz quotient inclusions")
@@ -466,14 +474,14 @@ def _build_parser():
 
     sp = cmd("ramsey-toy", _run_ramsey_toy,
              "monochromatic binary subtree search", randomized=True)
-    sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--r", type=int, default=2)
+    sp.add_argument("--k", type=_at_least(0), default=4)
+    sp.add_argument("--m", type=_at_least(0), default=2)
+    sp.add_argument("--r", type=_at_least(1), default=2)
 
     sp = cmd("extract-subtree", _run_extract_subtree,
              "vertically faithful subtree extraction pipeline")
-    sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--t", type=int, default=2)
+    sp.add_argument("--n", type=_at_least(0), default=6)
+    sp.add_argument("--t", type=_at_least(2), default=2)
     sp.add_argument("--delta", type=_frac, default=Fraction(1, 4))
     sp.add_argument("--xi", type=_frac, default=1)
 

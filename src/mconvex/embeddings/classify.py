@@ -56,15 +56,9 @@ def _certify_labels(space, x, y, z, budget):
     Nearness is compared as den * d_eps ints; the winning one becomes a Fraction.
     """
     heights = sorted({x.depth, y.depth, z.depth})
-    pool = []
-    seen = set()
-    for v in (x, y, z):
-        for h in heights:
-            if h <= v.depth:
-                a = v.ancestor(h)
-                if a.path not in seen:
-                    seen.add(a.path)
-                    pool.append(a)
+    # distinct candidates, in order of first appearance
+    pool = list(dict.fromkeys(v.ancestor(h) for v in (x, y, z) for h in heights
+                              if h <= v.depth))
     sd, den = space.scaled_distance, space.den
     # d = s / den <= budget  <=>  s * budget.denominator <= budget.numerator * den
     top, scale = budget.numerator * den, budget.denominator

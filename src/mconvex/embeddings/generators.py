@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..metric import is_midpoint
 from ..randbits import random_bits
-from ..trees import EpsilonSequence, HTreeSpace, TreeVertex
+from ..trees import ROOT, EpsilonSequence, HTreeSpace
 from .classify import path_scale_range
 from ..errors import NotApproximatePath
 
@@ -57,14 +57,15 @@ def random_valid_epsilon(rng, N):
     return EpsilonSequence(vals)
 
 
-def _rand_vertex(rng, depth):
-    return TreeVertex._from_bits(random_bits(rng, depth))
+def _rand_vertex(rng, k, top=ROOT):
+    """The vertex k levels below `top` (the root by default) along k random
+    bits."""
+    return top.hang(random_bits(rng, k), k)
 
 
 def _branch_off(rng, line, lca_depth, depth):
     """A depth-`depth` vertex whose lca with `line` has depth exactly lca_depth."""
-    prefix = line.path[:lca_depth] + (1 - line.path[lca_depth],)
-    return TreeVertex._from_bits(prefix + random_bits(rng, depth - lca_depth - 1))
+    return _rand_vertex(rng, depth - lca_depth - 1, line.ancestor(lca_depth + 1).sibling())
 
 
 def gen_midpoint(rng, delta, depth=40):
@@ -93,7 +94,7 @@ def gen_midpoint(rng, delta, depth=40):
             # other side of a branch point above the apex
             h_a = rng.randint(1, depth - 2 * M - 1)
             apex = _rand_vertex(rng, h_a)
-            y = apex.descend(random_bits(rng, M))
+            y = _rand_vertex(rng, M, apex)
             l = rng.randint(0, h_a - 1)
             z = _branch_off(rng, apex, l, h_a + 2 * M + rng.choice((-1, 0)))
             x = apex
@@ -124,7 +125,7 @@ def gen_fork(rng, delta, depth=40):
             # two tents off one apex
             h_a = rng.randint(2, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_a)
-            y = x.descend(random_bits(rng, M))
+            y = _rand_vertex(rng, M, x)
             l1 = rng.randint(0, h_a - 1)
             l2 = rng.randint(0, h_a - 1)
             z = _branch_off(rng, x, l1, h_a + 2 * M)
@@ -133,15 +134,15 @@ def gen_fork(rng, delta, depth=40):
             # both prongs descend below y
             h_x = rng.randint(0, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_x)
-            y = x.descend(random_bits(rng, M))
-            z = y.descend((0,) + random_bits(rng, M - 1))
-            w = y.descend((1,) + random_bits(rng, M - 1))
+            y = _rand_vertex(rng, M, x)
+            z = _rand_vertex(rng, M - 1, y.child(0))
+            w = _rand_vertex(rng, M - 1, y.child(1))
         elif family == 2:
             # chain x -> y -> z with a tent prong w off the apex
             h_a = rng.randint(1, depth - 3 * M - 1)
             x = _rand_vertex(rng, h_a)
-            y = x.descend(random_bits(rng, M))
-            z = y.descend(random_bits(rng, M))
+            y = _rand_vertex(rng, M, x)
+            z = _rand_vertex(rng, M, y)
             w = _branch_off(rng, x, rng.randint(0, h_a - 1), h_a + 2 * M)
         else:
             # parallel branches: w above y on one branch, z above x on the other

@@ -120,6 +120,8 @@ def path_boost(f, t, delta, D=None):
     distortion bound D) is violated a warning is emitted, since the search may
     still succeed; BoostFailed carries the best grid otherwise.
     """
+    if t < 2:
+        raise PreconditionViolated(f"t = {t} < 2")
     n = f.n
     k = 0
     while t ** (k + 1) <= n:

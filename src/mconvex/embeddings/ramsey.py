@@ -11,7 +11,7 @@ works for any k and reports exhaustion honestly otherwise.
 from __future__ import annotations
 
 from ..errors import TooLarge
-from ..trees import TreeVertex, enumerate_bn
+from ..trees import enumerate_bn
 
 MAX_M = 2
 MAX_K = 16
@@ -38,10 +38,6 @@ class ExhaustionReport:
         return f"ExhaustionReport(nodes_explored={self.nodes_explored})"
 
 
-def _sibling(v):
-    return TreeVertex(v.path[:-1] + (1 - v.path[-1],))
-
-
 def ramsey_search(k, m, r, coloring):
     """Find a level-monochromatic level-preserving copy of B_m in T_{k,m}.
 
@@ -64,7 +60,7 @@ def ramsey_search(k, m, r, coloring):
         else:
             # the two children must descend through distinct branches; by
             # subtree-swap symmetry the 1-child may take the larger index
-            opts = range(assignment[_sibling(v)][len(parent)] + 1, k)
+            opts = range(assignment[v.sibling()][len(parent)] + 1, k)
         return [parent + (c,) for c in opts]
 
     def try_colors(v, node):

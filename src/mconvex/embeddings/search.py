@@ -19,37 +19,35 @@ from fractions import Fraction
 
 from ..errors import OutOfRange, check
 from ..randbits import random_bits
-from ..trees import TreeVertex, enumerate_bn
+from ..trees import ROOT, enumerate_bn
 from .classify import b4_bound_check
 
 
 def _nested_embedding(L, h0, root_bits, descents):
-    """The nested B_4 embedding: root at the depth-h0 vertex `root_bits`, each
-    child placed `L` levels below its parent along its bit string in
-    `descents` (dict non-root TreeVertex -> tuple of L bits)."""
-    images = {TreeVertex(()): TreeVertex._from_bits(root_bits)}
-    for v in enumerate_bn(4):
-        if v.depth == 0:
-            continue
-        images[v] = TreeVertex._from_bits(images[v.parent()].path + descents[v])
+    """The nested B_4 embedding: root at the depth-h0 vertex along the h0-bit
+    int `root_bits`, each child placed `L` levels below its parent along its
+    L-bit int in `descents` (dict non-root TreeVertex -> int)."""
+    images = {ROOT: ROOT.hang(root_bits, h0)}
+    for v in enumerate_bn(4)[1:]:
+        images[v] = images[v.parent()].hang(descents[v], L)
     return images
 
 
 def _random_descents(rng, L, collide_prob=0.0):
     """Random per-edge bit runs; sibling edges get distinct leading bits unless
     a (rare) deliberate collision is requested, which collapses the siblings
-    whenever the remaining bits also agree."""
+    whenever the remaining bits also agree.  Each run is an L-bit int, its
+    first bit the highest."""
+    top = 1 << (L - 1)
     descents = {}
-    for v in enumerate_bn(4):
-        if v.depth == 0:
-            continue
+    for v in enumerate_bn(4)[1:]:      # heap order: each 0-child before its sibling
         bits = random_bits(rng, L)
-        if v.path[-1] == 1:
-            sib = descents[TreeVertex(v.path[:-1] + (0,))]
+        sib = descents.get(v.sibling())
+        if sib is not None:
             if rng.random() < collide_prob:
                 bits = sib                      # exact sibling collapse
-            elif bits[0] == sib[0]:
-                bits = (1 - sib[0],) + bits[1:]
+            elif not (bits ^ sib) & top:
+                bits ^= top
         descents[v] = bits
     return descents
 

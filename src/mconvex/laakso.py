@@ -15,7 +15,7 @@ import json
 from collections import deque
 from fractions import Fraction
 
-from .errors import TooLarge, check
+from .errors import OutOfRange, TooLarge, check
 
 BUILD_LIMIT = 6
 
@@ -202,6 +202,8 @@ class LaaksoGraph:
 
 
 def build_laakso(m):
+    if m < 0:
+        raise OutOfRange(f"m = {m} < 0")
     if m > BUILD_LIMIT:
         raise TooLarge(f"m = {m} > {BUILD_LIMIT}")
     edges, root, sink = _build_edges(m)

@@ -9,15 +9,16 @@ otherwise the bit is b >> 6.
 from __future__ import annotations
 
 _REDRAW = bytes(range(128, 256))
-_BIT = bytes(b >> 6 for b in range(256))
+_DIGIT = bytes(b"01"[b >> 6 & 1] for b in range(256))   # ASCII "0"/"1" of b >> 6
 
 
 def random_bits(rng, k):
-    """tuple(rng.randint(0, 1) for _ in range(k)), consuming the same words of
-    rng, so that every later draw from rng is unchanged too."""
-    out = b""
-    while len(out) < k:
-        need = k - len(out)
+    """The k bits of `rng.randint(0, 1)` called k times, as one int whose
+    highest of k bits is the first draw.  It consumes the same words of rng,
+    so every later draw from rng is unchanged too."""
+    out = b"0"
+    while len(out) <= k:
+        need = k + 1 - len(out)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        out += words[3::4].translate(_BIT, _REDRAW)
-    return tuple(out)
+        out += words[3::4].translate(_DIGIT, _REDRAW)
+    return int(out, 2)

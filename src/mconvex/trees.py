@@ -1,7 +1,9 @@
 """Binary trees, the tree metric, and the horizontally contracted metric d_eps.
 
 Vertices of the (conceptually infinite) rooted binary tree are addressed by
-their root path, a finite bit sequence.  The contracted metric is
+their root path, a finite bit sequence, which a `TreeVertex` stores as one
+int, its heap index (a 1 bit followed by the path bits).  No other module
+knows that encoding.  The contracted metric is
 
     d_eps(x, y) = |h(y) - h(x)|
                   + 2 * eps[min(h(x), h(y))] * (min(h(x), h(y)) - h(lca(x, y)))
@@ -14,9 +16,11 @@ Every d_eps value to depth N is an integer multiple of 1/den, where den is the
 lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
 (`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only
 (`HTreeSpace.scaled_distance`); `distance` is that int over den, and the
-numpy distance matrices scale by the same den.  Those matrices all come from
-one heap-index kernel (`_scaled_block`, below), whether over all of B_n or
-over the points of `HTreeSpace.as_metric_space`.
+numpy distance matrices scale by the same den.  Every lca depth is one
+closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
+depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52),
+from which all the matrices come (`_scaled_block`), whether over all of B_n
+or over the points of `HTreeSpace.as_metric_space`.
 """
 from __future__ import annotations
 
@@ -30,84 +34,108 @@ DEFAULT_MAX_DEPTH = 64
 ENUMERATE_LIMIT = 20
 
 
-def _checked_bits(bits):
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("path bits must be 0/1")
-    return bits
+def _index_below(index, bits):
+    """The heap index `bits` below the vertex with heap index `index`.
+    Raises ValueError unless every bit is 0 or 1."""
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError("path bits must be 0/1")
+        index = 2 * index + int(b)
+    return index
+
+
+def _vertex(index):
+    """The vertex with a known-valid heap index, without any check."""
+    v = object.__new__(TreeVertex)
+    v.index = index
+    return v
 
 
 class TreeVertex:
-    """A vertex of the rooted binary tree, identified by its root path."""
+    """A vertex of the rooted binary tree, stored as its heap index: a 1 bit
+    followed by the root path bits.  Every operation below is a few int
+    operations on that index (see the heap-index comment block)."""
 
-    __slots__ = ("path",)
+    __slots__ = ("index",)
 
     def __init__(self, path=()):
         if isinstance(path, str):
             path = tuple(int(c) for c in path)
-        self.path = _checked_bits(tuple(path))
-
-    @classmethod
-    def _from_bits(cls, bits):
-        """The vertex on a tuple of bits known to be 0/1 (e.g. from
-        random_bits, or a prefix of a checked path), without the per-bit
-        check."""
-        v = object.__new__(cls)
-        v.path = bits
-        return v
+        self.index = _index_below(1, path)
 
     @property
     def depth(self):
-        return len(self.path)
+        return self.index.bit_length() - 1
+
+    @property
+    def path(self):
+        """The root path as a tuple of 0/1 ints (derived; not for hot paths)."""
+        return tuple(map(int, str(self)))
 
     def ancestor(self, height):
         """The ancestor at the given depth (height <= own depth)."""
-        if not 0 <= height <= len(self.path):
-            raise PreconditionViolated(f"no ancestor at height {height} of depth-{len(self.path)} vertex")
-        return TreeVertex._from_bits(self.path[:height])
+        depth = self.depth
+        if not 0 <= height <= depth:
+            raise PreconditionViolated(f"no ancestor at height {height} of depth-{depth} vertex")
+        return _vertex(self.index >> (depth - height))
 
     def parent(self):
-        return self.ancestor(len(self.path) - 1)
+        return self.ancestor(self.depth - 1)
+
+    def sibling(self):
+        """The other child of the parent."""
+        if self.index == 1:
+            raise PreconditionViolated("the root has no sibling")
+        return _vertex(self.index ^ 1)
 
     def child(self, bit):
         return self.descend((bit,))
 
     def descend(self, bits):
         """Only the added bits are checked: the own path already was."""
-        return TreeVertex._from_bits(self.path + _checked_bits(tuple(bits)))
+        return _vertex(_index_below(self.index, bits))
+
+    def hang(self, bits, k):
+        """The descendant k levels down along the k-bit int `bits`, its highest
+        bit first (as `randbits.random_bits` draws them)."""
+        if bits >> k:
+            raise ValueError(f"{bits} is not a {k}-bit int")
+        return _vertex(self.index << k | bits)
 
     def descend_zeros(self, k):
         """The all-zeros descendant k levels down (the deterministic choice)."""
-        return TreeVertex._from_bits(self.path + (0,) * k)
+        return _vertex(self.index << k)
 
     def lca(self, other):
-        return TreeVertex._from_bits(self.path[:self.lca_depth(other)])
+        return self.ancestor(self.lca_depth(other))
 
     def lca_depth(self, other):
-        p, q = self.path, other.path
-        i = 0
-        m = min(len(p), len(q))
-        while i < m and p[i] == q[i]:
-            i += 1
-        return i
+        """min depth - bit_length of the XOR of both indices cut to that depth."""
+        a, b = self.index, other.index
+        la, lb = a.bit_length(), b.bit_length()
+        m = la if la < lb else lb
+        return m - 1 - ((a >> (la - m)) ^ (b >> (lb - m))).bit_length()
 
     def is_ancestor_of(self, other):
         """Non-strict: every vertex is an ancestor of itself."""
-        return other.path[:len(self.path)] == self.path
+        shift = other.index.bit_length() - self.index.bit_length()
+        return shift >= 0 and other.index >> shift == self.index
 
     def is_strict_ancestor_of(self, other):
-        return len(self.path) < len(other.path) and self.is_ancestor_of(other)
+        return self.index != other.index and self.is_ancestor_of(other)
 
     def __eq__(self, other):
-        return isinstance(other, TreeVertex) and self.path == other.path
+        return isinstance(other, TreeVertex) and self.index == other.index
 
     def __hash__(self):
-        return hash(self.path)
+        return hash(self.index)
 
     def __lt__(self, other):
-        return (len(self.path), self.path) < (len(other.path), other.path)
+        # heap order: by depth, then by path
+        return self.index < other.index
 
     def __str__(self):
-        return "".join(str(b) for b in self.path)
+        return bin(self.index)[3:]
 
     def __repr__(self):
         return f"TreeVertex({str(self)!r})"
@@ -237,7 +265,7 @@ class HTreeSpace:
 
     def scaled_distance(self, x, y):
         """den * d_eps(x, y), as an int."""
-        hx, hy = len(x.path), len(y.path)
+        hx, hy = x.index.bit_length() - 1, y.index.bit_length() - 1
         if hx > self.max_depth or hy > self.max_depth:
             self.check_depth(x, y)
         m = min(hx, hy)
@@ -269,8 +297,8 @@ class HTreeSpace:
         could exceed 2^61 in size."""
         import numpy as np
 
-        depths = [len(v.path) for v in vertices]
-        top = max(depths, default=0)
+        idx = [v.index for v in vertices]
+        top = max(idx, default=1).bit_length() - 1
         if top > self.max_depth:
             self.check_depth(*vertices)
         if top > HEAP_EXACT_DEPTH:
@@ -279,8 +307,8 @@ class HTreeSpace:
         # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
         if top * (self.den + max(map(abs, two_eps))) > 2 ** 61:
             raise TooLarge("scaled distances could exceed 2^61")
-        idx = np.array([int("1" + str(v), 2) for v in vertices], dtype=np.int64)
-        h = np.array(depths, dtype=np.int64)
+        idx = np.array(idx, dtype=np.int64)
+        h = _bit_length(idx) - 1
         return _scaled_block(idx[:, None], h[:, None], idx, h, self.den,
                              np.array(two_eps, dtype=np.int64))[1]
 
@@ -302,16 +330,11 @@ class HTreeSpace:
 
 
 def enumerate_bn(n):
-    """All 2^(n+1)-1 vertices of the depth-n binary tree, in BFS order."""
+    """All 2^(n+1)-1 vertices of the depth-n binary tree, in BFS order (which
+    is heap order)."""
     if n > ENUMERATE_LIMIT:
         raise TooLarge(f"n = {n} > {ENUMERATE_LIMIT}")
-    out = []
-    level = [ROOT]
-    out.extend(level)
-    for _ in range(n):
-        level = [v.child(b) for v in level for b in (0, 1)]
-        out.extend(level)
-    return out
+    return [_vertex(i) for i in range(1, 2 ** (n + 1))]
 
 
 def sp_pairs(n):
@@ -322,7 +345,7 @@ def sp_pairs(n):
 
 
 # ---------------------------------------------------------------------------
-# fast helpers for exhaustive checks: vertices as heap indices
+# heap indices, scalar and vectorised
 #
 # The heap index of a vertex is a 1 bit followed by its root path bits (root
 # = 1, children 2k and 2k+1), so its depth is bit_length - 1.  For depths dA,
@@ -330,28 +353,14 @@ def sp_pairs(n):
 #
 #     m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
 #
-# The numpy kernels take bit lengths from the float64 exponent (np.frexp),
-# which is exact only below 2^53: they accept heap indices 1 .. 2^53 - 1,
-# i.e. depths 0..HEAP_EXACT_DEPTH, and raise TooLarge beyond.
+# TreeVertex.lca_depth evaluates it on Python ints, exact at every depth.
+# The numpy kernels below evaluate it on int64 arrays and take bit lengths
+# from the float64 exponent (np.frexp), which is exact only below 2^53: they
+# serve heap indices 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and
+# HTreeSpace._scaled_matrix raises TooLarge beyond.
 # ---------------------------------------------------------------------------
 
 HEAP_EXACT_DEPTH = 52
-
-
-def heap_lca_depth(i, j):
-    """lca depth of heap-indexed vertices (root = 1, children 2k, 2k+1)."""
-    di = i.bit_length() - 1
-    dj = j.bit_length() - 1
-    if di > dj:
-        i >>= di - dj
-    elif dj > di:
-        j >>= dj - di
-    d = min(di, dj)
-    while i != j:
-        i >>= 1
-        j >>= 1
-        d -= 1
-    return d
 
 
 def _bit_length(a):
@@ -376,23 +385,6 @@ def _scaled_block(A, dA, B, dB, den, two_eps):
 
     m, lca = _lca_block(A, dA, B, dB)
     return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
-
-
-def heap_lca_depth_block(rows, cols):
-    """Vectorized heap_lca_depth: int arrays rows (k,), cols (m,) -> (k, m).
-
-    Raises TooLarge for an index of 2^53 or more (depth > HEAP_EXACT_DEPTH)
-    and PreconditionViolated for an index below 1."""
-    import numpy as np
-
-    A = np.asarray(rows, dtype=np.int64)[:, None]
-    B = np.asarray(cols, dtype=np.int64)[None, :]
-    for a in (A, B):
-        if a.size and a.min() < 1:
-            raise PreconditionViolated("heap indices start at 1")
-        if a.size and a.max() >> (HEAP_EXACT_DEPTH + 1):
-            raise TooLarge(f"heap index {a.max()} >= 2^{HEAP_EXACT_DEPTH + 1}")
-    return _lca_block(A, _bit_length(A) - 1, B, _bit_length(B) - 1)[1]
 
 
 def _scaled_blocks(eps, depth, block):

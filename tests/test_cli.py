@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -35,6 +36,41 @@ def test_reruns_byte_identical(tmp_path, capsys):
     assert main(["--out", str(a)] + args) == 0
     assert main(["--out", str(b)] + args) == 0
     assert read(a, "classify.json") == read(b, "classify.json")
+
+
+# SHA-256 of <name>.json for the seeded commands that walk the binary tree,
+# frozen from the code before vertices became heap indices: any change in the
+# random stream, in vertex order or naming, or in a distance fails here
+FROZEN_ARTIFACTS = [
+    (["classify", "--kind", "midpoint", "--delta", "1/32", "--trials", "100", "--seed", "1"],
+     "438f160eaba985d076d858d0eb87fc6d4257c18ab662b08f9c49d5774fd2f7b3"),
+    (["classify", "--kind", "fork", "--delta", "1/128", "--trials", "100", "--seed", "2"],
+     "f9e6911421e1658c5c6d231e32bdde3c6b71c81f3c6857f4a4a1ff7a8dcd589e"),
+    (["classify", "--kind", "3path", "--delta", "1/256", "--trials", "100", "--seed", "3"],
+     "1320b72f1146afea589422fe69a49707d887be0d27525f53f20e073014d27bb6"),
+    (["b4-search", "--trials", "20", "--seed", "1"],
+     "f2fe790625e68d4df09a724863bbe0ee0a68041a57a2c78dec022552995e7be2"),
+    (["distortion-gap", "--n", "8", "--seed", "1"],
+     "8b63f33808cabeb5e388114b6243b4686eeed338d6bc051b19f3dc0428684f15"),
+    (["distortion-gap", "--n", "12", "--s-const", "5", "--seed", "2"],
+     "c9428b0964b114f803779846cabbd7b517cb7fc34ebb4ee913fc97e17cddd9bf"),
+    # the sampled triples reach depth 64, past the float-exact numpy depths
+    (["htree-validate", "--sequences", "2", "--exhaustive-depth", "5", "--samples", "300",
+      "--seed", "1"],
+     "60759e5f18d76e65cd59d3fc4c9e2cd44111b874ec24bd0026526f3476dd725c"),
+    (["extract-subtree", "--n", "7"],
+     "a8b4aaaa4ad1498928b831ab60ea378c69682090e6b479b0176125a3d95fd632"),
+    (["ramsey-toy", "--seed", "1"],
+     "044ca39e7ef6b9654ce2e45eb5117f3d05c375dc08e4798b28fb1ebfcf6e94cc"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FROZEN_ARTIFACTS,
+                         ids=[" ".join(a[:3]) for a, _ in FROZEN_ARTIFACTS])
+def test_seeded_artifacts_frozen(tmp_path, capsys, argv, digest):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    data = (tmp_path / (argv[0] + ".json")).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_seed_is_mandatory_for_randomized(capsys):
@@ -115,7 +151,27 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["distortion-gap", "--s-const", "0", "--seed", "1"],
             ["distortion-gap", "--s-const", "-3", "--seed", "1"],
             ["laakso-ratio", "--m", "4..2"],
-            ["laakso-ratio", "--m", "1..x"]]
+            ["laakso-ratio", "--m", "1..x"],
+            # every integer option has a least value its command runs with
+            ["laakso-ratio", "--m", "-1"],
+            ["laakso-ratio", "--m=-1..2"],
+            ["laakso-ratio", "--m", "1", "--p", "0"],
+            ["bn-ratio", "--n", "abc"],
+            ["bn-ratio", "--n", "3", "--p", "0"],
+            ["per-k-bound", "--m", "-1"],
+            ["pconvex-check", "--trials", "0", "--seed", "1"],
+            ["pconvex-check", "--d", "-1", "--seed", "1"],
+            ["classify", "--kind", "fork", "--delta", "1/128", "--trials", "-3",
+             "--seed", "1"],
+            ["prop21-check", "--trials", "-2", "--seed", "1"],
+            ["htree-validate", "--exhaustive-depth", "-1", "--seed", "1"],
+            ["htree-validate", "--samples", "-5", "--seed", "1"],
+            ["htree-validate", "--sequences", "-1", "--seed", "1"],
+            ["htree-validate", "--exhaustive-depth", "3", "--max-depth", "2", "--seed", "1"],
+            ["boost", "--t", "1", "--seed", "1"],
+            ["ramsey-toy", "--r", "0", "--seed", "1"],
+            ["extract-subtree", "--t", "1"],
+            ["classify", "--kind", "fork", "--delta", "1/128", "--seed", "x"]]
     # the depth budget n of distortion-gap is checked by the experiment itself
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
     for argv in runs + out_of_range:

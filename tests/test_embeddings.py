@@ -15,7 +15,8 @@ from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_verti
 from mconvex.embeddings.search import distortion_gap_experiment, generate_faithful_b4
 from mconvex.embeddings.vertical import VerticalReport, bn_vertical_report, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, InvariantViolated,
-                            OutOfRange, PipelineFailed, TooLarge, check)
+                            OutOfRange, PipelineFailed, PreconditionViolated, TooLarge,
+                            check)
 from mconvex.randbits import random_bits
 from mconvex.trees import HTreeSpace, TreeVertex, enumerate_bn, sp_pairs, tree_distance
 
@@ -106,6 +107,15 @@ def test_path_boost_failure_reports_best():
     assert len(exc.value.best_grid) == 5
 
 
+def test_path_boost_needs_two_steps_per_grid():
+    # t = 1 or 0 made the level search `t ** (k + 1) <= n` loop forever
+    f = line_map(range(17))
+    for t in (1, 0, -2):
+        with pytest.raises(PreconditionViolated):
+            path_boost(f, t, 0.5)
+    assert path_boost(f, 2, 0.5).grid == [0, 8, 16]
+
+
 # ------------------------------------------------------------------ vertical
 
 def test_vertical_report_identity():
@@ -167,10 +177,11 @@ def _vertical_report_oracle(f, pairs, target, strict=True):
 def _warped_b4(rng):
     """A B_4 map into B_infty whose edges descend 1..5 levels: vertically
     unfaithful, with integer tree distances."""
-    images = {TreeVertex(()): TreeVertex._from_bits(random_bits(rng, rng.randint(0, 3)))}
+    k = rng.randint(0, 3)
+    images = {TreeVertex(()): TreeVertex(()).hang(random_bits(rng, k), k)}
     for v in enumerate_bn(4)[1:]:
-        images[v] = TreeVertex._from_bits(images[v.parent()].path
-                                          + random_bits(rng, rng.randint(1, 5)))
+        k = rng.randint(1, 5)
+        images[v] = images[v.parent()].hang(random_bits(rng, k), k)
     return images
 
 
@@ -337,6 +348,40 @@ def test_distortion_gap_experiment():
             distortion_gap_experiment(space, lambda n: 5, n, seed=1)
 
 
+# The bit-tuple versions of random_bits, search._nested_embedding and
+# search._random_descents from before vertices were heap indices, kept
+# verbatim (TreeVertex._from_bits, which trusted its bits, is now the public
+# constructor) for the annealer oracle below.
+
+def _old_random_bits(rng, k):
+    return tuple(rng.randint(0, 1) for _ in range(k))
+
+
+def _old_nested_embedding(L, h0, root_bits, descents):
+    images = {TreeVertex(()): TreeVertex(root_bits)}
+    for v in enumerate_bn(4):
+        if v.depth == 0:
+            continue
+        images[v] = TreeVertex(images[v.parent()].path + descents[v])
+    return images
+
+
+def _old_random_descents(rng, L, collide_prob=0.0):
+    descents = {}
+    for v in enumerate_bn(4):
+        if v.depth == 0:
+            continue
+        bits = _old_random_bits(rng, L)
+        if v.path[-1] == 1:
+            sib = descents[TreeVertex(v.path[:-1] + (0,))]
+            if rng.random() < collide_prob:
+                bits = sib                      # exact sibling collapse
+            elif bits[0] == sib[0]:
+                bits = (1 - sib[0],) + bits[1:]
+        descents[v] = bits
+    return descents
+
+
 def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None):
     """The simulated annealer distortion-gap ran before, kept verbatim as the
     reference: it returns its starting map, since the distortion is constant
@@ -345,9 +390,9 @@ def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None):
     if L is None:
         L = rng.randint(3, 8)
     h0 = rng.randint(0, space.max_depth - 4 * L)
-    root_bits = random_bits(rng, h0)
-    descents = search._random_descents(rng, L)
-    cur = search._nested_embedding(L, h0, root_bits, descents)
+    root_bits = _old_random_bits(rng, h0)
+    descents = _old_random_descents(rng, L)
+    cur = _old_nested_embedding(L, h0, root_bits, descents)
     cur_d = b4_distortion(space, cur)
     best, best_d = cur, cur_d
     verts = [v for v in enumerate_bn(4) if v.depth > 0]
@@ -356,12 +401,12 @@ def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None):
         v = rng.choice(verts)
         old = descents[v]
         trial = dict(descents)
-        bits = random_bits(rng, L)
+        bits = _old_random_bits(rng, L)
         sib = descents.get(TreeVertex(v.path[:-1] + (1 - v.path[-1],)))
         if sib is not None and bits[0] == sib[0]:
             bits = (1 - sib[0],) + bits[1:]
         trial[v] = bits
-        cand = search._nested_embedding(L, h0, root_bits, trial)
+        cand = _old_nested_embedding(L, h0, root_bits, trial)
         cand_d = b4_distortion(space, cand)
         if cand_d <= cur_d or rng.random() < math.exp(-float(cand_d - cur_d) / temp):
             descents, cur, cur_d = trial, cand, cand_d
@@ -419,3 +464,20 @@ def test_nested_b4_distortion_depends_only_on_L_h0_eps():
                                               search._random_descents(rng, L))
             values.add(b4_distortion(space, images))
         assert len(values) == 1, (L, h0, values)
+
+
+def test_int_descents_match_tuple_code():
+    # the int descents and their nested map against the tuple code they
+    # replace, collisions included, on the same random stream
+    for seed in range(200):
+        L, h0 = 1 + seed % 9, seed % 13
+        for p in (0.0, 0.5, 1.0):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            root, old_root = random_bits(new_rng, h0), _old_random_bits(old_rng, h0)
+            new = search._random_descents(new_rng, L, p)
+            old = _old_random_descents(old_rng, L, p)
+            assert new_rng.getstate() == old_rng.getstate()
+            assert list(new) == list(old)
+            assert all(new[v] == int("0" + "".join(map(str, old[v])), 2) for v in old)
+            assert search._nested_embedding(L, h0, root, new) == \
+                _old_nested_embedding(L, h0, old_root, old)

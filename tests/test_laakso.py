@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.errors import InvariantViolated, TooLarge
+from mconvex.errors import InvariantViolated, OutOfRange, TooLarge
 from mconvex.laakso import LaaksoGraph, build_laakso, doubling_check
 from mconvex.metric import verify_metric
 
@@ -29,6 +29,10 @@ def test_small_graphs_shape():
 def test_size_guard():
     with pytest.raises(TooLarge):
         build_laakso(7)
+    for m in (-1, -5):
+        with pytest.raises(OutOfRange):
+            build_laakso(m)
+    assert len(build_laakso(0).vertices) == 2
 
 
 def test_hop_distance_is_metric():

@@ -8,15 +8,48 @@ from hypothesis import given, settings, strategies as st
 from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
                             PreconditionViolated, TooLarge)
-from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex,
+from mconvex.trees import (HEAP_EXACT_DEPTH, ROOT, EpsilonSequence, HTreeSpace,
+                           TreeVertex, _bit_length, _lca_block,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
-                           heap_lca_depth, heap_lca_depth_block,
                            scaled_distance_matrix, sp_pairs,
                            tree_metric_equality_violations,
                            stitch_ancestor, stitch_descendant, stitch_horizontal,
                            tree_distance, validate_epsilon)
 
 bits = st.lists(st.integers(0, 1), max_size=12).map(tuple)
+
+
+# The lca code from before vertices were heap indices, kept verbatim as
+# oracles: TreeVertex.lca_depth on root-path tuples, and the per-level loop
+# on heap indices.
+
+def old_tuple_lca_depth(p, q):
+    i = 0
+    m = min(len(p), len(q))
+    while i < m and p[i] == q[i]:
+        i += 1
+    return i
+
+
+def old_heap_lca_depth(i, j):
+    """lca depth of heap-indexed vertices (root = 1, children 2k, 2k+1)."""
+    di = i.bit_length() - 1
+    dj = j.bit_length() - 1
+    if di > dj:
+        i >>= di - dj
+    elif dj > di:
+        j >>= dj - di
+    d = min(di, dj)
+    while i != j:
+        i >>= 1
+        j >>= 1
+        d -= 1
+    return d
+
+
+def heap_index(p):
+    """The heap index of a root path: a 1 bit followed by the path bits."""
+    return int("1" + "".join(map(str, p)), 2)
 
 
 @given(bits, bits)
@@ -53,10 +86,15 @@ def test_vertex_bits_checked_unless_generated():
     for bad in ((0, 2), (1, -1), "012", (True, 0.5)):
         with pytest.raises(ValueError):
             TreeVertex(bad)
-    bits = (1, 0, 1, 1)
-    v = TreeVertex._from_bits(bits)
-    assert v == TreeVertex(bits) and hash(v) == hash(TreeVertex(bits))
-    assert v.path is bits and v.depth == 4 and v.parent() == TreeVertex((1, 0, 1))
+    assert TreeVertex("1011") == TreeVertex([1, 0, 1, 1]) == TreeVertex((1, 0, 1, 1))
+    # generated bits arrive as one int and are only range-checked
+    v = ROOT.hang(0b1011, 4)
+    assert v == TreeVertex((1, 0, 1, 1)) and hash(v) == hash(TreeVertex((1, 0, 1, 1)))
+    assert v.path == (1, 0, 1, 1) and v.depth == 4 and v.parent() == TreeVertex((1, 0, 1))
+    assert v.hang(0, 0) == v and v.hang(0b01, 2) == TreeVertex((1, 0, 1, 1, 0, 1))
+    for bits, k in ((0b100, 2), (1, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            v.hang(bits, k)
 
 
 def test_enumerate_bn_and_pairs():
@@ -77,7 +115,53 @@ def test_heap_lca_depth_matches_paths(i, j):
             path.append(h & 1)
             h >>= 1
         return TreeVertex(tuple(reversed(path)))
-    assert heap_lca_depth(i, j) == to_vertex(i).lca_depth(to_vertex(j))
+    x, y = to_vertex(i), to_vertex(j)
+    assert (x.index, y.index) == (i, j)
+    assert old_heap_lca_depth(i, j) == x.lca_depth(y) == \
+        old_tuple_lca_depth(x.path, y.path)
+
+
+def random_path_pairs(rng, lengths, depth=200):
+    """Pairs of random root paths of length <= depth, the first of each
+    length in `lengths`, whose common prefix takes every length of the first
+    path, with the next bits equal or different."""
+    pairs = []
+    for n in lengths:
+        p = tuple(rng.randrange(2) for _ in range(n))
+        for s in range(n + 1):
+            tail = [rng.randrange(2) for _ in range(rng.randint(0, depth - s))]
+            if tail and s < len(p) and rng.random() < 0.5:
+                tail[0] = 1 - p[s]
+            pairs.append((p, p[:s] + tuple(tail)))
+    return pairs
+
+
+def test_vertex_encoding_matches_tuple_code():
+    # the heap-index operations against the tuple code they replace, past
+    # the 52 bits a float holds and the 64 of a machine word
+    rng = random.Random(20261018)
+    lengths = [0, 1, 2, 51, 52, 53, 63, 64, 65, 199, 200]
+    pairs = random_path_pairs(rng, lengths + [rng.randint(0, 200) for _ in range(20)])
+    assert max(len(q) for _, q in pairs) == 200
+    for p, q in pairs:
+        x, y = TreeVertex(p), TreeVertex(q)
+        l = old_tuple_lca_depth(p, q)
+        assert x.lca_depth(y) == y.lca_depth(x) == l == old_heap_lca_depth(x.index, y.index)
+        assert x.lca(y).path == p[:l] and x.lca(y) == y.lca(x)
+        assert x.index == heap_index(p) and x.depth == len(p) and x.path == p
+        h = rng.randint(0, len(p))
+        assert x.ancestor(h).path == p[:h]
+        assert x.is_ancestor_of(y) == (q[:len(p)] == p)
+        assert x.is_strict_ancestor_of(y) == (len(p) < len(q) and q[:len(p)] == p)
+        assert (x < y) == ((len(p), p) < (len(q), q))
+        assert str(x) == "".join(str(b) for b in p)
+        assert (x == y) == (p == q) and (p != q or hash(x) == hash(y))
+        assert hash(x) == hash(TreeVertex(str(x)))
+        if p:
+            assert x.sibling().path == p[:-1] + (1 - p[-1],)
+        k = len(q) - l
+        assert x.ancestor(l).hang(int("0" + "".join(map(str, q[l:])), 2), k) == y
+        assert x.descend_zeros(3).path == p + (0, 0, 0)
 
 
 def test_epsilon_validation():
@@ -185,15 +269,25 @@ def test_scaled_matrix_matches_distance():
         assert Fraction(int(mat[i][j]), den) == sp.distance(verts[i], verts[j])
 
 
+def lca_block(rows, cols):
+    """_lca_block's lca depths of heap indices rows (k,) against cols (m,)."""
+    import numpy as np
+    A = np.asarray(rows, dtype=np.int64)[:, None]
+    B = np.asarray(cols, dtype=np.int64)[None, :]
+    return _lca_block(A, _bit_length(A) - 1, B, _bit_length(B) - 1)[1]
+
+
 def test_heap_lca_block_matches_scalar():
     import numpy as np
     rows = np.arange(1, 120)
     cols = np.arange(1, 260)
-    blk = heap_lca_depth_block(rows, cols)
+    blk = lca_block(rows, cols)
+    verts = enumerate_bn(8)   # heap order: verts[i - 1] has heap index i
     rng = random.Random(3)
     for _ in range(400):
         a, b = rng.randrange(len(rows)), rng.randrange(len(cols))
-        assert blk[a, b] == heap_lca_depth(int(rows[a]), int(cols[b]))
+        i, j = int(rows[a]), int(cols[b])
+        assert blk[a, b] == old_heap_lca_depth(i, j) == verts[i - 1].lca_depth(verts[j - 1])
 
 
 def test_heap_lca_block_exact_below_2_53():
@@ -211,15 +305,25 @@ def test_heap_lca_block_exact_below_2_53():
         b = (a >> k) ^ 1 if k < d else 1
         s = rng.randint(0, 52 - (d - k))
         idx += [a, (b << s) | rng.randrange(2 ** s), a >> rng.randint(0, d)]
-    blk = heap_lca_depth_block(idx, idx)
-    assert blk.tolist() == [[heap_lca_depth(i, j) for j in idx] for i in idx]
-    # past 2^53 float64 rounds: 2^54 - 1 read as 2^54 gave depth 54, not 53
-    for bad in (2 ** 53, 2 ** 54 - 1, 2 ** 62 - 1):
-        for rows, cols in (([bad], [1, 3]), ([5], [bad])):
+    blk = lca_block(idx, idx)
+    assert blk.tolist() == [[old_heap_lca_depth(i, j) for j in idx] for i in idx]
+    import numpy as np
+    edges = [2 ** k for k in range(53)] + [2 ** k - 1 for k in range(1, 54)]
+    assert _bit_length(np.array(edges, dtype=np.int64)).tolist() == \
+        [e.bit_length() for e in edges]
+    # past 2^53 float64 rounds (2^54 - 1 reads as 2^54, depth 54, not 53), so
+    # the matrix kernel refuses vertices deeper than HEAP_EXACT_DEPTH
+    space = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
+    for bad in ((0,) * 53, (1,) * 53, (1,) * 61):
+        for verts in ([TreeVertex(bad), ROOT, TreeVertex((1,))], [TreeVertex((0, 1)), TreeVertex(bad)]):
             with pytest.raises(TooLarge):
-                heap_lca_depth_block(rows, cols)
-    with pytest.raises(PreconditionViolated):
-        heap_lca_depth_block([0], [1])
+                space._scaled_matrix(verts)
+    top = TreeVertex((1,) * HEAP_EXACT_DEPTH)
+    assert space._scaled_matrix([top, ROOT])[0, 1] == space.scaled_distance(top, ROOT)
+    # the root (heap index 1) has no parent or sibling (no index below 1)
+    for op in (ROOT.parent, ROOT.sibling):
+        with pytest.raises(PreconditionViolated):
+            op()
 
 
 def test_tree_metric_equality_counts():
@@ -381,7 +485,7 @@ def test_vertex_derivations_check_only_new_bits():
     assert v.descend_zeros(2) == TreeVertex((1, 0, 1, 1, 0, 0))
     assert v.child(0) == TreeVertex((1, 0, 1, 1, 0))
     assert v.descend([1, 0]) == TreeVertex((1, 0, 1, 1, 1, 0))
-    assert all(type(u.path) is tuple for u in (v.ancestor(0), v.lca(ROOT), v.descend([1])))
+    assert all(type(u.index) is int for u in (v.ancestor(0), v.lca(ROOT), v.descend([1])))
     for bad in (2, -1, 0.5):
         with pytest.raises(ValueError):
             v.child(bad)

@@ -114,14 +114,10 @@ def _report(data):
 
 
 def _run_laakso_ratio(args):
-    from .laakso import build_laakso
-    from .markov import convexity_ratio, laakso_walk
+    from .markov import laakso_ratio
     rows = []
     for m in args.m:
-        G = build_laakso(m)
-        chain = laakso_walk(G)
-        space = G.as_metric_space()
-        rep = convexity_ratio(chain, lambda v: v, space, args.p)
+        rep = laakso_ratio(m, args.p)
         rows.append({"m": m, "ratio": rat_to_str(rep.ratio),
                      "lhs": rat_to_str(rep.lhs_total), "rhs": rat_to_str(rep.rhs),
                      "pi_lower": rep.pi_lower})
@@ -142,13 +138,11 @@ def _run_bn_ratio(args):
 
 
 def _run_per_k_bound(args):
-    from .laakso import build_laakso
-    from .markov import convexity_ratio, laakso_walk, per_k_laakso_bound
-    G = build_laakso(args.m)
-    rep = convexity_ratio(laakso_walk(G), lambda v: v, G.as_metric_space(), args.p)
+    from .markov import laakso_ratio, per_k_laakso_bound
+    rep = laakso_ratio(args.m, args.p)
     rows = []
     for k in range(2 * args.m - 1):
-        count, bound = per_k_laakso_bound(G, k, args.p)
+        count, bound = per_k_laakso_bound(args.m, k, args.p)
         rows.append({"k": k, "per_k": rat_to_str(rep.per_k[k]), "count": count,
                      "bound": rat_to_str(bound), "ok": rep.per_k[k] >= bound})
     svg = _svg_bars([r["k"] for r in rows],

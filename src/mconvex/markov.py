@@ -18,6 +18,17 @@ integer p and is floated only at the final power for non-integer p.  When the
 space gives its distances as ints over one denominator (`den`) and p is an
 integer, the sums of probability weights times distance powers are ints too,
 divided once per term.
+
+Two walks have closed forms that build no chain: the downward walk on B_n
+(`bn_ratio`) and the downward walk on the Laakso graph G_m (`laakso_ratio`).
+For G_m, two copies forked at time s are apart at time t only if they split
+at the junction u of a branch interval (b, e) with s <= b < t < e, and then
+they are 2 min(t - b, e - t) hops apart:
+
+    E[hops(X_t, X~_t(s))^p] = sum_i 2^-(i+1) (2 min(t - b_i, e_i - t))^p
+
+over those intervals, outermost first.  The generic DP (`convexity_ratio`
+on `laakso_walk`) is their oracle in the tests.
 """
 from __future__ import annotations
 
@@ -28,6 +39,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateChain, OutOfRange, TooLarge, check
+from .laakso import RATIO_LIMIT
 from .metric import is_integral, rat_to_str
 
 DOWNWARD_LIMIT = 16
@@ -378,8 +390,32 @@ def rhs_step_sum(chain, f, space, p):
     return total
 
 
+def _k_max(horizon):
+    """The largest scale k summed by default: the first with 2^k >= horizon, plus one."""
+    return max(1, math.ceil(math.log2(max(horizon, 1)))) + 1
+
+
 def default_k_max(chain):
-    return max(1, math.ceil(math.log2(max(chain.horizon, 1)))) + 1
+    return _k_max(chain.horizon)
+
+
+def _check_p(p):
+    """The functional is defined for p >= 1; p = 0 would divide by zero in
+    pi_lower, and a negative p reads as a failed proof obligation."""
+    if p < 1:
+        raise OutOfRange(f"p = {p} < 1")
+
+
+def _sanity_bound(rhs, p, exact):
+    """The crude per-scale bound 4^p * rhs that every per_k term must meet."""
+    return (Fraction(4) ** int(p) if exact else 4.0 ** p) * rhs
+
+
+def _report(p, per_k, rhs):
+    """The ConvexityReport of per-scale terms and a nonzero one-step sum."""
+    lhs = sum(per_k)
+    ratio = lhs / rhs
+    return ConvexityReport(p, per_k, lhs, rhs, ratio, float(ratio) ** (1.0 / p))
 
 
 def convexity_ratio(chain, f, space, p, k_max=None):
@@ -388,8 +424,9 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     Raises DegenerateChain (carrying the zero report) when the one-step sum
     vanishes.  Raises InvariantViolated unless the truncated time window is
     exact (boundary summands vanish) and the crude per-scale sanity bound
-    per_k <= 4^p * rhs holds.
+    per_k <= 4^p * rhs holds.  Raises OutOfRange for p < 1.
     """
+    _check_p(p)
     if k_max is None:
         k_max = default_k_max(chain)
     rhs = rhs_step_sum(chain, f, space, p)
@@ -419,18 +456,15 @@ def convexity_ratio(chain, f, space, p, k_max=None):
         check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
         scale = Fraction(2) ** (k * int(p)) if exact_p else 2.0 ** (k * p)
         term_k = total / scale if total else total
-        sanity = (Fraction(4) ** int(p) if exact_p else 4.0 ** p) * rhs
-        check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
+        check(term_k <= _sanity_bound(rhs, p, exact_p),
+              "per-k sanity bound failed at k=%d", k)
         per_k.append(term_k)
-    lhs = sum(per_k)
     if rhs == 0:
-        report = ConvexityReport(p, per_k, lhs, rhs, None, None)
+        report = ConvexityReport(p, per_k, sum(per_k), rhs, None, None)
         err = DegenerateChain("one-step sum is zero; ratio undefined")
         err.report = report
         raise err
-    ratio = lhs / rhs
-    pi_lower = float(ratio) ** (1.0 / p)
-    return ConvexityReport(p, per_k, lhs, rhs, ratio, pi_lower)
+    return _report(p, per_k, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +498,13 @@ def bn_ratio(n, p, k_max=None):
 
     Equivalent to convexity_ratio(downward_walk(n), identity, B_n, p) but
     linear in n rather than exponential; cross-checked against the generic DP
-    for small n in the test suite.
+    for small n in the test suite.  Raises OutOfRange for n < 1 or p < 1.
     """
     if n < 1:
         raise OutOfRange(f"n = {n} < 1")
+    _check_p(p)
     if k_max is None:
-        k_max = max(1, math.ceil(math.log2(n))) + 1
+        k_max = _k_max(n)
     exact = is_integral(p)
     rhs = n * (Fraction(1) if exact else 1.0)  # unit steps
     per_k = []
@@ -480,9 +515,72 @@ def bn_ratio(n, p, k_max=None):
             total += bn_pair_expectation(n, t, t - gap, p)
         scale = Fraction(2) ** (k * int(p)) if exact else 2.0 ** (k * p)
         per_k.append(total / scale)
-    lhs = sum(per_k)
-    ratio = lhs / rhs
-    return ConvexityReport(p, per_k, lhs, rhs, ratio, float(ratio) ** (1.0 / p))
+    return _report(p, per_k, rhs)
+
+
+def laakso_ratio(m, p, k_max=None):
+    """ConvexityReport of the downward walk on the Laakso graph G_m (identity
+    map), from its branch intervals: no graph, chain or conditional law.
+
+    For each scale h = 1..m and each copy start c = 0 (mod 4^h), the walk
+    branches at level b = c + 4^(h-1) (the junction u) and the branches meet
+    again at level e = c + 3 * 4^(h-1) (the junction w).  Swapping the two
+    branches of a copy fixes the root, so the law of X_t is uniform on its
+    level, and two copies together at a u split there with probability 1/2;
+    split copies at level t are 2 min(t - b, e - t) hops apart.  That gives
+    the module docstring's sum over the intervals with s <= b < t < e.
+
+    Along the intervals covering t, outermost first, the b's increase, so a
+    fork at s = t - 2^k sees a suffix of them, whose sum obeys Horner's rule
+    S_j = (d_j^p + S_{j+1}) / 2.  An interval joins the suffix at the first
+    scale k with b >= t - 2^k, k = bit_length(t - b - 1), so each t adds
+    S_j - S_{j+1} to a difference array over k: O(4^m m) time in all.
+
+    Equal to convexity_ratio(laakso_walk(build_laakso(m)), identity, ..., p)
+    bit for bit, in value and type, for integer p.  Raises OutOfRange for
+    m < 0 or p < 1, and TooLarge for m > RATIO_LIMIT.
+    """
+    if m < 0:
+        raise OutOfRange(f"m = {m} < 0")
+    if m > RATIO_LIMIT:
+        raise TooLarge(f"m = {m} > {RATIO_LIMIT}")
+    _check_p(p)
+    T = 4 ** m
+    if k_max is None:
+        k_max = _k_max(T)
+    exact = is_integral(p)
+    q = int(p) if exact else p
+    # the suffix sums on ints over 2^m, where each halving is exact (a suffix
+    # has at most m terms); floats for a non-integer p
+    halve = (lambda x: x >> 1) if exact else (lambda x: x / 2)
+    unit = 2 ** m
+    # delta[k]: how much sum_t term(t - 2^k, t) grows from scale k - 1 to k;
+    # t - b < T = 2^(2m), so no interval joins after k = 2m
+    delta = [0] * (max(k_max, 2 * m) + 1)
+    scales = [(4 ** h - 1, 4 ** (h - 1)) for h in range(1, m + 1)]  # innermost first
+    for t in range(1, T):  # no interval covers t = 0 or t >= T
+        suffix = 0
+        for mask, quarter in scales:
+            r = t & mask  # t's level inside its scale-h copy
+            if quarter < r < 3 * quarter:
+                since_b = r - quarter
+                hops = 2 * min(since_b, 3 * quarter - r)
+                longer = halve(hops ** q * unit + suffix)
+                delta[(since_b - 1).bit_length()] += longer - suffix
+                suffix = longer
+    rhs = Fraction(1, 4 ** (m * (q - 1))) if exact else 4.0 ** (-m * (p - 1))
+    per_k = []
+    total = 0
+    for k in range(k_max + 1):
+        total += delta[k]
+        # hops are 4^-m long, and the sums are over 2^m
+        if exact:
+            term_k = Fraction(total, unit * 4 ** (m * q) * 2 ** (k * q)) if total else 0
+        else:
+            term_k = total / (unit * 4.0 ** (m * p) * 2.0 ** (k * p)) if total else 0
+        check(term_k <= _sanity_bound(rhs, p, exact), "per-k sanity bound failed at k=%d", k)
+        per_k.append(term_k)
+    return _report(p, per_k, rhs)
 
 
 def laakso_rhs_identity(G, p):
@@ -494,33 +592,26 @@ def laakso_rhs_identity(G, p):
 
 def laakso_time_set(m, k):
     """|T_k|: the number of integer times in the union of branch-separation
-    intervals [(4i+1) 4^h + 4^{h-2}, (4i+1) 4^h + 2*4^{h-2}], h = ceil(k/2)."""
+    intervals [(4i+1) 4^h + 4^{h-2}, (4i+1) 4^h + 2*4^{h-2}], h = ceil(k/2).
+
+    The 4^(m-h-1) intervals that start below 4^m also end below it, and each
+    holds 4^(h-2) + 1 integers; for h <= 1 they are shorter than 1 and lie
+    strictly between two integers.
+    """
     if not 0 <= k <= 2 * m - 2:
         raise OutOfRange(f"k = {k} outside [0, {2 * m - 2}]")
     h = (k + 1) // 2
-    top = 4 ** m - 1
-    count = 0
-    i = 0
-    while True:
-        base = (4 * i + 1) * 4 ** h
-        lo = base + Fraction(4) ** (h - 2)
-        hi = base + 2 * Fraction(4) ** (h - 2)
-        if lo > top:
-            break
-        lo_i = max(0, math.ceil(lo))
-        hi_i = min(top, math.floor(hi))
-        if hi_i >= lo_i:
-            count += hi_i - lo_i + 1
-        i += 1
-    return count
+    if h < 2:
+        return 0
+    return 4 ** (m - h - 1) * (4 ** (h - 2) + 1)
 
 
-def per_k_laakso_bound(G, k, p):
-    """The proof's counting lower bound on the k-th per-scale term:
-    |T_k| * 2^(-(2m+3)p - 1).  Returns (|T_k|, bound)."""
-    count = laakso_time_set(G.m, k)
+def per_k_laakso_bound(m, k, p):
+    """The proof's counting lower bound on the k-th per-scale term of the
+    walk on G_m: |T_k| * 2^(-(2m+3)p - 1).  Returns (|T_k|, bound)."""
+    count = laakso_time_set(m, k)
     if is_integral(p):
-        bound = count * Fraction(1, 2 ** ((2 * G.m + 3) * int(p) + 1))
+        bound = count * Fraction(1, 2 ** ((2 * m + 3) * int(p) + 1))
     else:
-        bound = count * 2.0 ** (-(2 * G.m + 3) * p - 1)
+        bound = count * 2.0 ** (-(2 * m + 3) * p - 1)
     return count, bound

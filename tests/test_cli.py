@@ -73,6 +73,54 @@ def test_seeded_artifacts_frozen(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# SHA-256 of every artifact of the Laakso commands, frozen from the exact DP
+# that built G_m before they ran on the branch-interval closed form: the
+# ratios, their rational strings and the plots must not move by a byte
+LAAKSO_ARTIFACTS = [
+    (["laakso-ratio", "--m", "1..4", "--p", "2"], {
+        ".json": "153e65d7ede5d31a7eee1b80056f4edf5172e7c221e8479af7dc2b29d80dca7e",
+        ".csv": "e9c4734c52bab3cfb4a078ed36b8632d81105be2650e905f2ac8b7d88ef72786",
+        ".svg": "4076926245394e56f3862b6ac039ca76699cd1ddfc3b7e975aa983e90b0d7064"}),
+    (["laakso-ratio", "--m", "1..4", "--p", "3"], {
+        ".json": "260e379734512e4f101a479e868cdc02d52b6156aedcd07beb6f4d4c4405d664",
+        ".csv": "44868e6197d65429c3a94500e263669730b7adbac1a03da30fff86b7712dea31",
+        ".svg": "07d32d6a8f82e5b8dc971d68beb994ab42cd5e1edccb652f07592b4bd335b94d"}),
+    (["laakso-ratio", "--m", "0..5", "--p", "1"], {
+        ".json": "784045871e3db67384ed701926d90f535dc6bd0db9658d4332c625a1e69f7c34",
+        ".csv": "77057ce6d523c16204ef04c06222621fe5b8f848afb10293ce60dfc8c3ee651b",
+        ".svg": "347b7de6ad8a85d892fb7777171d23e62c6b01438796239d15c67d339735a525"}),
+    (["per-k-bound", "--m", "4", "--p", "2"], {
+        ".json": "a566c93eb9d254b9fe6ef8d20f296cc80e88c5ae642e40e89fea480643cbac40",
+        ".svg": "a8d166cda28a5e7d04a5f45283738c86bd89427c298b724b10bb19ea41af02c8"}),
+    (["per-k-bound", "--m", "5", "--p", "3"], {
+        ".json": "bf2de2252acb87b1a30f95ea019de49f79abd0f1c5d3b6635773b2586a8efe3a",
+        ".svg": "4981dfb2d048e8b2b13e065bd35307130ec102b00a9a9bc370a237fba19c5795"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", LAAKSO_ARTIFACTS,
+                         ids=[" ".join(a) for a, _ in LAAKSO_ARTIFACTS])
+def test_laakso_artifacts_frozen(tmp_path, capsys, argv, digests):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == {argv[0] + suffix: digest for suffix, digest in digests.items()}
+
+
+def test_laakso_commands_past_the_graph_limit(tmp_path, capsys):
+    # neither command builds G_m, so both run past the graph-size guard
+    # (BUILD_LIMIT = 6) up to RATIO_LIMIT, and refuse beyond it
+    assert main(["--out", str(tmp_path), "per-k-bound", "--m", "7"]) == 0
+    assert json.loads(read(tmp_path, "per-k-bound.json"))["all_ok"] is True
+    assert main(["--out", str(tmp_path), "laakso-ratio", "--m", "7"]) == 0
+    assert json.loads(read(tmp_path, "laakso-ratio.json"))["rows"][0]["ratio"] == \
+        "31155714793969/8796093022208"
+    for argv in (["laakso-ratio", "--m", "10"], ["per-k-bound", "--m", "10"]):
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path)] + argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "TooLarge"
+
+
 def test_seed_is_mandatory_for_randomized(capsys):
     with pytest.raises(SystemExit):
         main(["classify", "--kind", "midpoint", "--delta", "1/32"])

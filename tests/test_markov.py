@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from mconvex import markov
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
-from mconvex.laakso import build_laakso
+from mconvex.laakso import RATIO_LIMIT, build_laakso
 from mconvex.markov import (ChainSpec, bn_pair_expectation, bn_ratio,
                             convexity_ratio, default_k_max, downward_walk,
-                            laakso_rhs_identity, laakso_time_set, laakso_walk,
-                            pair_expectation, per_k_laakso_bound, rhs_step_sum)
+                            laakso_ratio, laakso_rhs_identity, laakso_time_set,
+                            laakso_walk, pair_expectation, per_k_laakso_bound,
+                            rhs_step_sum)
 from mconvex.metric import FiniteMetricSpace, rat_from_str
 from mconvex.trees import enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_chain
@@ -141,6 +143,18 @@ def test_bn_ratio_rejects_bad_n():
         bn_ratio(0, 2)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_ratios_reject_p_below_one(p):
+    chain = downward_walk(2)
+    space = FiniteMetricSpace(enumerate_bn(2), tree_distance)
+    with pytest.raises(OutOfRange):
+        convexity_ratio(chain, lambda v: v, space, p)
+    with pytest.raises(OutOfRange):
+        bn_ratio(4, p)
+    with pytest.raises(OutOfRange):
+        laakso_ratio(2, p)
+
+
 def test_downward_walk_guard():
     with pytest.raises(TooLarge):
         downward_walk(64)
@@ -179,7 +193,7 @@ def test_per_k_bound_consistency():
     chain = laakso_walk(G)
     rep = convexity_ratio(chain, lambda v: v, G.as_metric_space(), 2)
     for k in range(2 * G.m - 1):
-        count, bound = per_k_laakso_bound(G, k, 2)
+        count, bound = per_k_laakso_bound(G.m, k, 2)
         assert rep.per_k[k] >= bound
 
 
@@ -218,14 +232,50 @@ LAAKSO_DP_FROZEN = {
 }
 
 
+def _laakso_dp(m, p, _cache={}):
+    """The generic DP's report on the Laakso walk, once per (m, p)."""
+    if (m, p) not in _cache:
+        G = build_laakso(m)
+        _cache[m, p] = convexity_ratio(laakso_walk(G), lambda v: v, G.as_metric_space(), p)
+    return _cache[m, p]
+
+
 @pytest.mark.parametrize("m,p", sorted(LAAKSO_DP_FROZEN))
 def test_laakso_dp_matches_frozen_full_dp(m, p):
-    G = build_laakso(m)
-    rep = convexity_ratio(laakso_walk(G), lambda v: v, G.as_metric_space(), p)
     rhs, per_k = LAAKSO_DP_FROZEN[m, p]
-    assert rep.rhs == rat_from_str(rhs)
-    assert rep.per_k == [rat_from_str(x) for x in per_k]
-    assert all(type(x) is Fraction for x in rep.per_k + [rep.rhs])
+    for rep in (_laakso_dp(m, p), laakso_ratio(m, p)):
+        assert rep.rhs == rat_from_str(rhs)
+        assert rep.per_k == [rat_from_str(x) for x in per_k]
+        assert all(type(x) is Fraction for x in rep.per_k + [rep.rhs])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("m", range(6))
+def test_laakso_ratio_matches_dp(m, p):
+    # every field, in value and type; at m = 0 the per_k are the int 0, as
+    # the DP's are
+    assert same_report(laakso_ratio(m, p), _laakso_dp(m, p))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_laakso_ratio_non_integer_p_close_to_dp(m):
+    # floats are summed in another order than the DP's, so equal up to rounding
+    closed, dp = laakso_ratio(m, 2.5), _laakso_dp(m, 2.5)
+    assert type(closed.ratio) is type(dp.ratio)
+    assert len(closed.per_k) == len(dp.per_k)
+    for a, b in zip(closed.per_k + [closed.rhs, closed.ratio, closed.pi_lower],
+                    dp.per_k + [dp.rhs, dp.ratio, dp.pi_lower]):
+        assert math.isclose(a, b, rel_tol=1e-12)
+
+
+def test_laakso_ratio_k_max_and_guards():
+    # a given k_max truncates the same per_k; m past RATIO_LIMIT is refused
+    # before any work
+    assert laakso_ratio(3, 2, k_max=2).per_k == laakso_ratio(3, 2).per_k[:3]
+    with pytest.raises(TooLarge):
+        laakso_ratio(RATIO_LIMIT + 1, 2)
+    with pytest.raises(OutOfRange):
+        laakso_ratio(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,6 @@ from fractions import Fraction
 from .errors import OutOfRange, TooLarge, check
 
 BUILD_LIMIT = 6
-# the largest m of markov.laakso_ratio, which builds no graph and takes
-# O(4^m m) time (about 1 s at m = 9)
-RATIO_LIMIT = 9
 
 
 def _vkey(v):

@@ -39,10 +39,12 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateChain, OutOfRange, TooLarge, check
-from .laakso import RATIO_LIMIT
 from .metric import is_integral, rat_to_str
 
 DOWNWARD_LIMIT = 16
+# the largest m of laakso_ratio, which builds no graph and takes O(4^m m)
+# time (about 1 s at m = 9)
+RATIO_LIMIT = 9
 
 
 class ChainSpec:
@@ -518,7 +520,7 @@ def bn_ratio(n, p, k_max=None):
     return _report(p, per_k, rhs)
 
 
-def laakso_ratio(m, p, k_max=None):
+def laakso_ratio(m, p):
     """ConvexityReport of the downward walk on the Laakso graph G_m (identity
     map), from its branch intervals: no graph, chain or conditional law.
 
@@ -546,8 +548,7 @@ def laakso_ratio(m, p, k_max=None):
         raise TooLarge(f"m = {m} > {RATIO_LIMIT}")
     _check_p(p)
     T = 4 ** m
-    if k_max is None:
-        k_max = _k_max(T)
+    k_max = _k_max(T)  # default_k_max of the walk, whose horizon is T
     exact = is_integral(p)
     q = int(p) if exact else p
     # the suffix sums on ints over 2^m, where each halving is exact (a suffix
@@ -555,8 +556,8 @@ def laakso_ratio(m, p, k_max=None):
     halve = (lambda x: x >> 1) if exact else (lambda x: x / 2)
     unit = 2 ** m
     # delta[k]: how much sum_t term(t - 2^k, t) grows from scale k - 1 to k;
-    # t - b < T = 2^(2m), so no interval joins after k = 2m
-    delta = [0] * (max(k_max, 2 * m) + 1)
+    # t - b < T = 2^(2m), so no interval joins after k = 2m < k_max
+    delta = [0] * (k_max + 1)
     scales = [(4 ** h - 1, 4 ** (h - 1)) for h in range(1, m + 1)]  # innermost first
     for t in range(1, T):  # no interval covers t = 0 or t >= T
         suffix = 0

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mconvex import markov
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
-from mconvex.laakso import RATIO_LIMIT, build_laakso
-from mconvex.markov import (ChainSpec, bn_pair_expectation, bn_ratio,
+from mconvex.laakso import build_laakso
+from mconvex.markov import (RATIO_LIMIT, ChainSpec, bn_pair_expectation, bn_ratio,
                             convexity_ratio, default_k_max, downward_walk,
                             laakso_ratio, laakso_rhs_identity, laakso_time_set,
                             laakso_walk, pair_expectation, per_k_laakso_bound,
@@ -268,10 +268,8 @@ def test_laakso_ratio_non_integer_p_close_to_dp(m):
         assert math.isclose(a, b, rel_tol=1e-12)
 
 
-def test_laakso_ratio_k_max_and_guards():
-    # a given k_max truncates the same per_k; m past RATIO_LIMIT is refused
-    # before any work
-    assert laakso_ratio(3, 2, k_max=2).per_k == laakso_ratio(3, 2).per_k[:3]
+def test_laakso_ratio_guards():
+    # m past RATIO_LIMIT is refused before any work
     with pytest.raises(TooLarge):
         laakso_ratio(RATIO_LIMIT + 1, 2)
     with pytest.raises(OutOfRange):

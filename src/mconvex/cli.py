@@ -9,6 +9,7 @@ fixed order, so re-running a config is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,7 +385,10 @@ def _add_seed(sp):
                     help="PRNG seed (mandatory: outputs must be reproducible)")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every later
+    main() call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="mconvex", description="Markov-convexity experiment runner")
     parser.add_argument("--out", default=None,
@@ -402,7 +406,8 @@ def _build_parser():
         return sp
 
     sp = cmd("laakso-ratio", _run_laakso_ratio, "convexity ratio of Laakso walks")
-    sp.add_argument("--m", type=_int_range, default=[1, 2, 3, 4], help='e.g. "1..4"')
+    # a string default goes through _int_range on every parse: no list is shared
+    sp.add_argument("--m", type=_int_range, default="1..4", help='e.g. "1..4"')
     sp.add_argument("--p", type=_at_least(1), default=2)
 
     sp = cmd("bn-ratio", _run_bn_ratio, "convexity ratio of the B_n downward walk")

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import NotApproximatePath, PreconditionViolated, check
+from ..errors import InvariantViolated, NotApproximatePath, PreconditionViolated, check
 from ..metric import distortion_of, is_midpoint
 from ..trees import enumerate_bn, tree_distance
 from .vertical import vertical_report
@@ -114,21 +114,28 @@ def _require_ready(space, delta, limit, what):
 def _check_exclusions(space, x, y, z, labels):
     """The certified labels can never combine in geometrically impossible ways
     below the stated nearness thresholds; check that (InvariantViolated), since
-    a violation would mean the configuration predicates themselves are wrong."""
-    dxy = space.distance(x, y)
-    dzy = space.distance(z, y)
+    a violation would mean the configuration predicates themselves are wrong.
 
-    def tight(l, bound):
-        return l in labels and labels[l][0] <= bound
+    A threshold d_eps(u, y) / k is s / (k * den) with s = den * d_eps(u, y),
+    so nearness n is within it when n.numerator * k * den <= s * n.denominator."""
+    sd, den = space.scaled_distance, space.den
+
+    def tight(l, s, k):
+        if l not in labels:
+            return False
+        n = labels[l][0]
+        return n.numerator * k * den <= s * n.denominator
 
     exclusions = []
     if x != y:
-        exclusions += [("P", "T", dxy / 5), ("P", "p", dxy / 11), ("T", "t", dxy / 11)]
+        sxy = sd(x, y)
+        exclusions += [("P", "T", sxy, 5), ("P", "p", sxy, 11), ("T", "t", sxy, 11)]
     if z != y:
-        exclusions.append(("p", "t", dzy / 5))
-    for l1, l2, bound in exclusions:
-        check(not (tight(l1, bound) and tight(l2, bound)),
-              "labels %s and %s both within %s: %s", l1, l2, bound, (x, y, z, labels))
+        exclusions.append(("p", "t", sd(z, y), 5))
+    for l1, l2, s, k in exclusions:
+        if tight(l1, s, k) and tight(l2, s, k):
+            raise InvariantViolated(f"labels {l1} and {l2} both within "
+                                    f"{Fraction(s, k * den)}: {(x, y, z, labels)}")
 
 
 def classify_midpoint(space, x, y, z, delta):

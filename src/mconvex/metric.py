@@ -414,9 +414,17 @@ def midpoint_set(space, x, z, delta):
 
 
 def is_midpoint(space, x, y, z, delta):
-    """Membership test y in Mid(x, z, delta) without enumerating the space."""
+    """Membership test y in Mid(x, z, delta) without enumerating the space.
+
+    On a space with int distances over one denominator and an exact
+    delta = p/q this is max(sd(x, y), sd(y, z)) * 2q <= (q + p) * sd(x, z)."""
     if x == z:
         raise ValueError("midpoints need x != z")
+    sd = space.scaled_distance
+    if sd is not None and not isinstance(delta, float):
+        delta = Fraction(delta)
+        p, q = delta.numerator, delta.denominator
+        return max(sd(x, y), sd(y, z)) * 2 * q <= (q + p) * sd(x, z)
     d = space.dist(x, z)
     delta = Fraction(delta) if not isinstance(delta, float) else delta
     bound = (1 + delta) * d / 2

@@ -15,9 +15,12 @@ p-convexity functional between the two spaces with factor (ab)^p = D^p.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import HorizonTooLong, LiftFailed, NotSurjective, PreconditionViolated
+from .errors import (HorizonTooLong, LiftFailed, NotSurjective, OutOfRange,
+                     PreconditionViolated)
 from .markov import ChainSpec, convexity_ratio, rhs_step_sum
 
 MAX_HORIZON = 8
@@ -63,26 +66,52 @@ def _test_radii(f):
 def verify_quotient(f, a, b):
     """All violations of the two ball inclusions; empty iff (a, b)-quotient.
 
-    Violations are tuples ("colip" | "lip", center, radius, witness point).
-    Raises NotSurjective when some target point has no preimage.
+    Violations are tuples ("colip" | "lip", center, radius, witness point),
+    ordered by center, then radius, then witness in the target's point order.
+    Raises OutOfRange unless a and b are finite and > 0, and NotSurjective
+    when some target point has no preimage.
+
+    A radius sweep per center x: y is in f(B_X(x, r)) exactly when
+    r >= enter[y], the least d(x, u) over the preimages u of y.  So the
+    colip radii of y (dy*a <= r < enter[y]) and its lip radii
+    (enter[y] <= r with b*r < dy) are ranges of the sorted radii, found by
+    bisection; the two never meet at one (r, y).  The lip range bisects the
+    precomputed b*r, which is non-decreasing in r unless exact and float
+    radii mix under an exact b (float(b) rounds); then it is filtered.
+    Cost O(|X| (|X| + |Y| log |R|) + V log V) for R test radii and V
+    violations.
     """
+    for name, v in (("a", a), ("b", b)):
+        if not v > 0 or isinstance(v, float) and math.isinf(v):
+            raise OutOfRange(f"{name} = {v} must be finite and > 0")
     targets = set(f.target.points)
     images = {f(x) for x in f.source.points}
     missing = targets - images
     if missing:
         raise NotSurjective(f"no preimage for {sorted(missing, key=repr)[0]!r}")
     radii = _test_radii(f)
+    br = [b * r for r in radii]
+    monotone = all(u <= v for u, v in zip(br, br[1:]))
+    src, tgt = f.source, f.target
     violations = []
-    for x in f.source.points:
+    for x in src.points:
+        enter = {}
+        for u in src.points:
+            d, y = src.dist(x, u), f(u)
+            if y not in enter or d < enter[y]:
+                enter[y] = d
         fx = f(x)
-        for r in radii:
-            ball_image = {f(u) for u in f.source.points if f.source.dist(x, u) <= r}
-            for y in f.target.points:
-                dy = f.target.dist(fx, y)
-                if dy * a <= r and y not in ball_image:
-                    violations.append(("colip", x, r, y))
-                if y in ball_image and dy > b * r:
-                    violations.append(("lip", x, r, y))
+        found = []
+        for j, y in enumerate(tgt.points):
+            dy = tgt.dist(fx, y)
+            inside = bisect_left(radii, enter[y])
+            colip = range(bisect_left(radii, dy * a, 0, inside), inside)
+            lip = (range(inside, bisect_left(br, dy, inside)) if monotone else
+                   [i for i in range(inside, len(radii)) if br[i] < dy])
+            found += [(i, j, "colip", y) for i in colip]
+            found += [(i, j, "lip", y) for i in lip]
+        found.sort()
+        violations += ((kind, x, radii[i], y) for i, _, kind, y in found)
     return violations
 
 

@@ -9,7 +9,7 @@ from mconvex.embeddings.classify import (b4_bound_check, classify_3path,
 from mconvex.embeddings.generators import (gen_3path, gen_fork, gen_midpoint,
                                            make_space)
 from mconvex.embeddings.search import generate_faithful_b4
-from mconvex.errors import NotApproximatePath, PreconditionViolated
+from mconvex.errors import InvariantViolated, NotApproximatePath, PreconditionViolated, check
 from mconvex.trees import ROOT, TreeVertex
 
 
@@ -247,6 +247,64 @@ def test_certify_labels_and_scale_range_match_fraction_code():
             assert all(type(n) is Fraction for n, _ in got.values())
             checked += len(got)
     assert checked >= 300
+
+
+def old_check_exclusions(space, x, y, z, labels):
+    """_check_exclusions as it was before the integer distances, kept
+    verbatim as the oracle."""
+    dxy = space.distance(x, y)
+    dzy = space.distance(z, y)
+
+    def tight(l, bound):
+        return l in labels and labels[l][0] <= bound
+
+    exclusions = []
+    if x != y:
+        exclusions += [("P", "T", dxy / 5), ("P", "p", dxy / 11), ("T", "t", dxy / 11)]
+    if z != y:
+        exclusions.append(("p", "t", dzy / 5))
+    for l1, l2, bound in exclusions:
+        check(not (tight(l1, bound) and tight(l2, bound)),
+              "labels %s and %s both within %s: %s", l1, l2, bound, (x, y, z, labels))
+
+
+def _exclusion_outcome(fn, sp, triple, labels):
+    try:
+        fn(sp, *triple, labels)
+    except InvariantViolated as exc:
+        return str(exc)
+    return None
+
+
+def test_check_exclusions_match_fraction_code():
+    """Label sets with nearness on, just below and just above every
+    exclusion threshold, including contradictory ones, raise exactly when
+    and as the Fraction code did."""
+    from mconvex.embeddings.classify import _check_exclusions
+    rng = random.Random(78)
+    raised = passed = 0
+    for _ in range(40):
+        sp, x, y, z = gen_midpoint(rng, Fraction(1, 32))
+        for triple in ((x, y, z), (x, x, z), (x, z, z)):
+            a, b, c = triple
+            bounds = [sp.distance(a, b) / k for k in (5, 11)] + [sp.distance(c, b) / 5]
+            nears = [n + e for n in bounds for e in (0, Fraction(-1, sp.den), Fraction(1, sp.den))]
+            for _ in range(12):
+                labels = {l: (rng.choice(nears), (a, b, c))
+                          for l in rng.sample("PTpt", rng.randint(2, 4))}
+                expected = _exclusion_outcome(old_check_exclusions, sp, triple, labels)
+                assert _exclusion_outcome(_check_exclusions, sp, triple, labels) == expected
+                raised += expected is not None
+                passed += expected is None
+    assert raised >= 100 and passed >= 100
+    # a contradictory label set: path- and tent-type both within d(x, y) / 5
+    sp = make_space(Fraction(1, 128))
+    x = TreeVertex((0,) * 12)
+    y = x.ancestor(6)
+    bound = sp.distance(x, y) / 5
+    with pytest.raises(InvariantViolated, match=f"labels P and T both within {bound}: "):
+        _check_exclusions(sp, x, y, ROOT, {"P": (bound, None), "T": (bound / 2, None)})
+    _check_exclusions(sp, x, y, ROOT, {"P": (bound, None), "T": (bound * 2, None)})
 
 
 def test_b4_ancestor_pairs_are_the_strict_ancestor_pairs():

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from mconvex.cli import _frac, _int_range, main
+from mconvex.cli import _build_parser, _frac, _int_range, main
 from mconvex.metric import FiniteMetricSpace
 
 
@@ -220,8 +221,18 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["ramsey-toy", "--r", "0", "--seed", "1"],
             ["extract-subtree", "--t", "1"],
             ["classify", "--kind", "fork", "--delta", "1/128", "--seed", "x"]]
-    # the depth budget n of distortion-gap is checked by the experiment itself
+    fold = tmp_path / "fold.json"
+    fold.write_text(seeded_quotient_map(1))
+    still = tmp_path / "still.json"
+    still.write_text(json.dumps({"states": ["y0"], "t_min": 0, "t_max": 1, "kernels": {},
+                                 "initial": {"y0": "1"}}))
+    # the depth budget n of distortion-gap is checked by the experiment
+    # itself, and the quotient factors (finite, > 0) by verify_quotient
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
+    out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
+                     for a, b in (("0", "1"), ("1", "-1"), ("1e400", "1"))]
+    out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
+                         "--a", "1", "--b", "-1"])
     for argv in runs + out_of_range:
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1
@@ -233,3 +244,69 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     assert _frac("0.5") == 0.5 and type(_frac("0.5")) is float
     assert _frac("1/32") == Fraction(1, 32)
     assert _int_range("3") == [3] and _int_range("2..4") == [2, 3, 4]
+
+
+def seeded_quotient_map(seed):
+    """map.json text: 9 points at random integer places on a line onto 4
+    points at random places (multiples of 1/4, given as floats), every
+    target point hit.  Far from a quotient: many colip and lip violations."""
+    rng = random.Random(seed)
+    xs = rng.sample(range(40), 9)
+    ys = [rng.randint(0, 40) / 4 for _ in range(4)]
+    src, tgt = [f"x{i}" for i in range(9)], [f"y{j}" for j in range(4)]
+    images = list(range(4)) + [rng.randrange(4) for _ in range(5)]
+    rng.shuffle(images)
+    return json.dumps({
+        "source": {"points": src, "exact": True,
+                   "dist": [[f"{abs(a - b)}/1" for b in xs] for a in xs]},
+        "target": {"points": tgt, "exact": False,
+                   "dist": [[abs(a - b) for b in ys] for a in ys]},
+        "assignment": {p: tgt[j] for p, j in zip(src, images)}}, sort_keys=True)
+
+
+def test_quotient_verify_violations_frozen(tmp_path, capsys):
+    # SHA-256 frozen from the center x radius loop before the radius sweep:
+    # the violation list, its order and its radii must not move by a byte
+    mp = tmp_path / "map.json"
+    mp.write_text(seeded_quotient_map(7))
+    assert main(["--out", str(tmp_path), "quotient-verify", "--map", str(mp),
+                 "--a", "3/2", "--b", "1"]) == 0
+    data = (tmp_path / "quotient-verify.json").read_bytes()
+    kinds = [v["kind"] for v in json.loads(data)["violations"]]
+    assert (kinds.count("colip"), kinds.count("lip")) == (269, 98)
+    assert hashlib.sha256(data).hexdigest() == \
+        "25a0155c10ee4452537ce254c069be1101d7496312091a47f9f43c8950348205"
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    """main() reuses one parser: each command, run twice in a row among the
+    others, gives the bytes it gives on a freshly built parser."""
+    mp = tmp_path / "map.json"
+    mp.write_text(seeded_quotient_map(7))
+    runs = [["list"],
+            ["run", "classify", "--kind", "fork", "--delta", "1/128", "--trials", "30",
+             "--seed", "1"],
+            ["laakso-ratio"],
+            ["laakso-ratio", "--m", "2", "--p", "3"],
+            ["bn-ratio", "--n", "abc"],
+            ["quotient-verify", "--map", str(mp), "--a", "3/2", "--b", "1"]]
+
+    def outcome(i, argv, tag):
+        out = tmp_path / f"{tag}{i}"
+        code = main(["--out", str(out)] + argv)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, capsys.readouterr(), files
+
+    fresh = []
+    for i, argv in enumerate(runs):
+        _build_parser.cache_clear()
+        fresh.append(outcome(i, argv, "fresh"))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0]
+    for round_ in range(2):
+        for i, argv in enumerate(runs):
+            assert outcome(i, argv, f"reused{round_}-") == fresh[i]
+    assert _build_parser() is _build_parser()
+    # the default --m is parsed anew each time, so no list is shared
+    first = _build_parser().parse_args(["laakso-ratio"]).m
+    first.append(9)
+    assert _build_parser().parse_args(["laakso-ratio"]).m == [1, 2, 3, 4]

@@ -124,6 +124,50 @@ def test_is_midpoint_matches_definition(x, y, z, delta):
     assert is_midpoint(sp, x, y, z, delta) == expected
 
 
+def old_is_midpoint(space, x, y, z, delta):
+    """is_midpoint before its int path, verbatim but for the x == z check."""
+    d = space.dist(x, z)
+    delta = Fraction(delta) if not isinstance(delta, float) else delta
+    bound = (1 + delta) * d / 2
+    return max(space.dist(x, y), space.dist(y, z)) <= bound
+
+
+def test_is_midpoint_scaled_ints_match_fraction_formula():
+    rng = random.Random(20261022)
+    deltas = [0, Fraction(1, 2), Fraction(1, 32), Fraction(3, 7), Fraction(-1, 4), 1]
+    outcomes = {True: 0, False: 0}
+    on_bound = 0
+    for _ in range(150):
+        space = HTreeSpace(random_valid_epsilon(rng, 12), 12)
+        verts = deep_vertices(rng, 6, 12)
+        for x, y, z in zip(verts, verts[1:] + verts[:1], verts[2:] + verts[:2]):
+            for delta in deltas:
+                expected = old_is_midpoint(space, x, y, z, delta)
+                assert is_midpoint(space, x, y, z, delta) == expected
+                outcomes[expected] += 1
+        # y on the bound: x 2M below z on one line, y an ancestor of x at
+        # depth (1 - delta) M or (1 + delta) M, the last ancestor one step past
+        M, delta = 2 * rng.randint(1, 3), rng.choice([0, Fraction(1, 2)])
+        x = TreeVertex(tuple(rng.randrange(2) for _ in range(2 * M)))
+        z = x.ancestor(0)
+        for j in {int((1 - delta) * M), int((1 + delta) * M)}:
+            dist = space.dist
+            assert max(dist(x, x.ancestor(j)), dist(x.ancestor(j), z)) == \
+                (1 + delta) * dist(x, z) / 2
+            assert is_midpoint(space, x, x.ancestor(j), z, delta)
+            assert old_is_midpoint(space, x, x.ancestor(j), z, delta)
+            on_bound += 1
+        assert not is_midpoint(space, x, x.ancestor(int((1 + delta) * M) + 1), z, delta)
+    assert outcomes[True] >= 100 and outcomes[False] >= 100 and on_bound >= 150
+    # the int path also serves a FiniteMetricSpace with scaled distances, and
+    # a float delta keeps the float formula
+    ms = space.as_metric_space(verts)
+    for y in verts:
+        for delta in deltas + [0.5, 0.1]:
+            assert is_midpoint(ms, verts[0], y, verts[1], delta) == \
+                old_is_midpoint(space, verts[0], y, verts[1], delta)
+
+
 # ---------------------------------------------------------------------------
 # the distortion kernel against the lip/colip loops it replaced
 # ---------------------------------------------------------------------------

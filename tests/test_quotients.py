@@ -1,13 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mconvex.errors import (HorizonTooLong, NotSurjective,
+from mconvex.errors import (HorizonTooLong, NotSurjective, OutOfRange,
                             PreconditionViolated)
 from mconvex.markov import ChainSpec, convexity_ratio
 from mconvex.metric import FiniteMetricSpace, PointMap
-from mconvex.quotients import (QuotientMap, lift_chain, trajectory_chain,
+from mconvex.quotients import (QuotientMap, _test_radii, lift_chain, trajectory_chain,
                                transfer_check, verify_quotient)
 
 
@@ -64,6 +65,92 @@ def test_quotient_map_verifies_on_construction():
     f = PointMap(line(2), scaled_target(Fraction(2)), {0: 0, 1: 1, 2: 2})
     with pytest.raises(PreconditionViolated):
         QuotientMap(f, 1, 1)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 1), (1, Fraction(-1, 2)),
+                                 (math.inf, 1), (1, math.inf), (math.nan, 1), (1, -0.5)])
+def test_factors_must_be_finite_and_positive(a, b):
+    with pytest.raises(OutOfRange):
+        verify_quotient(fold_map(2), a, b)
+    with pytest.raises(OutOfRange):
+        QuotientMap(fold_map(2), a, b)
+
+
+def old_verify_quotient(f, a, b):
+    """The center × radius × (|X| + |Y|) loop that verify_quotient replaced:
+    the image of every ball rebuilt, and both inclusions tested per target."""
+    radii = _test_radii(f)
+    violations = []
+    for x in f.source.points:
+        fx = f(x)
+        for r in radii:
+            ball_image = {f(u) for u in f.source.points if f.source.dist(x, u) <= r}
+            for y in f.target.points:
+                dy = f.target.dist(fx, y)
+                if dy * a <= r and y not in ball_image:
+                    violations.append(("colip", x, r, y))
+                if y in ball_image and dy > b * r:
+                    violations.append(("lip", x, r, y))
+    return violations
+
+
+def random_distance(rng, mode):
+    """A positive distance: an int or a Fraction when exact, a float when
+    not, and any of the three in mode "mixed"."""
+    kind = rng.randrange(3) if mode == "mixed" else 2 if mode == "float" else rng.randrange(2)
+    if kind == 0:
+        return rng.randint(1, 6)
+    if kind == 1:
+        return Fraction(rng.randint(1, 30), rng.randint(1, 8))
+    return rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 6.0)])
+
+
+def random_surjection(rng, mode, pool=None):
+    """A PointMap from a random (not necessarily metric) table onto a
+    smaller one, with every target point hit; distances drawn from `pool`
+    when one is given."""
+    n = rng.randint(1, 7)
+    k = rng.randint(1, min(n, 4))
+
+    def table(size):
+        mat = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                mat[i][j] = mat[j][i] = (rng.choice(pool) if pool else
+                                         random_distance(rng, mode))
+        return FiniteMetricSpace.from_matrix(range(size), mat, exact=mode == "exact")
+
+    images = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(images)
+    return PointMap(table(n), table(k), dict(enumerate(images)))
+
+
+FACTORS = [1, 2, Fraction(1, 2), Fraction(3, 2), 0.7, 1.3, Fraction(1, 3), Fraction(5, 7)]
+ULP_POOL = [Fraction(757, 47), math.nextafter(757 / 47, math.inf), Fraction(2271, 517),
+            Fraction(2271, 517) * Fraction(3, 11), 1, 2.5]
+
+
+def test_verify_quotient_matches_old_loop_on_seeded_maps():
+    rng = random.Random(20261018)
+    with_violations = unsorted_br = 0
+    for i in range(2400):
+        if i < 2000:
+            f = random_surjection(rng, ("exact", "float", "mixed")[i % 3])
+            a, b = rng.choice(FACTORS), rng.choice(FACTORS)
+        else:
+            # r = 757/47 and the next float above it: 3/11 * r is exact, and
+            # 3/11 times the float rounds below it, so b*r falls as r grows
+            f = random_surjection(rng, "mixed", ULP_POOL)
+            a, b = rng.choice(FACTORS), Fraction(3, 11)
+        old = old_verify_quotient(f, a, b)
+        new = verify_quotient(f, a, b)
+        assert new == old
+        assert [tuple(map(type, v)) for v in new] == [tuple(map(type, v)) for v in old]
+        with_violations += bool(old)
+        br = [b * r for r in _test_radii(f)]
+        unsorted_br += any(u > v for u, v in zip(br, br[1:]))
+    # most maps have violations, and over a hundred have a falling b*r
+    assert with_violations > 1200 and unsorted_br > 100
 
 
 def walk_chain(n):

@@ -108,6 +108,30 @@ def test_laakso_artifacts_frozen(tmp_path, capsys, argv, digests):
     assert written == {argv[0] + suffix: digest for suffix, digest in digests.items()}
 
 
+# SHA-256 of the bn-ratio artifacts, frozen from the per-(t, s) Fraction loop
+# over bn_pair_expectation before bn_ratio ran on the branch-interval kernel
+BN_ARTIFACTS = [
+    (["bn-ratio", "--n", "5", "--p", "1"], {
+        ".json": "40256044da4d99e73d8c1c659a98c1f678bd88ce60f2413750c4cfbd252d3b23",
+        ".csv": "00d98e9505c9f5c3fad270e3abdce47d2b4cf6156138a80349428ae695085e5b"}),
+    (["bn-ratio", "--n", "16", "--p", "2"], {
+        ".json": "e31d9494122f6d2054c553b519bad1d5a4cc49eff80d0a9cbc0cc3904c713b11",
+        ".csv": "a616e05e38f3b65a2c503076619e04787104a51eab6bbdef7a4ec61902050f08"}),
+    (["bn-ratio", "--n", "64", "--p", "3"], {
+        ".json": "d3cf637cae7d65327e78c75f4f0698654939ecbe7f29036e26797a41e14eb726",
+        ".csv": "2742f32c12fc91dcc1404a5afc92f0b2d450e4fadccb956c27beeba4b2ae2dfd"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", BN_ARTIFACTS,
+                         ids=[" ".join(a) for a, _ in BN_ARTIFACTS])
+def test_bn_artifacts_frozen(tmp_path, capsys, argv, digests):
+    assert main(["--out", str(tmp_path)] + argv) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == {argv[0] + suffix: digest for suffix, digest in digests.items()}
+
+
 def test_laakso_commands_past_the_graph_limit(tmp_path, capsys):
     # neither command builds G_m, so both run past the graph-size guard
     # (BUILD_LIMIT = 6) up to RATIO_LIMIT, and refuse beyond it

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,15 +21,16 @@ from .metric import FiniteMetricSpace, PointMap, rat_from_str, rat_to_str
 
 
 def _frac(text):
-    """Parse a CLI number: "1/32", "0.5", or "3".  Raises BadInput otherwise."""
+    """Parse a finite CLI number: "1/32", "0.5", or "3".  Raises BadInput otherwise."""
     if "/" in text:
         return rat_from_str(text)
     try:
-        if "." in text or "e" in text or "E" in text:
-            return float(text)
-        return int(text)
+        value = float(text) if "." in text or "e" in text or "E" in text else int(text)
     except ValueError as exc:
         raise BadInput(f"not a number: {text!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):  # "1e400" overflows
+        raise BadInput(f"not a finite number: {text!r}")
+    return value
 
 
 def _int(text, lo=None):

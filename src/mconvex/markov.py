@@ -21,14 +21,18 @@ divided once per term.
 
 Two walks have closed forms that build no chain: the downward walk on B_n
 (`bn_ratio`) and the downward walk on the Laakso graph G_m (`laakso_ratio`).
-For G_m, two copies forked at time s are apart at time t only if they split
-at the junction u of a branch interval (b, e) with s <= b < t < e, and then
-they are 2 min(t - b, e - t) hops apart:
+Both are one renewal, summed by one kernel (`_interval_ratio`): two copies
+forked at time s are apart at time t only if they split at the branch point
+b of an interval with s <= b < t, which they do with probability 1/2 at
+each, and then they are d(b, t) apart:
 
-    E[hops(X_t, X~_t(s))^p] = sum_i 2^-(i+1) (2 min(t - b_i, e_i - t))^p
+    E[d(X_t, X~_t(s))^p] = sum_i 2^-(i+1) d(b_i, t)^p
 
-over those intervals, outermost first.  The generic DP (`convexity_ratio`
-on `laakso_walk`) is their oracle in the tests.
+over those intervals, outermost first.  On B_n every level b < min(t, n)
+branches and d = 2 (min(t, n) - b); on G_m the walk branches at the junction
+u of an interval (b, e) and d = 2 min(t - b, e - t) hops.  The generic DP
+(`convexity_ratio` on `downward_walk` and `laakso_walk`) is their oracle in
+the tests.
 """
 from __future__ import annotations
 
@@ -473,70 +477,96 @@ def convexity_ratio(chain, f, space, p, k_max=None):
 # closed forms and certified bounds
 # ---------------------------------------------------------------------------
 
-def bn_pair_expectation(n, t, s, p):
-    """E[d(X_t, X~_t(s))^p] for the downward walk on B_n (identity map).
+def _interval_ratio(p, pairs, depth, hop_den, rhs, k_max):
+    """ConvexityReport of a walk from the (t, t - b, hops) of `pairs`: per
+    time t, the intervals covering t, innermost first, whose copies split at
+    level b are hops / hop_den apart at t (the module docstring's sum).
 
-    Uses the level symmetry of the tree: conditioned on X_s, the two copies
-    follow independent child choices, so the lca level is s + j with
-    probability 2^-(j+1), and the distance is 2 (min(t,n) - s - j).
+    The b's fall, so a fork at s = t - 2^k sees a prefix of them, whose sum
+    obeys Horner's rule S_j = (hops_j^p + S_{j-1}) / 2.  An interval joins
+    at the first scale k with b >= t - 2^k, k = bit_length(t - b - 1) <=
+    k_max, so each pair adds S_j - S_{j-1} to a difference array over k.
+    For integer p the sums are ints over 2^depth, whose halvings are exact
+    while no t has more than `depth` intervals; floats for non-integer p.
     """
-    if s >= t:
-        return 0
-    s = max(s, 0)
-    g = min(t, n) - s
-    if g <= 0:
-        return 0
     exact = is_integral(p)
+    q = int(p) if exact else p
+    unit = 2 ** depth if exact else 1  # floats halve exactly without one
+    # delta[k]: how much sum_t term(t - 2^k, t) grows from scale k - 1 to k
+    delta = [0] * (k_max + 1)
+    last = suffix = None
+    for t, since_b, hops in pairs:
+        if t != last:
+            last, suffix = t, 0
+        longer = hops ** q * unit + suffix
+        longer = longer >> 1 if exact else longer / 2
+        delta[(since_b - 1).bit_length()] += longer - suffix
+        suffix = longer
+    per_k = []
     total = 0
-    for j in range(g):
-        d = 2 * (g - j)
-        dp = Fraction(d) ** int(p) if exact else float(d) ** p
-        total += dp / Fraction(2) ** (j + 1) if exact else dp * 2.0 ** -(j + 1)
-    return total
+    for k in range(k_max + 1):
+        total += delta[k]
+        if exact:
+            term_k = Fraction(total, unit * hop_den ** q * 2 ** (k * q)) if total else 0
+        else:
+            term_k = total / (hop_den ** p * 2.0 ** (k * p)) if total else 0
+        check(term_k <= _sanity_bound(rhs, p, exact), "per-k sanity bound failed at k=%d", k)
+        per_k.append(term_k)
+    return _report(p, per_k, rhs)
 
 
-def bn_ratio(n, p, k_max=None):
+def _bn_intervals(n, k_max):
+    """The (t, t - b, hops) of the downward walk on B_n, innermost first:
+    the levels b < min(t, n) that a fork of scale <= k_max sees."""
+    reach = 2 ** k_max
+    for t in range(1, n + reach):
+        top = min(t, n)
+        for b in range(top - 1, max(t - reach, 0) - 1, -1):
+            yield t, t - b, 2 * (top - b)
+
+
+def bn_ratio(n, p):
     """ConvexityReport of the downward walk on B_n (identity map), closed form.
 
-    Equivalent to convexity_ratio(downward_walk(n), identity, B_n, p) but
-    linear in n rather than exponential; cross-checked against the generic DP
-    for small n in the test suite.  Raises OutOfRange for n < 1 or p < 1.
+    Equal to convexity_ratio(downward_walk(n), identity, B_n, p) but
+    quadratic in n rather than exponential; cross-checked against the
+    generic DP for small n in the test suite.  Raises OutOfRange for n < 1
+    or p < 1.
     """
     if n < 1:
         raise OutOfRange(f"n = {n} < 1")
     _check_p(p)
-    if k_max is None:
-        k_max = _k_max(n)
-    exact = is_integral(p)
-    rhs = n * (Fraction(1) if exact else 1.0)  # unit steps
-    per_k = []
-    for k in range(k_max + 1):
-        gap = 2 ** k
-        total = 0
-        for t in range(1, n + gap):
-            total += bn_pair_expectation(n, t, t - gap, p)
-        scale = Fraction(2) ** (k * int(p)) if exact else 2.0 ** (k * p)
-        per_k.append(total / scale)
-    return _report(p, per_k, rhs)
+    k_max = _k_max(n)
+    rhs = n * (Fraction(1) if is_integral(p) else 1.0)  # unit steps
+    # a t is covered by at most min(t, n) <= n levels
+    return _interval_ratio(p, _bn_intervals(n, k_max), n, 1, rhs, k_max)
+
+
+def _laakso_intervals(m):
+    """The (t, t - b, hops) of the downward walk on G_m, innermost first.
+
+    For each scale h = 1..m and each copy start c = 0 (mod 4^h), the walk
+    branches at b = c + 4^(h-1) (the junction u) and the branches meet again
+    at e = c + 3 * 4^(h-1) (the junction w); hops are 4^-m long.
+    """
+    # (c's mask, b - c, e - c) per scale, innermost first
+    scales = [(4 ** h - 1, 4 ** (h - 1), 3 * 4 ** (h - 1)) for h in range(1, m + 1)]
+    for t in range(1, 4 ** m):  # no interval covers t = 0 or t >= 4^m
+        for mask, b, e in scales:
+            r = t & mask  # t's level inside its scale-h copy
+            if b < r < e:
+                since_b, until_e = r - b, e - r
+                yield t, since_b, 2 * (since_b if since_b < until_e else until_e)
 
 
 def laakso_ratio(m, p):
     """ConvexityReport of the downward walk on the Laakso graph G_m (identity
     map), from its branch intervals: no graph, chain or conditional law.
 
-    For each scale h = 1..m and each copy start c = 0 (mod 4^h), the walk
-    branches at level b = c + 4^(h-1) (the junction u) and the branches meet
-    again at level e = c + 3 * 4^(h-1) (the junction w).  Swapping the two
-    branches of a copy fixes the root, so the law of X_t is uniform on its
-    level, and two copies together at a u split there with probability 1/2;
-    split copies at level t are 2 min(t - b, e - t) hops apart.  That gives
-    the module docstring's sum over the intervals with s <= b < t < e.
-
-    Along the intervals covering t, outermost first, the b's increase, so a
-    fork at s = t - 2^k sees a suffix of them, whose sum obeys Horner's rule
-    S_j = (d_j^p + S_{j+1}) / 2.  An interval joins the suffix at the first
-    scale k with b >= t - 2^k, k = bit_length(t - b - 1), so each t adds
-    S_j - S_{j+1} to a difference array over k: O(4^m m) time in all.
+    Swapping the two branches of a copy fixes the root, so the law of X_t is
+    uniform on its level, and two copies together at a junction u split there
+    with probability 1/2: the renewal that `_interval_ratio` sums, in
+    O(4^m m) time over the intervals of `_laakso_intervals`.
 
     Equal to convexity_ratio(laakso_walk(build_laakso(m)), identity, ..., p)
     bit for bit, in value and type, for integer p.  Raises OutOfRange for
@@ -547,48 +577,13 @@ def laakso_ratio(m, p):
     if m > RATIO_LIMIT:
         raise TooLarge(f"m = {m} > {RATIO_LIMIT}")
     _check_p(p)
-    T = 4 ** m
-    k_max = _k_max(T)  # default_k_max of the walk, whose horizon is T
-    exact = is_integral(p)
-    q = int(p) if exact else p
-    # the suffix sums on ints over 2^m, where each halving is exact (a suffix
-    # has at most m terms); floats for a non-integer p
-    halve = (lambda x: x >> 1) if exact else (lambda x: x / 2)
-    unit = 2 ** m
-    # delta[k]: how much sum_t term(t - 2^k, t) grows from scale k - 1 to k;
-    # t - b < T = 2^(2m), so no interval joins after k = 2m < k_max
-    delta = [0] * (k_max + 1)
-    scales = [(4 ** h - 1, 4 ** (h - 1)) for h in range(1, m + 1)]  # innermost first
-    for t in range(1, T):  # no interval covers t = 0 or t >= T
-        suffix = 0
-        for mask, quarter in scales:
-            r = t & mask  # t's level inside its scale-h copy
-            if quarter < r < 3 * quarter:
-                since_b = r - quarter
-                hops = 2 * min(since_b, 3 * quarter - r)
-                longer = halve(hops ** q * unit + suffix)
-                delta[(since_b - 1).bit_length()] += longer - suffix
-                suffix = longer
-    rhs = Fraction(1, 4 ** (m * (q - 1))) if exact else 4.0 ** (-m * (p - 1))
-    per_k = []
-    total = 0
-    for k in range(k_max + 1):
-        total += delta[k]
-        # hops are 4^-m long, and the sums are over 2^m
-        if exact:
-            term_k = Fraction(total, unit * 4 ** (m * q) * 2 ** (k * q)) if total else 0
-        else:
-            term_k = total / (unit * 4.0 ** (m * p) * 2.0 ** (k * p)) if total else 0
-        check(term_k <= _sanity_bound(rhs, p, exact), "per-k sanity bound failed at k=%d", k)
-        per_k.append(term_k)
-    return _report(p, per_k, rhs)
-
-
-def laakso_rhs_identity(G, p):
-    """The one-step sum for the Laakso walk with the identity map: 4^{-m(p-1)}."""
-    chain = laakso_walk(G)
-    space = G.as_metric_space()
-    return rhs_step_sum(chain, lambda v: v, space, p)
+    # default_k_max of the walk, whose horizon is 4^m; t - b < 4^m = 2^(2m),
+    # so no interval joins after k = 2m < k_max
+    k_max = _k_max(4 ** m)
+    # the one-step sum: 4^m unit steps of length 4^-m
+    rhs = Fraction(1, 4 ** (m * (int(p) - 1))) if is_integral(p) else 4.0 ** (-m * (p - 1))
+    # a t is covered by at most one interval per scale
+    return _interval_ratio(p, _laakso_intervals(m), m, 4 ** m, rhs, k_max)
 
 
 def laakso_time_set(m, k):

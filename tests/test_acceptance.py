@@ -24,8 +24,7 @@ from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import DegenerateChain
 from mconvex.laakso import build_laakso
 from mconvex.markov import (ChainSpec, bn_ratio, convexity_ratio, laakso_ratio,
-                            laakso_rhs_identity, laakso_walk,
-                            per_k_laakso_bound)
+                            laakso_walk, per_k_laakso_bound, rhs_step_sum)
 from mconvex.quotients import QuotientMap, lift_chain, trajectory_chain, \
     transfer_check
 from mconvex.metric import FiniteMetricSpace, PointMap
@@ -62,7 +61,7 @@ def test_laakso_rhs_identity_exact():
     for m in range(1, 5):
         G = build_laakso(m)
         for p in (2, 3):
-            value = laakso_rhs_identity(G, p)
+            value = rhs_step_sum(laakso_walk(G), lambda v: v, G.as_metric_space(), p)
             assert value == Fraction(1, 4 ** (m * (p - 1)))
             assert isinstance(value, (int, Fraction))
     assert time.monotonic() - start < 30

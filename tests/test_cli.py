@@ -244,17 +244,22 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["boost", "--t", "1", "--seed", "1"],
             ["ramsey-toy", "--r", "0", "--seed", "1"],
             ["extract-subtree", "--t", "1"],
-            ["classify", "--kind", "fork", "--delta", "1/128", "--seed", "x"]]
+            ["classify", "--kind", "fork", "--delta", "1/128", "--seed", "x"],
+            # a number past the float range is refused as it is parsed
+            ["classify", "--kind", "fork", "--delta", "1e400", "--trials", "1", "--seed", "1"],
+            ["boost", "--delta", "1e400", "--seed", "1"],
+            ["boost", "--delta=-1e400", "--seed", "1"],
+            ["quotient-verify", "--map", str(bad_json), "--a", "1e400", "--b", "1"]]
     fold = tmp_path / "fold.json"
     fold.write_text(seeded_quotient_map(1))
     still = tmp_path / "still.json"
     still.write_text(json.dumps({"states": ["y0"], "t_min": 0, "t_max": 1, "kernels": {},
                                  "initial": {"y0": "1"}}))
     # the depth budget n of distortion-gap is checked by the experiment
-    # itself, and the quotient factors (finite, > 0) by verify_quotient
+    # itself, and the quotient factors (> 0) by verify_quotient
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
     out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
-                     for a, b in (("0", "1"), ("1", "-1"), ("1e400", "1"))]
+                     for a, b in (("0", "1"), ("1", "-1"))]
     out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
                          "--a", "1", "--b", "-1"])
     for argv in runs + out_of_range:

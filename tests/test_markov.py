@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from mconvex import markov
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
 from mconvex.laakso import build_laakso
-from mconvex.markov import (RATIO_LIMIT, ChainSpec, bn_pair_expectation, bn_ratio,
-                            convexity_ratio, default_k_max, downward_walk,
-                            laakso_ratio, laakso_rhs_identity, laakso_time_set,
-                            laakso_walk, pair_expectation, per_k_laakso_bound,
-                            rhs_step_sum)
-from mconvex.metric import FiniteMetricSpace, rat_from_str
+from mconvex.markov import (RATIO_LIMIT, ChainSpec, _check_p, _k_max, _report,
+                            bn_ratio, convexity_ratio, default_k_max, downward_walk,
+                            laakso_ratio, laakso_time_set, laakso_walk, pair_expectation,
+                            per_k_laakso_bound, rhs_step_sum)
+from mconvex.metric import FiniteMetricSpace, is_integral, rat_from_str
 from mconvex.trees import enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_chain
 
@@ -120,12 +119,58 @@ def test_bn_ratio_matches_generic_dp():
     for n in (3, 4, 5):
         chain = downward_walk(n)
         space = FiniteMetricSpace(enumerate_bn(n), tree_distance)
-        k_max = default_k_max(chain)
-        rep = convexity_ratio(chain, lambda v: v, space, 2, k_max=k_max)
-        closed = bn_ratio(n, 2, k_max=k_max)
+        rep = convexity_ratio(chain, lambda v: v, space, 2)
+        closed = bn_ratio(n, 2)
         assert closed.per_k == rep.per_k
         assert closed.rhs == rep.rhs
         assert closed.ratio == rep.ratio
+
+
+# ---------------------------------------------------------------------------
+# the per-(t, s) Fraction loop that bn_ratio ran before the branch-interval
+# kernel, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def bn_pair_expectation(n, t, s, p):
+    """E[d(X_t, X~_t(s))^p] for the downward walk on B_n (identity map).
+
+    Uses the level symmetry of the tree: conditioned on X_s, the two copies
+    follow independent child choices, so the lca level is s + j with
+    probability 2^-(j+1), and the distance is 2 (min(t,n) - s - j).
+    """
+    if s >= t:
+        return 0
+    s = max(s, 0)
+    g = min(t, n) - s
+    if g <= 0:
+        return 0
+    exact = is_integral(p)
+    total = 0
+    for j in range(g):
+        d = 2 * (g - j)
+        dp = Fraction(d) ** int(p) if exact else float(d) ** p
+        total += dp / Fraction(2) ** (j + 1) if exact else dp * 2.0 ** -(j + 1)
+    return total
+
+
+def _bn_ratio_reference(n, p, k_max=None):
+    """ConvexityReport of the downward walk on B_n (identity map), closed form."""
+    if n < 1:
+        raise OutOfRange(f"n = {n} < 1")
+    _check_p(p)
+    if k_max is None:
+        k_max = _k_max(n)
+    exact = is_integral(p)
+    rhs = n * (Fraction(1) if exact else 1.0)  # unit steps
+    per_k = []
+    for k in range(k_max + 1):
+        gap = 2 ** k
+        total = 0
+        for t in range(1, n + gap):
+            total += bn_pair_expectation(n, t, t - gap, p)
+        scale = Fraction(2) ** (k * int(p)) if exact else 2.0 ** (k * p)
+        per_k.append(total / scale)
+    return _report(p, per_k, rhs)
 
 
 def test_bn_pair_expectation_oracle_small():
@@ -136,6 +181,24 @@ def test_bn_pair_expectation_oracle_small():
         for s in range(-2, t):
             assert bn_pair_expectation(n, t, s, 2) == \
                 pair_expectation(chain, lambda v: v, space, t, s, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_bn_ratio_matches_fraction_loop(p):
+    # every field, in value and type
+    for n in range(1, 65):
+        assert same_report(bn_ratio(n, p), _bn_ratio_reference(n, p)), n
+
+
+def test_bn_ratio_non_integer_p_close_to_fraction_loop():
+    # floats are summed in another order than the loop's, so equal up to rounding
+    for n in range(1, 65):
+        closed, ref = bn_ratio(n, 2.5), _bn_ratio_reference(n, 2.5)
+        assert len(closed.per_k) == len(ref.per_k)
+        for a, b in zip(closed.per_k + [closed.lhs_total, closed.rhs, closed.ratio,
+                                        closed.pi_lower],
+                        ref.per_k + [ref.lhs_total, ref.rhs, ref.ratio, ref.pi_lower]):
+            assert type(a) is type(b) and math.isclose(a, b, rel_tol=1e-12), n
 
 
 def test_bn_ratio_rejects_bad_n():
@@ -163,7 +226,6 @@ def test_downward_walk_guard():
 def test_laakso_rhs_identity_small():
     for m in (1, 2):
         G = build_laakso(m)
-        assert laakso_rhs_identity(G, 2) == Fraction(1, 4 ** m)
         chain = laakso_walk(G)
         assert rhs_step_sum(chain, lambda v: v, G.as_metric_space(), 2) == \
             Fraction(1, 4 ** m)

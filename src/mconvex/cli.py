@@ -497,8 +497,27 @@ def _build_parser():
     return parser
 
 
+_NUMBER_START = set("0123456789.")
+
+
+def _join_negative_values(argv):
+    """`--opt -1e-3` as `--opt=-1e-3`.  argparse takes a separate token that
+    starts with "-" for an option unless it looks like -1 or -1.5, so a value
+    such as -1e-3 or -1/2 is joined to the option before it."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token[:1] == "-" and token[1:2] in _NUMBER_START
+                and prev.startswith("--") and prev != "--" and "=" not in prev):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         # number arguments are parsed here, so bad ones surface as BadInput
         args = parser.parse_args(argv)

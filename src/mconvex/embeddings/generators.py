@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..metric import is_midpoint
-from ..randbits import random_bits
+from ..randbits import random_bits, random_depth_bits
 from ..trees import ROOT, EpsilonSequence, HTreeSpace
 from .classify import path_scale_range
 from ..errors import NotApproximatePath
@@ -246,12 +246,16 @@ def random_chain(rng, max_states=10, horizon=8, dim=3, coord_range=8):
 
 
 def htree_random_triple_violations(space, rng, count):
-    """Triangle-inequality violations over random vertex triples (exact)."""
+    """Triangle-inequality violations over random vertex triples (exact).
+
+    Each vertex is `_rand_vertex(rng, rng.randint(0, space.max_depth))`,
+    drawn in bulk by `random_depth_bits` and compared as heap-index ints
+    (`1 << k | bits`); only the violating triples become TreeVertex objects."""
     bad = []
-    N = space.max_depth
-    sd = space.scaled_distance
-    for _ in range(count):
-        x, y, z = (_rand_vertex(rng, rng.randint(0, N)) for _ in range(3))
+    sd = space.scaled_index_distance
+    draws = random_depth_bits(rng, space.max_depth, 3 * count)
+    for triple in zip(draws, draws, draws):
+        x, y, z = [1 << k | bits for k, bits in triple]
         if sd(x, z) > sd(x, y) + sd(y, z):
-            bad.append((x, y, z))
+            bad.append(tuple(ROOT.hang(bits, k) for k, bits in triple))
     return bad

@@ -12,7 +12,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import BoostFailed, LengthMismatch, PreconditionViolated, check
+from ..errors import BoostFailed, LengthMismatch, OutOfRange, PreconditionViolated, check
 from ..metric import distortion_of
 
 
@@ -122,6 +122,8 @@ def path_boost(f, t, delta, D=None):
     """
     if t < 2:
         raise PreconditionViolated(f"t = {t} < 2")
+    if delta < 0:
+        raise OutOfRange(f"delta = {delta} < 0: no distortion is below 1")
     n = f.n
     k = 0
     while t ** (k + 1) <= n:

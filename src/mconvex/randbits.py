@@ -1,15 +1,23 @@
-"""Random bits drawn in bulk, on the exact stream of `rng.randint(0, 1)`.
+"""Random bits drawn in bulk, on the exact stream of `rng.randint`.
 
-In CPython, `rng.randint(0, 1)` takes one 32-bit Mersenne-Twister word w and
-returns w >> 30, drawing a new word while that is 2 or 3 (the top bit of w is
-set).  `rng.getrandbits(32 * j)` returns j such words, the first drawn as the
-lowest.  So the top byte b of each word decides both: b >= 128 is a redraw,
-otherwise the bit is b >> 6.
+In CPython every draw below reads 32-bit Mersenne-Twister words w, and
+`rng.getrandbits(32 * j)` returns j such words, the first drawn as the lowest.
+
+- `rng.randint(0, 1)` returns w >> 30, drawing a new word while that is 2 or
+  3 (the top bit of w is set).  So the top byte b of each word decides it:
+  b >= 128 is a redraw, otherwise the bit is b >> 6.
+- `rng.randint(0, N)` with N < 2^32 returns w >> (32 - kb), where
+  kb = (N + 1).bit_length(), drawing a new word while that exceeds N.
 """
 from __future__ import annotations
 
 _REDRAW = bytes(range(128, 256))
 _DIGIT = bytes(b"01"[b >> 6 & 1] for b in range(256))   # ASCII "0"/"1" of b >> 6
+_KEPT = bytes(int(b < 128) for b in range(256))          # 1 where a bit word is kept
+
+# words per read-ahead (256 KB): about 1,000 pairs at max_depth 64, and some
+# 1 MB of transient buffers while they are parsed
+CHUNK_WORDS = 1 << 16
 
 
 def random_bits(rng, k):
@@ -22,3 +30,65 @@ def random_bits(rng, k):
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         out += words[3::4].translate(_DIGIT, _REDRAW)
     return int(out, 2)
+
+
+def random_depth_bits(rng, max_depth, count):
+    """Yield `count` pairs (k, bits), equal to `count` repetitions of
+    `k = rng.randint(0, max_depth); bits = random_bits(rng, k)`, and leave
+    rng in the same state (`gauss_next` included).
+
+    Per chunk of about CHUNK_WORDS words it reads ahead from a saved state,
+    parses them, restores the state and draws exactly the words the pairs
+    used.  rng runs up to a chunk ahead of the pairs yielded, so it only
+    ends in the scalar loop's state once every pair has been consumed."""
+    if not 0 <= max_depth < 2 ** 32:
+        raise ValueError(f"max_depth {max_depth} not in 0 .. 2^32 - 1")
+    per_pair, chunk = _chunk(max_depth)
+    grow = 1           # doubles while a read-ahead is too short for one pair
+    while count > 0:
+        n = min(count, chunk)
+        # the expected words of n pairs, plus 10% and 64 words of margin
+        pairs = _read_ahead(rng, max_depth, n, grow * (int(1.1 * n * per_pair) + 64))
+        grow = 1 if pairs else 2 * grow
+        count -= len(pairs)
+        yield from pairs
+
+
+def _chunk(max_depth):
+    """(expected words per pair, pairs per read-ahead): 2^kb / (N + 1) words
+    for k, then two per bit."""
+    per_pair = 2 ** (max_depth + 1).bit_length() / (max_depth + 1) + max_depth
+    return per_pair, max(1, int(CHUNK_WORDS / per_pair))
+
+
+def _read_ahead(rng, max_depth, n, width):
+    """Up to n pairs of `random_depth_bits` from the next `width` words of
+    rng, which is left just past the words of the pairs returned."""
+    import numpy as np
+
+    saved = rng.getstate()
+    block = rng.getrandbits(32 * width).to_bytes(4 * width, "little")
+    words = np.frombuffer(block, dtype="<u4")
+    k_words = words >> (32 - (max_depth + 1).bit_length())    # each word's randint draw
+    k_kept = (k_words <= max_depth).tobytes()                # 1 where it is kept
+    k_vals = memoryview(k_words)
+    tops = block[3::4]
+    bit_kept = tops.translate(_KEPT)
+    digits = tops.translate(_DIGIT, _REDRAW)              # the kept bits, in order
+    pos = memoryview(np.flatnonzero(words < 2 ** 31))     # the kept bit words
+    pairs = []
+    q = c = 0          # the next unread word, and the kept bit words before it
+    for _ in range(n):
+        p = k_kept.find(1, q)
+        if p < 0:
+            break
+        k = k_vals[p]
+        c += bit_kept.count(1, q, p + 1)
+        if c + k > len(digits):
+            break
+        pairs.append((k, int(b"0" + digits[c:c + k], 2)))
+        c += k
+        q = pos[c - 1] + 1 if k else p + 1
+    rng.setstate(saved)
+    rng.getrandbits(32 * q)
+    return pairs

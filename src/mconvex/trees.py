@@ -2,8 +2,9 @@
 
 Vertices of the (conceptually infinite) rooted binary tree are addressed by
 their root path, a finite bit sequence, which a `TreeVertex` stores as one
-int, its heap index (a 1 bit followed by the path bits).  No other module
-knows that encoding.  The contracted metric is
+int, its heap index (a 1 bit followed by the path bits).  Outside this module
+only the sampled triangle check of `embeddings.generators` builds heap
+indices itself (`1 << k | bits`).  The contracted metric is
 
     d_eps(x, y) = |h(y) - h(x)|
                   + 2 * eps[min(h(x), h(y))] * (min(h(x), h(y)) - h(lca(x, y)))
@@ -14,8 +15,9 @@ h(x) + h(y) - 2 h(lca(x, y)).
 
 Every d_eps value to depth N is an integer multiple of 1/den, where den is the
 lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
-(`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only
-(`HTreeSpace.scaled_distance`); `distance` is that int over den, and the
+(`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only,
+on the two heap indices (`HTreeSpace.scaled_index_distance`, behind
+`scaled_distance`); `distance` is that int over den, and the
 numpy distance matrices scale by the same den.  Every lca depth is one
 closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
 depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52),
@@ -253,6 +255,7 @@ class HTreeSpace:
         self.eps = eps
         self.max_depth = max_depth
         self.den, self._two_eps = _scaled_eps(eps, max_depth)
+        self._index_limit = 2 ** (max_depth + 1)   # the heap indices past max_depth
 
     @property
     def classifier_ready(self):
@@ -265,11 +268,20 @@ class HTreeSpace:
 
     def scaled_distance(self, x, y):
         """den * d_eps(x, y), as an int."""
-        hx, hy = x.index.bit_length() - 1, y.index.bit_length() - 1
-        if hx > self.max_depth or hy > self.max_depth:
+        i, j = x.index, y.index
+        if i >= self._index_limit or j >= self._index_limit:
             self.check_depth(x, y)
-        m = min(hx, hy)
-        return abs(hy - hx) * self.den + self._two_eps[m] * (m - x.lca_depth(y))
+        return self.scaled_index_distance(i, j)
+
+    def scaled_index_distance(self, i, j):
+        """den * d_eps between the vertices with heap indices i and j (each
+        a `TreeVertex.index`), as an int; their depths are not checked.
+        For depths hi <= hj, min depth - lca depth is the bit length of the
+        XOR of i with j cut to depth hi (see the heap-index comment block)."""
+        if i > j:
+            i, j = j, i
+        hi, hj = i.bit_length() - 1, j.bit_length() - 1
+        return (hj - hi) * self.den + self._two_eps[hi] * (i ^ (j >> (hj - hi))).bit_length()
 
     def distance(self, x, y):
         return Fraction(self.scaled_distance(x, y), self.den)

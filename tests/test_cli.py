@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mconvex.cli
 from mconvex.cli import _build_parser, _frac, _int_range, main
 from mconvex.metric import FiniteMetricSpace
 
@@ -249,6 +254,8 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["classify", "--kind", "fork", "--delta", "1e400", "--trials", "1", "--seed", "1"],
             ["boost", "--delta", "1e400", "--seed", "1"],
             ["boost", "--delta=-1e400", "--seed", "1"],
+            # a negative value in scientific notation is a value, not an option
+            ["boost", "--delta", "-1e400", "--seed", "1"],
             ["quotient-verify", "--map", str(bad_json), "--a", "1e400", "--b", "1"]]
     fold = tmp_path / "fold.json"
     fold.write_text(seeded_quotient_map(1))
@@ -256,10 +263,12 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     still.write_text(json.dumps({"states": ["y0"], "t_min": 0, "t_max": 1, "kernels": {},
                                  "initial": {"y0": "1"}}))
     # the depth budget n of distortion-gap is checked by the experiment
-    # itself, and the quotient factors (> 0) by verify_quotient
+    # itself, the quotient factors (> 0) by verify_quotient, and the boost
+    # slack delta (>= 0) by path_boost
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
     out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
                      for a, b in (("0", "1"), ("1", "-1"))]
+    out_of_range.append(["boost", "--delta", "-1e-3", "--seed", "1"])
     out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
                          "--a", "1", "--b", "-1"])
     for argv in runs + out_of_range:
@@ -339,3 +348,20 @@ def test_one_parser_per_process(tmp_path, capsys):
     first = _build_parser().parse_args(["laakso-ratio"]).m
     first.append(9)
     assert _build_parser().parse_args(["laakso-ratio"]).m == [1, 2, 3, 4]
+
+
+def test_numpy_loaded_only_where_used(tmp_path):
+    # importing the CLI loads no numpy, and htree-validate, whose sampler
+    # parses its read-ahead with numpy, loads no numpy.random: either would
+    # add to every run's start-up time and memory
+    code = ("import sys\n"
+            "import mconvex.cli, mconvex.randbits\n"
+            "imported = 'numpy' in sys.modules\n"
+            f"mconvex.cli.main(['--out', {str(tmp_path)!r}, 'htree-validate',"
+            " '--sequences', '2', '--seed', '1'])\n"
+            "print(imported, 'numpy' in sys.modules, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mconvex.cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "False True False"
+    assert json.loads(read(tmp_path, "htree-validate.json"))["all_ok"]

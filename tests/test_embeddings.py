@@ -6,7 +6,8 @@ import pytest
 
 from mconvex.embeddings.classify import b4_bound_check, b4_distortion
 from mconvex.embeddings.extract import extract_vertically_faithful
-from mconvex.embeddings.generators import (RealLine, gen_boost_path, make_space,
+from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
+                                           htree_random_triple_violations, make_space,
                                            random_valid_epsilon)
 from mconvex.embeddings import paths, search
 from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
@@ -18,7 +19,8 @@ from mconvex.errors import (BoostFailed, CollapsedAncestorPair, InvariantViolate
                             OutOfRange, PipelineFailed, PreconditionViolated, TooLarge,
                             check)
 from mconvex.randbits import random_bits
-from mconvex.trees import HTreeSpace, TreeVertex, enumerate_bn, sp_pairs, tree_distance
+from mconvex.trees import (EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn, sp_pairs,
+                           tree_distance)
 
 
 def line_map(vals):
@@ -481,3 +483,35 @@ def test_int_descents_match_tuple_code():
             assert all(new[v] == int("0" + "".join(map(str, old[v])), 2) for v in old)
             assert search._nested_embedding(L, h0, root, new) == \
                 _old_nested_embedding(L, h0, old_root, old)
+
+
+def _old_htree_random_triple_violations(space, rng, count):
+    """The per-triple loop of htree_random_triple_violations before its bulk
+    draws, kept verbatim as the reference."""
+    bad = []
+    N = space.max_depth
+    sd = space.scaled_distance
+    for _ in range(count):
+        x, y, z = (_rand_vertex(rng, rng.randint(0, N)) for _ in range(3))
+        if sd(x, z) > sd(x, y) + sd(y, z):
+            bad.append((x, y, z))
+    return bad
+
+
+def test_triple_violations_match_per_triple_loop():
+    # the same triples in the same order, and the same end state of rng: on
+    # valid schedules (never a violation) and on invalid ones built unchecked
+    rng = random.Random(14)
+    cases = [(random_valid_epsilon(rng, depth), depth, 0)
+             for depth in (0, 1, 7, 64, 64, 64, 100)]
+    cases += [(EpsilonSequence([Fraction(1, 100)] * 5 + [1] * 60, check=False), 64, 82),
+              (EpsilonSequence([3] * 65, check=False), 64, 287),
+              (EpsilonSequence([Fraction(1, 2)] * 2 + [1] * 9, check=False), 10, 62)]
+    for eps, depth, violations in cases:
+        space = HTreeSpace(eps, depth)
+        new_rng, old_rng = random.Random(1), random.Random(1)
+        new = htree_random_triple_violations(space, new_rng, 2000)
+        assert new == _old_htree_random_triple_violations(space, old_rng, 2000)
+        assert all(type(v) is TreeVertex for triple in new for v in triple)
+        assert len(new) == violations
+        assert new_rng.getstate() == old_rng.getstate()

@@ -1,6 +1,9 @@
 import random
 
-from mconvex.randbits import random_bits
+import pytest
+
+from mconvex import randbits
+from mconvex.randbits import _chunk, random_bits, random_depth_bits
 
 # -1: a negative count draws nothing, like range(-1)
 LENGTHS = (-1, 0, 1, 2, 5, 31, 64, 200)
@@ -19,3 +22,48 @@ def test_random_bits_matches_randint_stream():
             assert tuple((bits >> i) & 1 for i in reversed(range(k))) == expected, (seed, k)
             assert rng.getstate() == ref.getstate(), (seed, k)
             assert rng.random() == ref.random(), (seed, k)
+
+
+def _scalar_depth_bits(rng, max_depth, count):
+    """The loop random_depth_bits replaces."""
+    out = []
+    for _ in range(count):
+        k = rng.randint(0, max_depth)
+        out.append((k, random_bits(rng, k)))
+    return out
+
+
+def _check_depth_bits(max_depth, count, seed):
+    ref, rng = random.Random(seed), random.Random(seed)
+    ref.gauss(0, 1)
+    rng.gauss(0, 1)
+    expected = _scalar_depth_bits(ref, max_depth, count)
+    got = list(random_depth_bits(rng, max_depth, count))
+    assert got == expected, (max_depth, count)
+    assert all(type(k) is int and type(b) is int for k, b in got)
+    assert rng.getstate() == ref.getstate(), (max_depth, count)
+    assert rng.random() == ref.random(), (max_depth, count)
+
+
+def test_random_depth_bits_matches_scalar_loop():
+    # the bulk draw against randint then random_bits, across randint widths
+    # kb = 1..10 and the chunk boundaries, from a generator whose gauss_next
+    # is set (setstate must carry it through)
+    for max_depth in (0, 1, 5, 63, 64, 255, 256, 1000):
+        chunk = _chunk(max_depth)[1]
+        for count in (0, 1, chunk - 1, chunk, chunk + 1, 15_000):
+            _check_depth_bits(max_depth, count, max_depth + count)
+
+
+def test_random_depth_bits_short_read_ahead(monkeypatch):
+    # read-aheads too short for one pair are doubled until one fits
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
+    for max_depth in (5, 64, 1000):
+        for seed in range(20):
+            _check_depth_bits(max_depth, 7, seed)
+
+
+def test_random_depth_bits_rejects_bad_depth():
+    for max_depth in (-1, 2 ** 32):
+        with pytest.raises(ValueError):
+            next(random_depth_bits(random.Random(0), max_depth, 1))

@@ -227,6 +227,7 @@ def test_distance_matches_fraction_formula_on_seeded_inputs():
             assert type(new) is Fraction and new == old
             scaled = sp.scaled_distance(x, y)
             assert type(scaled) is int and scaled == new * sp.den
+            assert sp.scaled_index_distance(y.index, x.index) == scaled
             checked += 1
     assert checked == 1200
 
@@ -242,6 +243,8 @@ def test_htree_eps_one_is_tree_metric():
 
 def test_htree_depth_guard():
     sp = htree(Fraction(1, 5), 4)
+    # the deepest vertices allowed, and the shallowest refused
+    assert sp.scaled_distance(TreeVertex((1,) * 4), ROOT) == 4 * sp.den
     deep = TreeVertex((0,) * 5)
     for x, y in ((ROOT, deep), (deep, ROOT), (deep, deep)):
         with pytest.raises(DepthExceeded):

@@ -137,6 +137,67 @@ def test_bn_artifacts_frozen(tmp_path, capsys, argv, digests):
     assert written == {argv[0] + suffix: digest for suffix, digest in digests.items()}
 
 
+def seeded_lift_chain(seed):
+    """chain.json text: a random walk of horizon 3 on the four target points
+    of seeded_quotient_map, every row on 1-3 points with rational weights."""
+    rng = random.Random(seed)
+    tgt = [f"y{j}" for j in range(4)]
+    kernels = {}
+    for t in range(1, 4):
+        rows = {}
+        for z in tgt:
+            support = rng.sample(tgt, rng.randint(1, 3))
+            weights = [rng.randint(1, 4) for _ in support]
+            rows[z] = {x: f"{w}/{sum(weights)}" for x, w in zip(support, weights)}
+        kernels[str(t)] = rows
+    return json.dumps({"states": tgt, "t_min": 0, "t_max": 3, "kernels": kernels,
+                       "initial": {rng.choice(tgt): "1"}}, sort_keys=True)
+
+
+# SHA-256 of <name>.json for seeded commands whose numbers are exact or float
+# by their inputs, frozen from the code before exactness was decided in one
+# place: a Fraction path under an exact and a float delta, the exact Prop 2.1
+# transfer, and lifts over a float target under exact and float factors.
+# seeded_quotient_map(1) is a (73/4, 13/4)-quotient, with both factors least
+# among the multiples of 1/4
+POLICY_ARTIFACTS = [
+    (["boost", "--seed", "1"],
+     "fe69921576e0b7244a520a5d19dd7323020dc71e78314b14942eaf97b4778ebc"),
+    (["boost", "--delta", "0.5", "--seed", "2"],
+     "d83b5e6856ae860127716b0dd39d9e6085866fb256183ad829a418d761c4f3ce"),
+    (["boost", "--n", "256", "--t", "2", "--delta", "1/4", "--seed", "3"],
+     "cfa2a22794743a12bfac7271fc72ac40b8e635aff16a123ed7a3fe0903ad8753"),
+    (["prop21-check", "--trials", "20", "--seed", "1"],
+     "4c6ea0aab1ef8b560e696beffc50826f9d44f1482a55ac4c7f66cba76b884fab"),
+    (["quotient-lift", "--map", "{tmp}/map.json", "--chain", "{tmp}/chain.json",
+      "--a", "73/4", "--b", "13/4"],
+     "a56f3c8171fec0d1a47b2939cb919bc575208d35739f985f4a26ee33c272fd24"),
+    (["quotient-lift", "--map", "{tmp}/map.json", "--chain", "{tmp}/chain.json",
+      "--a", "18.25", "--b", "3.25"],
+     "a56f3c8171fec0d1a47b2939cb919bc575208d35739f985f4a26ee33c272fd24"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", POLICY_ARTIFACTS,
+                         ids=[" ".join(a[:1] + a[-4:]) for a, _ in POLICY_ARTIFACTS])
+def test_policy_artifacts_frozen(tmp_path, capsys, argv, digest):
+    (tmp_path / "map.json").write_text(seeded_quotient_map(1))
+    (tmp_path / "chain.json").write_text(seeded_lift_chain(1))
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + [a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    data = (out / (argv[0] + ".json")).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_pconvex_check_K_keeps_its_type(tmp_path, capsys):
+    # an exact K is written as "p/q", a float K as a JSON number
+    for K, written in (("3/2", "3/2"), ("1.5", 1.5), ("2", "2/1")):
+        assert main(["--out", str(tmp_path), "pconvex-check", "--K", K, "--trials", "100",
+                     "--seed", "1"]) == 0
+        data = json.loads(read(tmp_path, "pconvex-check.json"))
+        assert data["K"] == written and type(data["K"]) is type(written)
+
+
 def test_laakso_commands_past_the_graph_limit(tmp_path, capsys):
     # neither command builds G_m, so both run past the graph-size guard
     # (BUILD_LIMIT = 6) up to RATIO_LIMIT, and refuse beyond it

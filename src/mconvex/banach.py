@@ -15,25 +15,20 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import check
-from .metric import FiniteMetricSpace, is_integral
+from .errors import OutOfRange, check
+from .metric import FiniteMetricSpace, number_type, power
 
 SLACK_REL_TOL = 1e-9
-
-
-def _exactable(p, *vectors):
-    if not is_integral(p):
-        return False
-    return all(isinstance(c, (int, Fraction)) for v in vectors for c in v)
 
 
 def norm_pow(v, p):
     """||v||_p^p = sum |v_i|^p; exact for integer p and rational coordinates,
     and an int when the coordinates are ints and p >= 0."""
-    if _exactable(p, v):
-        q = int(p)
-        return sum((abs(c) if q >= 0 else Fraction(abs(c))) ** q for c in v)
-    return sum(abs(float(c)) ** p for c in v)
+    if number_type(p, *v) is float:
+        v = map(float, v)
+    elif p < 0:
+        v = map(Fraction, v)
+    return sum(power(abs(c), p) for c in v)
 
 
 class LpSpace:
@@ -76,12 +71,9 @@ def check_pconvexity(space, K, a, b):
         raise ValueError("p-convexity check requires p >= 2")
     apb = tuple(x + y for x, y in zip(a, b))
     amb = tuple(x - y for x, y in zip(a, b))
-    rhs = norm_pow(apb, p) + norm_pow(amb, p)
-    if _exactable(p, a, b) and isinstance(K, (int, Fraction)):
-        lhs = 2 * norm_pow(a, p) + 2 / Fraction(K) ** int(p) * norm_pow(b, p)
-    else:
-        lhs = 2 * float(norm_pow(a, p)) + 2 / float(K) ** p * float(norm_pow(b, p))
-        rhs = float(rhs)
+    num = number_type(p, K, *a, *b)
+    rhs = num(norm_pow(apb, p) + norm_pow(amb, p))
+    lhs = 2 * num(norm_pow(a, p)) + 2 / power(num(K), p) * num(norm_pow(b, p))
     return rhs - lhs
 
 
@@ -89,10 +81,14 @@ def pconvexity_slacks(d, p, K, trials, seed=0):
     """Vectorized slack evaluation over `trials` random Gaussian pairs.
 
     Returns a numpy array of slacks (floats); used by the randomized harness
-    where 10^5 exact evaluations would be needlessly slow.
+    where 10^5 exact evaluations would be needlessly slow.  Raises
+    OutOfRange unless p >= 2 (below it the inequality fails) and K > 0.
     """
     import numpy as np
 
+    if p < 2 or not K > 0:
+        raise OutOfRange(f"need p >= 2 and K > 0, got p = {p}, K = {K}")
+    p = float(p)  # numpy would raise to a Fraction p on Python objects
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((trials, d))
     b = rng.standard_normal((trials, d))
@@ -165,20 +161,10 @@ def fork_slack(x, y, z, w, space, K):
         <=  ||y-w||^p + ||z-y||^p + 2 ||y-x||^p
     """
     p = space.p
-    diff = lambda u, v: tuple(a - b for a, b in zip(u, v))
-    exact = _exactable(p, x, y, z, w) and isinstance(K, (int, Fraction))
-    xw = norm_pow(diff(x, w), p)
-    xz = norm_pow(diff(x, z), p)
-    zw = norm_pow(diff(z, w), p)
-    yw = norm_pow(diff(y, w), p)
-    zy = norm_pow(diff(z, y), p)
-    yx = norm_pow(diff(y, x), p)
-    if exact:
-        pi = int(p)
-        lhs = (xw + xz) / Fraction(2 ** (pi - 1)) + zw / (Fraction(4) ** (pi - 1) * Fraction(K) ** pi)
-    else:
-        lhs = (float(xw) + float(xz)) / 2 ** (p - 1) + float(zw) / (4 ** (p - 1) * float(K) ** p)
-        yw, zy, yx = float(yw), float(zy), float(yx)
+    num = number_type(p, K, *x, *y, *z, *w)
+    xw, xz, zw, yw, zy, yx = (num(norm_pow(tuple(a - b for a, b in zip(u, v)), p))
+                              for u, v in ((x, w), (x, z), (z, w), (y, w), (z, y), (y, x)))
+    lhs = (xw + xz) / power(2, p - 1) + zw / (power(4, p - 1) * power(num(K), p))
     return yw + zy + 2 * yx - lhs
 
 
@@ -194,13 +180,10 @@ def check_prop21(chain, f, space, K, k_max=None):
     p = space.p
     target = space.as_metric_space([f(s) for s in chain.states])
     report = convexity_ratio(chain, lambda s: tuple(f(s)), target, p, k_max=k_max)
-    if is_integral(p) and isinstance(K, (int, Fraction)):
-        bound = Fraction(4 * K) ** int(p) * report.rhs
-        holds = report.lhs_total <= bound
-    else:
-        bound = (4 * float(K)) ** p * float(report.rhs)
-        holds = float(report.lhs_total) <= bound * (1 + SLACK_REL_TOL)
-    return report.lhs_total, bound, holds
+    num = number_type(p, K)
+    bound = power(num(4 * K), p) * report.rhs
+    tol = 0 if num is Fraction else SLACK_REL_TOL
+    return report.lhs_total, bound, num(report.lhs_total) <= bound * (1 + tol)
 
 
 def trivial_renorm_bound(x, m, space):
@@ -214,7 +197,7 @@ def trivial_renorm_bound(x, m, space):
         raise ValueError("m <= 10")
     p = space.p
     steps = [norm_pow(x, p) for _ in range(m)]  # ||tx - (t-1)x||^p = ||x||^p
-    avg = sum(steps) / (Fraction(m) if not isinstance(steps[0], float) else m)
+    avg = sum(steps) / Fraction(m)  # a float sum stays a float
     value = float(avg) ** (1.0 / p)
     nx = space.norm(x)
     check(value <= nx + SLACK_REL_TOL * max(1.0, nx),

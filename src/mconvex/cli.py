@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BadInput, MconvexError
-from .metric import FiniteMetricSpace, PointMap, rat_from_str, rat_to_str
+from .metric import FiniteMetricSpace, PointMap, is_integral, rat_from_str, rat_to_str
 
 
 def _frac(text):
@@ -160,8 +160,9 @@ def _run_pconvex_check(args):
     from .banach import pconvexity_slacks
     slacks = pconvexity_slacks(args.d, args.p, float(args.K), args.trials, seed=args.seed)
     return {".json": _report({
-        "experiment": "pconvex-check", "d": args.d, "p": args.p,
-        "K": rat_to_str(args.K) if not isinstance(args.K, float) else args.K,
+        "experiment": "pconvex-check", "d": args.d,
+        "p": args.p if is_integral(args.p) else rat_to_str(args.p),
+        "K": rat_to_str(args.K),
         "trials": args.trials, "seed": args.seed,
         "min_slack": float(slacks.min()), "max_abs_slack_if_identity":
             float(abs(slacks).max()) if args.p == 2 and args.K == 1 else None,

@@ -25,8 +25,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import BoostFailed, PipelineFailed, TooLarge
-from ..metric import distortion_of
+from ..errors import BoostFailed, OutOfRange, PipelineFailed, TooLarge
+from ..metric import distortion_of, exact_or_float
 from ..trees import TreeVertex, enumerate_bn, tree_distance
 from .paths import PathMap, path_boost
 from .ramsey import ExhaustionReport, ramsey_search
@@ -67,8 +67,11 @@ def _spread_map(k, m, l, n):
 def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
     """Run the pipeline for f: B_n -> target (a callable on TreeVertex).
 
-    Returns an ExtractResult or raises PipelineFailed(stage).
+    Returns an ExtractResult or raises PipelineFailed(stage); raises
+    OutOfRange for xi <= 0 or delta < 0.
     """
+    if not xi > 0 or delta < 0:
+        raise OutOfRange(f"need xi > 0 and delta >= 0, got xi = {xi}, delta = {delta}")
     l = math.ceil(2 / xi)
     m = min(n // (l * k), 2)       # Ramsey guard caps the copy depth at 2
     if m < 1:
@@ -87,8 +90,7 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
         dx = target.dist(f(g[u]), f(g[v]))
         if dx == 0:
             raise PipelineFailed("vertical", f"f o g collapses ancestor pair {u}, {v}")
-        r = (Fraction(dx) if isinstance(dx, (int, Fraction)) else float(dx)) \
-            / (l * k * (len(v) - len(u)))
+        r = exact_or_float(dx) / (l * k * (len(v) - len(u)))
         lam = r if lam is None or r < lam else lam
         D_hi = r if D_hi is None or r > D_hi else D_hi
     base = 1 + float(delta) / 4

@@ -14,7 +14,7 @@ from ..metric import is_midpoint
 from ..randbits import random_bits, random_depth_bits
 from ..trees import ROOT, EpsilonSequence, HTreeSpace
 from .classify import path_scale_range
-from ..errors import NotApproximatePath
+from ..errors import NotApproximatePath, OutOfRange
 
 # small constant schedules: horizontal terms stay below the delta windows of
 # the classifiers; all satisfy eps < 1/4, non-increasing, n*eps_n non-decreasing
@@ -68,6 +68,14 @@ def _branch_off(rng, line, lca_depth, depth):
     return _rand_vertex(rng, depth - lca_depth - 1, line.ancestor(lca_depth + 1).sibling())
 
 
+def _exact_delta(delta):
+    """delta as a Fraction.  Raises OutOfRange when delta < 0: no candidate
+    of the generators' rejection loops would ever be accepted."""
+    if delta < 0:
+        raise OutOfRange(f"delta = {delta} < 0")
+    return Fraction(delta)
+
+
 def gen_midpoint(rng, delta, depth=40):
     """A random (space, x, y, z) with y an exact delta-approximate midpoint.
 
@@ -75,7 +83,7 @@ def gen_midpoint(rng, delta, depth=40):
     with two hanging prongs) and horizontal perturbations of either; the
     orientation is flipped half the time.
     """
-    delta = Fraction(delta)
+    delta = _exact_delta(delta)
     while True:
         space = make_space(rng.choice(MIDPOINT_EPS), depth)
         M = rng.randint(3, (depth - 2) // 3)
@@ -116,7 +124,7 @@ def gen_fork(rng, delta, depth=40):
     (x, w).  Families cover tents (type I), descending prong pairs
     (contracted), mixed chains (type III) and parallel-branch shapes that
     exercise the promotion path."""
-    delta = Fraction(delta)
+    delta = _exact_delta(delta)
     while True:
         space = make_space(rng.choice(FORK_EPS), depth)
         M = rng.randint(3, (depth - 4) // 3)
@@ -162,7 +170,7 @@ def gen_fork(rng, delta, depth=40):
 
 def gen_3path(rng, delta, depth=40):
     """A random (space, x0..x3) forming an exact (1+delta)-approximate 3-path."""
-    delta = Fraction(delta)
+    delta = _exact_delta(delta)
     while True:
         space = make_space(rng.choice(FORK_EPS), depth)
         M = rng.randint(3, (depth - 2) // 3)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ..errors import BoostFailed, LengthMismatch, OutOfRange, PreconditionViolated, check
-from ..metric import distortion_of
+from ..metric import distortion_of, exact_or_float, number_type
 
 
 class PathMap:
@@ -64,9 +64,8 @@ def _block_t(f, lo, hi):
     if mx == 0:
         return 0
     end = f.target.dist(f(lo), f(hi))
-    if isinstance(end, (int, Fraction)) and isinstance(mx, (int, Fraction)):
-        return Fraction(end) / ((hi - lo) * Fraction(mx))
-    return float(end) / ((hi - lo) * float(mx))
+    num = number_type(1, end, mx)
+    return num(end) / ((hi - lo) * num(mx))
 
 
 def submultiplicative_split(f, m, n):
@@ -90,11 +89,10 @@ def submultiplicative_split(f, m, n):
     tf = t_functional(f)
     tc = t_functional(coarse)
     tb = t_functional(block)
-    if isinstance(tf, Fraction) and isinstance(tc, Fraction) and isinstance(tb, Fraction):
-        holds = tf <= tc * tb
-    else:
-        holds = float(tf) <= float(tc) * float(tb) * (1 + 1e-12) + 1e-15
-    check(holds, "submultiplicativity violated: %s > %s * %s", tf, tc, tb)
+    num = number_type(1, tf, tc, tb)
+    rel, slack = (0, 0) if num is Fraction else (1e-12, 1e-15)
+    check(num(tf) <= num(tc) * num(tb) * (1 + rel) + slack,
+          "submultiplicativity violated: %s > %s * %s", tf, tc, tb)
     return coarse, block, best_i
 
 
@@ -162,8 +160,7 @@ def path_boost(f, t, delta, D=None):
                 blk_i = i
         base = base + blk_i * step
 
-    threshold = 1 - Fraction(delta) / (2 * t) if not isinstance(delta, float) \
-        else 1 - delta / (2 * t)
+    threshold = 1 - exact_or_float(delta) / (2 * t)
     if best_t < threshold:
         raise BoostFailed(
             f"best grid T = {float(best_t):.6f} below threshold {float(threshold):.6f}",
@@ -172,11 +169,11 @@ def path_boost(f, t, delta, D=None):
     dist = path_distortion(composed)
     # the log-embedding bound: T >= 1 - eps with eps < 1/t gives dist <= 1/(1 - t eps)
     eps = 1 - best_t
-    check(eps < Fraction(1, t) if isinstance(eps, Fraction) else eps < 1 / t,
-          "1 - T = %s is not below 1/t = 1/%s", eps, t)
+    check(eps < 1 / number_type(1, eps)(t), "1 - T = %s is not below 1/t = 1/%s", eps, t)
     bound = 1 / (1 - t * eps)
-    check(dist <= bound if isinstance(dist, Fraction) and isinstance(bound, Fraction)
-          else float(dist) <= float(bound) * (1 + 1e-12),
+    num = number_type(1, dist, bound)
+    rel = 0 if num is Fraction else 1e-12
+    check(num(dist) <= num(bound) * (1 + rel),
           "distortion %s exceeds the log-embedding bound %s", dist, bound)
     check(float(bound) <= 1 + float(delta) * (1 + 1e-12),
           "log-embedding bound %s exceeds 1 + delta = 1 + %s", bound, delta)

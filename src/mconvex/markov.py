@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateChain, OutOfRange, TooLarge, check
-from .metric import is_integral, rat_to_str
+from .metric import exact_or_float, is_integral, number_type, power, rat_to_str
 
 DOWNWARD_LIMIT = 16
 # the largest m of laakso_ratio, which builds no graph and takes O(4^m m)
@@ -352,11 +352,7 @@ def _fork_term(mu, M, dpow):
         d = dpow.get(x, y)
         if d:
             total += d * w
-    if dpow.den is not None:
-        return Fraction(2 * total, den_mu * denM ** 2 * dpow.den)
-    if isinstance(total, float):
-        return 2 * total / (den_mu * denM ** 2)
-    return 2 * total / Fraction(den_mu * denM ** 2)
+    return exact_or_float(2 * total) / (den_mu * denM ** 2 * (dpow.den or 1))
 
 
 def pair_expectation(chain, f, space, t, s, p):
@@ -412,11 +408,6 @@ def _check_p(p):
         raise OutOfRange(f"p = {p} < 1")
 
 
-def _sanity_bound(rhs, p, exact):
-    """The crude per-scale bound 4^p * rhs that every per_k term must meet."""
-    return (Fraction(4) ** int(p) if exact else 4.0 ** p) * rhs
-
-
 def _report(p, per_k, rhs):
     """The ConvexityReport of per-scale terms and a nonzero one-step sum."""
     lhs = sum(per_k)
@@ -438,7 +429,7 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     rhs = rhs_step_sum(chain, f, space, p)
     dpow = _DistPowCache(space, f, p)
     cache = _CondCache(chain)
-    exact_p = is_integral(p)
+    sanity = power(4, p) * rhs  # the crude bound every per_k term must meet
     # integer law vectors, once per time (the law is constant before t_min)
     laws = [_integer_law(chain.law(s)) for s in range(chain.t_min, chain.t_max + 1)]
     per_k = []
@@ -460,10 +451,8 @@ def convexity_ratio(chain, f, space, p, k_max=None):
         cache.release(k - 1)  # scale k + 1 composes level k only
         check(not boundary_lo, "lower boundary summand must vanish at k=%d", k)
         check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
-        scale = Fraction(2) ** (k * int(p)) if exact_p else 2.0 ** (k * p)
-        term_k = total / scale if total else total
-        check(term_k <= _sanity_bound(rhs, p, exact_p),
-              "per-k sanity bound failed at k=%d", k)
+        term_k = total / power(2, k * p) if total else total
+        check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
         per_k.append(term_k)
     if rhs == 0:
         report = ConvexityReport(p, per_k, sum(per_k), rhs, None, None)
@@ -489,9 +478,9 @@ def _interval_ratio(p, pairs, depth, hop_den, rhs, k_max):
     For integer p the sums are ints over 2^depth, whose halvings are exact
     while no t has more than `depth` intervals; floats for non-integer p.
     """
-    exact = is_integral(p)
-    q = int(p) if exact else p
-    unit = 2 ** depth if exact else 1  # floats halve exactly without one
+    num = number_type(p)
+    q = int(p) if num is Fraction else p
+    unit = 2 ** depth if num is Fraction else 1  # floats halve exactly without one
     # delta[k]: how much sum_t term(t - 2^k, t) grows from scale k - 1 to k
     delta = [0] * (k_max + 1)
     last = suffix = None
@@ -499,18 +488,16 @@ def _interval_ratio(p, pairs, depth, hop_den, rhs, k_max):
         if t != last:
             last, suffix = t, 0
         longer = hops ** q * unit + suffix
-        longer = longer >> 1 if exact else longer / 2
+        longer = longer >> 1 if num is Fraction else longer / 2
         delta[(since_b - 1).bit_length()] += longer - suffix
         suffix = longer
+    sanity = power(4, p) * rhs
     per_k = []
     total = 0
     for k in range(k_max + 1):
         total += delta[k]
-        if exact:
-            term_k = Fraction(total, unit * hop_den ** q * 2 ** (k * q)) if total else 0
-        else:
-            term_k = total / (hop_den ** p * 2.0 ** (k * p)) if total else 0
-        check(term_k <= _sanity_bound(rhs, p, exact), "per-k sanity bound failed at k=%d", k)
+        term_k = num(total) / (unit * power(hop_den, p) * power(2, k * p)) if total else 0
+        check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
         per_k.append(term_k)
     return _report(p, per_k, rhs)
 
@@ -537,7 +524,7 @@ def bn_ratio(n, p):
         raise OutOfRange(f"n = {n} < 1")
     _check_p(p)
     k_max = _k_max(n)
-    rhs = n * (Fraction(1) if is_integral(p) else 1.0)  # unit steps
+    rhs = number_type(p)(n)  # unit steps
     # a t is covered by at most min(t, n) <= n levels
     return _interval_ratio(p, _bn_intervals(n, k_max), n, 1, rhs, k_max)
 
@@ -581,7 +568,7 @@ def laakso_ratio(m, p):
     # so no interval joins after k = 2m < k_max
     k_max = _k_max(4 ** m)
     # the one-step sum: 4^m unit steps of length 4^-m
-    rhs = Fraction(1, 4 ** (m * (int(p) - 1))) if is_integral(p) else 4.0 ** (-m * (p - 1))
+    rhs = power(number_type(p)(4), -m * (p - 1))
     # a t is covered by at most one interval per scale
     return _interval_ratio(p, _laakso_intervals(m), m, 4 ** m, rhs, k_max)
 
@@ -606,8 +593,4 @@ def per_k_laakso_bound(m, k, p):
     """The proof's counting lower bound on the k-th per-scale term of the
     walk on G_m: |T_k| * 2^(-(2m+3)p - 1).  Returns (|T_k|, bound)."""
     count = laakso_time_set(m, k)
-    if is_integral(p):
-        bound = count * Fraction(1, 2 ** ((2 * m + 3) * int(p) + 1))
-    else:
-        bound = count * 2.0 ** (-(2 * m + 3) * p - 1)
-    return count, bound
+    return count, count * power(number_type(p)(2), -(2 * m + 3) * p - 1)

@@ -45,10 +45,38 @@ def rat_from_str(s):
     return float(s)
 
 
+# The exact-number policy: a computation decides once whether it runs in
+# Fraction or in float (number_type), then runs one formula in that type.
+# Per-element loops decide outside the loop or test _EXACT inline.
+
 def is_integral(p):
     """Whether the exponent p is an integer (an int or an integer-valued
     float), so that p-th powers of exact numbers stay exact."""
     return isinstance(p, int) or (isinstance(p, float) and p.is_integer())
+
+
+def is_exact(*values):
+    """Whether every value is exact (an int or a Fraction)."""
+    return all(isinstance(v, _EXACT) for v in values)
+
+
+def number_type(p, *values):
+    """Fraction when p is integral and every value is exact, else float: the
+    type in which p-th powers of the values are computed."""
+    return Fraction if is_integral(p) and is_exact(*values) else float
+
+
+def exact_or_float(x):
+    """x as a Fraction when it is exact, else as a float."""
+    return Fraction(x) if isinstance(x, _EXACT) else float(x)
+
+
+def power(x, p):
+    """x ** int(p) for exact x and integral p (an int for an int x and
+    p >= 0), else float(x) ** p."""
+    if is_integral(p) and isinstance(x, _EXACT):
+        return x ** int(p)
+    return float(x) ** p
 
 
 class FiniteMetricSpace:
@@ -86,10 +114,7 @@ class FiniteMetricSpace:
         """d(x, y)**p, exact when possible (integer p and exact distances)."""
         if self._dist_pow is not None:
             return self._dist_pow(x, y, p)
-        d = self._dist(x, y)
-        if is_integral(p):
-            return d ** int(p)
-        return float(d) ** p
+        return power(self._dist(x, y), p)
 
     def __len__(self):
         return len(self.points)
@@ -401,11 +426,7 @@ def midpoint_set(space, x, z, delta):
     """
     if x == z:
         raise ValueError("midpoint_set requires x != z")
-    d = space.dist(x, z)
-    if isinstance(d, (int, Fraction)) and not isinstance(delta, float):
-        bound = Fraction(1 + Fraction(delta), 2) * d
-    else:
-        bound = (1 + delta) / 2 * d
+    bound = (1 + exact_or_float(delta)) / 2 * space.dist(x, z)
     out = set()
     for y in space.points:
         if max(space.dist(x, y), space.dist(y, z)) <= bound:
@@ -421,11 +442,8 @@ def is_midpoint(space, x, y, z, delta):
     if x == z:
         raise ValueError("midpoints need x != z")
     sd = space.scaled_distance
-    if sd is not None and not isinstance(delta, float):
-        delta = Fraction(delta)
+    delta = exact_or_float(delta)
+    if sd is not None and is_exact(delta):
         p, q = delta.numerator, delta.denominator
         return max(sd(x, y), sd(y, z)) * 2 * q <= (q + p) * sd(x, z)
-    d = space.dist(x, z)
-    delta = Fraction(delta) if not isinstance(delta, float) else delta
-    bound = (1 + delta) * d / 2
-    return max(space.dist(x, y), space.dist(y, z)) <= bound
+    return max(space.dist(x, y), space.dist(y, z)) <= (1 + delta) * space.dist(x, z) / 2

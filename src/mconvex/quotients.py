@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 
 from .errors import (HorizonTooLong, LiftFailed, NotSurjective, OutOfRange,
                      PreconditionViolated)
 from .markov import ChainSpec, convexity_ratio, rhs_step_sum
+from .metric import exact_or_float, is_exact, power
 
 MAX_HORIZON = 8
 MAX_STATES = 20
@@ -32,8 +32,8 @@ class QuotientMap:
 
     def __init__(self, f, a, b, verify=True):
         self.f = f
-        self.a = Fraction(a) if not isinstance(a, float) else a
-        self.b = Fraction(b) if not isinstance(b, float) else b
+        self.a = exact_or_float(a)
+        self.b = exact_or_float(b)
         if verify:
             bad = verify_quotient(f, a, b)
             if bad:
@@ -59,7 +59,7 @@ def _test_radii(f):
     vals = sorted(vals)
     radii = list(vals)
     for lo, hi in zip(vals, vals[1:]):
-        radii.append((lo + hi) / (2 if isinstance(lo, float) else Fraction(2)))
+        radii.append(exact_or_float(lo + hi) / 2)
     return sorted(radii)
 
 
@@ -210,9 +210,8 @@ def transfer_check(q, chain, g, p, k_max=None):
     tchain = trajectory_chain(chain)
     h_star = lift_chain(q, chain, g)
     rep_x = convexity_ratio(tchain, h_star, f.source, p, k_max=k_max)
-    exact = isinstance(rep_y.rhs, (int, Fraction)) and isinstance(rep_x.rhs, (int, Fraction))
-    ap = Fraction(q.a) ** int(p) if exact and not isinstance(q.a, float) else float(q.a) ** p
-    bp = Fraction(q.b) ** int(p) if exact and not isinstance(q.b, float) else float(q.b) ** p
+    exact = is_exact(rep_y.rhs, rep_x.rhs)
+    ap, bp = (power(c if exact else float(c), p) for c in (q.a, q.b))
     step_ok = rep_x.rhs <= ap * rep_y.rhs
     lhs_ok = rep_y.lhs_total <= bp * rep_x.lhs_total
     bound = ap * bp * rep_x.ratio

@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mconvex.banach import (LpSpace, _exactable, check_pconvexity, check_prop21, find_K,
-                            fork_slack, norm_pow, pconvexity_slacks,
-                            trivial_renorm_bound)
+from mconvex.banach import (LpSpace, check_pconvexity, check_prop21, find_K, fork_slack,
+                            norm_pow, pconvexity_slacks, trivial_renorm_bound)
 from mconvex.embeddings.generators import random_chain
 from mconvex.errors import DegenerateChain, InvariantViolated
 from mconvex.markov import convexity_ratio
+from mconvex.metric import is_integral
 
 
 def test_norm_pow_exact_vs_float():
@@ -103,6 +103,13 @@ def test_as_metric_space_dist_pow_exact():
     # squared distances stay exact even though the distance is irrational
     assert ms.dist_pow(pts[0], pts[1], 2) == 2
     assert ms.dist(pts[0], pts[1]) == pytest.approx(math.sqrt(2))
+
+
+def _exactable(p, *vectors):
+    """The exactness test old_norm_pow was written against, kept with it."""
+    if not is_integral(p):
+        return False
+    return all(isinstance(c, (int, Fraction)) for v in vectors for c in v)
 
 
 def old_norm_pow(v, p):

@@ -196,6 +196,15 @@ def test_pconvex_check_K_keeps_its_type(tmp_path, capsys):
                      "--seed", "1"]) == 0
         data = json.loads(read(tmp_path, "pconvex-check.json"))
         assert data["K"] == written and type(data["K"]) is type(written)
+    # a rational p is written as "p/q" too, and sampled as the float 2.5
+    slacks = []
+    for p, written in (("5/2", "5/2"), ("2.5", 2.5)):
+        assert main(["--out", str(tmp_path), "pconvex-check", "--p", p, "--K", "3/2",
+                     "--trials", "1000", "--seed", "1"]) == 0
+        data = json.loads(read(tmp_path, "pconvex-check.json"))
+        assert data["p"] == written and data["violations"] == 0
+        slacks.append(data["min_slack"])
+    assert slacks[0] == slacks[1] > 0
 
 
 def test_laakso_commands_past_the_graph_limit(tmp_path, capsys):
@@ -332,6 +341,17 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     out_of_range.append(["boost", "--delta", "-1e-3", "--seed", "1"])
     out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
                          "--a", "1", "--b", "-1"])
+    # no generated instance has a negative delta: the generators refuse it
+    # before their rejection loops start
+    out_of_range += [["classify", "--kind", kind, "--delta", delta, "--seed", "1"]
+                     for kind, delta in (("midpoint", "-1"), ("fork", "-1/1000"),
+                                         ("3path", "-1/2"), ("3path", "-1"))]
+    # the sampled p-convexity inequality needs p >= 2 and K > 0
+    out_of_range += [["pconvex-check", *opts, "--seed", "1"]
+                     for opts in (["--K", "0"], ["--K", "-1", "--p", "5/2"], ["--p", "1"],
+                                  ["--p", "0"], ["--p", "-1"])]
+    out_of_range += [["extract-subtree", *opts]
+                     for opts in (["--xi", "0"], ["--xi", "-1"], ["--delta", "-1"])]
     for argv in runs + out_of_range:
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1

@@ -213,3 +213,20 @@ def test_transfer_fold():
     chain = walk_chain(2)
     ratio_y, bound, holds = transfer_check(q, chain, lambda s: s, 2)
     assert holds
+
+
+def test_transfer_factors_are_real_powers_for_non_integral_p():
+    # this space gives its p-th powers as rationals (the exact value of the
+    # float power) for every p, so both one-step sums are exact at p = 2.5;
+    # the factors must still be a^p and b^p, not a^int(p) and b^int(p)
+    def rational_line(n):
+        return FiniteMetricSpace(list(range(n + 1)), lambda x, y: abs(x - y),
+                                 dist_pow=lambda x, y, p: Fraction(abs(x - y) ** p))
+    f = PointMap(rational_line(4), rational_line(2), {i: abs(2 - i) for i in range(5)})
+    q = QuotientMap(f, 2, 1)
+    chain = walk_chain(2)
+    ratio_y, bound, holds = transfer_check(q, chain, lambda s: s, 2.5)
+    rep_x = convexity_ratio(trajectory_chain(chain), lift_chain(q, chain, lambda s: s),
+                            f.source, 2.5)
+    assert type(rep_x.rhs) is Fraction
+    assert bound == 2.0 ** 2.5 * rep_x.ratio and holds

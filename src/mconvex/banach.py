@@ -193,6 +193,8 @@ def trivial_renorm_bound(x, m, space):
 
     Checks value <= ||x|| (InvariantViolated otherwise) and returns it.
     """
+    if m < 1:
+        raise OutOfRange(f"m = {m} < 1")
     if m > 10:
         raise ValueError("m <= 10")
     p = space.p

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
-from ..errors import InvariantViolated, NotApproximatePath, PreconditionViolated, check
+from ..errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
+                      PreconditionViolated, check)
 from ..metric import distortion_of, is_midpoint
 from ..trees import enumerate_bn, tree_distance
-from .vertical import vertical_report
 
 # label characters: 'P' = (x,y,z) path-type, 'T' = (x,y,z) tent-type,
 # 'p' = (z,y,x) path-type, 't' = (z,y,x) tent-type.
@@ -361,23 +362,78 @@ _B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
 _B4_ANCESTOR_PAIRS = [(b.ancestor(h), b) for b in _B4 for h in range(b.depth)]
 
 
+def _b4_groups(keyed):
+    """[(d, getter)] over the distinct d of the (d, k) in `keyed`, d
+    ascending: the getter reads from a list the tuple of its entries at the
+    positions k paired with d (a tuple since every B_4 group has two or more)."""
+    groups = {}
+    for d, k in keyed:
+        groups.setdefault(d, []).append(k)
+    return [(d, itemgetter(*ks)) for d, ks in sorted(groups.items())]
+
+
+# the pairs of _B4_PAIRS by tree distance (1..8), and its strict ancestor
+# pairs by tree distance, which is their depth gap (1..4)
+_B4_BY_DISTANCE = _b4_groups((d, k) for k, (_, _, d) in enumerate(_B4_PAIRS))
+_B4_BY_GAP = _b4_groups((d, k) for k, (i, j, d) in enumerate(_B4_PAIRS)
+                        if _B4[i].is_ancestor_of(_B4[j]))
+
+
+def _b4_scaled(space, images):
+    """The ints den * d_eps between the images (a list in _B4 order) of the
+    pairs of _B4_PAIRS, in that order, after one depth check."""
+    space.check_depth(*images)
+    idx = [v.index for v in images]
+    sid = space.scaled_index_distance
+    return [sid(idx[i], idx[j]) for i, j, _ in _B4_PAIRS]
+
+
+def _extreme_pairs(scaled, groups):
+    """The pairs (d, least) and (d, greatest) of the ints `scaled` in each
+    group.  lip and colip are maxima of d_t / d_s and d_s / d_t, so of a
+    group of equal d_s only these two can attain them, and distortion_of
+    gives the same (lip, colip, dist) on them as on the whole group.
+
+    The target distances are the ints den * d_eps: scaling them all by den
+    divides lip by den and multiplies colip by it, so dist is unchanged."""
+    pairs = []
+    for d, get in groups:
+        ts = get(scaled)
+        pairs += ((d, min(ts)), (d, max(ts)))
+    return pairs
+
+
+def _b4_dist(scaled):
+    """dist over all pairs of _B4_PAIRS, from their ints `scaled`."""
+    return distortion_of(_extreme_pairs(scaled, _B4_BY_DISTANCE))[2]
+
+
 def b4_bound_check(space, f, delta):
     """For a (1 + delta)-vertically faithful map f of B_4 into (B_infty, d_eps)
     with delta < 1/400:  dist(f) >= 1 / (500 delta + eps_h0), where h0 is the
     minimum height in the image.
 
     Returns (dist, bound, holds); dist is computed over all vertex pairs of
-    B_4 (inf when f collapses a non-ancestor pair).
+    B_4 (inf when f collapses a non-ancestor pair).  One pass computes the
+    scaled distances of all pairs; the vertical report D (the distortion on
+    the strict ancestor pairs) and dist both reduce them.  A collapsed
+    ancestor pair raises CollapsedAncestorPair, naming the first in
+    _B4_ANCESTOR_PAIRS order.
     """
     if not Fraction(delta) < Fraction(1, 400):
         raise PreconditionViolated("requires delta < 1/400")
-    images = {v: f(v) for v in _B4}
-    space.check_depth(*images.values())
-    rep = vertical_report(lambda v: images[v], _B4_ANCESTOR_PAIRS, space)
-    if not rep.faithful(delta):
-        raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {rep.D}")
-    dist = b4_distortion(space, images)
-    h0 = min(v.depth for v in images.values())
+    images = [f(v) for v in _B4]
+    scaled = _b4_scaled(space, images)
+    vertical = _extreme_pairs(scaled, _B4_BY_GAP)
+    if not all(t for _, t in vertical):
+        image = dict(zip(_B4, images))
+        x, y = next((x, y) for x, y in _B4_ANCESTOR_PAIRS if image[x] == image[y])
+        raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
+    D = distortion_of(vertical)[2]
+    if not D <= 1 + delta:
+        raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {D}")
+    dist = _b4_dist(scaled)
+    h0 = min(v.depth for v in images)
     bound = 1 / (500 * Fraction(delta) + space.eps[h0])
     holds = dist >= bound
     return dist, bound, holds
@@ -385,10 +441,5 @@ def b4_bound_check(space, f, delta):
 
 def b4_distortion(space, images):
     """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
-    vertex -> image) over all vertex pairs of B_4; inf on a collapse.
-
-    The target distances are the ints den * d_eps: scaling them all by den
-    divides lip by den and multiplies colip by it, so dist is unchanged."""
-    imgs = [images[v] for v in _B4]
-    sd = space.scaled_distance
-    return distortion_of([(d, sd(imgs[i], imgs[j])) for i, j, d in _B4_PAIRS])[2]
+    vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
+    return _b4_dist(_b4_scaled(space, [images[v] for v in _B4]))

@@ -58,10 +58,13 @@ def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):
     Nested embeddings stretch every ancestor pair by exactly L, so the
     vertical report is D = 1 regardless of branch choices; occasional sibling
     collisions (collide_prob) leave faithfulness intact but make the full
-    distortion infinite.  Returns a dict TreeVertex -> TreeVertex.
+    distortion infinite.  Returns a dict TreeVertex -> TreeVertex.  L must
+    be in 1..max_depth // 4 (OutOfRange otherwise), so the image fits.
     """
     if L is None:
         L = rng.randint(3, 14)
+    if not 1 <= L <= space.max_depth // 4:
+        raise OutOfRange(f"L = {L} outside 1..{space.max_depth // 4}")
     h0 = rng.randint(0, space.max_depth - 4 * L)
     root_bits = random_bits(rng, h0)
     return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))

@@ -8,7 +8,7 @@ import pytest
 from mconvex.banach import (LpSpace, check_pconvexity, check_prop21, find_K, fork_slack,
                             norm_pow, pconvexity_slacks, trivial_renorm_bound)
 from mconvex.embeddings.generators import random_chain
-from mconvex.errors import DegenerateChain, InvariantViolated
+from mconvex.errors import DegenerateChain, InvariantViolated, OutOfRange
 from mconvex.markov import convexity_ratio
 from mconvex.metric import is_integral
 
@@ -84,6 +84,10 @@ def test_trivial_renorm_bound():
     assert val == pytest.approx(5.0)
     with pytest.raises(ValueError):
         trivial_renorm_bound(x, 11, sp)
+    # m < 1 has no steps to average: m = 0 divided by zero, m = -1 gave 0.0
+    for m in (0, -1):
+        with pytest.raises(OutOfRange, match=f"m = {m} < 1"):
+            trivial_renorm_bound(x, m, sp)
 
 
 def test_trivial_renorm_bound_is_checked():

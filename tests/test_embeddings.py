@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.embeddings.classify import b4_bound_check, b4_distortion
+from mconvex.embeddings.classify import (_B4, _B4_ANCESTOR_PAIRS, _B4_PAIRS, b4_bound_check,
+                                         b4_distortion)
 from mconvex.embeddings.extract import extract_vertically_faithful
 from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
                                            htree_random_triple_violations, make_space,
@@ -15,9 +16,10 @@ from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
 from mconvex.embeddings.search import distortion_gap_experiment, generate_faithful_b4
 from mconvex.embeddings.vertical import VerticalReport, bn_vertical_report, vertical_report
-from mconvex.errors import (BoostFailed, CollapsedAncestorPair, InvariantViolated,
-                            OutOfRange, PipelineFailed, PreconditionViolated, TooLarge,
-                            check)
+from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
+                            InvariantViolated, OutOfRange, PipelineFailed,
+                            PreconditionViolated, TooLarge, check)
+from mconvex.metric import distortion_of
 from mconvex.randbits import random_bits
 from mconvex.trees import (EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn, sp_pairs,
                            tree_distance)
@@ -199,16 +201,22 @@ class _FloatTarget:
 
 def _vertical_cases(rng):
     """(f, pairs, target) inputs: faithful, warped and sibling-collapsed B_4
-    maps into contracted trees, and warped maps under the tree metric, each on
-    all ancestor pairs, on one pair, and with an ancestor pair collapsed."""
+    maps into contracted trees (HTreeSpace targets, a constant-schedule one
+    among them, and exact FiniteMetricSpace targets), and warped maps under
+    the tree metric and float distances, each on all ancestor pairs, on one
+    pair, and with an ancestor pair collapsed."""
     tree = type("T", (), {"dist": staticmethod(tree_distance)})()
     space = HTreeSpace(random_valid_epsilon(rng, 40), 40)
+    const = make_space(Fraction(1, rng.randint(2, 9)), depth=40)
     maps = [generate_faithful_b4(space, rng, L=rng.randint(1, 8), collide_prob=0.0),
             generate_faithful_b4(space, rng, L=rng.randint(1, 8), collide_prob=1.0),
             _warped_b4(rng)]
     all_pairs = list(sp_pairs(4))
     for images, target in [(maps[0], space), (maps[1], space), (maps[2], space),
-                           (maps[2], tree), (maps[0], _FloatTarget(space))]:
+                           (maps[2], tree), (maps[0], _FloatTarget(space)),
+                           (maps[0], const), (maps[2], const),
+                           (maps[0], space.as_metric_space(maps[0].values())),
+                           (maps[2], const.as_metric_space(maps[2].values()))]:
         collapsed = dict(images)
         v = rng.choice(enumerate_bn(4)[1:])
         collapsed[v] = collapsed[v.parent()]
@@ -319,6 +327,19 @@ def test_extract_fails_honestly_on_wild_stretch():
 
 
 # -------------------------------------------------------------------- search
+
+def test_generate_faithful_b4_rejects_bad_L():
+    space = make_space(Fraction(1, 5), depth=60)
+    for L in (0, -1, 16, 100):
+        with pytest.raises(OutOfRange, match=f"L = {L} "):
+            generate_faithful_b4(space, random.Random(1), L=L)
+    # L = max_depth // 4 fits: h0 = 0
+    f = generate_faithful_b4(space, random.Random(1), L=15)
+    assert f[TreeVertex(())].depth == 0 and max(v.depth for v in f.values()) == 60
+    # a drawn L (3..14) past a shallow space's max_depth // 4
+    with pytest.raises(OutOfRange):
+        generate_faithful_b4(make_space(Fraction(1, 5), depth=8), random.Random(1))
+
 
 def test_generate_faithful_b4_is_faithful():
     space = make_space(Fraction(1, 5), depth=60)
@@ -466,6 +487,85 @@ def test_nested_b4_distortion_depends_only_on_L_h0_eps():
                                               search._random_descents(rng, L))
             values.add(b4_distortion(space, images))
         assert len(values) == 1, (L, h0, values)
+
+
+def _b4_bound_check_oracle(space, f, delta):
+    """b4_bound_check before it reduced one pass of scaled distances per tree
+    distance, kept verbatim as the reference (a vertical report over the
+    ancestor pairs, then b4_distortion), except that its vertical report is
+    the ratio loop above, which test_vertical_report_matches_ratio_loop
+    holds equal to vertical_report."""
+    if not Fraction(delta) < Fraction(1, 400):
+        raise PreconditionViolated("requires delta < 1/400")
+    images = {v: f(v) for v in _B4}
+    space.check_depth(*images.values())
+    rep = _vertical_report_oracle(lambda v: images[v], _B4_ANCESTOR_PAIRS, space)
+    if not rep.faithful(delta):
+        raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {rep.D}")
+    dist = _b4_distortion_oracle(space, images)
+    h0 = min(v.depth for v in images.values())
+    bound = 1 / (500 * Fraction(delta) + space.eps[h0])
+    holds = dist >= bound
+    return dist, bound, holds
+
+
+def _b4_distortion_oracle(space, images):
+    """b4_distortion before it, kept verbatim: distortion_of over every pair
+    of _B4_PAIRS."""
+    imgs = [images[v] for v in _B4]
+    sd = space.scaled_distance
+    return distortion_of([(d, sd(imgs[i], imgs[j])) for i, j, d in _B4_PAIRS])[2]
+
+
+def _b4_outcome(fn, *args):
+    """The value with its types, or the error's type and message."""
+    try:
+        out = fn(*args)
+    except (CollapsedAncestorPair, DepthExceeded, PreconditionViolated) as exc:
+        return type(exc), str(exc)
+    values = out if isinstance(out, tuple) else (out,)
+    return values, [type(x) for x in values]
+
+
+def _b4_differential_cases(rng):
+    """(space, images, delta): 2,000 maps of the b4-search stream (with its
+    sibling collisions), maps on the 20 random schedules, warped unfaithful
+    maps, maps with ancestor pairs collapsed, maps deeper than max_depth, and
+    delta = 1/400, 0 and a float delta."""
+    space = make_space(Fraction(1, 5), depth=60)
+    gen = random.Random(1)
+    for _ in range(2000):
+        yield space, generate_faithful_b4(space, gen), Fraction(1, 512)
+    shallow = make_space(Fraction(1, 5), depth=20)
+    for sched in _schedules(rng, 20):
+        for L in (1, 2, 3, 8, 15):
+            f = generate_faithful_b4(sched, rng, L=L, collide_prob=0.3)
+            yield sched, f, Fraction(1, 512)
+            yield sched, f, rng.choice((Fraction(1, 400), Fraction(1, 401), 1e-3, 0))
+            yield shallow, f, Fraction(1, 512)
+            # three ancestor pairs collapsed: v and a child onto an ancestor
+            v = rng.choice(enumerate_bn(3)[1:])
+            a = f[v.ancestor(rng.randrange(v.depth))]
+            yield sched, {**f, v: a, v.child(rng.randint(0, 1)): a}, Fraction(1, 512)
+        yield sched, _warped_b4(rng), Fraction(1, 512)
+
+
+def test_b4_bound_check_matches_the_per_pair_oracle():
+    rng = random.Random(41)
+    seen = set()
+    for space, images, delta in _b4_differential_cases(rng):
+        f = images.__getitem__
+        old = _b4_outcome(_b4_bound_check_oracle, space, f, delta)
+        assert _b4_outcome(b4_bound_check, space, f, delta) == old
+        old_d = _b4_outcome(_b4_distortion_oracle, space, images)
+        assert _b4_outcome(b4_distortion, space, images) == old_d
+        if isinstance(old[0], type):
+            seen.add(old[0])
+        else:
+            dist, _, holds = old[0]
+            seen.add("inf" if math.isinf(dist) else holds)
+    assert seen >= {True, "inf", CollapsedAncestorPair, DepthExceeded,
+                    PreconditionViolated}, seen
 
 
 def test_int_descents_match_tuple_code():

@@ -192,17 +192,18 @@ def _run_prop21_check(args):
 
 def _run_htree_validate(args):
     import random
-    from .trees import HTreeSpace, scaled_distance_matrix, triangle_violations
+    from .trees import HTreeSpace, enumerate_bn, scaled_distance_matrix, triangle_violations
     from .embeddings.generators import random_valid_epsilon, htree_random_triple_violations
     if args.exhaustive_depth > args.max_depth:
         raise BadInput(f"--exhaustive-depth {args.exhaustive_depth} > "
                        f"--max-depth {args.max_depth}")
     rng = random.Random(args.seed)
+    depth = args.exhaustive_depth
     results = []
     for i in range(args.sequences):
         eps = random_valid_epsilon(rng, args.max_depth)
-        mat, _ = scaled_distance_matrix(eps, args.exhaustive_depth)
-        exhaustive_bad = triangle_violations(mat)
+        exhaustive_bad = triangle_violations(
+            scaled_distance_matrix(HTreeSpace(eps, depth), enumerate_bn(depth)))
         space = HTreeSpace(eps, args.max_depth)
         sampled_bad = htree_random_triple_violations(space, rng, args.samples)
         results.append({"sequence": i, "exhaustive_violations": exhaustive_bad,

@@ -29,7 +29,7 @@ from operator import itemgetter
 from ..errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
                       PreconditionViolated, check)
 from ..metric import distortion_of, is_midpoint
-from ..trees import enumerate_bn, tree_distance
+from ..trees import enumerate_bn, sp_pairs, tree_distance
 
 # label characters: 'P' = (x,y,z) path-type, 'T' = (x,y,z) tent-type,
 # 'p' = (z,y,x) path-type, 't' = (z,y,x) tent-type.
@@ -358,8 +358,6 @@ _B4 = enumerate_bn(4)
 # (i, j, tree distance) over the index pairs i < j of _B4
 _B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
              for i, j in combinations(range(len(_B4)), 2)]
-# (ancestor, vertex) over the strict ancestor pairs of _B4
-_B4_ANCESTOR_PAIRS = [(b.ancestor(h), b) for b in _B4 for h in range(b.depth)]
 
 
 def _b4_groups(keyed):
@@ -418,7 +416,7 @@ def b4_bound_check(space, f, delta):
     scaled distances of all pairs; the vertical report D (the distortion on
     the strict ancestor pairs) and dist both reduce them.  A collapsed
     ancestor pair raises CollapsedAncestorPair, naming the first in
-    _B4_ANCESTOR_PAIRS order.
+    sp_pairs(4) order.
     """
     if not Fraction(delta) < Fraction(1, 400):
         raise PreconditionViolated("requires delta < 1/400")
@@ -427,7 +425,7 @@ def b4_bound_check(space, f, delta):
     vertical = _extreme_pairs(scaled, _B4_BY_GAP)
     if not all(t for _, t in vertical):
         image = dict(zip(_B4, images))
-        x, y = next((x, y) for x, y in _B4_ANCESTOR_PAIRS if image[x] == image[y])
+        x, y = next((x, y) for x, y in sp_pairs(4) if image[x] == image[y])
         raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
     D = distortion_of(vertical)[2]
     if not D <= 1 + delta:

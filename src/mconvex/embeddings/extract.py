@@ -27,7 +27,7 @@ from itertools import combinations
 
 from ..errors import BoostFailed, OutOfRange, PipelineFailed, TooLarge
 from ..metric import distortion_of, exact_or_float
-from ..trees import TreeVertex, enumerate_bn, tree_distance
+from ..trees import TreeVertex, enumerate_bn, sp_pairs, tree_distance
 from .paths import PathMap, path_boost
 from .ramsey import ExhaustionReport, ramsey_search
 from .vertical import vertical_report
@@ -121,24 +121,21 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
     b = boost.grid[1] - boost.grid[0]
 
     # stage 5: assemble phi = g o copy o psi, psi stepping b levels per edge
+    verts = enumerate_bn(t)
     phi = {}
-    for v in enumerate_bn(t):
+    for v in verts:
         psi_v = TreeVertex((0,) * a + sum((((bit,) + (0,) * (b - 1)) for bit in v.path), ()))
         phi[v] = g[copy[psi_v]]
 
     # verification: ancestor preservation, distortion, vertical faithfulness
-    verts = enumerate_bn(t)
-    for v in verts:
-        for h in range(v.depth):
-            if not phi[v.ancestor(h)].is_strict_ancestor_of(phi[v]):
-                raise PipelineFailed("verify", "ancestor relation not preserved")
+    pairs = list(sp_pairs(t))
+    if not all(phi[x].is_strict_ancestor_of(phi[y]) for x, y in pairs):
+        raise PipelineFailed("verify", "ancestor relation not preserved")
     dist = distortion_of((tree_distance(u, v), tree_distance(phi[u], phi[v]))
                          for u, v in combinations(verts, 2))[2]
     if dist > 1 + Fraction(xi):
         raise PipelineFailed("verify", f"dist(phi) = {float(dist):.4f} > 1 + xi")
-    rep = vertical_report(lambda v: f(phi[v]),
-                          [(v.ancestor(h), v) for v in verts for h in range(v.depth)],
-                          target)
+    rep = vertical_report(lambda v: f(phi[v]), pairs, target)
     if not rep.faithful(delta):
         raise PipelineFailed("verify", f"f o phi not (1+delta)-faithful: D = {float(rep.D):.6f}")
     return ExtractResult(phi, t, {"l": l, "k": k, "m": m, "r": r_colors}, rep, boost)

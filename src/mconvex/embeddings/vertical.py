@@ -12,7 +12,7 @@ import math
 
 from ..errors import CollapsedAncestorPair
 from ..metric import distortion_of
-from ..trees import sp_pairs, tree_distance
+from ..trees import tree_distance
 
 
 class VerticalReport:
@@ -47,8 +47,3 @@ def vertical_report(f, pairs, target, strict=True):
         raise ValueError("no ancestor pairs supplied")
     _, colip, D = distortion_of(dists)
     return VerticalReport(0 if math.isinf(D) else 1 / colip, D, len(dists))
-
-
-def bn_vertical_report(f, n, target, strict=True):
-    """vertical_report over all strict ancestor pairs of B_n."""
-    return vertical_report(f, sp_pairs(n), target, strict=strict)

@@ -17,6 +17,8 @@ from .errors import BadInput, CollapsedPair, TooLarge
 # number of points up to which verify_metric checks every triple
 EXHAUSTIVE_LIMIT = 2000
 SAMPLED_TRIPLES = 10 ** 6
+# relative tolerance of the metric axioms on float distances
+DEFAULT_TOL = 1e-12
 
 # the number types a distance is exact in
 _EXACT = (int, Fraction)
@@ -97,7 +99,7 @@ class FiniteMetricSpace:
     reads scaled_distance pair by pair.
     """
 
-    def __init__(self, points, dist, exact=True, tol=1e-12, dist_pow=None, scaled=None,
+    def __init__(self, points, dist, exact=True, tol=DEFAULT_TOL, dist_pow=None, scaled=None,
                  scaled_matrix=None):
         self.points = list(points)
         self._dist = dist
@@ -120,7 +122,7 @@ class FiniteMetricSpace:
         return len(self.points)
 
     @classmethod
-    def from_matrix(cls, points, matrix, exact=True, tol=1e-12):
+    def from_matrix(cls, points, matrix, exact=True, tol=DEFAULT_TOL):
         points = list(points)
         index = {pt: i for i, pt in enumerate(points)}
         rows = [list(row) for row in matrix]
@@ -195,7 +197,8 @@ def verify_metric(space, seed=0):
     tol = 0 if space.exact else space.tol
     as_np = None
     if 64 < n <= EXHAUSTIVE_LIMIT:
-        as_np = _scaled_matrix(space) or _numpy_matrix(space.distance_matrix(), space.exact)
+        as_np = (_scaled_matrix(space)
+                 or _numpy_matrix(space.distance_matrix(), space.exact, space.tol))
     if as_np is None or not _integer_axioms_hold(as_np[0]):
         rows = space.distance_matrix()
         for i in range(n):
@@ -315,16 +318,18 @@ def _scaled_matrix(space):
     return np.array(rows, dtype=np.int64), 0
 
 
-def _numpy_matrix(rows, exact):
+def _numpy_matrix(rows, exact, tol=DEFAULT_TOL):
     """Scale an exact rational matrix to int64 (or fall back to float64).
 
-    Returns (matrix, tolerance-matrix-entry) or None when exact scaling fails.
+    Returns (matrix, tolerance-matrix-entry) or None when exact scaling fails;
+    a float matrix's tolerance entry is the relative `tol` times its largest
+    entry (at least 1).
     """
     import numpy as np
 
     if not exact:
         mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
-        return mat, 1e-12 * max(1.0, float(mat.max()))
+        return mat, tol * max(1.0, float(mat.max()))
     if not all(isinstance(d, _EXACT) for row in rows for d in row):
         return None
     den = math.lcm(*{d.denominator for row in rows for d in row})

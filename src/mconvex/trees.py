@@ -17,12 +17,14 @@ Every d_eps value to depth N is an integer multiple of 1/den, where den is the
 lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
 (`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only,
 on the two heap indices (`HTreeSpace.scaled_index_distance`, behind
-`scaled_distance`); `distance` is that int over den, and the
-numpy distance matrices scale by the same den.  Every lca depth is one
+`scaled_distance`); `distance` is that int over den.  Every lca depth is one
 closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
-depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52),
-from which all the matrices come (`_scaled_block`), whether over all of B_n
-or over the points of `HTreeSpace.as_metric_space`.
+depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52).
+One function builds den * d_eps matrices, `scaled_distance_matrix(space,
+vertices)`, whether over all of B_n (`htree-validate`) or over the points of
+`HTreeSpace.as_metric_space` (`verify_metric`); only the blockwise count
+`tree_metric_equality_violations` runs its kernel `_scaled_block` by rows.
+One function lists the strict ancestor pairs of B_n, `sp_pairs`.
 """
 from __future__ import annotations
 
@@ -236,14 +238,6 @@ def epsilon_from_growth(s, N):
     return seq
 
 
-def _scaled_eps(eps, depth):
-    """(den, two_eps): den is the lcm of the denominators of eps_0..eps_depth
-    and two_eps[m] the int 2 * eps_m * den."""
-    vals = eps.values[:depth + 1]
-    den = math.lcm(*(v.denominator for v in vals))
-    return den, [2 * v.numerator * (den // v.denominator) for v in vals]
-
-
 class HTreeSpace:
     """The binary tree up to max_depth with the contracted metric d_eps."""
 
@@ -254,7 +248,11 @@ class HTreeSpace:
             raise ValueError(f"max_depth {max_depth} exceeds epsilon horizon {eps.N}")
         self.eps = eps
         self.max_depth = max_depth
-        self.den, self._two_eps = _scaled_eps(eps, max_depth)
+        # den is the lcm of the denominators of eps_0..eps_max_depth and
+        # _two_eps[m] the int 2 * eps_m * den
+        vals = eps.values[:max_depth + 1]
+        self.den = math.lcm(*(v.denominator for v in vals))
+        self._two_eps = [2 * v.numerator * (self.den // v.denominator) for v in vals]
         self._index_limit = 2 ** (max_depth + 1)   # the heap indices past max_depth
 
     @property
@@ -299,30 +297,7 @@ class HTreeSpace:
                                          self.max_depth))
         return FiniteMetricSpace(verts, self.distance, exact=True,
                                  scaled=(local.scaled_distance, local.den),
-                                 scaled_matrix=lambda: local._scaled_matrix(verts))
-
-    def _scaled_matrix(self, vertices):
-        """The int64 matrix of scaled_distance over the vertices, every entry
-        (both triangles and the diagonal) computed from heap indices in one
-        numpy pass.  Raises DepthExceeded as scaled_distance does, and
-        TooLarge when a vertex lies deeper than HEAP_EXACT_DEPTH or an entry
-        could exceed 2^61 in size."""
-        import numpy as np
-
-        idx = [v.index for v in vertices]
-        top = max(idx, default=1).bit_length() - 1
-        if top > self.max_depth:
-            self.check_depth(*vertices)
-        if top > HEAP_EXACT_DEPTH:
-            raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
-        two_eps = self._two_eps[:top + 1]
-        # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
-        if top * (self.den + max(map(abs, two_eps))) > 2 ** 61:
-            raise TooLarge("scaled distances could exceed 2^61")
-        idx = np.array(idx, dtype=np.int64)
-        h = _bit_length(idx) - 1
-        return _scaled_block(idx[:, None], h[:, None], idx, h, self.den,
-                             np.array(two_eps, dtype=np.int64))[1]
+                                 scaled_matrix=lambda: scaled_distance_matrix(local, verts))
 
     def to_json(self):
         import json
@@ -369,7 +344,7 @@ def sp_pairs(n):
 # The numpy kernels below evaluate it on int64 arrays and take bit lengths
 # from the float64 exponent (np.frexp), which is exact only below 2^53: they
 # serve heap indices 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and
-# HTreeSpace._scaled_matrix raises TooLarge beyond.
+# scaled_distance_matrix raises TooLarge beyond.
 # ---------------------------------------------------------------------------
 
 HEAP_EXACT_DEPTH = 52
@@ -399,47 +374,57 @@ def _scaled_block(A, dA, B, dB, den, two_eps):
     return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
 
 
-def _scaled_blocks(eps, depth, block):
-    """Integer-scaled d_eps over all vertices to `depth`, in row blocks.
+def scaled_distance_matrix(space, vertices):
+    """The int64 matrix of space.scaled_distance (den * d_eps over
+    `space.den`) over the vertices, every entry (both triangles and the
+    diagonal) computed from heap indices in one numpy pass.  Raises
+    DepthExceeded as scaled_distance does, and TooLarge when a vertex lies
+    deeper than HEAP_EXACT_DEPTH or an entry could exceed 2^61 in size."""
+    import numpy as np
 
-    Yields (denom, row depths (k, 1), column depths (n,), lca depths (k, n),
-    scaled block) per `block` consecutive heap-ordered rows, where denom is
-    the common denominator of eps_0..eps_depth and the scaled block holds
-    denom * d_eps(v_i, v_j) exactly.
+    idx = [v.index for v in vertices]
+    top = max(idx, default=1).bit_length() - 1
+    if top > space.max_depth:
+        space.check_depth(*vertices)
+    if top > HEAP_EXACT_DEPTH:
+        raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
+    two_eps = space._two_eps[:top + 1]
+    # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
+    if top * (space.den + max(map(abs, two_eps))) > 2 ** 61:
+        raise TooLarge("scaled distances could exceed 2^61")
+    idx = np.array(idx, dtype=np.int64)
+    h = _bit_length(idx) - 1
+    return _scaled_block(idx[:, None], h[:, None], idx, h, space.den,
+                         np.array(two_eps, dtype=np.int64))[1]
+
+
+# rows per block of tree_metric_equality_violations
+EQUALITY_BLOCK_ROWS = 256
+
+
+def tree_metric_equality_violations(eps, depth):
+    """Count the ordered pairs up to `depth` where d_eps differs from the
+    tree metric.
+
+    Over EQUALITY_BLOCK_ROWS heap-ordered rows at a time, so depth 12 (8191
+    vertices, ~33M ordered pairs) stays within a modest memory budget.  With
+    eps identically 1 the count must be 0: the contraction term
+    2*eps*(min - lca) then equals the full horizontal travel of the shortest
+    path.
     """
     import numpy as np
 
-    denom, two_eps = _scaled_eps(eps, depth)
-    two_eps = np.array(two_eps, dtype=np.int64)
+    space = HTreeSpace(eps, depth)
+    den, two_eps = space.den, np.array(space._two_eps, dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    depths = _bit_length(idx) - 1
-    for lo in range(0, len(idx), block):
-        rd = depths[lo:lo + block, None]
-        lca, mat = _scaled_block(idx[lo:lo + block, None], rd, idx, depths, denom, two_eps)
-        yield denom, rd, depths, lca, mat
-
-
-def scaled_distance_matrix(eps, depth):
-    """Integer-scaled d_eps distance matrix over all vertices to `depth`.
-
-    Returns (numpy int64 matrix in BFS/heap order, common denominator), with
-    matrix[i][j] = denom * d_eps(v_i, v_j) exactly.  Used by the exhaustive
-    triangle check; exact because all entries share one denominator.
-    """
-    [(denom, _, _, _, mat)] = _scaled_blocks(eps, depth, 2 ** (depth + 1))
-    return mat, denom
-
-
-def tree_metric_equality_violations(eps, depth, block=256):
-    """Count pairs up to `depth` where d_eps differs from the tree metric.
-
-    Blockwise over heap indices, so depth 12 (8191 vertices, ~33M ordered
-    pairs) stays within a modest memory budget.  With eps identically 1 the
-    count must be 0: the contraction term 2*eps*(min - lca) then equals the
-    full horizontal travel of the shortest path.
-    """
-    return sum(int((d_eps != (rd + cd - 2 * lca) * denom).sum())
-               for denom, rd, cd, lca, d_eps in _scaled_blocks(eps, depth, block))
+    h = _bit_length(idx) - 1
+    count = 0
+    for lo in range(0, len(idx), EQUALITY_BLOCK_ROWS):
+        rows = slice(lo, lo + EQUALITY_BLOCK_ROWS)
+        rh = h[rows, None]
+        lca, d_eps = _scaled_block(idx[rows, None], rh, idx, h, den, two_eps)
+        count += int((d_eps != (rh + h - 2 * lca) * den).sum())
+    return count
 
 
 def triangle_violations(mat):

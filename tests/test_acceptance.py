@@ -28,7 +28,7 @@ from mconvex.markov import (ChainSpec, bn_ratio, convexity_ratio, laakso_ratio,
 from mconvex.quotients import QuotientMap, lift_chain, trajectory_chain, \
     transfer_check
 from mconvex.metric import FiniteMetricSpace, PointMap
-from mconvex.trees import (EpsilonSequence, HTreeSpace, scaled_distance_matrix,
+from mconvex.trees import (EpsilonSequence, HTreeSpace, enumerate_bn, scaled_distance_matrix,
                            tree_metric_equality_violations, triangle_violations)
 
 # frozen Laakso convexity ratios at p = 2 (exact DP, first verified run).
@@ -147,7 +147,7 @@ def test_htree_triangle_inequality_random_schedules():
     per_seq = total_sampled // sequences
     for _ in range(sequences):
         eps = random_valid_epsilon(rng, 64)
-        mat, _ = scaled_distance_matrix(eps, 8)
+        mat = scaled_distance_matrix(HTreeSpace(eps, 8), enumerate_bn(8))
         # exhaustive depth-8 triangle check, integer arithmetic throughout
         assert triangle_violations(mat) == 0
         space = HTreeSpace(eps, 64)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from mconvex.embeddings.classify import (b4_bound_check, classify_3path,
 from mconvex.embeddings.generators import (gen_3path, gen_fork, gen_midpoint,
                                            make_space)
 from mconvex.embeddings.search import generate_faithful_b4
-from mconvex.errors import InvariantViolated, NotApproximatePath, PreconditionViolated, check
+from mconvex.errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
+                            PreconditionViolated, check)
 from mconvex.trees import ROOT, TreeVertex
 
 
@@ -308,8 +310,19 @@ def test_check_exclusions_match_fraction_code():
 
 
 def test_b4_ancestor_pairs_are_the_strict_ancestor_pairs():
-    from mconvex.embeddings.classify import _B4, _B4_ANCESTOR_PAIRS
+    # b4_bound_check names the first collapsed pair in sp_pairs(4) order: the
+    # strict ancestor pairs of _B4, descendants in heap order, ancestors
+    # from the root down
+    from mconvex.embeddings.classify import _B4
     from mconvex.trees import sp_pairs
-    assert _B4_ANCESTOR_PAIRS == list(sp_pairs(4))
-    assert _B4_ANCESTOR_PAIRS == [(a, b) for b in _B4 for a in
-                                  (b.ancestor(h) for h in range(b.depth))]
+    pairs = [(a, b) for b in _B4 for a in (b.ancestor(h) for h in range(b.depth))]
+    assert list(sp_pairs(4)) == pairs
+    assert pairs == [(a, b) for b in _B4 for a in _B4 if a.is_strict_ancestor_of(b)]
+    space = make_space(Fraction(1, 5), depth=20)
+    pool = [TreeVertex((0,) * k) for k in range(3)]
+    rng = random.Random(4)
+    for _ in range(50):
+        f = {v: rng.choice(pool) for v in _B4}
+        x, y = next((a, b) for a, b in pairs if f[a] == f[b])
+        with pytest.raises(CollapsedAncestorPair, match=re.escape(f"pair ({x}, {y})")):
+            b4_bound_check(space, f.__getitem__, Fraction(1, 512))

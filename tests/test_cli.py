@@ -352,11 +352,14 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
                                   ["--p", "0"], ["--p", "-1"])]
     out_of_range += [["extract-subtree", *opts]
                      for opts in (["--xi", "0"], ["--xi", "-1"], ["--delta", "-1"])]
-    for argv in runs + out_of_range:
+    # B_21 has more vertices than enumerate_bn lists (ENUMERATE_LIMIT = 20)
+    too_large = [["htree-validate", "--exhaustive-depth", "21", "--seed", "1"]]
+    for argv in runs + out_of_range + too_large:
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == ("OutOfRange" if argv in out_of_range else "BadInput")
+        assert err["error"] == ("OutOfRange" if argv in out_of_range else
+                                "TooLarge" if argv in too_large else "BadInput")
         assert err["message"]
     # plain numbers keep their type: "3" is the int 3, "0.5" a float
     assert _frac("3") == 3 and type(_frac("3")) is int

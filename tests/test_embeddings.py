@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.embeddings.classify import (_B4, _B4_ANCESTOR_PAIRS, _B4_PAIRS, b4_bound_check,
-                                         b4_distortion)
+from mconvex.embeddings.classify import _B4, _B4_PAIRS, b4_bound_check, b4_distortion
 from mconvex.embeddings.extract import extract_vertically_faithful
 from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
                                            htree_random_triple_violations, make_space,
@@ -15,7 +14,7 @@ from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
 from mconvex.embeddings.search import distortion_gap_experiment, generate_faithful_b4
-from mconvex.embeddings.vertical import VerticalReport, bn_vertical_report, vertical_report
+from mconvex.embeddings.vertical import VerticalReport, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
                             PreconditionViolated, TooLarge, check)
@@ -123,8 +122,8 @@ def test_path_boost_needs_two_steps_per_grid():
 # ------------------------------------------------------------------ vertical
 
 def test_vertical_report_identity():
-    rep = bn_vertical_report(lambda v: v, 4,
-                             type("T", (), {"dist": staticmethod(tree_distance)})())
+    rep = vertical_report(lambda v: v, sp_pairs(4),
+                          type("T", (), {"dist": staticmethod(tree_distance)})())
     assert rep.D == 1
     assert rep.faithful(Fraction(1, 512))
 
@@ -346,8 +345,8 @@ def test_generate_faithful_b4_is_faithful():
     rng = random.Random(3)
     for _ in range(25):
         f = generate_faithful_b4(space, rng)
-        rep = bn_vertical_report(lambda v: f[v], 4,
-                                 type("T", (), {"dist": space.distance})())
+        rep = vertical_report(lambda v: f[v], sp_pairs(4),
+                              type("T", (), {"dist": space.distance})())
         assert rep.D == 1
 
 
@@ -499,7 +498,7 @@ def _b4_bound_check_oracle(space, f, delta):
         raise PreconditionViolated("requires delta < 1/400")
     images = {v: f(v) for v in _B4}
     space.check_depth(*images.values())
-    rep = _vertical_report_oracle(lambda v: images[v], _B4_ANCESTOR_PAIRS, space)
+    rep = _vertical_report_oracle(lambda v: images[v], sp_pairs(4), space)
     if not rep.faithful(delta):
         raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {rep.D}")
     dist = _b4_distortion_oracle(space, images)

@@ -83,6 +83,19 @@ def test_verify_metric_numpy_path_matches_loop():
     assert rep.is_metric and rep.triples_checked == 70 ** 3
 
 
+def test_verify_metric_float_tolerance_on_both_routes():
+    # a float line whose end-to-end distance is stretched by 1e-10 relative:
+    # within tol = 1e-9, so a metric whether the scalar loop (64 points) or
+    # the numpy route (65 points) checks it; with the default 1e-12 it is not
+    for n in (64, 65):
+        rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+        rows[0][n - 1] = rows[n - 1][0] = (n - 1) * (1 + 1e-10)
+        loose = FiniteMetricSpace.from_matrix(range(n), rows, exact=False, tol=1e-9)
+        assert verify_metric(loose).violations == []
+        strict = FiniteMetricSpace.from_matrix(range(n), rows, exact=False)
+        assert len(verify_metric(strict).violations) == 2 * (n - 2)
+
+
 def test_space_json_roundtrip():
     sp = line_space(5)
     back = FiniteMetricSpace.from_json(sp.to_json())

@@ -9,7 +9,7 @@ from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
                             PreconditionViolated, TooLarge)
 from mconvex.trees import (HEAP_EXACT_DEPTH, ROOT, EpsilonSequence, HTreeSpace,
-                           TreeVertex, _bit_length, _lca_block,
+                           TreeVertex, _bit_length, _lca_block, _scaled_block,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
                            scaled_distance_matrix, sp_pairs,
                            tree_metric_equality_violations,
@@ -263,13 +263,39 @@ def test_htree_json_roundtrip():
 
 def test_scaled_matrix_matches_distance():
     eps = EpsilonSequence([Fraction(1, 5)] * 7)
-    mat, den = scaled_distance_matrix(eps, 6)
     sp = HTreeSpace(eps, 6)
     verts = enumerate_bn(6)
+    mat = scaled_distance_matrix(sp, verts)
     rng = random.Random(1)
     for _ in range(200):
         i, j = rng.randrange(len(verts)), rng.randrange(len(verts))
-        assert Fraction(int(mat[i][j]), den) == sp.distance(verts[i], verts[j])
+        assert Fraction(int(mat[i][j]), sp.den) == sp.distance(verts[i], verts[j])
+
+
+def old_scaled_distance_matrix(eps, depth):
+    """The all-of-B_depth builder that scaled_distance_matrix(space, vertices)
+    replaced, kept as the oracle with its single row block and its
+    denominator helper inlined: (int64 matrix in heap order, denominator)."""
+    import numpy as np
+    vals = eps.values[:depth + 1]
+    denom = math.lcm(*(v.denominator for v in vals))
+    two_eps = np.array([2 * v.numerator * (denom // v.denominator) for v in vals],
+                       dtype=np.int64)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    depths = _bit_length(idx) - 1
+    return _scaled_block(idx[:, None], depths[:, None], idx, depths, denom, two_eps)[1], denom
+
+
+def test_scaled_distance_matrix_matches_the_old_builder():
+    rng = random.Random(20261019)
+    for _ in range(12):
+        eps = random_valid_epsilon(rng, 8)
+        for d in (0, 1, 3, rng.randint(4, 8), 8):
+            space = HTreeSpace(eps, d)
+            old, den = old_scaled_distance_matrix(eps, d)
+            new = scaled_distance_matrix(space, enumerate_bn(d))
+            assert den == space.den and new.dtype == old.dtype
+            assert new.shape == old.shape and (new == old).all()
 
 
 def lca_block(rows, cols):
@@ -320,9 +346,9 @@ def test_heap_lca_block_exact_below_2_53():
     for bad in ((0,) * 53, (1,) * 53, (1,) * 61):
         for verts in ([TreeVertex(bad), ROOT, TreeVertex((1,))], [TreeVertex((0, 1)), TreeVertex(bad)]):
             with pytest.raises(TooLarge):
-                space._scaled_matrix(verts)
+                scaled_distance_matrix(space, verts)
     top = TreeVertex((1,) * HEAP_EXACT_DEPTH)
-    assert space._scaled_matrix([top, ROOT])[0, 1] == space.scaled_distance(top, ROOT)
+    assert scaled_distance_matrix(space, [top, ROOT])[0, 1] == space.scaled_distance(top, ROOT)
     # the root (heap index 1) has no parent or sibling (no index below 1)
     for op in (ROOT.parent, ROOT.sibling):
         with pytest.raises(PreconditionViolated):
@@ -334,6 +360,22 @@ def test_tree_metric_equality_counts():
     assert tree_metric_equality_violations(one, 6) == 0
     contracted = EpsilonSequence([Fraction(1, 5)] * 7)
     assert tree_metric_equality_violations(contracted, 6) > 0
+
+
+def test_tree_metric_equality_counts_match_brute_force():
+    # the ordered pairs (x, y) of B_depth with d_eps(x, y) != the tree metric,
+    # counted pair by pair; depth 5 has 63 vertices, a single row block
+    rng = random.Random(20261020)
+    for depth in range(6):
+        for eps in [EpsilonSequence([Fraction(1)] * (depth + 1))] + \
+                [random_valid_epsilon(rng, depth) for _ in range(4)]:
+            space = HTreeSpace(eps, depth)
+            verts = enumerate_bn(depth)
+            brute = sum(space.distance(x, y) != tree_distance(x, y)
+                        for x in verts for y in verts)
+            assert tree_metric_equality_violations(eps, depth) == brute
+            if set(eps.values) == {1}:
+                assert brute == 0
 
 
 def rand_vertex(rng, depth):

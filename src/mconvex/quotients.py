@@ -48,19 +48,17 @@ class QuotientMap:
         return self.f(x)
 
 
-def _test_radii(f):
-    """Realized distances of source and target plus consecutive midpoints."""
-    vals = set()
-    for space in (f.source, f.target):
-        pts = space.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                vals.add(space.dist(pts[i], pts[j]))
-    vals = sorted(vals)
-    radii = list(vals)
-    for lo, hi in zip(vals, vals[1:]):
-        radii.append(exact_or_float(lo + hi) / 2)
-    return sorted(radii)
+def _realized(space):
+    """The distances between distinct points of the space, pair by pair (a
+    set would keep Fraction(1, 2) and drop an equal 0.5)."""
+    pts = space.points
+    return [space.dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+
+
+def _test_radii(vals):
+    """The distinct realized distances `vals` plus consecutive midpoints, sorted."""
+    vals = sorted(set(vals))
+    return sorted(vals + [exact_or_float(lo + hi) / 2 for lo, hi in zip(vals, vals[1:])])
 
 
 def verify_quotient(f, a, b):
@@ -71,43 +69,48 @@ def verify_quotient(f, a, b):
     Raises OutOfRange unless a and b are finite and > 0, and NotSurjective
     when some target point has no preimage.
 
+    One exactness decision per call: a, b, the radii and every distance are
+    exact when a, b and every distance are, else all floats (a float factor
+    times an exact distance would round, and compare falsely with exact ones).
     A radius sweep per center x: y is in f(B_X(x, r)) exactly when
     r >= enter[y], the least d(x, u) over the preimages u of y.  So the
     colip radii of y (dy*a <= r < enter[y]) and its lip radii
     (enter[y] <= r with b*r < dy) are ranges of the sorted radii, found by
-    bisection; the two never meet at one (r, y).  The lip range bisects the
-    precomputed b*r, which is non-decreasing in r unless exact and float
-    radii mix under an exact b (float(b) rounds); then it is filtered.
-    Cost O(|X| (|X| + |Y| log |R|) + V log V) for R test radii and V
-    violations.
+    bisection (b*r is non-decreasing in r in either number type); the two
+    never meet at one (r, y).  Cost O(|X| (|X| + |Y| log |R|) + V log V) for
+    R test radii and V violations.
     """
     for name, v in (("a", a), ("b", b)):
         if not v > 0 or isinstance(v, float) and math.isinf(v):
             raise OutOfRange(f"{name} = {v} must be finite and > 0")
-    targets = set(f.target.points)
-    images = {f(x) for x in f.source.points}
+    src, tgt = f.source, f.target
+    targets = set(tgt.points)
+    images = {f(x) for x in src.points}
     missing = targets - images
     if missing:
         raise NotSurjective(f"no preimage for {sorted(missing, key=repr)[0]!r}")
-    radii = _test_radii(f)
+    vals = _realized(src) + _realized(tgt)
+    sdist, tdist = src.dist, tgt.dist
+    if not is_exact(a, b, *vals):
+        a, b, vals = float(a), float(b), [float(v) for v in vals]
+        sdist = lambda x, y: float(src.dist(x, y))
+        tdist = lambda x, y: float(tgt.dist(x, y))
+    radii = _test_radii(vals)
     br = [b * r for r in radii]
-    monotone = all(u <= v for u, v in zip(br, br[1:]))
-    src, tgt = f.source, f.target
     violations = []
     for x in src.points:
         enter = {}
         for u in src.points:
-            d, y = src.dist(x, u), f(u)
+            d, y = sdist(x, u), f(u)
             if y not in enter or d < enter[y]:
                 enter[y] = d
         fx = f(x)
         found = []
         for j, y in enumerate(tgt.points):
-            dy = tgt.dist(fx, y)
+            dy = tdist(fx, y)
             inside = bisect_left(radii, enter[y])
             colip = range(bisect_left(radii, dy * a, 0, inside), inside)
-            lip = (range(inside, bisect_left(br, dy, inside)) if monotone else
-                   [i for i in range(inside, len(radii)) if br[i] < dy])
+            lip = range(inside, bisect_left(br, dy, inside))
             found += [(i, j, "colip", y) for i in colip]
             found += [(i, j, "lip", y) for i in lip]
         found.sort()

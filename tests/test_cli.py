@@ -387,8 +387,11 @@ def seeded_quotient_map(seed):
 
 
 def test_quotient_verify_violations_frozen(tmp_path, capsys):
-    # SHA-256 frozen from the center x radius loop before the radius sweep:
-    # the violation list, its order and its radii must not move by a byte
+    # SHA-256 frozen from the center x radius loop before the radius sweep,
+    # and retaken once when verify_quotient began to decide exact vs float
+    # once per call: the float target makes every radius a float, so the
+    # exact source's radii are now written as floats (the list, its order
+    # and its values are unchanged); nothing else may move by a byte
     mp = tmp_path / "map.json"
     mp.write_text(seeded_quotient_map(7))
     assert main(["--out", str(tmp_path), "quotient-verify", "--map", str(mp),
@@ -397,7 +400,7 @@ def test_quotient_verify_violations_frozen(tmp_path, capsys):
     kinds = [v["kind"] for v in json.loads(data)["violations"]]
     assert (kinds.count("colip"), kinds.count("lip")) == (269, 98)
     assert hashlib.sha256(data).hexdigest() == \
-        "25a0155c10ee4452537ce254c069be1101d7496312091a47f9f43c8950348205"
+        "d8bae33ebac4cff083410949b1ea91cd258da046fdac744ac57881d26f6d6e19"
 
 
 def test_one_parser_per_process(tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 from mconvex.errors import (HorizonTooLong, NotSurjective, OutOfRange,
                             PreconditionViolated)
 from mconvex.markov import ChainSpec, convexity_ratio
-from mconvex.metric import FiniteMetricSpace, PointMap
-from mconvex.quotients import (QuotientMap, _test_radii, lift_chain, trajectory_chain,
-                               transfer_check, verify_quotient)
+from mconvex.metric import FiniteMetricSpace, PointMap, exact_or_float, is_exact
+from mconvex.quotients import (QuotientMap, lift_chain, trajectory_chain, transfer_check,
+                               verify_quotient)
 
 
 def line(n):
@@ -76,10 +76,26 @@ def test_factors_must_be_finite_and_positive(a, b):
         QuotientMap(fold_map(2), a, b)
 
 
+def old_test_radii(f):
+    """The test radii of the loop below, verbatim: realized distances of
+    source and target plus consecutive midpoints."""
+    vals = set()
+    for space in (f.source, f.target):
+        pts = space.points
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                vals.add(space.dist(pts[i], pts[j]))
+    vals = sorted(vals)
+    radii = list(vals)
+    for lo, hi in zip(vals, vals[1:]):
+        radii.append(exact_or_float(lo + hi) / 2)
+    return sorted(radii)
+
+
 def old_verify_quotient(f, a, b):
     """The center × radius × (|X| + |Y|) loop that verify_quotient replaced:
     the image of every ball rebuilt, and both inclusions tested per target."""
-    radii = _test_radii(f)
+    radii = old_test_radii(f)
     violations = []
     for x in f.source.points:
         fx = f(x)
@@ -125,6 +141,18 @@ def random_surjection(rng, mode, pool=None):
     return PointMap(table(n), table(k), dict(enumerate(images)))
 
 
+def number_policy(f, a, b):
+    """(f, a, b) as verify_quotient decides them: unchanged when a, b and
+    every distance are exact, else with a, b and every distance floats."""
+    dists = [sp.dist(x, y) for sp in (f.source, f.target) for x in sp.points for y in sp.points]
+    if is_exact(a, b, *dists):
+        return f, a, b
+
+    def floated(sp):
+        return FiniteMetricSpace(sp.points, lambda x, y: float(sp.dist(x, y)), exact=False)
+    return PointMap(floated(f.source), floated(f.target), f.assignment), float(a), float(b)
+
+
 FACTORS = [1, 2, Fraction(1, 2), Fraction(3, 2), 0.7, 1.3, Fraction(1, 3), Fraction(5, 7)]
 ULP_POOL = [Fraction(757, 47), math.nextafter(757 / 47, math.inf), Fraction(2271, 517),
             Fraction(2271, 517) * Fraction(3, 11), 1, 2.5]
@@ -142,15 +170,34 @@ def test_verify_quotient_matches_old_loop_on_seeded_maps():
             # 3/11 times the float rounds below it, so b*r falls as r grows
             f = random_surjection(rng, "mixed", ULP_POOL)
             a, b = rng.choice(FACTORS), Fraction(3, 11)
-        old = old_verify_quotient(f, a, b)
+        old = old_verify_quotient(*number_policy(f, a, b))
         new = verify_quotient(f, a, b)
         assert new == old
         assert [tuple(map(type, v)) for v in new] == [tuple(map(type, v)) for v in old]
         with_violations += bool(old)
-        br = [b * r for r in _test_radii(f)]
+        br = [b * r for r in old_test_radii(f)]
         unsorted_br += any(u > v for u, v in zip(br, br[1:]))
-    # most maps have violations, and over a hundred have a falling b*r
+    # most maps have violations, and over a hundred have a b*r that falls
+    # over the mixed radii (verify_quotient compares those maps in floats)
     assert with_violations > 1200 and unsorted_br > 100
+
+
+def test_one_exactness_decision_per_call():
+    # the fold of P_4 onto P_2 at spacing 1/3: 1.0 * Fraction(1, 3) rounds
+    # below 1/3, so comparing it with the exact distance reported false lip
+    # violations; with a float factor every distance is a float
+    def thirds(n):
+        return FiniteMetricSpace(list(range(n + 1)), lambda i, j: Fraction(abs(i - j), 3))
+    f = PointMap(thirds(4), thirds(2), {i: abs(2 - i) for i in range(5)})
+    for b in (1, Fraction(1), 1.0):
+        assert verify_quotient(f, 1, b) == []
+    # a float distance makes the radii floats; exact inputs keep them exact
+    bad = verify_quotient(f, 1, Fraction(1, 2))
+    assert bad and {type(v[2]) for v in bad} == {Fraction}
+    assert {type(v[2]) for v in verify_quotient(f, 1, 0.5)} == {float}
+    floats = verify_quotient(f, 1, 0.5)
+    assert [(k, x, y) for k, x, _, y in bad] == [(k, x, y) for k, x, _, y in floats]
+    assert all(math.isclose(u[2], v[2]) for u, v in zip(bad, floats))
 
 
 def walk_chain(n):

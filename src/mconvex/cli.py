@@ -192,7 +192,7 @@ def _run_prop21_check(args):
 
 def _run_htree_validate(args):
     import random
-    from .trees import HTreeSpace, enumerate_bn, scaled_distance_matrix, triangle_violations
+    from .trees import HTreeSpace, htree_triangle_violations
     from .embeddings.generators import random_valid_epsilon, htree_random_triple_violations
     if args.exhaustive_depth > args.max_depth:
         raise BadInput(f"--exhaustive-depth {args.exhaustive_depth} > "
@@ -202,8 +202,7 @@ def _run_htree_validate(args):
     results = []
     for i in range(args.sequences):
         eps = random_valid_epsilon(rng, args.max_depth)
-        exhaustive_bad = triangle_violations(
-            scaled_distance_matrix(HTreeSpace(eps, depth), enumerate_bn(depth)))
+        exhaustive_bad = htree_triangle_violations(eps, depth)
         space = HTreeSpace(eps, args.max_depth)
         sampled_bad = htree_random_triple_violations(space, rng, args.samples)
         results.append({"sequence": i, "exhaustive_violations": exhaustive_bad,

@@ -258,6 +258,14 @@ def _integer_axioms_hold(mat):
             and np.array_equal(mat, mat.T) and not (mat < 0).any())
 
 
+def narrowest_int(top):
+    """The narrowest signed numpy int dtype (int16, int32, int64) that holds
+    every value of size <= top."""
+    import numpy as np
+
+    return next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max), np.int64)
+
+
 def triangle_failures(mat, tol=0):
     """Yield (k, bad) for each middle index k of a square numpy distance
     matrix with a triangle violation, where the boolean matrix bad marks the
@@ -275,9 +283,7 @@ def triangle_failures(mat, tol=0):
     if n == 0:
         return
     if mat.dtype.kind in "iu":
-        top = 2 * max(int(mat.max()), -int(mat.min())) + abs(tol)
-        dtype = next((t for t in (np.int16, np.int32) if top <= np.iinfo(t).max), np.int64)
-        mat = mat.astype(dtype)
+        mat = mat.astype(narrowest_int(2 * max(int(mat.max()), -int(mat.min())) + abs(tol)))
     total = np.empty_like(mat)
     bad = np.empty(mat.shape, dtype=bool)
     for k in range(n):

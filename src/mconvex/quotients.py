@@ -66,7 +66,8 @@ def verify_quotient(f, a, b):
 
     Violations are tuples ("colip" | "lip", center, radius, witness point),
     ordered by center, then radius, then witness in the target's point order.
-    Raises OutOfRange unless a and b are finite and > 0, and NotSurjective
+    Raises OutOfRange unless a and b are finite and > 0, or when a float
+    distance meets an exact value past the float range, and NotSurjective
     when some target point has no preimage.
 
     One exactness decision per call: a, b, the radii and every distance are
@@ -92,7 +93,11 @@ def verify_quotient(f, a, b):
     vals = _realized(src) + _realized(tgt)
     sdist, tdist = src.dist, tgt.dist
     if not is_exact(a, b, *vals):
-        a, b, vals = float(a), float(b), [float(v) for v in vals]
+        try:
+            a, b, vals = float(a), float(b), [float(v) for v in vals]
+        except OverflowError:
+            raise OutOfRange("a, b and every distance must fit a float when one "
+                             "distance is a float") from None
         sdist = lambda x, y: float(src.dist(x, y))
         tdist = lambda x, y: float(tgt.dist(x, y))
     radii = _test_radii(vals)

@@ -37,20 +37,32 @@ def random_depth_bits(rng, max_depth, count):
     `k = rng.randint(0, max_depth); bits = random_bits(rng, k)`, and leave
     rng in the same state (`gauss_next` included).
 
-    Per chunk of about CHUNK_WORDS words it reads ahead from a saved state,
-    parses them, restores the state and draws exactly the words the pairs
-    used.  rng runs up to a chunk ahead of the pairs yielded, so it only
-    ends in the scalar loop's state once every pair has been consumed."""
+    Words are read ahead about CHUNK_WORDS at a time and parsed into pairs;
+    the words the pairs did not use are kept for the next parse, so every
+    word is generated once.  A read-ahead is drawn only when the kept words
+    end inside a pair, so the pairs of each read-ahead use up the words kept
+    before it, and once the last pair is parsed only the last read-ahead is
+    rewound: its saved state is restored and the words up to that pair
+    drawn again.  rng runs up to a read-ahead ahead of the pairs yielded,
+    and is in the scalar loop's state once the last pair has been yielded."""
     if not 0 <= max_depth < 2 ** 32:
         raise ValueError(f"max_depth {max_depth} not in 0 .. 2^32 - 1")
     per_pair, chunk = _chunk(max_depth)
-    grow = 1           # doubles while a read-ahead is too short for one pair
+    words = b""        # drawn words that no pair has used, 4 bytes each
+    saved = drawn = None    # the state before the last read-ahead, and its words
     while count > 0:
         n = min(count, chunk)
-        # the expected words of n pairs, plus 10% and 64 words of margin
-        pairs = _read_ahead(rng, max_depth, n, grow * (int(1.1 * n * per_pair) + 64))
-        grow = 1 if pairs else 2 * grow
+        pairs, used = _parse(words, max_depth, n)
+        words = words[4 * used:]
         count -= len(pairs)
+        if len(pairs) < n:
+            # the expected words of n pairs, plus 10% and 64 words of margin;
+            # a pair longer than that takes the next read-ahead too
+            saved, drawn = rng.getstate(), int(1.1 * n * per_pair) + 64
+            words += rng.getrandbits(32 * drawn).to_bytes(4 * drawn, "little")
+        elif count == 0 and words:
+            rng.setstate(saved)
+            rng.getrandbits(32 * (drawn - len(words) // 4))
         yield from pairs
 
 
@@ -61,13 +73,12 @@ def _chunk(max_depth):
     return per_pair, max(1, int(CHUNK_WORDS / per_pair))
 
 
-def _read_ahead(rng, max_depth, n, width):
-    """Up to n pairs of `random_depth_bits` from the next `width` words of
-    rng, which is left just past the words of the pairs returned."""
+def _parse(block, max_depth, n):
+    """(pairs, used): up to n pairs of `random_depth_bits` from the words of
+    `block` (bytes, 4 per word, each little-endian), and the number of words
+    those pairs used."""
     import numpy as np
 
-    saved = rng.getstate()
-    block = rng.getrandbits(32 * width).to_bytes(4 * width, "little")
     words = np.frombuffer(block, dtype="<u4")
     k_words = words >> (32 - (max_depth + 1).bit_length())    # each word's randint draw
     k_kept = (k_words <= max_depth).tobytes()                # 1 where it is kept
@@ -89,6 +100,4 @@ def _read_ahead(rng, max_depth, n, width):
         pairs.append((k, int(b"0" + digits[c:c + k], 2)))
         c += k
         q = pos[c - 1] + 1 if k else p + 1
-    rng.setstate(saved)
-    rng.getrandbits(32 * q)
-    return pairs
+    return pairs, q

@@ -21,10 +21,14 @@ on the two heap indices (`HTreeSpace.scaled_index_distance`, behind
 closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
 depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52).
 One function builds den * d_eps matrices, `scaled_distance_matrix(space,
-vertices)`, whether over all of B_n (`htree-validate`) or over the points of
-`HTreeSpace.as_metric_space` (`verify_metric`); only the blockwise count
-`tree_metric_equality_violations` runs its kernel `_scaled_block` by rows.
-One function lists the strict ancestor pairs of B_n, `sp_pairs`.
+vertices)`, over the points of `HTreeSpace.as_metric_space`
+(`verify_metric`).  Over all of B_n one walk, `_row_blocks`, runs its kernel
+`_scaled_block` by rows, for two counts without an n x n matrix:
+`tree_metric_equality_violations`, and `htree_triangle_violations`
+(`htree-validate`), which compares each block against one representative
+row per depth, since the tree's automorphisms keep d_eps and act
+transitively on each level.  One function lists the strict ancestor pairs
+of B_n, `sp_pairs`.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .errors import DepthExceeded, HypothesisViolated, PreconditionViolated, TooLarge, check
-from .metric import FiniteMetricSpace, triangle_failures
+from .metric import FiniteMetricSpace, narrowest_int
 
 DEFAULT_MAX_DEPTH = 64
 ENUMERATE_LIMIT = 20
@@ -344,7 +348,7 @@ def sp_pairs(n):
 # The numpy kernels below evaluate it on int64 arrays and take bit lengths
 # from the float64 exponent (np.frexp), which is exact only below 2^53: they
 # serve heap indices 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and
-# scaled_distance_matrix raises TooLarge beyond.
+# their callers raise TooLarge beyond (`_two_eps_to`).
 # ---------------------------------------------------------------------------
 
 HEAP_EXACT_DEPTH = 52
@@ -374,6 +378,21 @@ def _scaled_block(A, dA, B, dB, den, two_eps):
     return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
 
 
+def _two_eps_to(space, top):
+    """space._two_eps[:top + 1] as an int64 array, after the guards of the
+    numpy kernels: TooLarge when depth `top` lies past HEAP_EXACT_DEPTH or a
+    den * d_eps value to that depth could exceed 2^61 in size."""
+    import numpy as np
+
+    if top > HEAP_EXACT_DEPTH:
+        raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
+    two_eps = space._two_eps[:top + 1]
+    # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
+    if top * (space.den + max(map(abs, two_eps))) > 2 ** 61:
+        raise TooLarge("scaled distances could exceed 2^61")
+    return np.array(two_eps, dtype=np.int64)
+
+
 def scaled_distance_matrix(space, vertices):
     """The int64 matrix of space.scaled_distance (den * d_eps over
     `space.den`) over the vertices, every entry (both triangles and the
@@ -386,53 +405,90 @@ def scaled_distance_matrix(space, vertices):
     top = max(idx, default=1).bit_length() - 1
     if top > space.max_depth:
         space.check_depth(*vertices)
-    if top > HEAP_EXACT_DEPTH:
-        raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
-    two_eps = space._two_eps[:top + 1]
-    # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
-    if top * (space.den + max(map(abs, two_eps))) > 2 ** 61:
-        raise TooLarge("scaled distances could exceed 2^61")
+    two_eps = _two_eps_to(space, top)
     idx = np.array(idx, dtype=np.int64)
     h = _bit_length(idx) - 1
-    return _scaled_block(idx[:, None], h[:, None], idx, h, space.den,
-                         np.array(two_eps, dtype=np.int64))[1]
+    return _scaled_block(idx[:, None], h[:, None], idx, h, space.den, two_eps)[1]
 
 
-# rows per block of tree_metric_equality_violations
-EQUALITY_BLOCK_ROWS = 256
+# rows per block of the walks over all of B_depth, fewer where a block would
+# pass BLOCK_ENTRIES entries (past depth 10), so a block's memory stays bounded
+BLOCK_ROWS = 256
+BLOCK_ENTRIES = 2 ** 19
+
+
+def _heap_arrays(space, depth):
+    """(heap indices, depths, two_eps) of all of B_depth (depth <=
+    space.max_depth) as int64 arrays, with the guards of enumerate_bn and
+    scaled_distance_matrix (TooLarge)."""
+    import numpy as np
+
+    if depth > ENUMERATE_LIMIT:
+        raise TooLarge(f"n = {depth} > {ENUMERATE_LIMIT}")
+    two_eps = _two_eps_to(space, depth)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    return idx, _bit_length(idx) - 1, two_eps
+
+
+def _row_blocks(space, depth):
+    """Walk B_depth in blocks of BLOCK_ROWS heap-ordered rows: yield (rows,
+    h, lca, scaled), where rows slices the heap order, h holds every
+    vertex's depth, and lca and scaled are the lca depths and den * d_eps of
+    the rows against all of B_depth."""
+    idx, h, two_eps = _heap_arrays(space, depth)
+    step = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // len(idx)))
+    for lo in range(0, len(idx), step):
+        rows = slice(lo, lo + step)
+        lca, scaled = _scaled_block(idx[rows, None], h[rows, None], idx, h,
+                                    space.den, two_eps)
+        yield rows, h, lca, scaled
 
 
 def tree_metric_equality_violations(eps, depth):
     """Count the ordered pairs up to `depth` where d_eps differs from the
     tree metric.
 
-    Over EQUALITY_BLOCK_ROWS heap-ordered rows at a time, so depth 12 (8191
-    vertices, ~33M ordered pairs) stays within a modest memory budget.  With
-    eps identically 1 the count must be 0: the contraction term
-    2*eps*(min - lca) then equals the full horizontal travel of the shortest
-    path.
+    By row blocks (`_row_blocks`), so depth 12 (8191 vertices, ~33M ordered
+    pairs) stays within a modest memory budget.  With eps identically 1 the
+    count must be 0: the contraction term 2*eps*(min - lca) then equals the
+    full horizontal travel of the shortest path.
+    """
+    space = HTreeSpace(eps, depth)
+    count = 0
+    for rows, h, lca, scaled in _row_blocks(space, depth):
+        count += int((scaled != (h[rows, None] + h - 2 * lca) * space.den).sum())
+    return count
+
+
+def htree_triangle_violations(eps, depth):
+    """Number of ordered triples (i, k, j) of B_depth with
+    d_eps(i, j) > d_eps(i, k) + d_eps(k, j), without the n x n matrix.
+
+    d_eps(x, y) depends only on h(x), h(y) and the lca depth, which every
+    automorphism of the rooted binary tree keeps, and the automorphisms of
+    B_depth act transitively on each level.  So the 2^h choices of i at depth
+    h have equally many bad (k, j), and the count is the sum over h of 2^h
+    times that of the representative i = r_h, the vertex with heap index 2^h:
+    (depth + 1) rows d(r_h, .) compared against each `_row_blocks` block of
+    d(k, .), in O(depth * n^2) time.  Raises TooLarge as enumerate_bn and
+    scaled_distance_matrix do.
     """
     import numpy as np
 
     space = HTreeSpace(eps, depth)
-    den, two_eps = space.den, np.array(space._two_eps, dtype=np.int64)
-    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    h = _bit_length(idx) - 1
+    idx, h, two_eps = _heap_arrays(space, depth)
+    levels = np.arange(depth + 1, dtype=np.int64)[:, None]
+    rep_rows = _scaled_block(2 ** levels, levels, idx, h, space.den, two_eps)[1]
+    # every d_eps value is one of some r_h, so the sums fit twice the largest
+    dtype = narrowest_int(2 * int(abs(rep_rows).max()))
+    rep_rows = rep_rows.astype(dtype)
     count = 0
-    for lo in range(0, len(idx), EQUALITY_BLOCK_ROWS):
-        rows = slice(lo, lo + EQUALITY_BLOCK_ROWS)
-        rh = h[rows, None]
-        lca, d_eps = _scaled_block(idx[rows, None], rh, idx, h, den, two_eps)
-        count += int((d_eps != (rh + h - 2 * lca) * den).sum())
+    for rows, _, _, scaled in _row_blocks(space, depth):
+        scaled = scaled.astype(dtype)
+        for level, r in enumerate(rep_rows):
+            # r[j] > r[k] + d(k, j) over the block's k
+            count += int(np.count_nonzero(r > r[rows, None] + scaled)) << level
     return count
-
-
-def triangle_violations(mat):
-    """Number of ordered triples (i, j, k) of a square numpy distance matrix
-    with mat[i, k] > mat[i, j] + mat[j, k]."""
-    import numpy as np
-
-    return sum(int(np.count_nonzero(bad)) for _, bad in triangle_failures(mat))
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,10 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
     out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
                      for a, b in (("0", "1"), ("1", "-1"))]
+    # an exact factor past the float range meets the fold's float distances
+    huge = "1" + "0" * 400 + "/1"
+    out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
+                     for a, b in ((huge, "1"), ("1", huge))]
     out_of_range.append(["boost", "--delta", "-1e-3", "--seed", "1"])
     out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
                          "--a", "1", "--b", "-1"])
@@ -435,6 +439,15 @@ def test_one_parser_per_process(tmp_path, capsys):
     first = _build_parser().parse_args(["laakso-ratio"]).m
     first.append(9)
     assert _build_parser().parse_args(["laakso-ratio"]).m == [1, 2, 3, 4]
+
+
+def test_htree_validate_exhaustive_depth_10(tmp_path):
+    # B_10 (2047 vertices) by depth orbits: no n x n matrix, well under a second
+    assert main(["--out", str(tmp_path), "htree-validate", "--exhaustive-depth", "10",
+                 "--sequences", "1", "--samples", "10", "--seed", "1"]) == 0
+    out = json.loads(read(tmp_path, "htree-validate.json"))
+    assert out["exhaustive_depth"] == 10 and out["all_ok"]
+    assert [r["exhaustive_violations"] for r in out["results"]] == [0]
 
 
 def test_numpy_loaded_only_where_used(tmp_path):

@@ -56,11 +56,42 @@ def test_random_depth_bits_matches_scalar_loop():
 
 
 def test_random_depth_bits_short_read_ahead(monkeypatch):
-    # read-aheads too short for one pair are doubled until one fits
+    # a pair longer than one read-ahead is parsed once the next ones arrive
     monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
     for max_depth in (5, 64, 1000):
         for seed in range(20):
             _check_depth_bits(max_depth, 7, seed)
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts the 32-bit words its getrandbits calls
+    generate, in all and in its largest call."""
+
+    def __init__(self, seed):
+        self.words = self.largest = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        words = -(-k // 32)
+        self.words += words
+        self.largest = max(self.largest, words)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
+def test_random_depth_bits_generates_each_word_once(monkeypatch, chunk_words):
+    # the bulk draw generates the words the scalar loop consumes, plus at
+    # most one read-ahead's worth (the words past the last pair and their
+    # rewind), however many read-aheads it takes
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+    for max_depth in (0, 5, 64, 1000):
+        chunk = _chunk(max_depth)[1]
+        for count in (1, chunk, 3 * chunk + 7, 15_000):
+            ref, rng = CountingRandom(count), CountingRandom(count)
+            expected = _scalar_depth_bits(ref, max_depth, count)
+            assert list(random_depth_bits(rng, max_depth, count)) == expected
+            assert rng.getstate() == ref.getstate(), (max_depth, count)
+            assert rng.words <= ref.words + rng.largest, (max_depth, count)
 
 
 def test_random_depth_bits_rejects_bad_depth():

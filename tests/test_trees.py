@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mconvex import trees
 from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
                             PreconditionViolated, TooLarge)
 from mconvex.trees import (HEAP_EXACT_DEPTH, ROOT, EpsilonSequence, HTreeSpace,
                            TreeVertex, _bit_length, _lca_block, _scaled_block,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
-                           scaled_distance_matrix, sp_pairs,
+                           htree_triangle_violations, scaled_distance_matrix, sp_pairs,
                            tree_metric_equality_violations,
                            stitch_ancestor, stitch_descendant, stitch_horizontal,
                            tree_distance, validate_epsilon)
@@ -376,6 +377,61 @@ def test_tree_metric_equality_counts_match_brute_force():
             assert tree_metric_equality_violations(eps, depth) == brute
             if set(eps.values) == {1}:
                 assert brute == 0
+
+
+def brute_triangle_violations(eps, depth):
+    """The ordered triples (i, k, j) of B_depth with d(i, j) > d(i, k) + d(k, j),
+    counted on the full matrix: the count htree-validate ran before the
+    orbit count."""
+    import numpy as np
+    from mconvex.metric import triangle_failures
+    mat = scaled_distance_matrix(HTreeSpace(eps, depth), enumerate_bn(depth))
+    return sum(int(np.count_nonzero(bad)) for _, bad in triangle_failures(mat))
+
+
+def arbitrary_schedule(rng, n):
+    """Positive rationals eps_0..eps_n, mostly not a valid schedule."""
+    return EpsilonSequence([Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                            for _ in range(n + 1)], check=False)
+
+
+@pytest.mark.parametrize("rows, entries", [(1, trees.BLOCK_ENTRIES), (16, trees.BLOCK_ENTRIES),
+                                           (trees.BLOCK_ROWS, trees.BLOCK_ENTRIES),
+                                           (trees.BLOCK_ROWS, 100)])
+def test_htree_triangle_violations_match_the_full_matrix(monkeypatch, rows, entries):
+    # one representative row per level, times its level's size, against the
+    # brute force over all of B_depth, on valid schedules (count 0) and on
+    # arbitrary positive ones (some with violations), at any row block size,
+    # also where the entry cap sets it (100 entries: 1..3 rows from depth 5)
+    monkeypatch.setattr(trees, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(trees, "BLOCK_ENTRIES", entries)
+    rng = random.Random(20261019)
+    bad = 0
+    for depth in range(8):
+        for eps in ([random_valid_epsilon(rng, depth) for _ in range(2)]
+                    + [arbitrary_schedule(rng, depth) for _ in range(4)]):
+            count = htree_triangle_violations(eps, depth)
+            assert count == brute_triangle_violations(eps, depth), (depth, eps.values)
+            assert type(count) is int
+            if not epsilon_violations(eps.values):
+                assert count == 0
+            bad += count > 0
+    assert bad >= 5
+
+
+def test_htree_triangle_violations_guards():
+    # the guards of enumerate_bn and scaled_distance_matrix
+    wide = EpsilonSequence([Fraction(1, 3)] * 22)
+    with pytest.raises(TooLarge):
+        htree_triangle_violations(wide, 21)
+    huge = EpsilonSequence([Fraction(1, 2 ** 62 + 1)] * 3)
+    with pytest.raises(TooLarge):
+        scaled_distance_matrix(HTreeSpace(huge, 2), enumerate_bn(2))
+    with pytest.raises(TooLarge):
+        htree_triangle_violations(huge, 2)
+    with pytest.raises(ValueError):
+        htree_triangle_violations(wide, 22)
+    assert htree_triangle_violations(EpsilonSequence([1]), 0) == 0
 
 
 def rand_vertex(rng, depth):

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .errors import OutOfRange, check
-from .metric import FiniteMetricSpace, number_type, power
+from .metric import FiniteMetricSpace, number_type, power, to_float
 
 SLACK_REL_TOL = 1e-9
 
@@ -88,7 +88,7 @@ def pconvexity_slacks(d, p, K, trials, seed=0):
 
     if p < 2 or not K > 0:
         raise OutOfRange(f"need p >= 2 and K > 0, got p = {p}, K = {K}")
-    p = float(p)  # numpy would raise to a Fraction p on Python objects
+    p = to_float(p, "p")  # numpy would raise to a Fraction p on Python objects
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((trials, d))
     b = rng.standard_normal((trials, d))

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from .errors import BadInput, MconvexError
-from .metric import FiniteMetricSpace, PointMap, is_integral, rat_from_str, rat_to_str
+from .metric import (FiniteMetricSpace, PointMap, is_integral, rat_from_str, rat_to_str,
+                     to_float)
 
 
 def _frac(text):
@@ -158,7 +159,7 @@ def _run_per_k_bound(args):
 
 def _run_pconvex_check(args):
     from .banach import pconvexity_slacks
-    slacks = pconvexity_slacks(args.d, args.p, float(args.K), args.trials, seed=args.seed)
+    slacks = pconvexity_slacks(args.d, args.p, to_float(args.K, "K"), args.trials, seed=args.seed)
     return {".json": _report({
         "experiment": "pconvex-check", "d": args.d,
         "p": args.p if is_integral(args.p) else rat_to_str(args.p),

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ..errors import BoostFailed, OutOfRange, PipelineFailed, TooLarge
-from ..metric import distortion_of, exact_or_float
+from ..metric import distortion_of, exact_or_float, to_float
 from ..trees import TreeVertex, enumerate_bn, sp_pairs, tree_distance
 from .paths import PathMap, path_boost
 from .ramsey import ExhaustionReport, ramsey_search
@@ -93,7 +93,7 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
         r = exact_or_float(dx) / (l * k * (len(v) - len(u)))
         lam = r if lam is None or r < lam else lam
         D_hi = r if D_hi is None or r > D_hi else D_hi
-    base = 1 + float(delta) / 4
+    base = 1 + to_float(delta, "delta") / 4
     r_colors = max(1, math.ceil(math.log(float(D_hi / lam)) / math.log(base)) + 1)
 
     def coloring(u, v):

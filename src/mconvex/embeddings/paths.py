@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ..errors import BoostFailed, LengthMismatch, OutOfRange, PreconditionViolated, check
-from ..metric import distortion_of, exact_or_float, number_type
+from ..metric import distortion_of, exact_or_float, number_type, to_float
 
 
 class PathMap:
@@ -175,6 +175,6 @@ def path_boost(f, t, delta, D=None):
     rel = 0 if num is Fraction else 1e-12
     check(num(dist) <= num(bound) * (1 + rel),
           "distortion %s exceeds the log-embedding bound %s", dist, bound)
-    check(float(bound) <= 1 + float(delta) * (1 + 1e-12),
+    check(float(bound) <= 1 + to_float(delta, "delta") * (1 + 1e-12),
           "log-embedding bound %s exceeds 1 + delta = 1 + %s", bound, delta)
     return BoostResult(best_grid, best_t, dist, warned)

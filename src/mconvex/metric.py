@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BadInput, CollapsedPair, TooLarge
+from .errors import BadInput, CollapsedPair, OutOfRange, TooLarge
 
 # number of points up to which verify_metric checks every triple
 EXHAUSTIVE_LIMIT = 2000
@@ -73,6 +73,14 @@ def exact_or_float(x):
     return Fraction(x) if isinstance(x, _EXACT) else float(x)
 
 
+def to_float(x, name):
+    """float(x), or OutOfRange naming `name` when x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OutOfRange(f"{name} lies past the float range") from None
+
+
 def power(x, p):
     """x ** int(p) for exact x and integral p (an int for an int x and
     p >= 0), else float(x) ** p."""
@@ -85,10 +93,11 @@ class FiniteMetricSpace:
     """A finite point set with a symmetric nonnegative distance function.
 
     `dist` is a callable on pairs of points.  `exact` tags whether the values
-    are exact (int/Fraction); `tol` is the relative tolerance applied to the
-    metric axioms in floating mode.  An optional `dist_pow(x, y, p)` hook lets
-    a space expose exact p-th powers of distances (e.g. squared l2 distances)
-    even when the distance itself is irrational.
+    are exact (int/Fraction); `tol` is the relative tolerance of the triangle
+    inequality on float distances, scaled by the largest distance (see
+    verify_metric).  An optional `dist_pow(x, y, p)` hook lets a space expose
+    exact p-th powers of distances (e.g. squared l2 distances) even when the
+    distance itself is irrational.
 
     An exact space may also give its distances as ints over one common
     denominator: `scaled=(scaled_distance, den)` with
@@ -96,7 +105,7 @@ class FiniteMetricSpace:
     space has no such representation.  With it, an optional
     `scaled_matrix()` hook returns the int64 numpy matrix of those ints over
     `points` at once, or raises TooLarge where it cannot; verify_metric then
-    reads scaled_distance pair by pair.
+    reads `distance_matrix()`.
     """
 
     def __init__(self, points, dist, exact=True, tol=DEFAULT_TOL, dist_pow=None, scaled=None,
@@ -185,22 +194,25 @@ class MetricReport:
 def verify_metric(space, seed=0):
     """Check symmetry, zero diagonal, nonnegativity and the triangle inequality.
 
-    Exhaustive over all triples up to EXHAUSTIVE_LIMIT points; beyond that,
-    samples SAMPLED_TRIPLES random triples (the report records the mode).
-    Tolerance is 0 in exact mode and `space.tol` (relative) in floating mode.
+    All on one matrix (`_checked_matrix`); the axioms are listed pair by pair
+    only when one fails.  d(i, j) <= d(i, k) + d(k, j) is checked on all n^3
+    ordered triples (i, k, j) up to EXHAUSTIVE_LIMIT points, beyond that on
+    SAMPLED_TRIPLES triples drawn from random.Random(seed) (the report records
+    the mode), with slack 0 on exact distances and `space.tol` times the
+    largest distance (at least 1) on floats.  A degenerate triple (two equal
+    indices) fails only where a diagonal entry is nonzero or a distance
+    negative, so only where an axiom fails too.
     """
+    import numpy as np
+
     pts = space.points
     n = len(pts)
     if n < 1:
         raise ValueError("space must have at least one point")
+    mat, tol = _checked_matrix(space)
     violations = []
-    tol = 0 if space.exact else space.tol
-    as_np = None
-    if 64 < n <= EXHAUSTIVE_LIMIT:
-        as_np = (_scaled_matrix(space)
-                 or _numpy_matrix(space.distance_matrix(), space.exact, space.tol))
-    if as_np is None or not _integer_axioms_hold(as_np[0]):
-        rows = space.distance_matrix()
+    if not _axioms_hold(mat):
+        rows = mat.tolist()
         for i in range(n):
             if rows[i][i] != 0:
                 violations.append(("diagonal", pts[i]))
@@ -209,53 +221,53 @@ def verify_metric(space, seed=0):
                     violations.append(("symmetry", pts[i], pts[j]))
                 if rows[i][j] < 0:
                     violations.append(("negative", pts[i], pts[j]))
-
-    def tri_bad(a, b, c):
-        # d(a,c) <= d(a,b) + d(b,c), with relative slack in floating mode
-        lhs = rows[a][c]
-        rhs = rows[a][b] + rows[b][c]
-        if tol:
-            return lhs > rhs + tol * max(abs(lhs), abs(rhs), 1.0)
-        return lhs > rhs
-
     if n <= EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"
-        checked = 0
-        if as_np is not None:
-            mat, np_tol = as_np
-            checked = n * n * n
-            for k, bad in triangle_failures(mat, np_tol):
-                for i, j in zip(*bad.nonzero()):
-                    violations.append(("triangle", pts[i], pts[k], pts[j]))
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    for k in range(n):
-                        if k == i or k == j:
-                            continue
-                        checked += 1
-                        if tri_bad(i, j, k):
-                            violations.append(("triangle", pts[i], pts[j], pts[k]))
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        checked = SAMPLED_TRIPLES
-        for _ in range(SAMPLED_TRIPLES):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if tri_bad(i, j, k):
-                violations.append(("triangle", pts[i], pts[j], pts[k]))
-    return MetricReport(violations, mode, checked)
+        for k, bad in triangle_failures(mat, tol):
+            violations.extend(("triangle", pts[i], pts[k], pts[j]) for i, j in zip(*bad.nonzero()))
+        return MetricReport(violations, "exhaustive", n ** 3)
+    rng = random.Random(seed)
+    i, k, j = np.fromiter((rng.randrange(n) for _ in range(3 * SAMPLED_TRIPLES)), np.int64,
+                          3 * SAMPLED_TRIPLES).reshape(-1, 3).T
+    for t in np.flatnonzero(mat[i, j] > mat[i, k] + mat[k, j] + tol):
+        violations.append(("triangle", pts[i[t]], pts[k[t]], pts[j[t]]))
+    return MetricReport(violations, "sampled", SAMPLED_TRIPLES)
 
 
-def _integer_axioms_hold(mat):
-    """Whether an integer numpy matrix has a zero diagonal and is symmetric
-    and nonnegative (False for a float matrix: the scalar loop decides)."""
+def _checked_matrix(space):
+    """(matrix, tol): the distances of a space as one numpy matrix, and the
+    slack of its triangle inequality.
+
+    The space's scaled_matrix hook gives den times them as int64 where it
+    does not raise TooLarge.  Otherwise exact distances are scaled to ints
+    over the lcm of their denominators: int64 when every int fits 2^61 in
+    size, else an object array of Python ints (compared exactly).  tol is 0,
+    as a positive scale changes no check.  The distances of a space not
+    flagged exact, or holding a float, become float64, with tol `space.tol`
+    times the largest of them (at least 1).
+    """
     import numpy as np
 
-    return (mat.dtype.kind == "i" and not mat.diagonal().any()
-            and np.array_equal(mat, mat.T) and not (mat < 0).any())
+    if space._scaled_matrix is not None:
+        try:
+            return space._scaled_matrix(), 0
+        except TooLarge:
+            pass
+    rows = space.distance_matrix()
+    if space.exact and all(isinstance(d, _EXACT) for row in rows for d in row):
+        den = math.lcm(*{d.denominator for row in rows for d in row})
+        scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
+        fits = max(max(map(abs, row)) for row in scaled) <= 2 ** 61
+        return np.array(scaled, dtype=np.int64 if fits else object), 0
+    mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
+    return mat, space.tol * max(1.0, float(mat.max()))
+
+
+def _axioms_hold(mat):
+    """Whether a square numpy matrix of any dtype has a zero diagonal and is
+    symmetric and nonnegative."""
+    import numpy as np
+
+    return not mat.diagonal().any() and np.array_equal(mat, mat.T) and not (mat < 0).any()
 
 
 def narrowest_int(top):
@@ -275,7 +287,7 @@ def triangle_failures(mat, tol=0):
     An integer matrix (whose tol must be an int) is cast once to the
     narrowest signed dtype (int16, int32, int64) that holds
     2 * max|x| + |tol|, so the sums cannot overflow and the comparisons are
-    exact.
+    exact; an object matrix of Python ints is compared exactly as is.
     """
     import numpy as np
 
@@ -293,59 +305,6 @@ def triangle_failures(mat, tol=0):
         np.greater(mat, total, out=bad)
         if bad.any():
             yield k, bad
-
-
-def _scaled_matrix(space):
-    """The space's integer distances as (int64 matrix, 0), from its
-    scaled_matrix hook, or (without one, or where it raises TooLarge) read
-    pair by pair from scaled_distance; None when it has none or an entry
-    exceeds 2^61 in size.  The matrix is den times the distances, so every
-    check on it other than the triangle tolerance (0 here) is unaffected by
-    the scale."""
-    import numpy as np
-
-    if space.den is None:
-        return None
-    if space._scaled_matrix is not None:
-        try:
-            return space._scaled_matrix(), 0
-        except TooLarge:
-            pass
-    pts = space.points
-    scaled = space.scaled_distance
-    n = len(pts)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        x, row = pts[i], rows[i]
-        for j in range(i + 1, n):
-            row[j] = rows[j][i] = scaled(x, pts[j])
-    if max(max(map(abs, row)) for row in rows) > 2 ** 61:
-        return None
-    return np.array(rows, dtype=np.int64), 0
-
-
-def _numpy_matrix(rows, exact, tol=DEFAULT_TOL):
-    """Scale an exact rational matrix to int64 (or fall back to float64).
-
-    Returns (matrix, tolerance-matrix-entry) or None when exact scaling fails;
-    a float matrix's tolerance entry is the relative `tol` times its largest
-    entry (at least 1).
-    """
-    import numpy as np
-
-    if not exact:
-        mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
-        return mat, tol * max(1.0, float(mat.max()))
-    if not all(isinstance(d, _EXACT) for row in rows for d in row):
-        return None
-    den = math.lcm(*{d.denominator for row in rows for d in row})
-    if den > 10 ** 9:
-        return None
-    scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
-    top = max(max(row) for row in scaled)
-    if top > 2 ** 61:
-        return None
-    return np.array(scaled, dtype=np.int64), 0
 
 
 class PointMap:

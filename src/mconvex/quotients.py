@@ -21,7 +21,7 @@ from bisect import bisect_left
 from .errors import (HorizonTooLong, LiftFailed, NotSurjective, OutOfRange,
                      PreconditionViolated)
 from .markov import ChainSpec, convexity_ratio, rhs_step_sum
-from .metric import exact_or_float, is_exact, power
+from .metric import exact_or_float, is_exact, power, to_float
 
 MAX_HORIZON = 8
 MAX_STATES = 20
@@ -93,11 +93,8 @@ def verify_quotient(f, a, b):
     vals = _realized(src) + _realized(tgt)
     sdist, tdist = src.dist, tgt.dist
     if not is_exact(a, b, *vals):
-        try:
-            a, b, vals = float(a), float(b), [float(v) for v in vals]
-        except OverflowError:
-            raise OutOfRange("a, b and every distance must fit a float when one "
-                             "distance is a float") from None
+        a, b = to_float(a, "a"), to_float(b, "b")
+        vals = [to_float(v, "a distance") for v in vals]
         sdist = lambda x, y: float(src.dist(x, y))
         tdist = lambda x, y: float(tgt.dist(x, y))
     radii = _test_radii(vals)

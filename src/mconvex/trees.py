@@ -460,6 +460,11 @@ def tree_metric_equality_violations(eps, depth):
     return count
 
 
+# the deepest B_n whose triangles htree_triangle_violations counts: depth 12
+# takes about 3 s, and each level further about 4 times as long
+EXHAUSTIVE_TRIANGLE_DEPTH = 12
+
+
 def htree_triangle_violations(eps, depth):
     """Number of ordered triples (i, k, j) of B_depth with
     d_eps(i, j) > d_eps(i, k) + d_eps(k, j), without the n x n matrix.
@@ -470,12 +475,15 @@ def htree_triangle_violations(eps, depth):
     h have equally many bad (k, j), and the count is the sum over h of 2^h
     times that of the representative i = r_h, the vertex with heap index 2^h:
     (depth + 1) rows d(r_h, .) compared against each `_row_blocks` block of
-    d(k, .), in O(depth * n^2) time.  Raises TooLarge as enumerate_bn and
-    scaled_distance_matrix do.
+    d(k, .), in O(depth * n^2) time.  Raises TooLarge past
+    EXHAUSTIVE_TRIANGLE_DEPTH, before any of that work, and as
+    scaled_distance_matrix does.
     """
     import numpy as np
 
     space = HTreeSpace(eps, depth)
+    if depth > EXHAUSTIVE_TRIANGLE_DEPTH:
+        raise TooLarge(f"exhaustive depth {depth} > {EXHAUSTIVE_TRIANGLE_DEPTH}")
     idx, h, two_eps = _heap_arrays(space, depth)
     levels = np.arange(depth + 1, dtype=np.int64)[:, None]
     rep_rows = _scaled_block(2 ** levels, levels, idx, h, space.den, two_eps)[1]

@@ -356,8 +356,15 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
                                   ["--p", "0"], ["--p", "-1"])]
     out_of_range += [["extract-subtree", *opts]
                      for opts in (["--xi", "0"], ["--xi", "-1"], ["--delta", "-1"])]
-    # B_21 has more vertices than enumerate_bn lists (ENUMERATE_LIMIT = 20)
-    too_large = [["htree-validate", "--exhaustive-depth", "21", "--seed", "1"]]
+    # an exact number past the float range, where a command works in floats
+    out_of_range += [["pconvex-check", "--K", huge, "--trials", "10", "--seed", "1"],
+                     ["pconvex-check", "--p", huge, "--trials", "10", "--seed", "1"],
+                     ["boost", "--delta", huge, "--seed", "1", "--n", "64"],
+                     ["extract-subtree", "--delta", huge]]
+    # B_21 has more vertices than enumerate_bn lists (ENUMERATE_LIMIT = 20),
+    # and the exhaustive triangle count stops at EXHAUSTIVE_TRIANGLE_DEPTH = 12
+    too_large = [["htree-validate", "--exhaustive-depth", d, "--seed", "1"]
+                 for d in ("21", "13")]
     for argv in runs + out_of_range + too_large:
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -13,10 +14,10 @@ from mconvex.embeddings.search import generate_faithful_b4
 from mconvex import metric
 from mconvex.errors import BadInput, CollapsedPair, TooLarge
 from mconvex.laakso import build_laakso
-from mconvex.metric import (FiniteMetricSpace, PointMap, _numpy_matrix, _scaled_matrix,
-                            distortion,
-                            distortion_of, is_integral, is_midpoint, midpoint_set,
-                            rat_from_str, rat_to_str, triangle_failures, verify_metric)
+from mconvex.metric import (DEFAULT_TOL, FiniteMetricSpace, PointMap, _checked_matrix,
+                            distortion, distortion_of, is_integral, is_midpoint,
+                            midpoint_set, rat_from_str, rat_to_str, triangle_failures,
+                            verify_metric)
 from mconvex.trees import (HEAP_EXACT_DEPTH, EpsilonSequence, HTreeSpace, TreeVertex,
                            enumerate_bn, tree_distance)
 from mconvex.embeddings.generators import random_valid_epsilon
@@ -83,16 +84,16 @@ def test_verify_metric_catches_asymmetry():
 
 
 def test_verify_metric_numpy_path_matches_loop():
-    # > 64 points routes through the vectorized checker
-    big = line_space(70)
-    rep = verify_metric(big)
-    assert rep.is_metric and rep.triples_checked == 70 ** 3
+    # every size runs the one numpy kernel over all n^3 ordered triples
+    for n in (1, 2, 64, 65, 70):
+        rep = verify_metric(line_space(n))
+        assert rep.is_metric and (rep.mode, rep.triples_checked) == ("exhaustive", n ** 3)
 
 
 def test_verify_metric_float_tolerance_on_both_routes():
     # a float line whose end-to-end distance is stretched by 1e-10 relative:
-    # within tol = 1e-9, so a metric whether the scalar loop (64 points) or
-    # the numpy route (65 points) checks it; with the default 1e-12 it is not
+    # within tol = 1e-9 times the largest distance, so a metric at 64 points
+    # as at 65; with the default 1e-12 it is not
     for n in (64, 65):
         rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
         rows[0][n - 1] = rows[n - 1][0] = (n - 1) * (1 + 1e-10)
@@ -341,9 +342,23 @@ def test_distortion_of_matches_old_loops_on_seeded_maps():
 
 def test_numpy_matrix_scales_exactly():
     rows = [[0, Fraction(3, 4), 2], [Fraction(3, 4), 0, Fraction(5, 6)], [2, Fraction(5, 6), 0]]
-    mat, tol = _numpy_matrix(rows, exact=True)
+    mat, tol = _checked_matrix(FiniteMetricSpace.from_matrix(range(3), rows))
     assert tol == 0 and mat.dtype == np.int64
     assert mat.tolist() == [[int(d * 12) for d in row] for row in rows]
+    assert np.array_equal(mat, old_numpy_matrix(rows, True)[0])
+    # past 2^61 the same ints (here over 3), in an object array
+    wide = [[d * 2 ** 62 for d in row] for row in rows]
+    mat, tol = _checked_matrix(FiniteMetricSpace.from_matrix(range(3), wide))
+    assert tol == 0 and mat.dtype == object
+    assert mat.tolist() == [[int(d * 3) for d in row] for row in wide]
+    assert old_numpy_matrix(wide, True) is None
+    # floats, also in a space flagged exact, with tol relative to the largest
+    for exact in (True, False):
+        mixed = [[0, 0.75, 2], [0.75, 0, Fraction(5, 6)], [2, Fraction(5, 6), 0]]
+        space = FiniteMetricSpace.from_matrix(range(3), mixed, exact=exact, tol=1e-9)
+        mat, tol = _checked_matrix(space)
+        assert mat.dtype == np.float64 and tol == 2e-9
+        assert mat.tolist() == [[float(d) for d in row] for row in mixed]
 
 
 def test_distortion_of_edge_cases():
@@ -430,6 +445,135 @@ def test_triangle_failures_small_and_clean():
     assert triangle_count(line) == 0 and type(triangle_count(line)) is int
 
 
+def old_numpy_matrix(rows, exact, tol=DEFAULT_TOL):
+    """The numpy route's builder before _checked_matrix, verbatim.
+
+    Returns (matrix, tolerance-matrix-entry) or None when exact scaling fails;
+    a float matrix's tolerance entry is the relative `tol` times its largest
+    entry (at least 1).
+    """
+    import numpy as np
+
+    if not exact:
+        mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
+        return mat, tol * max(1.0, float(mat.max()))
+    if not all(isinstance(d, (int, Fraction)) for row in rows for d in row):
+        return None
+    den = math.lcm(*{d.denominator for row in rows for d in row})
+    if den > 10 ** 9:
+        return None
+    scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
+    top = max(max(row) for row in scaled)
+    if top > 2 ** 61:
+        return None
+    return np.array(scaled, dtype=np.int64), 0
+
+
+def old_hook_matrix(space):
+    """The scaled route's builder before _checked_matrix, verbatim: the
+    space's scaled_matrix hook, else (or where it raises TooLarge) the
+    per-pair fill of old_scaled_matrix; None past 2^61."""
+    import numpy as np
+
+    if space.den is None:
+        return None
+    if space._scaled_matrix is not None:
+        try:
+            return space._scaled_matrix(), 0
+        except TooLarge:
+            pass
+    pts = space.points
+    scaled = space.scaled_distance
+    n = len(pts)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        x, row = pts[i], rows[i]
+        for j in range(i + 1, n):
+            row[j] = rows[j][i] = scaled(x, pts[j])
+    if max(max(map(abs, row)) for row in rows) > 2 ** 61:
+        return None
+    return np.array(rows, dtype=np.int64), 0
+
+
+def old_integer_axioms_hold(mat):
+    """The axiom check of the old numpy route, verbatim."""
+    import numpy as np
+
+    return (mat.dtype.kind == "i" and not mat.diagonal().any()
+            and np.array_equal(mat, mat.T) and not (mat < 0).any())
+
+
+def old_verify_metric(space, seed=0):
+    """verify_metric before _checked_matrix, verbatim: the scalar loops up to
+    64 points (and wherever no matrix was built), the numpy route from 65."""
+    pts = space.points
+    n = len(pts)
+    if n < 1:
+        raise ValueError("space must have at least one point")
+    violations = []
+    tol = 0 if space.exact else space.tol
+    as_np = None
+    if 64 < n <= metric.EXHAUSTIVE_LIMIT:
+        as_np = (old_hook_matrix(space)
+                 or old_numpy_matrix(space.distance_matrix(), space.exact, space.tol))
+    if as_np is None or not old_integer_axioms_hold(as_np[0]):
+        rows = space.distance_matrix()
+        for i in range(n):
+            if rows[i][i] != 0:
+                violations.append(("diagonal", pts[i]))
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    violations.append(("symmetry", pts[i], pts[j]))
+                if rows[i][j] < 0:
+                    violations.append(("negative", pts[i], pts[j]))
+
+    def tri_bad(a, b, c):
+        # d(a,c) <= d(a,b) + d(b,c), with relative slack in floating mode
+        lhs = rows[a][c]
+        rhs = rows[a][b] + rows[b][c]
+        if tol:
+            return lhs > rhs + tol * max(abs(lhs), abs(rhs), 1.0)
+        return lhs > rhs
+
+    if n <= metric.EXHAUSTIVE_LIMIT:
+        mode = "exhaustive"
+        checked = 0
+        if as_np is not None:
+            mat, np_tol = as_np
+            checked = n * n * n
+            for k, bad in triangle_failures(mat, np_tol):
+                for i, j in zip(*bad.nonzero()):
+                    violations.append(("triangle", pts[i], pts[k], pts[j]))
+        else:
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    for k in range(n):
+                        if k == i or k == j:
+                            continue
+                        checked += 1
+                        if tri_bad(i, j, k):
+                            violations.append(("triangle", pts[i], pts[j], pts[k]))
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        checked = metric.SAMPLED_TRIPLES
+        for _ in range(metric.SAMPLED_TRIPLES):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if tri_bad(i, j, k):
+                violations.append(("triangle", pts[i], pts[j], pts[k]))
+    return metric.MetricReport(violations, mode, checked)
+
+
+def old_took_numpy_route(space):
+    """Whether old_verify_metric checked the triangles of `space` in numpy."""
+    n = len(space)
+    return 64 < n <= metric.EXHAUSTIVE_LIMIT and (
+        old_hook_matrix(space)
+        or old_numpy_matrix(space.distance_matrix(), space.exact, space.tol)) is not None
+
+
 def old_verify_violations(space):
     """The violation list of verify_metric's numpy route (n > 64) before
     triangle_failures, verbatim: the scalar axiom loop, then the numpy loop."""
@@ -447,7 +591,7 @@ def old_verify_violations(space):
             if rows[i][j] < 0:
                 violations.append(("negative", pts[i], pts[j]))
 
-    as_np = _numpy_matrix(rows, space.exact)
+    as_np = old_numpy_matrix(rows, space.exact)
     if as_np is not None:
         mat, np_tol = as_np
         for k in range(n):
@@ -458,6 +602,22 @@ def old_verify_violations(space):
     return violations
 
 
+def without_hook(space):
+    """The same space with no scaled_matrix hook: _checked_matrix reads its
+    distance_matrix()."""
+    plain = copy.copy(space)
+    plain._scaled_matrix = None
+    return plain
+
+
+def same_up_to_scale(a, b):
+    """Whether two numpy distance matrices (int64 or object) are positive
+    multiples of one another."""
+    a, b = a.astype(object), b.astype(object)
+    e = np.flatnonzero(a)[0]
+    return a.flat[e] * b.flat[e] > 0 and np.array_equal(a * b.flat[e], b * a.flat[e])
+
+
 def corrupt(rng, rows, faults):
     """Apply the named faults to random entries of a square matrix in place."""
     n = len(rows)
@@ -465,7 +625,7 @@ def corrupt(rng, rows, faults):
         i, j = rng.sample(range(n), 2)
         d = rows[i][j]
         if fault == "diagonal":
-            rows[i][i] = d / 3
+            rows[i][i] = d / 3 if isinstance(d, float) else Fraction(d, 3)
         elif fault == "symmetry":
             rows[i][j] = d + Fraction(1, 7)
         elif fault == "negative":
@@ -474,62 +634,187 @@ def corrupt(rng, rows, faults):
             rows[i][j] = rows[j][i] = 5 * d + 3
 
 
+FAULT_KINDS = ["diagonal", "symmetry", "negative", "triangle"]
+
+
+def corrupted_tree_space(rng, n, faults, exact=True, number=None):
+    """n random points of B_6 under a random valid d_eps, as a matrix with
+    the given faults, flagged exact or not (then checked in floats).  The
+    entries are the Fraction distances, or with number=int the ints den *
+    d_eps, with number=float the floats d_eps."""
+    space = HTreeSpace(random_valid_epsilon(rng, 8), 8)
+    verts = rng.sample(enumerate_bn(6), n)
+    convert = {None: Fraction, int: lambda d: int(d * space.den), float: float}[number]
+    rows = [[convert(d) for d in row] for row in space.as_metric_space(verts).distance_matrix()]
+    corrupt(rng, rows, faults)
+    return FiniteMetricSpace.from_matrix(verts, rows, exact=exact)
+
+
 def test_verify_metric_matches_old_loops_on_corrupted_matrices():
     rng = random.Random(20261018)
-    kinds = ["diagonal", "symmetry", "negative", "triangle"]
     seen = set()
     for trial in range(48):
-        space = HTreeSpace(random_valid_epsilon(rng, 8), 8)
-        verts = rng.sample(enumerate_bn(6), rng.randint(65, 127))
-        rows = [list(row) for row in space.as_metric_space(verts).distance_matrix()]
-        faults = ([] if trial % 8 == 0 else [kinds[trial % 4]] if trial % 8 < 5
-                  else rng.sample(kinds, rng.randint(2, 4)))
-        corrupt(rng, rows, faults)
+        faults = ([] if trial % 8 == 0 else [FAULT_KINDS[trial % 4]] if trial % 8 < 5
+                  else rng.sample(FAULT_KINDS, rng.randint(2, 4)))
         # every 6th space in floating mode: a float matrix, checked with a tolerance
-        fms = FiniteMetricSpace.from_matrix(verts, rows, exact=trial % 6 != 5)
+        fms = corrupted_tree_space(rng, rng.randint(65, 127), faults, exact=trial % 6 != 5)
         rep = verify_metric(fms)
         expected = old_verify_violations(fms)
         assert rep.violations == expected
-        assert (rep.mode, rep.triples_checked) == ("exhaustive", len(verts) ** 3)
+        assert (rep.mode, rep.triples_checked) == ("exhaustive", len(fms) ** 3)
         seen.update(v[0] for v in expected)
         if not faults:
             assert expected == []
     assert seen == {"diagonal", "symmetry", "negative", "triangle"}
 
 
+def is_degenerate(violation):
+    """Whether a violation is a triangle with two equal points."""
+    return violation[0] == "triangle" and len(set(violation[1:])) < 3
+
+
+def assert_matches_old_verify(space):
+    """verify_metric against old_verify_metric: the same list in value and
+    order where the old one took its numpy route (n > 64), else the same
+    multiset once the degenerate triangles (which the old scalar loop
+    skipped) are dropped; degenerate triangles only where an axiom fails.
+    Returns the violations."""
+    rep, old = verify_metric(space), old_verify_metric(space)
+    n = len(space)
+    assert (rep.mode, rep.triples_checked) == ("exhaustive", n ** 3)
+    kept = [v for v in rep.violations if not is_degenerate(v)]
+    if old_took_numpy_route(space):
+        assert rep.violations == old.violations
+    else:
+        assert sorted(map(repr, kept)) == sorted(map(repr, old.violations))
+    if len(kept) < len(rep.violations):
+        assert any(v[0] != "triangle" for v in rep.violations)
+    return rep.violations
+
+
+def test_verify_metric_one_route_matches_old_routes():
+    # at least 200 seeded spaces on every old route: the scalar loops up to
+    # 64 points, the numpy route from 65, and the scalar fallback where the
+    # old builders declined (denominators past 10^9, ints past 2^61)
+    # (the old scalar loop is slow on Fractions, so from 25 to 64 points the
+    # exact matrices hold the ints den * d_eps)
+    rng = random.Random(20261024)
+    spaces = []
+    for n in range(3, 128):
+        faults = ([] if n % 5 == 0 else [FAULT_KINDS[n % 4]] if n % 5 < 4
+                  else rng.sample(FAULT_KINDS, rng.randint(2, 4)))
+        number = (float, int, None if n < 25 or n > 64 else int)[n % 3]
+        spaces.append(corrupted_tree_space(rng, n, faults, number is not float, number))
+    for n in range(60):
+        faults = [FAULT_KINDS[n % 4]] * (n % 3)
+        spaces.append(corrupted_tree_space(rng, rng.randint(3, 12), faults, n % 2 == 0))
+    # unchecked schedules: increasing eps breaks the triangle inequality,
+    # negative eps the sign
+    for vals in ([Fraction(1, 8)] * 4 + [Fraction(1, 2)] * 4,
+                 [Fraction(1, 3)] * 3 + [Fraction(-1, 5)] * 5,
+                 [Fraction(1, 5), Fraction(1, 7), Fraction(1, 4), Fraction(1, 9),
+                  Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 11)]):
+        space = HTreeSpace(EpsilonSequence(vals, check=False), 7)
+        for n in (20, 40, 70):
+            spaces.append(space.as_metric_space(rng.sample(enumerate_bn(6), n)))
+    # wide primes: a scale past 10^9 (the old numpy route declined it without
+    # the hook, 66 points) and ints past 2^61 (an object matrix, 31 points),
+    # each also with a stretched pair and a negative one
+    for primes, n in (([101, 103, 107, 109, 113, 127, 131], 66),
+                      ([10 ** 6 + q for q in (3, 33, 37, 39, 81)], 31)):
+        wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
+        ms = wide.as_metric_space(rng.sample(enumerate_bn(len(primes) - 1), n))
+        rows = [list(row) for row in ms.distance_matrix()]
+        corrupt(rng, rows, ["triangle", "negative"])
+        spaces += [ms, FiniteMetricSpace.from_matrix(ms.points, rows)]
+    # depth-60 vertices, past the heap-index kernel
+    for n in (30, 70):
+        for eps in (EpsilonSequence([Fraction(2, 9)] * 65), random_valid_epsilon(rng, 64)):
+            spaces.append(HTreeSpace(eps, 64).as_metric_space(deep_vertices(rng, n, 60)))
+    # Laakso graphs, and G_2 with faults
+    for m in range(4):
+        spaces.append(build_laakso(m).as_metric_space())
+    ms = build_laakso(2).as_metric_space()
+    for exact in (True, False):
+        rows = [list(row) for row in ms.distance_matrix()]
+        corrupt(rng, rows, FAULT_KINDS)
+        spaces.append(FiniteMetricSpace.from_matrix(ms.points, rows, exact=exact))
+    assert len(spaces) >= 200
+    seen, dtypes = set(), set()
+    for space in spaces:
+        dtypes.add(_checked_matrix(space)[0].dtype.kind)
+        kinds = {v[0] for v in assert_matches_old_verify(space)}
+        seen.update((kind, space.exact, len(space) > 64) for kind in kinds)
+    assert seen == {(kind, exact, big) for kind in FAULT_KINDS
+                    for exact in (True, False) for big in (True, False)}
+    assert dtypes == {"i", "f", "O"}
+
+
+def test_verify_metric_sampled_mode_matches_scalar_draws(monkeypatch):
+    # past EXHAUSTIVE_LIMIT the triples are the old scalar loop's draws from
+    # random.Random(seed), compared in numpy, in draw order
+    monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 40)
+    monkeypatch.setattr(metric, "SAMPLED_TRIPLES", 4000)
+    rng = random.Random(20261025)
+    spaces = [corrupted_tree_space(rng, 60, faults, exact=exact)
+              for faults in ([], ["triangle"] * 20, ["negative", "symmetry"] * 5,
+                             ["diagonal"] + ["triangle"] * 10)
+              for exact in (True, False)]
+    increasing = EpsilonSequence([Fraction(1, 8)] * 4 + [Fraction(1, 2)] * 4, check=False)
+    spaces.append(HTreeSpace(increasing, 7).as_metric_space(rng.sample(enumerate_bn(6), 50)))
+    triangles = 0
+    for space in spaces:
+        for seed in (0, 7):
+            rep = verify_metric(space, seed)
+            assert (rep.mode, rep.triples_checked) == ("sampled", 4000)
+            assert rep.violations == old_verify_metric(space, seed).violations
+            triangles += sum(v[0] == "triangle" for v in rep.violations)
+        if any(v[0] == "triangle" for v in rep.violations):
+            assert verify_metric(space, 0).violations != rep.violations
+    assert triangles >= 100
+
+
 def test_scaled_matrix_equals_numpy_matrix_of_fractions():
-    # the int64 matrix read from scaled distances is den times the distances,
-    # so it is the matrix _numpy_matrix builds from the Fraction distances up
-    # to a positive scale; it declines only entries past 2^61
+    # the hook's int64 matrix is den times the distances, so it is the
+    # matrix of the same space without the hook (and of the old Fraction
+    # builder, where that did not decline) up to a positive scale; past 2^61
+    # both hold the same Python ints in an object array
     rng = random.Random(20261019)
     spaces = []
     for _ in range(12):
         space = HTreeSpace(random_valid_epsilon(rng, 64), 64)
         spaces.append(space.as_metric_space(rng.sample(enumerate_bn(7), rng.randint(65, 200))))
-    # denominators whose lcm exceeds 10^9 (the Fraction route declines, the
-    # scaled one does not), and one whose scaled ints pass 2^63 (both decline)
+    # denominators whose lcm exceeds 10^9 (the old Fraction builder declined),
+    # and one whose scaled ints pass 2^63 (an object matrix)
     for primes in ([101, 103, 107, 109, 113, 127], [1009, 1013, 1019, 1021, 1031, 1033, 1039]):
         wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
         spaces.append(wide.as_metric_space(enumerate_bn(len(primes) - 1)))
     spaces.append(build_laakso(3).as_metric_space())
-    # vertices past the heap-index kernel's exact range: read pair by pair
+    # vertices past the heap-index kernel's exact range: the hook refuses
     deep = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
     spaces.append(deep.as_metric_space(deep_vertices(rng, 80, 60)))
-    declined = []
+    routes = []
     for ms in spaces:
         rows = ms.distance_matrix()
-        fast, slow = _scaled_matrix(ms), _numpy_matrix(rows, True)
-        declined.append((fast is None, slow is None))
-        if fast is None:
-            continue
-        assert fast[1] == 0 and fast[0].dtype == np.int64
-        assert fast[0].tolist() == [[d * ms.den for d in row] for row in rows]
+        (mat, tol), (plain, plain_tol) = _checked_matrix(ms), _checked_matrix(without_hook(ms))
+        slow = old_numpy_matrix(rows, True)
+        try:
+            hooked = ms._scaled_matrix is not None and ms._scaled_matrix() is not None
+        except TooLarge:
+            hooked = False
+        routes.append((hooked, mat.dtype.kind, plain.dtype.kind, slow is None))
+        assert tol == plain_tol == 0 and same_up_to_scale(mat, plain)
+        if hooked:
+            assert mat.tolist() == [[d * ms.den for d in row] for row in rows]
+        if mat.dtype == object:
+            assert mat.tolist() == plain.tolist()
         if slow is not None:
-            a, b = fast[0].astype(object), slow[0].astype(object)
-            assert slow[1] == 0 and np.array_equal(a * b[0, 1], b * a[0, 1])
-    assert declined == ([(False, False)] * 12 + [(False, True), (True, True), (False, False)]
-                        + [(False, False)])
-    assert _scaled_matrix(line_space(70)) is None
+            assert slow[1] == 0 and same_up_to_scale(mat, slow[0])
+    assert routes == ([(True, "i", "i", False)] * 12
+                      + [(True, "i", "i", True), (False, "O", "O", True)]
+                      + [(False, "i", "i", False)] * 2)
+    mat, tol = _checked_matrix(line_space(70))
+    assert tol == 0 and mat.tolist() == [[abs(i - j) for j in range(70)] for i in range(70)]
 
 
 def test_verify_metric_on_scaled_spaces_matches_old_loops():
@@ -579,10 +864,11 @@ def old_scaled_matrix(space):
     return np.array(rows, dtype=np.int64), 0
 
 
-def test_verify_metric_kernel_matches_pair_loop(monkeypatch):
-    # the heap-index kernel gives verify_metric the very matrix and violation
-    # list of the old per-pair fill, on every route: kernel, refused (depth
-    # past HEAP_EXACT_DEPTH, or a possible entry past 2^61) and declined
+def test_verify_metric_kernel_matches_pair_loop():
+    # the heap-index hook gives verify_metric the matrix of the old per-pair
+    # fill, and the violation list of the same space without the hook, on
+    # every route: kernel, refused (depth past HEAP_EXACT_DEPTH, or a
+    # possible entry past 2^61: then Python ints in an object matrix)
     rng = random.Random(20261021)
     cases = []
     for _ in range(8):
@@ -610,21 +896,20 @@ def test_verify_metric_kernel_matches_pair_loop(monkeypatch):
             route = "kernel"
         except TooLarge:
             route = "refused"
-        new, old = _scaled_matrix(ms), old_scaled_matrix(ms)
-        routes.append((route, new is None))
-        assert (new is None) == (old is None)
-        if new is None:
-            continue  # verify_metric then runs the same code on both sides
-        assert new[1] == old[1] == 0 and new[0].dtype == old[0].dtype == np.int64
-        assert np.array_equal(new[0], old[0])
+        mat, tol = _checked_matrix(ms)
+        old = old_scaled_matrix(ms)
+        routes.append((route, mat.dtype.kind, old is None))
+        assert tol == 0
+        if old is not None:
+            assert same_up_to_scale(mat, old[0])
+            if route == "kernel":
+                assert mat.dtype == old[0].dtype == np.int64 and np.array_equal(mat, old[0])
         violations = verify_metric(ms).violations
-        with monkeypatch.context() as mp:
-            mp.setattr(metric, "_scaled_matrix", old_scaled_matrix)
-            assert verify_metric(ms).violations == violations
+        assert verify_metric(without_hook(ms)).violations == violations
         kinds.update(v[0] for v in violations)
-    assert routes == ([("kernel", False)] * 8
-                      + [("kernel", False)] * 2 + [("refused", False)] * 2
-                      + [("refused", False)] * 2
-                      + [("kernel", False)] * 3
-                      + [("kernel", False), ("refused", True)])
+    assert routes == ([("kernel", "i", False)] * 8
+                      + [("kernel", "i", False)] * 2 + [("refused", "i", False)] * 2
+                      + [("refused", "i", False)] * 2
+                      + [("kernel", "i", False)] * 3
+                      + [("kernel", "i", False), ("refused", "O", True)])
     assert kinds == {"negative", "triangle"}

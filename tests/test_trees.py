@@ -420,10 +420,12 @@ def test_htree_triangle_violations_match_the_full_matrix(monkeypatch, rows, entr
 
 
 def test_htree_triangle_violations_guards():
-    # the guards of enumerate_bn and scaled_distance_matrix
+    # the depth bound EXHAUSTIVE_TRIANGLE_DEPTH and the guard of
+    # scaled_distance_matrix
     wide = EpsilonSequence([Fraction(1, 3)] * 22)
-    with pytest.raises(TooLarge):
-        htree_triangle_violations(wide, 21)
+    for depth in (trees.EXHAUSTIVE_TRIANGLE_DEPTH + 1, 21):
+        with pytest.raises(TooLarge):
+            htree_triangle_violations(wide, depth)
     huge = EpsilonSequence([Fraction(1, 2 ** 62 + 1)] * 3)
     with pytest.raises(TooLarge):
         scaled_distance_matrix(HTreeSpace(huge, 2), enumerate_bn(2))

@@ -50,6 +50,14 @@ def _at_least(lo):
     return lambda text: _int(text, lo)
 
 
+def _exponent(text):
+    """Parse an exponent p >= 1 as _frac does; BadInput below 1."""
+    value = _frac(text)
+    if value < 1:
+        raise BadInput(f"{value} < 1")
+    return value
+
+
 def _int_range(text):
     """Parse "1..4" or "3" into a non-empty list of ints >= 0, else BadInput."""
     lo, sep, hi = text.partition("..")
@@ -117,11 +125,18 @@ def _report(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _p_field(p):
+    """An exponent as written to JSON: integral ones as they were parsed,
+    rational ones as "p/q"."""
+    return p if is_integral(p) else rat_to_str(p)
+
+
 def _run_laakso_ratio(args):
-    from .markov import laakso_ratio
+    from .markov import laakso_ratios
+    reports = laakso_ratios(max(args.m), args.p)
     rows = []
     for m in args.m:
-        rep = laakso_ratio(m, args.p)
+        rep = reports[m]
         rows.append({"m": m, "ratio": rat_to_str(rep.ratio),
                      "lhs": rat_to_str(rep.lhs_total), "rhs": rat_to_str(rep.rhs),
                      "pi_lower": rep.pi_lower})
@@ -130,7 +145,7 @@ def _run_laakso_ratio(args):
     svg = _svg_curve([r["m"] for r in rows],
                      [rat_from_str(r["ratio"]) for r in rows],
                      f"Laakso convexity ratio vs m (p={args.p})")
-    return {".json": _report({"experiment": "laakso-ratio", "p": args.p, "rows": rows}),
+    return {".json": _report({"experiment": "laakso-ratio", "p": _p_field(args.p), "rows": rows}),
             ".csv": csv, ".svg": svg}
 
 
@@ -152,7 +167,7 @@ def _run_per_k_bound(args):
     svg = _svg_bars([r["k"] for r in rows],
                     [rat_from_str(r["per_k"]) for r in rows],
                     f"per-scale terms, m={args.m}, p={args.p}")
-    return {".json": _report({"experiment": "per-k-bound", "m": args.m, "p": args.p,
+    return {".json": _report({"experiment": "per-k-bound", "m": args.m, "p": _p_field(args.p),
                               "rows": rows, "all_ok": all(r["ok"] for r in rows)}),
             ".svg": svg}
 
@@ -162,7 +177,7 @@ def _run_pconvex_check(args):
     slacks = pconvexity_slacks(args.d, args.p, to_float(args.K, "K"), args.trials, seed=args.seed)
     return {".json": _report({
         "experiment": "pconvex-check", "d": args.d,
-        "p": args.p if is_integral(args.p) else rat_to_str(args.p),
+        "p": _p_field(args.p),
         "K": rat_to_str(args.K),
         "trials": args.trials, "seed": args.seed,
         "min_slack": float(slacks.min()), "max_abs_slack_if_identity":
@@ -412,7 +427,7 @@ def _build_parser():
     sp = cmd("laakso-ratio", _run_laakso_ratio, "convexity ratio of Laakso walks")
     # a string default goes through _int_range on every parse: no list is shared
     sp.add_argument("--m", type=_int_range, default="1..4", help='e.g. "1..4"')
-    sp.add_argument("--p", type=_at_least(1), default=2)
+    sp.add_argument("--p", type=_exponent, default=2)
 
     sp = cmd("bn-ratio", _run_bn_ratio, "convexity ratio of the B_n downward walk")
     sp.add_argument("--n", type=_int, required=True)   # bn_ratio checks n >= 1
@@ -420,7 +435,7 @@ def _build_parser():
 
     sp = cmd("per-k-bound", _run_per_k_bound, "per-scale counting bound for Laakso walks")
     sp.add_argument("--m", type=_at_least(0), required=True)
-    sp.add_argument("--p", type=_at_least(1), default=2)
+    sp.add_argument("--p", type=_exponent, default=2)
 
     sp = cmd("pconvex-check", _run_pconvex_check,
              "sampled p-convexity inequality slacks", randomized=True)

@@ -182,10 +182,23 @@ class LaaksoGraph:
         return sorted((w for w in self.adjacency[v] if self.level[w] == self.level[v] + 1),
                       key=_vkey)
 
+    def hop_matrix(self):
+        """The int64 matrix of hop distances (4^m times the distances) over
+        `vertices`: hop_distance on the upper triangle, mirrored."""
+        import numpy as np
+
+        vs = self.vertices
+        hop = self.hop_distance
+        mat = np.zeros((len(vs), len(vs)), dtype=np.int64)
+        for i, u in enumerate(vs):
+            mat[i, i + 1:] = [hop(u, v) for v in vs[i + 1:]]
+        return mat + mat.T
+
     def as_metric_space(self):
         from .metric import FiniteMetricSpace
         return FiniteMetricSpace(self.vertices, self.distance, exact=True,
-                                 scaled=(self.hop_distance, 4 ** self.m))
+                                 scaled=(self.hop_distance, 4 ** self.m),
+                                 scaled_matrix=self.hop_matrix)
 
     def vertex_label(self, v):
         return "/".join(str(part) for part in v)

@@ -33,11 +33,33 @@ branches and d = 2 (min(t, n) - b); on G_m the walk branches at the junction
 u of an interval (b, e) and d = 2 min(t - b, e - t) hops.  The generic DP
 (`convexity_ratio` on `downward_walk` and `laakso_walk`) is their oracle in
 the tests.
+
+For integer p the Laakso sum runs over the copies of G_m instead
+(`laakso_ratios`).  In hops, with K = 2^k and N = 4^(m-1), let
+A_m(k) = sum_t E[d(X_t, X~_t(t - K))^p], F_m(t) that term with every
+interval counted, PF_m(X) = sum_{t <= X} F_m(t), SF_m = PF_m(4^m - 1) and
+Q(n) = sum_{u=1..n} (2u)^p (Faulhaber).  Write t = dN + t' in copy d.
+Copies 0 and 3 of G_m are G_(m-1); in copies 1 and 2 the scale-m interval
+(N, 3N) is outermost, at 2t' and 2(N - t') hops, and a fork joins it while
+t' <= K (copy 1) or t' <= K - N (copy 2).  PF is only ever read at powers
+of two, 4^i and 2 * 4^i, where copies 1 and 2 of G_(i+1) start.  So
+
+    SF_m   = 3 SF_(m-1) + Q(N) - (2N)^p / 2
+    A_m(k) = 4 A_(m-1)(k) + (Q(K) - PF(K)) / 2     for K < N,
+    A_m(k) = (7 SF_(m-1) + Q(N)) / 2                for K = N,
+    A_m(k) = SF_m                                   for K >= 2N,
+
+with PF(4^i) = SF_i and PF(2 * 4^i) = (3 SF_i + Q(4^i)) / 2 at every level
+past i, and per_k = A_m(k) / (4^(mp) 2^(kp)).  Every one of these is a
+multiple of 1/4, so the recursion runs on ints over 4: O(m^2) big-int steps
+give all of G_0..G_m.  The branch-interval sum is its oracle.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -46,9 +68,12 @@ from .errors import DegenerateChain, OutOfRange, TooLarge, check
 from .metric import exact_or_float, is_integral, number_type, power, rat_to_str
 
 DOWNWARD_LIMIT = 16
-# the largest m of laakso_ratio, which builds no graph and takes O(4^m m)
-# time (about 1 s at m = 9)
-RATIO_LIMIT = 9
+# the largest m of laakso_ratio, which builds no graph: the copy recursion of
+# integer p takes O(m^2) big-int steps (the table to m = 128 in about 0.1 s
+# at p = 2), the branch-interval sum of other p O(4^m m) time (about 0.6 s
+# at m = 9)
+RATIO_LIMIT = 128
+INTERVAL_LIMIT = 9
 
 
 class ChainSpec:
@@ -408,9 +433,11 @@ def _check_p(p):
         raise OutOfRange(f"p = {p} < 1")
 
 
-def _report(p, per_k, rhs):
-    """The ConvexityReport of per-scale terms and a nonzero one-step sum."""
-    lhs = sum(per_k)
+def _report(p, per_k, rhs, lhs=None):
+    """The ConvexityReport of per-scale terms, their sum `lhs` (summed here
+    when not given) and a nonzero one-step sum."""
+    if lhs is None:
+        lhs = sum(per_k)
     ratio = lhs / rhs
     return ConvexityReport(p, per_k, lhs, rhs, ratio, float(ratio) ** (1.0 / p))
 
@@ -491,15 +518,28 @@ def _interval_ratio(p, pairs, depth, hop_den, rhs, k_max):
         longer = longer >> 1 if num is Fraction else longer / 2
         delta[(since_b - 1).bit_length()] += longer - suffix
         suffix = longer
+    return _scaled_report(p, list(itertools.accumulate(delta)), unit * power(hop_den, p), rhs)
+
+
+def _scaled_report(p, totals, scale, rhs):
+    """The ConvexityReport of the per-scale terms totals[k] / (scale * 2^(kp)),
+    each checked against the crude bound 4^p * rhs; the int 0 where a total
+    is 0.  For integral p the totals and scale are ints: the bound is checked
+    on ints, and each term and their sum is made as one Fraction."""
     sanity = power(4, p) * rhs
-    per_k = []
-    total = 0
-    for k in range(k_max + 1):
-        total += delta[k]
-        term_k = num(total) / (unit * power(hop_den, p) * power(2, k * p)) if total else 0
-        check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
-        per_k.append(term_k)
-    return _report(p, per_k, rhs)
+    if number_type(p) is float:
+        per_k = [total / (scale * power(2, k * p)) if total else 0
+                 for k, total in enumerate(totals)]
+        for k, term_k in enumerate(per_k):
+            check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
+        return _report(p, per_k, rhs)
+    dens = [scale << k * int(p) for k in range(len(totals))]
+    for k, (total, den) in enumerate(zip(totals, dens)):
+        check(total * sanity.denominator <= sanity.numerator * den,
+              "per-k sanity bound failed at k=%d", k)
+    lhs = sum(total * (dens[-1] // den) for total, den in zip(totals, dens))
+    return _report(p, [Fraction(total, den) if total else 0 for total, den in zip(totals, dens)],
+                   rhs, Fraction(lhs, dens[-1]) if lhs else 0)
 
 
 def _bn_intervals(n, k_max):
@@ -546,31 +586,107 @@ def _laakso_intervals(m):
                 yield t, since_b, 2 * (since_b if since_b < until_e else until_e)
 
 
-def laakso_ratio(m, p):
-    """ConvexityReport of the downward walk on the Laakso graph G_m (identity
-    map), from its branch intervals: no graph, chain or conditional law.
+def _laakso_rhs(m, p):
+    """The one-step sum of the walk on G_m: 4^m unit steps of length 4^-m."""
+    return power(number_type(p)(4), -m * (p - 1))
+
+
+def _laakso_interval_ratio(m, p):
+    """laakso_ratio(m, p) summed over the branch intervals, in O(4^m m)."""
+    # default_k_max of the walk, whose horizon is 4^m; t - b < 4^m = 2^(2m),
+    # so no interval joins after k = 2m < k_max.  A t is covered by at most
+    # one interval per scale
+    return _interval_ratio(p, _laakso_intervals(m), m, 4 ** m, _laakso_rhs(m, p),
+                           _k_max(4 ** m))
+
+
+@functools.lru_cache(maxsize=None)
+def _faulhaber(q):
+    """(c, den) with sum_{u=1..n} u^q = n * (sum_i c_i n^(q-i)) / den: the
+    coefficients C(q+1, i) B_i / (q+1) of Faulhaber's formula (B_1 = +1/2)
+    as ints over their lcm."""
+    bern = [Fraction(1)]
+    for n in range(1, q + 1):
+        bern.append(-sum(math.comb(n + 1, i) * bern[i] for i in range(n)) / (n + 1))
+    bern[1] = -bern[1]
+    coef = [math.comb(q + 1, i) * b / (q + 1) for i, b in enumerate(bern)]
+    den = math.lcm(*(c.denominator for c in coef))
+    return [c.numerator * (den // c.denominator) for c in coef], den
+
+
+def _even_power_sum(n, q):
+    """Q(n) = sum_{u=1..n} (2u)^q; summed directly while n <= q^2, about
+    what the O(q^2) Fraction steps of Faulhaber's coefficients cost."""
+    if n <= q * q:
+        return sum((2 * u) ** q for u in range(1, n + 1))
+    coef, den = _faulhaber(q)
+    acc = 0
+    for c in coef:
+        acc = acc * n + c
+    return acc * n // den << q
+
+
+def _laakso_copy_ratios(M, p):
+    """The reports of G_0..G_M for integral p, by the module docstring's
+    recursion over the copies, on ints in quarters."""
+    q = int(p)
+    reports = []
+    # entering level j: sf = 4 SF_(j-1), a[k] = 4 A_(j-1)(k) and
+    # c[k] = 4 (Q(2^k) - PF(2^k)) / 2 for k <= 2j - 3
+    sf, a, c = 0, [], []
+    for j in range(M + 1):
+        if j:
+            n = 4 ** (j - 1)
+            qn = 4 * _even_power_sum(n, q)
+            a = [4 * x + y for x, y in zip(a, c)]
+            a.append((7 * sf + qn) >> 1)
+            # PF(n) = SF_(j-1) and PF(2n) = (3 SF_(j-1) + Q(n)) / 2
+            c += [(qn - sf) >> 1, (4 * _even_power_sum(2 * n, q) - ((3 * sf + qn) >> 1)) >> 1]
+            sf = 3 * sf + qn - 2 * (2 * n) ** q
+            a.append(sf)
+        # k_max of the walk on G_j is 2j + 1 (2 at j = 0); A_j(k) = SF_j from k = 2j - 1
+        totals = a + [sf] * (_k_max(4 ** j) + 1 - len(a))
+        reports.append(_scaled_report(p, totals, 4 * 4 ** (j * q), _laakso_rhs(j, p)))
+    return reports
+
+
+def laakso_ratios(M, p):
+    """The ConvexityReports of the downward walks on G_0..G_M (identity
+    map), as a list indexed by m: no graph, chain or conditional law.
 
     Swapping the two branches of a copy fixes the root, so the law of X_t is
     uniform on its level, and two copies together at a junction u split there
-    with probability 1/2: the renewal that `_interval_ratio` sums, in
-    O(4^m m) time over the intervals of `_laakso_intervals`.
+    with probability 1/2: the renewal of the module docstring.  Integer p
+    runs its recursion over the copies, one pass for every level; other p
+    sum the branch intervals of each G_m (`_interval_ratio`).
 
     Equal to convexity_ratio(laakso_walk(build_laakso(m)), identity, ..., p)
     bit for bit, in value and type, for integer p.  Raises OutOfRange for
-    m < 0 or p < 1, and TooLarge for m > RATIO_LIMIT.
+    M < 0 or p < 1, and TooLarge for M > RATIO_LIMIT (INTERVAL_LIMIT for p
+    not integral).
     """
+    _check_laakso(M, p)
+    if is_integral(p):
+        return _laakso_copy_ratios(M, p)
+    return [_laakso_interval_ratio(m, p) for m in range(M + 1)]
+
+
+def laakso_ratio(m, p):
+    """The ConvexityReport of the downward walk on G_m: laakso_ratios(m, p)[m],
+    with the same errors."""
+    _check_laakso(m, p)
+    if is_integral(p):
+        return _laakso_copy_ratios(m, p)[-1]
+    return _laakso_interval_ratio(m, p)
+
+
+def _check_laakso(m, p):
     if m < 0:
         raise OutOfRange(f"m = {m} < 0")
-    if m > RATIO_LIMIT:
-        raise TooLarge(f"m = {m} > {RATIO_LIMIT}")
+    limit = RATIO_LIMIT if is_integral(p) else INTERVAL_LIMIT
+    if m > limit:
+        raise TooLarge(f"m = {m} > {limit}")
     _check_p(p)
-    # default_k_max of the walk, whose horizon is 4^m; t - b < 4^m = 2^(2m),
-    # so no interval joins after k = 2m < k_max
-    k_max = _k_max(4 ** m)
-    # the one-step sum: 4^m unit steps of length 4^-m
-    rhs = power(number_type(p)(4), -m * (p - 1))
-    # a t is covered by at most one interval per scale
-    return _interval_ratio(p, _laakso_intervals(m), m, 4 ** m, rhs, k_max)
 
 
 def laakso_time_set(m, k):

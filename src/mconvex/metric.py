@@ -243,7 +243,8 @@ def _checked_matrix(space):
     size, else an object array of Python ints (compared exactly).  tol is 0,
     as a positive scale changes no check.  The distances of a space not
     flagged exact, or holding a float, become float64, with tol `space.tol`
-    times the largest of them (at least 1).
+    times the largest of them (at least 1); OutOfRange where an exact one
+    lies past the float range.
     """
     import numpy as np
 
@@ -258,7 +259,7 @@ def _checked_matrix(space):
         scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
         fits = max(max(map(abs, row)) for row in scaled) <= 2 ** 61
         return np.array(scaled, dtype=np.int64 if fits else object), 0
-    mat = np.array([[float(d) for d in row] for row in rows], dtype=np.float64)
+    mat = np.array([[to_float(d, "a distance") for d in row] for row in rows], dtype=np.float64)
     return mat, space.tol * max(1.0, float(mat.max()))
 
 

@@ -24,7 +24,7 @@ from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import DegenerateChain
 from mconvex.laakso import build_laakso
 from mconvex.markov import (ChainSpec, bn_ratio, convexity_ratio, laakso_ratio,
-                            laakso_walk, per_k_laakso_bound, rhs_step_sum)
+                            laakso_ratios, laakso_walk, per_k_laakso_bound, rhs_step_sum)
 from mconvex.quotients import QuotientMap, lift_chain, trajectory_chain, \
     transfer_check
 from mconvex.metric import FiniteMetricSpace, PointMap, triangle_failures
@@ -40,7 +40,8 @@ from mconvex.trees import (EpsilonSequence, HTreeSpace, enumerate_bn, scaled_dis
 # agrees with the integer DP, whose full per_k lists match at m <= 5.  m = 7
 # is from one run of the integer DP with the graph-size guard lifted (266 s,
 # 1.4 GB).  m = 8 and 9 are past every DP and come from the branch-interval
-# closed form alone (laakso_ratio), which equals the DP wherever both run.
+# closed form alone, which equals the DP wherever both run (and the copy
+# recursion of laakso_ratio equals it up to m = 9).
 LAAKSO_RATIO_P2 = {
     1: Fraction(85, 128),
     2: Fraction(10427, 8192),
@@ -121,6 +122,23 @@ def test_laakso_ratio_closed_form_m6_to_m9():
         violations = [k for k in range(2 * m - 1)
                       if rep.per_k[k] < per_k_laakso_bound(m, k, 2)[1]]
         assert violations == []
+
+
+def test_laakso_ratio_frontier_m64():
+    # the copy recursion past the interval sum's m = 9: the frozen ratios
+    # again, growth at every level, and the slope ratio(m) - ratio(m - 1)
+    # settling near the limit_denominator fits 71/156, 79/183 and 857/1518
+    # (fits, not a derived limit); the values at m = 64 are pinned
+    fits = {1: Fraction(71, 156), 2: Fraction(79, 183), 3: Fraction(857, 1518)}
+    pinned = {1: 0.4551282051282051, 2: 0.43169398907103823, 3: 0.5645586297760211}
+    for p, fit in fits.items():
+        ratios = [rep.ratio for rep in laakso_ratios(64, p)]
+        if p == 2:
+            assert ratios[1:10] == [LAAKSO_RATIO_P2[m] for m in range(1, 10)]
+        slopes = [b - a for a, b in zip(ratios[1:], ratios[2:])]
+        assert all(s > 0 for s in slopes)
+        assert abs(slopes[-1] - fit) < Fraction(1, 10 ** 15)
+        assert float(slopes[-1]) == pinned[p]
 
 
 # ------------------------------------------------------------------------- 4

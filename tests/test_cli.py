@@ -11,7 +11,8 @@ import pytest
 
 import mconvex.cli
 from mconvex.cli import _build_parser, _frac, _int_range, main
-from mconvex.metric import FiniteMetricSpace
+from mconvex.markov import RATIO_LIMIT, laakso_ratio
+from mconvex.metric import FiniteMetricSpace, rat_to_str
 
 
 def read(tmp_path, name):
@@ -209,13 +210,30 @@ def test_pconvex_check_K_keeps_its_type(tmp_path, capsys):
 
 def test_laakso_commands_past_the_graph_limit(tmp_path, capsys):
     # neither command builds G_m, so both run past the graph-size guard
-    # (BUILD_LIMIT = 6) up to RATIO_LIMIT, and refuse beyond it
+    # (BUILD_LIMIT = 6) up to RATIO_LIMIT for integer p and INTERVAL_LIMIT
+    # for other p, and refuse beyond them
     assert main(["--out", str(tmp_path), "per-k-bound", "--m", "7"]) == 0
     assert json.loads(read(tmp_path, "per-k-bound.json"))["all_ok"] is True
     assert main(["--out", str(tmp_path), "laakso-ratio", "--m", "7"]) == 0
     assert json.loads(read(tmp_path, "laakso-ratio.json"))["rows"][0]["ratio"] == \
         "31155714793969/8796093022208"
-    for argv in (["laakso-ratio", "--m", "10"], ["per-k-bound", "--m", "10"]):
+    # past the branch-interval sum's m = 9, on the copy recursion
+    assert main(["--out", str(tmp_path), "per-k-bound", "--m", "10"]) == 0
+    assert json.loads(read(tmp_path, "per-k-bound.json"))["all_ok"] is True
+    assert main(["--out", str(tmp_path), "laakso-ratio", "--m", "9..10", "--p", "3"]) == 0
+    rows = json.loads(read(tmp_path, "laakso-ratio.json"))["rows"]
+    assert [row["ratio"] for row in rows] == [rat_to_str(laakso_ratio(m, 3).ratio)
+                                              for m in (9, 10)]
+    # a rational p is written as "p/q" and runs in floats
+    assert main(["--out", str(tmp_path), "laakso-ratio", "--m", "2..3", "--p", "5/2"]) == 0
+    data = json.loads(read(tmp_path, "laakso-ratio.json"))
+    assert data["p"] == "5/2"
+    assert [row["ratio"] for row in data["rows"]] == [laakso_ratio(m, 2.5).ratio
+                                                      for m in (2, 3)]
+    past = str(RATIO_LIMIT + 1)
+    for argv in (["laakso-ratio", "--m", past], ["per-k-bound", "--m", past],
+                 ["laakso-ratio", "--m", "10", "--p", "5/2"],
+                 ["per-k-bound", "--m", "10", "--p", "5/2"]):
         capsys.readouterr()
         assert main(["--out", str(tmp_path)] + argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "TooLarge"
@@ -304,6 +322,8 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             ["laakso-ratio", "--m", "-1"],
             ["laakso-ratio", "--m=-1..2"],
             ["laakso-ratio", "--m", "1", "--p", "0"],
+            ["laakso-ratio", "--m", "1", "--p", "1/2"],
+            ["per-k-bound", "--m", "1", "--p", "0.5"],
             ["bn-ratio", "--n", "abc"],
             ["bn-ratio", "--n", "3", "--p", "0"],
             ["per-k-bound", "--m", "-1"],

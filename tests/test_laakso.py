@@ -1,13 +1,15 @@
+import copy
 import json
 import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mconvex.errors import InvariantViolated, OutOfRange, TooLarge
 from mconvex.laakso import LaaksoGraph, build_laakso, doubling_check
-from mconvex.metric import verify_metric
+from mconvex.metric import _checked_matrix, verify_metric
 
 
 def test_small_graphs_shape():
@@ -39,6 +41,23 @@ def test_hop_distance_is_metric():
     G = build_laakso(2)
     rep = verify_metric(G.as_metric_space())
     assert rep.is_metric
+
+
+def test_hop_matrix_equals_the_hookless_route():
+    # the scaled_matrix hook gives 4^m times the distances: the matrix that
+    # _checked_matrix scales from distance_matrix() without it, and the same
+    # verify_metric report
+    for m in range(4):
+        space = build_laakso(m).as_metric_space()
+        plain = copy.copy(space)
+        plain._scaled_matrix = None
+        (mat, tol), (slow, slow_tol) = _checked_matrix(space), _checked_matrix(plain)
+        assert mat.dtype == slow.dtype == np.int64 and tol == slow_tol == 0
+        assert np.array_equal(mat, slow)
+        assert mat.tolist() == [[4 ** m * d for d in row] for row in space.distance_matrix()]
+        a, b = verify_metric(space), verify_metric(plain)
+        assert (a.violations, a.mode, a.triples_checked) == \
+            (b.violations, b.mode, b.triples_checked) == ([], "exhaustive", len(space) ** 3)
 
 
 def test_distance_scaling():

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from mconvex import markov
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
 from mconvex.laakso import build_laakso
-from mconvex.markov import (RATIO_LIMIT, ChainSpec, _check_p, _k_max, _report,
-                            bn_ratio, convexity_ratio, default_k_max, downward_walk,
-                            laakso_ratio, laakso_time_set, laakso_walk, pair_expectation,
-                            per_k_laakso_bound, rhs_step_sum)
+from mconvex.markov import (INTERVAL_LIMIT, RATIO_LIMIT, ChainSpec, _check_p, _k_max,
+                            _report, bn_ratio, convexity_ratio, default_k_max,
+                            downward_walk, laakso_ratio, laakso_ratios, laakso_time_set,
+                            laakso_walk, pair_expectation, per_k_laakso_bound,
+                            rhs_step_sum)
 from mconvex.metric import FiniteMetricSpace, is_integral, rat_from_str
 from mconvex.trees import enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_chain
@@ -331,11 +332,68 @@ def test_laakso_ratio_non_integer_p_close_to_dp(m):
 
 
 def test_laakso_ratio_guards():
-    # m past RATIO_LIMIT is refused before any work
+    # m past RATIO_LIMIT is refused before any work, and past INTERVAL_LIMIT
+    # for a p that is not integral
     with pytest.raises(TooLarge):
         laakso_ratio(RATIO_LIMIT + 1, 2)
-    with pytest.raises(OutOfRange):
-        laakso_ratio(-1, 2)
+    assert laakso_ratio(INTERVAL_LIMIT, 2.5).ratio > 0
+    for p in (Fraction(5, 2), 2.5):
+        for run in (laakso_ratio, laakso_ratios):
+            with pytest.raises(TooLarge):
+                run(INTERVAL_LIMIT + 1, p)
+    for run in (laakso_ratio, laakso_ratios):
+        with pytest.raises(TooLarge):
+            run(RATIO_LIMIT + 1, 3)
+        with pytest.raises(OutOfRange):
+            run(-1, 2)
+        with pytest.raises(OutOfRange):
+            run(3, 0)
+
+
+def test_laakso_ratios_entries_are_laakso_ratio():
+    # one pass gives every level: entry m is laakso_ratio(m, p)
+    for p in (1, 2, 3, 2.0, 2.5):
+        table = laakso_ratios(6, p)
+        assert len(table) == 7
+        for m, rep in enumerate(table):
+            assert rep.to_dict() == laakso_ratio(m, p).to_dict()
+            assert same_report(rep, laakso_ratio(m, p))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 2.0])
+def test_laakso_copy_recursion_matches_interval_kernel(p):
+    # the branch-interval sum is the recursion's oracle, in value and type,
+    # up to INTERVAL_LIMIT
+    table = laakso_ratios(INTERVAL_LIMIT, p)
+    for m in range(INTERVAL_LIMIT + 1):
+        old = markov._laakso_interval_ratio(m, p)
+        assert table[m].to_dict() == old.to_dict()
+        assert same_report(table[m], old) and table[m].p == old.p
+    # the float path is the interval kernel itself
+    assert [rep.to_dict() for rep in laakso_ratios(5, p + 0.5)] == \
+        [markov._laakso_interval_ratio(m, p + 0.5).to_dict() for m in range(6)]
+
+
+def test_even_power_sum_matches_direct_sums():
+    # the direct sum up to n = q^2, Faulhaber's formula past it
+    for q in range(1, 12):
+        for n in [*range(20), *range(max(q * q - 5, 20), q * q + 40)]:
+            assert markov._even_power_sum(n, q) == sum((2 * u) ** q for u in range(1, n + 1))
+    n = 4 ** 20 + 3
+    assert markov._even_power_sum(n, 3) == 2 * n ** 2 * (n + 1) ** 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_laakso_ratio_meets_counting_bound_past_the_intervals(p):
+    # the proof's certificate past m = 9: every per-scale term meets the
+    # counting bound, and the ratio keeps growing
+    table = laakso_ratios(64, p)
+    for m in (10, 16, 64):
+        rep = table[m]
+        violations = [k for k in range(2 * m - 1)
+                      if rep.per_k[k] < per_k_laakso_bound(m, k, p)[1]]
+        assert violations == [] and rep.ratio > table[m - 1].ratio
+        assert all(type(x) is Fraction for x in rep.per_k + [rep.rhs, rep.ratio])
 
 
 # ---------------------------------------------------------------------------

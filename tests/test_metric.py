@@ -12,7 +12,7 @@ from mconvex.embeddings.generators import make_space
 from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.embeddings.search import generate_faithful_b4
 from mconvex import metric
-from mconvex.errors import BadInput, CollapsedPair, TooLarge
+from mconvex.errors import BadInput, CollapsedPair, OutOfRange, TooLarge
 from mconvex.laakso import build_laakso
 from mconvex.metric import (DEFAULT_TOL, FiniteMetricSpace, PointMap, _checked_matrix,
                             distortion, distortion_of, is_integral, is_midpoint,
@@ -359,6 +359,19 @@ def test_numpy_matrix_scales_exactly():
         mat, tol = _checked_matrix(space)
         assert mat.dtype == np.float64 and tol == 2e-9
         assert mat.tolist() == [[float(d) for d in row] for row in mixed]
+
+
+def test_verify_metric_exact_distance_past_the_float_range():
+    # a space not flagged exact is checked in float64: an exact distance past
+    # the float range is OutOfRange, not an OverflowError
+    huge = Fraction(10 ** 400)
+    space = FiniteMetricSpace.from_matrix(range(3), [[0, 1, huge], [1, 0, 1], [huge, 1, 0]],
+                                          exact=False)
+    with pytest.raises(OutOfRange, match="float range"):
+        verify_metric(space)
+    # flagged exact, the same distances are compared exactly
+    exact = FiniteMetricSpace.from_matrix(range(3), space.distance_matrix())
+    assert [v[0] for v in verify_metric(exact).violations] == ["triangle"] * 2
 
 
 def test_distortion_of_edge_cases():
@@ -810,9 +823,10 @@ def test_scaled_matrix_equals_numpy_matrix_of_fractions():
             assert mat.tolist() == plain.tolist()
         if slow is not None:
             assert slow[1] == 0 and same_up_to_scale(mat, slow[0])
+    # the Laakso space's hook is its hop-count matrix; the deep tree's refuses
     assert routes == ([(True, "i", "i", False)] * 12
                       + [(True, "i", "i", True), (False, "O", "O", True)]
-                      + [(False, "i", "i", False)] * 2)
+                      + [(True, "i", "i", False), (False, "i", "i", False)])
     mat, tol = _checked_matrix(line_space(70))
     assert tol == 0 and mat.tolist() == [[abs(i - j) for j in range(70)] for i in range(70)]
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..metric import is_midpoint
 from ..randbits import random_bits, random_depth_bits
-from ..trees import ROOT, EpsilonSequence, HTreeSpace
+from ..trees import ROOT, EpsilonSequence, HTreeSpace, scaled_path_distance
 from .classify import path_scale_range
 from ..errors import NotApproximatePath, OutOfRange
 
@@ -257,13 +257,16 @@ def htree_random_triple_violations(space, rng, count):
     """Triangle-inequality violations over random vertex triples (exact).
 
     Each vertex is `_rand_vertex(rng, rng.randint(0, space.max_depth))`,
-    drawn in bulk by `random_depth_bits` and compared as heap-index ints
-    (`1 << k | bits`); only the violating triples become TreeVertex objects."""
-    bad = []
-    sd = space.scaled_index_distance
-    draws = random_depth_bits(rng, space.max_depth, 3 * count)
-    for triple in zip(draws, draws, draws):
-        x, y, z = [1 << k | bits for k, bits in triple]
-        if sd(x, z) > sd(x, y) + sd(y, z):
-            bad.append(tuple(ROOT.hang(bits, k) for k, bits in triple))
-    return bad
+    drawn in bulk by `random_depth_bits` as (depth, path bits) arrays; all
+    triples (x, y, z) are compared at once on `scaled_path_distance`, and
+    only the violating ones become TreeVertex objects, in draw order."""
+    import numpy as np
+
+    depths, bits = random_depth_bits(rng, space.max_depth, 3 * count)
+    h, b = depths.reshape(-1, 3).T, bits.reshape(-1, 3).T
+
+    def sd(s, t):
+        return scaled_path_distance(space, h[s], b[s], h[t], b[t])
+
+    return [tuple(ROOT.hang(int(b[s, t]), int(h[s, t])) for s in range(3))
+            for t in np.flatnonzero(sd(0, 2) > sd(0, 1) + sd(1, 2))]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadInput, CollapsedPair, OutOfRange, TooLarge
+from .randbits import random_below
 
 # number of points up to which verify_metric checks every triple
 EXHAUSTIVE_LIMIT = 2000
@@ -225,9 +226,7 @@ def verify_metric(space, seed=0):
         for k, bad in triangle_failures(mat, tol):
             violations.extend(("triangle", pts[i], pts[k], pts[j]) for i, j in zip(*bad.nonzero()))
         return MetricReport(violations, "exhaustive", n ** 3)
-    rng = random.Random(seed)
-    i, k, j = np.fromiter((rng.randrange(n) for _ in range(3 * SAMPLED_TRIPLES)), np.int64,
-                          3 * SAMPLED_TRIPLES).reshape(-1, 3).T
+    i, k, j = random_below(random.Random(seed), n, 3 * SAMPLED_TRIPLES).reshape(-1, 3).T
     for t in np.flatnonzero(mat[i, j] > mat[i, k] + mat[k, j] + tol):
         violations.append(("triangle", pts[i[t]], pts[k[t]], pts[j[t]]))
     return MetricReport(violations, "sampled", SAMPLED_TRIPLES)
@@ -289,6 +288,11 @@ def triangle_failures(mat, tol=0):
     narrowest signed dtype (int16, int32, int64) that holds
     2 * max|x| + |tol|, so the sums cannot overflow and the comparisons are
     exact; an object matrix of Python ints is compared exactly as is.
+
+    One pass first takes min over k of mat[i, k] + mat[k, j]; when no
+    mat[i, j] exceeds it plus tol, nothing is yielded, and only otherwise
+    are the k scanned one by one.  Adding tol is monotone, also in float, so
+    the two tests agree; np.fmin skips NaN sums, as the comparisons do.
     """
     import numpy as np
 
@@ -299,6 +303,14 @@ def triangle_failures(mat, tol=0):
         mat = mat.astype(narrowest_int(2 * max(int(mat.max()), -int(mat.min())) + abs(tol)))
     total = np.empty_like(mat)
     bad = np.empty(mat.shape, dtype=bool)
+    least = mat[:, 0, None] + mat[None, 0, :]
+    for k in range(1, n):
+        np.add(mat[:, k, None], mat[None, k, :], out=total)
+        np.fmin(least, total, out=least)
+    if tol:
+        least += tol
+    if not np.greater(mat, least, out=bad).any():
+        return
     for k in range(n):
         np.add(mat[:, k, None], mat[None, k, :], out=total)
         if tol:

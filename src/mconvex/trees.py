@@ -2,9 +2,8 @@
 
 Vertices of the (conceptually infinite) rooted binary tree are addressed by
 their root path, a finite bit sequence, which a `TreeVertex` stores as one
-int, its heap index (a 1 bit followed by the path bits).  Outside this module
-only the sampled triangle check of `embeddings.generators` builds heap
-indices itself (`1 << k | bits`).  The contracted metric is
+int, its heap index (a 1 bit followed by the path bits).  The contracted
+metric is
 
     d_eps(x, y) = |h(y) - h(x)|
                   + 2 * eps[min(h(x), h(y))] * (min(h(x), h(y)) - h(lca(x, y)))
@@ -27,8 +26,10 @@ vertices)`, over the points of `HTreeSpace.as_metric_space`
 `tree_metric_equality_violations`, and `htree_triangle_violations`
 (`htree-validate`), which compares each block against one representative
 row per depth, since the tree's automorphisms keep d_eps and act
-transitively on each level.  One function lists the strict ancestor pairs
-of B_n, `sp_pairs`.
+transitively on each level.  The sampled triangle check of
+`embeddings.generators` reads den * d_eps off (depth, path bits) arrays,
+past depth 52 too, through `scaled_path_distance`.  One function lists the
+strict ancestor pairs of B_n, `sp_pairs`.
 """
 from __future__ import annotations
 
@@ -345,20 +346,30 @@ def sp_pairs(n):
 #     m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
 #
 # TreeVertex.lca_depth evaluates it on Python ints, exact at every depth.
-# The numpy kernels below evaluate it on int64 arrays and take bit lengths
-# from the float64 exponent (np.frexp), which is exact only below 2^53: they
-# serve heap indices 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and
-# their callers raise TooLarge beyond (`_two_eps_to`).
+# The numpy kernels below evaluate it on int64 arrays of heap indices
+# 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and their callers raise
+# TooLarge beyond (`_two_eps_to`).  Their bit lengths come from `bit_length`,
+# which is exact on all 64 bits, as the sampled triangle check of
+# `embeddings.generators` needs for its uint64 root paths.
 # ---------------------------------------------------------------------------
 
 HEAP_EXACT_DEPTH = 52
 
 
-def _bit_length(a):
-    """Elementwise int64 bit length of a nonnegative int64 array below 2^53."""
+def bit_length(a):
+    """The int64 array of the bit lengths of a numpy array of nonnegative
+    ints: int64 or uint64, exact on all 64 bits (the float64 exponent, via
+    np.frexp, of the high 32-bit half, or of the low one where the high one
+    is 0), or Python ints in an object array."""
     import numpy as np
 
-    return np.frexp(a)[1].astype(np.int64)
+    if a.dtype == object:
+        return np.frompyfunc(int.bit_length, 1, 1)(a).astype(np.int64)
+    half = a >> 32
+    low = half == 0
+    np.copyto(half, a, where=low)
+    out = np.frexp(half)[1].astype(np.int64)
+    return np.add(out, 32, out=out, where=~low)
 
 
 def _lca_block(A, dA, B, dB):
@@ -366,7 +377,7 @@ def _lca_block(A, dA, B, dB):
     import numpy as np
 
     m = np.minimum(dA, dB)
-    return m, m - _bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
+    return m, m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
 
 
 def _scaled_block(A, dA, B, dB, den, two_eps):
@@ -386,11 +397,39 @@ def _two_eps_to(space, top):
 
     if top > HEAP_EXACT_DEPTH:
         raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
-    two_eps = space._two_eps[:top + 1]
-    # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
-    if top * (space.den + max(map(abs, two_eps))) > 2 ** 61:
+    if not _scaled_fits(space, top):
         raise TooLarge("scaled distances could exceed 2^61")
-    return np.array(two_eps, dtype=np.int64)
+    return np.array(space._two_eps[:top + 1], dtype=np.int64)
+
+
+def _scaled_fits(space, top):
+    """Whether every den * d_eps value to depth `top` fits 2^61 in size."""
+    # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
+    return top * (space.den + max(map(abs, space._two_eps[:top + 1]))) <= 2 ** 61
+
+
+def scaled_path_distance(space, ha, a, hb, b):
+    """space.scaled_distance, elementwise, between the vertices at depths ha
+    with root path bits a and those at depths hb with path bits b, as
+    `randbits.random_depth_bits` draws them: int64 depths up to
+    space.max_depth (not checked), and uint64 bits, or Python ints in object
+    arrays.  The result is int64 where every value to space.max_depth fits
+    2^61 in size, else Python ints in an object array.
+
+    For depths h <= h', min depth - lca depth is the bit length of
+    p ^ (p' >> (h' - h)) for the paths p, p'; the shift, up to 64, is taken
+    in two halves, as uint64 shifts of 64 are undefined."""
+    import numpy as np
+
+    exact = np.int64 if _scaled_fits(space, space.max_depth) else object
+    first = ha <= hb
+    m = np.where(first, ha, hb)
+    gap = np.abs(ha - hb)
+    half = (gap >> 1).astype(a.dtype)
+    deep = np.where(first, b, a) >> half >> (gap - (gap >> 1)).astype(a.dtype)
+    split = bit_length(np.where(first, a, b) ^ deep)
+    two_eps = np.array(space._two_eps, dtype=exact)
+    return gap.astype(exact) * space.den + two_eps[m] * split
 
 
 def scaled_distance_matrix(space, vertices):
@@ -407,7 +446,7 @@ def scaled_distance_matrix(space, vertices):
         space.check_depth(*vertices)
     two_eps = _two_eps_to(space, top)
     idx = np.array(idx, dtype=np.int64)
-    h = _bit_length(idx) - 1
+    h = bit_length(idx) - 1
     return _scaled_block(idx[:, None], h[:, None], idx, h, space.den, two_eps)[1]
 
 
@@ -427,7 +466,7 @@ def _heap_arrays(space, depth):
         raise TooLarge(f"n = {depth} > {ENUMERATE_LIMIT}")
     two_eps = _two_eps_to(space, depth)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    return idx, _bit_length(idx) - 1, two_eps
+    return idx, bit_length(idx) - 1, two_eps
 
 
 def _row_blocks(space, depth):

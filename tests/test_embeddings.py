@@ -9,6 +9,7 @@ from mconvex.embeddings.extract import extract_vertically_faithful
 from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
                                            htree_random_triple_violations, make_space,
                                            random_valid_epsilon)
+from mconvex import trees
 from mconvex.embeddings import paths, search
 from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
@@ -614,3 +615,30 @@ def test_triple_violations_match_per_triple_loop():
         assert all(type(v) is TreeVertex for triple in new for v in triple)
         assert len(new) == violations
         assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_triple_violations_match_per_triple_loop_at_every_width():
+    # unchecked random schedules at the depths where the path bits change
+    # type (uint64 up to 64, Python ints past it) and the scaled distances
+    # change dtype (int64, or Python ints past 2^61), each with violations
+    rng = random.Random(2026)
+    kinds = set()
+    for depth in (0, 1, 63, 64, 65, 100):
+        for trial in range(4):
+            # eps_1 > 1 makes the root a shortcut between its two children
+            vals = [Fraction(rng.randint(3, 9), 2) for _ in range(min(depth + 1, 2))] + [
+                Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 7, 2 ** 61 + 1][:4 + trial % 2]))
+                for _ in range(depth - 1)]
+            space = HTreeSpace(EpsilonSequence(vals, check=False), depth)
+            kinds.add((depth > 64, trees._scaled_fits(space, depth)))
+            seed = rng.randrange(10 ** 6)
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            new_rng.gauss(0, 1)
+            old_rng.gauss(0, 1)
+            new = htree_random_triple_violations(space, new_rng, 600)
+            assert new == _old_htree_random_triple_violations(space, old_rng, 600), depth
+            # at depth 0 every vertex is the root, which violates nothing
+            assert bool(new) == (depth > 0), (depth, trial)
+            assert new_rng.getstate() == old_rng.getstate()
+            assert new_rng.random() == old_rng.random()
+    assert kinds == {(wide, fits) for wide in (False, True) for fits in (False, True)}

@@ -450,6 +450,60 @@ def test_triangle_failures_float_with_tol():
         assert kernel_failures(mat, tol) == brute_failures(rows, tol)
 
 
+def per_k_failures(mat, tol):
+    """triangle_failures before its one-pass certificate, verbatim: the
+    per-k scan, as kernel_failures lists it."""
+    out = []
+    n = len(mat)
+    if n == 0:
+        return out
+    if mat.dtype.kind in "iu":
+        mat = mat.astype(metric.narrowest_int(2 * max(int(mat.max()), -int(mat.min())) + abs(tol)))
+    total = np.empty_like(mat)
+    bad = np.empty(mat.shape, dtype=bool)
+    for k in range(n):
+        np.add(mat[:, k, None], mat[None, k, :], out=total)
+        if tol:
+            total += tol
+        np.greater(mat, total, out=bad)
+        if bad.any():
+            out.append((k, [(int(i), int(j)) for i, j in zip(*bad.nonzero())]))
+    return out
+
+
+# (dtype, scale): scaled line metrics that the kernel keeps in int16, int32,
+# int64, Python ints (an object array) and float64
+KERNEL_DTYPES = [(np.int64, 1), (np.int64, 2 ** 12), (np.int64, 2 ** 40), (object, 2 ** 70),
+                 (np.float64, 0.125)]
+
+
+@pytest.mark.parametrize("dtype, scale", KERNEL_DTYPES)
+def test_triangle_failures_match_the_per_k_scan(dtype, scale):
+    # clean matrices (the one-pass certificate yields nothing) and matrices
+    # with violations injected (the per-k scan's (k, bad) in its order)
+    rng = random.Random(repr((dtype, scale)))
+    found = clean = 0
+    for trial in range(40):
+        n = rng.randint(1, 24)
+        xs = [rng.randint(0, 50) for _ in range(n)]
+        rows = [[abs(a - b) * scale for b in xs] for a in xs]
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice([1, 2, 60]) * scale
+        if dtype is np.float64:
+            if trial % 5 == 0:
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([math.nan, math.inf])
+            tol = (0, scale, 1e-12)[trial % 3]
+        else:
+            tol = rng.choice([0, 0, scale, -scale])
+        mat = np.array(rows, dtype=dtype)
+        expected = per_k_failures(mat, tol)
+        assert kernel_failures(mat, tol) == expected, trial
+        found += bool(expected)
+        clean += not expected
+    assert found >= 5 and clean >= 5
+
+
 def test_triangle_failures_small_and_clean():
     assert list(triangle_failures(np.zeros((0, 0), dtype=np.int64))) == []
     assert list(triangle_failures(np.zeros((1, 1), dtype=np.int64))) == []
@@ -785,6 +839,30 @@ def test_verify_metric_sampled_mode_matches_scalar_draws(monkeypatch):
         if any(v[0] == "triangle" for v in rep.violations):
             assert verify_metric(space, 0).violations != rep.violations
     assert triangles >= 100
+
+
+def test_verify_metric_sampled_triples_are_the_randrange_loop(monkeypatch):
+    # the triples (i, k, j) are 3 * SAMPLED_TRIPLES scalar randrange(n) calls
+    # on random.Random(seed), here across more than one read-ahead of words,
+    # so a triangle violation is listed exactly for the triples that loop
+    # draws, in its order
+    monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 40)
+    monkeypatch.setattr(metric, "SAMPLED_TRIPLES", 30_000)
+    rng = random.Random(20261019)
+    for n in (41, 64, 70):
+        space = corrupted_tree_space(rng, n, ["triangle"] * 30, number=int)
+        rows = space.distance_matrix()
+        for seed in (0, 5):
+            draws = random.Random(seed)
+            expected = []
+            for _ in range(metric.SAMPLED_TRIPLES):
+                i, k, j = draws.randrange(n), draws.randrange(n), draws.randrange(n)
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    expected.append(("triangle", space.points[i], space.points[k],
+                                     space.points[j]))
+            rep = verify_metric(space, seed)
+            assert (rep.mode, rep.triples_checked) == ("sampled", 30_000)
+            assert rep.violations == expected and expected, (n, seed)
 
 
 def test_scaled_matrix_equals_numpy_matrix_of_fractions():

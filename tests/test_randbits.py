@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from mconvex import randbits
-from mconvex.randbits import _chunk, random_bits, random_depth_bits
+from mconvex.randbits import _chunk, random_below, random_bits, random_depth_bits
 
 # -1: a negative count draws nothing, like range(-1)
 LENGTHS = (-1, 0, 1, 2, 5, 31, 64, 200)
@@ -33,14 +34,24 @@ def _scalar_depth_bits(rng, max_depth, count):
     return out
 
 
+def _pairs(max_depth, depths, bits):
+    """The (k, bits) pairs of random_depth_bits' two arrays, as Python ints,
+    after checking the arrays' dtypes and shapes."""
+    assert depths.dtype == np.int64 and depths.shape == bits.shape == (len(depths),)
+    if max_depth <= 64:
+        assert bits.dtype == np.uint64
+    else:
+        assert bits.dtype == object and all(type(b) is int for b in bits)
+    return list(zip(depths.tolist(), [int(b) for b in bits]))
+
+
 def _check_depth_bits(max_depth, count, seed):
     ref, rng = random.Random(seed), random.Random(seed)
     ref.gauss(0, 1)
     rng.gauss(0, 1)
     expected = _scalar_depth_bits(ref, max_depth, count)
-    got = list(random_depth_bits(rng, max_depth, count))
+    got = _pairs(max_depth, *random_depth_bits(rng, max_depth, count))
     assert got == expected, (max_depth, count)
-    assert all(type(k) is int and type(b) is int for k, b in got)
     assert rng.getstate() == ref.getstate(), (max_depth, count)
     assert rng.random() == ref.random(), (max_depth, count)
 
@@ -49,7 +60,7 @@ def test_random_depth_bits_matches_scalar_loop():
     # the bulk draw against randint then random_bits, across randint widths
     # kb = 1..10 and the chunk boundaries, from a generator whose gauss_next
     # is set (setstate must carry it through)
-    for max_depth in (0, 1, 5, 63, 64, 255, 256, 1000):
+    for max_depth in (0, 1, 5, 63, 64, 65, 127, 128, 255, 256, 1000):
         chunk = _chunk(max_depth)[1]
         for count in (0, 1, chunk - 1, chunk, chunk + 1, 15_000):
             _check_depth_bits(max_depth, count, max_depth + count)
@@ -58,7 +69,7 @@ def test_random_depth_bits_matches_scalar_loop():
 def test_random_depth_bits_short_read_ahead(monkeypatch):
     # a pair longer than one read-ahead is parsed once the next ones arrive
     monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
-    for max_depth in (5, 64, 1000):
+    for max_depth in (5, 64, 65, 1000):
         for seed in range(20):
             _check_depth_bits(max_depth, 7, seed)
 
@@ -89,12 +100,43 @@ def test_random_depth_bits_generates_each_word_once(monkeypatch, chunk_words):
         for count in (1, chunk, 3 * chunk + 7, 15_000):
             ref, rng = CountingRandom(count), CountingRandom(count)
             expected = _scalar_depth_bits(ref, max_depth, count)
-            assert list(random_depth_bits(rng, max_depth, count)) == expected
+            assert _pairs(max_depth, *random_depth_bits(rng, max_depth, count)) == expected
             assert rng.getstate() == ref.getstate(), (max_depth, count)
             assert rng.words <= ref.words + rng.largest, (max_depth, count)
 
 
 def test_random_depth_bits_rejects_bad_depth():
-    for max_depth in (-1, 2 ** 32):
+    # randint(0, 2^32 - 1) reads 33 bits, two words a draw
+    for max_depth in (-1, 2 ** 32 - 1, 2 ** 32):
         with pytest.raises(ValueError):
-            next(random_depth_bits(random.Random(0), max_depth, 1))
+            random_depth_bits(random.Random(0), max_depth, 1)
+
+
+@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
+def test_random_below_matches_randrange(monkeypatch, chunk_words):
+    # count calls of randrange(n), in draw order, for n of every randrange
+    # width kb = 1..32 and on both sides of each power of two, across
+    # read-aheads; the same end state (gauss_next included) and the next
+    # random(); and the words generated are those of the scalar loop plus at
+    # most one read-ahead (its rewind)
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+    sizes = [1, 2, 3, 5, 2001, 2100, 2 ** 31, 2 ** 32 - 1]
+    sizes += [2 ** kb + d for kb in range(1, 32) for d in (-1, 1)]
+    cases = [(n, count) for n in sizes for count in (-1, 0, 1, 7, 3 * 16 + 5, 1000)]
+    cases += [(n, chunk_words + 5) for n in (3, 2100, 2 ** 31 + 1)]
+    for n, count in cases:
+        ref, rng = CountingRandom(n + count), CountingRandom(n + count)
+        ref.gauss(0, 1)
+        rng.gauss(0, 1)
+        expected = [ref.randrange(n) for _ in range(count)]
+        got = random_below(rng, n, count)
+        assert got.dtype == np.int64 and got.tolist() == expected, (n, count)
+        assert rng.getstate() == ref.getstate(), (n, count)
+        assert rng.words <= ref.words + rng.largest, (n, count)
+        assert rng.random() == ref.random(), (n, count)
+
+
+def test_random_below_rejects_bad_range():
+    for n in (0, -1, 2 ** 32):
+        with pytest.raises(ValueError):
+            random_below(random.Random(0), n, 1)

@@ -10,9 +10,10 @@ from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
                             PreconditionViolated, TooLarge)
 from mconvex.trees import (HEAP_EXACT_DEPTH, ROOT, EpsilonSequence, HTreeSpace,
-                           TreeVertex, _bit_length, _lca_block, _scaled_block,
+                           TreeVertex, _lca_block, _scaled_block, bit_length,
                            enumerate_bn, epsilon_from_growth, epsilon_violations,
-                           htree_triangle_violations, scaled_distance_matrix, sp_pairs,
+                           htree_triangle_violations, scaled_distance_matrix,
+                           scaled_path_distance, sp_pairs,
                            tree_metric_equality_violations,
                            stitch_ancestor, stitch_descendant, stitch_horizontal,
                            tree_distance, validate_epsilon)
@@ -283,7 +284,7 @@ def old_scaled_distance_matrix(eps, depth):
     two_eps = np.array([2 * v.numerator * (denom // v.denominator) for v in vals],
                        dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    depths = _bit_length(idx) - 1
+    depths = bit_length(idx) - 1
     return _scaled_block(idx[:, None], depths[:, None], idx, depths, denom, two_eps)[1], denom
 
 
@@ -304,7 +305,7 @@ def lca_block(rows, cols):
     import numpy as np
     A = np.asarray(rows, dtype=np.int64)[:, None]
     B = np.asarray(cols, dtype=np.int64)[None, :]
-    return _lca_block(A, _bit_length(A) - 1, B, _bit_length(B) - 1)[1]
+    return _lca_block(A, bit_length(A) - 1, B, bit_length(B) - 1)[1]
 
 
 def test_heap_lca_block_matches_scalar():
@@ -337,11 +338,6 @@ def test_heap_lca_block_exact_below_2_53():
         idx += [a, (b << s) | rng.randrange(2 ** s), a >> rng.randint(0, d)]
     blk = lca_block(idx, idx)
     assert blk.tolist() == [[old_heap_lca_depth(i, j) for j in idx] for i in idx]
-    import numpy as np
-    edges = [2 ** k for k in range(53)] + [2 ** k - 1 for k in range(1, 54)]
-    assert _bit_length(np.array(edges, dtype=np.int64)).tolist() == \
-        [e.bit_length() for e in edges]
-    # past 2^53 float64 rounds (2^54 - 1 reads as 2^54, depth 54, not 53), so
     # the matrix kernel refuses vertices deeper than HEAP_EXACT_DEPTH
     space = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
     for bad in ((0,) * 53, (1,) * 53, (1,) * 61):
@@ -354,6 +350,48 @@ def test_heap_lca_block_exact_below_2_53():
     for op in (ROOT.parent, ROOT.sibling):
         with pytest.raises(PreconditionViolated):
             op()
+
+
+def test_bit_length_exact_on_all_64_bits():
+    # at 2^k - 1 and 2^k for every k <= 64 that the dtype holds: float64
+    # alone rounds 2^54 - 1 up to 2^54, one bit too long
+    import numpy as np
+    edges = sorted({0} | {2 ** k - d for k in range(65) for d in (0, 1)})
+    for dtype, values in ((np.int64, [e for e in edges if e < 2 ** 63]),
+                          (np.uint64, edges[:-1]), (object, edges + [2 ** 200 - 1])):
+        got = bit_length(np.array(values, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [v.bit_length() for v in values], dtype
+        # any shape, as the matrix kernels pass row blocks
+        assert bit_length(np.array(values, dtype=dtype)[None, :]).tolist() == [got.tolist()]
+
+
+def test_scaled_path_distance_matches_scaled_distance():
+    # elementwise den * d_eps on (depth, path bits) arrays, as the sampled
+    # triangle check draws them: uint64 paths to depth 64, Python ints past
+    # it, and an object result where den * d_eps could pass 2^61
+    import numpy as np
+    rng = random.Random(64)
+    huge = EpsilonSequence([Fraction(1, 2 ** 70 + 1)] * 3 + [Fraction(1, 3 ** 50)] * 98,
+                           check=False)
+    seen = set()
+    for eps, depth in [(random_valid_epsilon(rng, 64), 64), (random_valid_epsilon(rng, 100), 100),
+                       (EpsilonSequence([3] * 70, check=False), 63), (huge, 64), (huge, 100),
+                       (EpsilonSequence([Fraction(1, 2)] * 101, check=False), 100)]:
+        space = HTreeSpace(eps, depth)
+        verts = [TreeVertex(tuple(rng.randrange(2) for _ in range(rng.choice(
+            [0, 1, depth, depth - 1, rng.randint(0, depth)])))) for _ in range(300)]
+        verts += [ROOT, TreeVertex((1,) * depth), TreeVertex((0,) * depth)]
+        ha = np.array([v.depth for v in verts], dtype=np.int64)
+        paths = np.array([v.index - (1 << v.depth) for v in verts],
+                         dtype=np.uint64 if depth <= 64 else object)
+        order = [rng.randrange(len(verts)) for _ in range(len(verts))]
+        got = scaled_path_distance(space, ha, paths, ha[order], paths[order])
+        assert got.dtype == (np.int64 if trees._scaled_fits(space, depth) else object)
+        seen.add((got.dtype, paths.dtype))
+        assert got.tolist() == [space.scaled_distance(verts[i], verts[j])
+                                for i, j in enumerate(order)], depth
+    assert len(seen) == 4
 
 
 def test_tree_metric_equality_counts():

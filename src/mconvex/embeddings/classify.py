@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter
 
 from ..errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
                       PreconditionViolated, check)
 from ..metric import distortion_of, is_midpoint
-from ..trees import enumerate_bn, sp_pairs, tree_distance
+from ..trees import (_vertex, depth_path_arrays, enumerate_bn, scaled_path_distance,
+                     sp_pairs, tree_distance)
 
 # label characters: 'P' = (x,y,z) path-type, 'T' = (x,y,z) tent-type,
 # 'p' = (z,y,x) path-type, 't' = (z,y,x) tent-type.
@@ -360,50 +360,95 @@ _B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
              for i, j in combinations(range(len(_B4)), 2)]
 
 
-def _b4_groups(keyed):
-    """[(d, getter)] over the distinct d of the (d, k) in `keyed`, d
-    ascending: the getter reads from a list the tuple of its entries at the
-    positions k paired with d (a tuple since every B_4 group has two or more)."""
-    groups = {}
-    for d, k in keyed:
-        groups.setdefault(d, []).append(k)
-    return [(d, itemgetter(*ks)) for d, ks in sorted(groups.items())]
+def _b4_column_key(pair):
+    """(tree distance, whether not a strict ancestor pair) of a pair of
+    _B4_PAIRS: the strict ancestor pairs, whose tree distance is their depth
+    gap, come first within each tree distance."""
+    i, j, d = pair
+    return d, not _B4[i].is_ancestor_of(_B4[j])
 
 
-# the pairs of _B4_PAIRS by tree distance (1..8), and its strict ancestor
-# pairs by tree distance, which is their depth gap (1..4)
-_B4_BY_DISTANCE = _b4_groups((d, k) for k, (_, _, d) in enumerate(_B4_PAIRS))
-_B4_BY_GAP = _b4_groups((d, k) for k, (i, j, d) in enumerate(_B4_PAIRS)
-                        if _B4[i].is_ancestor_of(_B4[j]))
+def _run_starts(keys):
+    """The positions in `keys` where a run of equal keys starts."""
+    return [k for k, key in enumerate(keys) if k == 0 or key != keys[k - 1]]
 
 
-def _b4_scaled(space, images):
-    """The ints den * d_eps between the images (a list in _B4 order) of the
-    pairs of _B4_PAIRS, in that order, after one depth check."""
-    space.check_depth(*images)
-    idx = [v.index for v in images]
-    sid = space.scaled_index_distance
-    return [sid(idx[i], idx[j]) for i, j, _ in _B4_PAIRS]
+# The pairs of _B4_PAIRS in column order, sorted by _b4_column_key, as the
+# _B4 positions of their two ends.  The columns fall into 11 segments of one
+# key each, all nonempty, starting at _B4_SEGMENTS: the ancestor pairs of gap
+# 1..4 are the segments _B4_GAP_SEGMENTS, and the pairs of tree distance
+# 1..8 are the runs of segments starting at _B4_DISTANCE_RUNS.
+_B4_COLUMNS = sorted(_B4_PAIRS, key=_b4_column_key)
+_B4_I = [i for i, _, _ in _B4_COLUMNS]
+_B4_J = [j for _, j, _ in _B4_COLUMNS]
+_B4_SEGMENTS = _run_starts([_b4_column_key(p) for p in _B4_COLUMNS])
+_B4_SEGMENT_KEYS = [_b4_column_key(_B4_COLUMNS[k]) for k in _B4_SEGMENTS]
+_B4_GAP_SEGMENTS = [n for n, (_, other) in enumerate(_B4_SEGMENT_KEYS) if not other]
+_B4_DISTANCE_RUNS = _run_starts([d for d, _ in _B4_SEGMENT_KEYS])
+_B4_GAPS = [_B4_SEGMENT_KEYS[n][0] for n in _B4_GAP_SEGMENTS]           # 1..4
+_B4_DISTANCES = [_B4_SEGMENT_KEYS[n][0] for n in _B4_DISTANCE_RUNS]     # 1..8
 
 
-def _extreme_pairs(scaled, groups):
-    """The pairs (d, least) and (d, greatest) of the ints `scaled` in each
-    group.  lip and colip are maxima of d_t / d_s and d_s / d_t, so of a
-    group of equal d_s only these two can attain them, and distortion_of
-    gives the same (lip, colip, dist) on them as on the whole group.
+def _b4_extremes(space, rows):
+    """For each row of `rows` (31 heap indices each, a map of B_4 in _B4
+    order), in order: (h0, vertical, pairs), with h0 the least depth in the
+    row, and vertical and pairs the (d, least) and (d, greatest) ints
+    den * d_eps over the ancestor pairs of each depth gap d and over all
+    pairs of each tree distance d.
 
-    The target distances are the ints den * d_eps: scaling them all by den
-    divides lip by den and multiplies colip by it, so dist is unchanged."""
-    pairs = []
-    for d, get in groups:
-        ts = get(scaled)
-        pairs += ((d, min(ts)), (d, max(ts)))
-    return pairs
+    lip and colip are maxima of d_t / d_s and d_s / d_t, so of a group of
+    equal d_s only these two can attain them, and distortion_of gives the
+    same (lip, colip, dist) on them as on the whole group.  Scaling every
+    target distance by den divides lip by den and multiplies colip by it, so
+    dist is unchanged.
+
+    The den * d_eps of all rows and pairs come from one scaled_path_distance
+    call, the extremes of each segment from one reduceat over the columns,
+    and those of each tree distance from one more over the segments.
+    A row with a vertex deeper than space.max_depth raises DepthExceeded, as
+    space.check_depth does, once the rows before it are yielded."""
+    import numpy as np
+
+    h, bits = (a.reshape(-1, len(_B4)) for a in depth_path_arrays(rows))
+    deep = np.flatnonzero((h > space.max_depth).any(axis=1))
+    n = int(deep[0]) if len(deep) else len(h)
+    h, bits = h[:n], bits[:n]
+    I, J = np.array(_B4_I), np.array(_B4_J)
+    scaled = scaled_path_distance(space, h[:, I], bits[:, I], h[:, J], bits[:, J])
+    lo = np.minimum.reduceat(scaled, _B4_SEGMENTS, axis=1)
+    hi = np.maximum.reduceat(scaled, _B4_SEGMENTS, axis=1)
+    gap_lo, gap_hi = lo[:, _B4_GAP_SEGMENTS].tolist(), hi[:, _B4_GAP_SEGMENTS].tolist()
+    dist_lo = np.minimum.reduceat(lo, _B4_DISTANCE_RUNS, axis=1).tolist()
+    dist_hi = np.maximum.reduceat(hi, _B4_DISTANCE_RUNS, axis=1).tolist()
+    for h0, gl, gh, dl, dh in zip(h.min(axis=1).tolist(), gap_lo, gap_hi, dist_lo, dist_hi):
+        yield (h0, [*zip(_B4_GAPS, gl), *zip(_B4_GAPS, gh)],
+               [*zip(_B4_DISTANCES, dl), *zip(_B4_DISTANCES, dh)])
+    if n < len(rows):
+        space.check_depth(*map(_vertex, rows[n]))
 
 
-def _b4_dist(scaled):
-    """dist over all pairs of _B4_PAIRS, from their ints `scaled`."""
-    return distortion_of(_extreme_pairs(scaled, _B4_BY_DISTANCE))[2]
+def b4_bound_checks(space, rows, delta):
+    """b4_bound_check on many maps at once: `rows` holds each map as the 31
+    heap indices of its images, in _B4 order (as search.nested_b4_indices
+    draws them).  Returns [(dist, bound, holds)], one per row; the first row
+    that fails raises the error b4_bound_check raises on it."""
+    if not Fraction(delta) < Fraction(1, 400):
+        raise PreconditionViolated("requires delta < 1/400")
+    slack = 500 * Fraction(delta)
+    bounds = {}                 # h0 -> bound
+    out = []
+    for row, (h0, vertical, pairs) in zip(rows, _b4_extremes(space, rows)):
+        if not all(t for _, t in vertical):
+            x, y = next((x, y) for x, y in sp_pairs(4) if row[x.index - 1] == row[y.index - 1])
+            raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
+        D = distortion_of(vertical)[2]
+        if not D <= 1 + delta:
+            raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {D}")
+        dist = distortion_of(pairs)[2]
+        if h0 not in bounds:
+            bounds[h0] = 1 / (slack + space.eps[h0])
+        out.append((dist, bounds[h0], dist >= bounds[h0]))
+    return out
 
 
 def b4_bound_check(space, f, delta):
@@ -412,32 +457,17 @@ def b4_bound_check(space, f, delta):
     minimum height in the image.
 
     Returns (dist, bound, holds); dist is computed over all vertex pairs of
-    B_4 (inf when f collapses a non-ancestor pair).  One pass computes the
-    scaled distances of all pairs; the vertical report D (the distortion on
-    the strict ancestor pairs) and dist both reduce them.  A collapsed
-    ancestor pair raises CollapsedAncestorPair, naming the first in
-    sp_pairs(4) order.
+    B_4 (inf when f collapses a non-ancestor pair).  The vertical report D
+    (the distortion on the strict ancestor pairs) and dist both reduce one
+    pass of scaled distances over all pairs.  A collapsed ancestor pair
+    raises CollapsedAncestorPair, naming the first in sp_pairs(4) order.
+    This is b4_bound_checks on the one row of f.
     """
-    if not Fraction(delta) < Fraction(1, 400):
-        raise PreconditionViolated("requires delta < 1/400")
-    images = [f(v) for v in _B4]
-    scaled = _b4_scaled(space, images)
-    vertical = _extreme_pairs(scaled, _B4_BY_GAP)
-    if not all(t for _, t in vertical):
-        image = dict(zip(_B4, images))
-        x, y = next((x, y) for x, y in sp_pairs(4) if image[x] == image[y])
-        raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
-    D = distortion_of(vertical)[2]
-    if not D <= 1 + delta:
-        raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {D}")
-    dist = _b4_dist(scaled)
-    h0 = min(v.depth for v in images)
-    bound = 1 / (500 * Fraction(delta) + space.eps[h0])
-    holds = dist >= bound
-    return dist, bound, holds
+    return b4_bound_checks(space, [[f(v).index for v in _B4]], delta)[0]
 
 
 def b4_distortion(space, images):
     """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
     vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
-    return _b4_dist(_b4_scaled(space, [images[v] for v in _B4]))
+    _, _, pairs = next(_b4_extremes(space, [[images[v].index for v in _B4]]))
+    return distortion_of(pairs)[2]

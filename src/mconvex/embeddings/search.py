@@ -4,7 +4,11 @@ The rigidity bound says a (1 + delta)-vertically faithful image of B_4 in
 (B_infty, d_eps) cannot have small distortion: dist >= 1/(500 delta + eps_h0).
 The generator below produces exactly faithful "nested" embeddings: every edge
 of B_4 becomes a descending run of L levels, so ancestor pairs stretch by
-exactly L.
+exactly L.  `nested_b4_indices` draws one as the 31 heap indices of its images,
+which `classify.b4_bound_checks` checks in bulk: `b4-search` draws its trials
+B4_CHUNK at a time and checks each chunk in one call, building TreeVertex maps
+only for the trials that violate the floor (`generate_faithful_b4` gives the
+TreeVertex map of the same draws).
 
 One nested map stands for the whole family.  Sibling descents start with
 different bits, so the image of lca(u, v) is the lca of the images of u and v,
@@ -19,37 +23,50 @@ from fractions import Fraction
 
 from ..errors import OutOfRange, check
 from ..randbits import random_bits
-from ..trees import ROOT, enumerate_bn
-from .classify import b4_bound_check
+from ..trees import _vertex
+from .classify import _B4, b4_bound_check
 
 
-def _nested_embedding(L, h0, root_bits, descents):
-    """The nested B_4 embedding: root at the depth-h0 vertex along the h0-bit
-    int `root_bits`, each child placed `L` levels below its parent along its
-    L-bit int in `descents` (dict non-root TreeVertex -> int)."""
-    images = {ROOT: ROOT.hang(root_bits, h0)}
-    for v in enumerate_bn(4)[1:]:
-        images[v] = images[v.parent()].hang(descents[v], L)
-    return images
+# maps per chunk of b4-search: it draws a chunk, then checks it with one
+# b4_bound_checks call, so memory stays bounded at any trial count
+B4_CHUNK = 16
 
 
-def _random_descents(rng, L, collide_prob=0.0):
-    """Random per-edge bit runs; sibling edges get distinct leading bits unless
-    a (rare) deliberate collision is requested, which collapses the siblings
-    whenever the remaining bits also agree.  Each run is an L-bit int, its
-    first bit the highest."""
+def nested_b4_indices(space, rng, L=None, collide_prob=0.01, h0=None):
+    """The heap indices of a random nested B_4 map, in _B4 order: 31 ints.
+
+    The root goes to the depth-h0 vertex along h0 random bits, and each
+    other vertex of B_4, in heap order, L levels below its parent's image
+    along a random L-bit run (its first bit the highest).  A 1-child's run
+    starts with the other bit than its sibling's (the 0-child, drawn just
+    before), unless a deliberate collision, with probability collide_prob,
+    copies the sibling's run: then the two siblings collapse.  L is drawn
+    from 3..14 and h0 from 0..max_depth - 4L unless given; L must lie in
+    1..max_depth // 4 and h0 in 0..max_depth - 4L (OutOfRange otherwise),
+    so the image fits.
+    """
+    if L is None:
+        L = rng.randint(3, 14)
+    if not 1 <= L <= space.max_depth // 4:
+        raise OutOfRange(f"L = {L} outside 1..{space.max_depth // 4}")
+    if h0 is None:
+        h0 = rng.randint(0, space.max_depth - 4 * L)
+    elif not 0 <= h0 <= space.max_depth - 4 * L:
+        raise OutOfRange(f"h0 = {h0} outside 0..{space.max_depth - 4 * L}")
     top = 1 << (L - 1)
-    descents = {}
-    for v in enumerate_bn(4)[1:]:      # heap order: each 0-child before its sibling
+    images = [1 << h0 | random_bits(rng, h0)]
+    runs = [0, 0]                          # by heap index; the root's unused
+    for v in range(2, 32):
         bits = random_bits(rng, L)
-        sib = descents.get(v.sibling())
-        if sib is not None:
+        if v & 1:
+            sib = runs[v - 1]
             if rng.random() < collide_prob:
                 bits = sib                      # exact sibling collapse
             elif not (bits ^ sib) & top:
                 bits ^= top
-        descents[v] = bits
-    return descents
+        runs.append(bits)
+        images.append(images[(v >> 1) - 1] << L | bits)
+    return images
 
 
 def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):
@@ -58,16 +75,10 @@ def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):
     Nested embeddings stretch every ancestor pair by exactly L, so the
     vertical report is D = 1 regardless of branch choices; occasional sibling
     collisions (collide_prob) leave faithfulness intact but make the full
-    distortion infinite.  Returns a dict TreeVertex -> TreeVertex.  L must
-    be in 1..max_depth // 4 (OutOfRange otherwise), so the image fits.
+    distortion infinite.  Returns a dict TreeVertex -> TreeVertex: the map of
+    nested_b4_indices, on the same draws.
     """
-    if L is None:
-        L = rng.randint(3, 14)
-    if not 1 <= L <= space.max_depth // 4:
-        raise OutOfRange(f"L = {L} outside 1..{space.max_depth // 4}")
-    h0 = rng.randint(0, space.max_depth - 4 * L)
-    root_bits = random_bits(rng, h0)
-    return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))
+    return dict(zip(_B4, map(_vertex, nested_b4_indices(space, rng, L, collide_prob))))
 
 
 def distortion_gap_experiment(space, s, n, seed=0):

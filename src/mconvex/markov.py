@@ -600,16 +600,30 @@ def _laakso_interval_ratio(m, p):
                            _k_max(4 ** m))
 
 
+def _tangent_numbers(n):
+    """[T_1, ..., T_n], with tan x = sum_k T_k x^(2k-1) / (2k-1)!: all ints,
+    by the O(n^2) integer recurrence of Brent and Harvey ("Fast computation
+    of Bernoulli, Tangent and Secant numbers", 2011)."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:n + 1]
+
+
 @functools.lru_cache(maxsize=None)
 def _faulhaber(q):
     """(c, den) with sum_{u=1..n} u^q = n * (sum_i c_i n^(q-i)) / den: the
     coefficients C(q+1, i) B_i / (q+1) of Faulhaber's formula (B_1 = +1/2)
-    as ints over their lcm."""
-    bern = [Fraction(1)]
-    for n in range(1, q + 1):
-        bern.append(-sum(math.comb(n + 1, i) * bern[i] for i in range(n)) / (n + 1))
-    bern[1] = -bern[1]
-    coef = [math.comb(q + 1, i) * b / (q + 1) for i, b in enumerate(bern)]
+    as ints over their lcm.  B_0 = 1, the odd B_i past B_1 vanish, and the
+    even ones come from the tangent numbers: B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1))."""
+    bern = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (q - 1)
+    for k, t in enumerate(_tangent_numbers(q // 2), 1):
+        bern[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
+    coef = [math.comb(q + 1, i) * b / (q + 1) for i, b in enumerate(bern[:q + 1])]
     den = math.lcm(*(c.denominator for c in coef))
     return [c.numerator * (den // c.denominator) for c in coef], den
 

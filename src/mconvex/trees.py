@@ -28,7 +28,9 @@ vertices)`, over the points of `HTreeSpace.as_metric_space`
 row per depth, since the tree's automorphisms keep d_eps and act
 transitively on each level.  The sampled triangle check of
 `embeddings.generators` reads den * d_eps off (depth, path bits) arrays,
-past depth 52 too, through `scaled_path_distance`.  One function lists the
+past depth 52 too, through `scaled_path_distance`, and so does the bulk B_4
+rigidity check of `embeddings.classify`, on the arrays `depth_path_arrays`
+reads off heap indices.  One function lists the
 strict ancestor pairs of B_n, `sp_pairs`.
 """
 from __future__ import annotations
@@ -430,6 +432,22 @@ def scaled_path_distance(space, ha, a, hb, b):
     split = bit_length(np.where(first, a, b) ^ deep)
     two_eps = np.array(space._two_eps, dtype=exact)
     return gap.astype(exact) * space.den + two_eps[m] * split
+
+
+def depth_path_arrays(indices):
+    """(depths, path bits) of the heap indices in the nested list `indices`,
+    as arrays of its shape in the form scaled_path_distance takes: int64
+    depths, and uint64 bits, or Python ints in an object array where some
+    heap index lies past 2^63 (depth 63 on)."""
+    import numpy as np
+
+    try:
+        idx = np.array(indices, dtype=np.int64)
+    except OverflowError:
+        idx = np.array(indices, dtype=object)
+    h = bit_length(idx) - 1
+    bits = idx - (1 << h.astype(idx.dtype))
+    return h, bits if bits.dtype == object else bits.view(np.uint64)
 
 
 def scaled_distance_matrix(space, vertices):

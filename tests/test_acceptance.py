@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 from mconvex.banach import LpSpace, check_prop21, pconvexity_slacks, fork_slack
-from mconvex.embeddings.classify import (b4_bound_check, classify_3path,
+from mconvex.embeddings.classify import (b4_bound_check, b4_bound_checks, classify_3path,
                                          classify_fork, classify_midpoint)
 from mconvex.embeddings.generators import (gen_3path, gen_boost_path, gen_fork,
                                            gen_midpoint, make_space,
                                            htree_random_triple_violations,
                                            random_chain, random_valid_epsilon)
 from mconvex.embeddings.paths import path_boost, path_distortion
-from mconvex.embeddings.search import generate_faithful_b4
+from mconvex.embeddings.search import generate_faithful_b4, nested_b4_indices
 from mconvex.errors import DegenerateChain
 from mconvex.laakso import build_laakso
 from mconvex.markov import (ChainSpec, bn_ratio, convexity_ratio, laakso_ratio,
@@ -275,6 +275,24 @@ def test_b4_rigidity_floor_10k():
         if not holds:
             violations.append((i, dist, bound, {str(k): str(v) for k, v in f.items()}))
     assert violations == [], violations[:3]
+
+
+@pytest.mark.parametrize("s", [5, 8])
+def test_b4_rigidity_floor_every_L_h0(s):
+    # one collision-free nested map per (L, h0) with h0 + 4L <= 60 stands for
+    # all nested maps (the distortion depends only on (L, h0, eps)): each has
+    # distortion exactly s, and at delta = 1/4096 the floor
+    # 1 / (500 delta + 1/s), 3.105 at s = 5 and 4.047 at s = 8, is above 1 and
+    # holds
+    space = make_space(Fraction(1, s), depth=60)
+    rng = random.Random(s)
+    rows = [nested_b4_indices(space, rng, L=L, collide_prob=0.0, h0=h0)
+            for L in range(1, 16) for h0 in range(61 - 4 * L)]
+    assert len(rows) == 435
+    delta = Fraction(1, 4096)
+    floor = 1 / (500 * delta + Fraction(1, s))
+    assert floor > 3
+    assert b4_bound_checks(space, rows, delta) == [(s, floor, True)] * len(rows)
 
 
 # ------------------------------------------------------------------------ 11

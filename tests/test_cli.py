@@ -80,6 +80,47 @@ def test_seeded_artifacts_frozen(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
+    # b4-search draws and checks its trials in chunks; with every third
+    # trial's check failing, the violations it reports (trial numbers across
+    # chunks, dist, bound and the TreeVertex map) are those of the trial loop
+    # it replaced, on the same stream
+    from mconvex.embeddings import classify, search
+    from mconvex.embeddings.generators import make_space
+    checks = classify.b4_bound_checks
+    calls = []
+
+    def flagging(space, rows, delta):
+        calls.append(len(rows))
+        return [(dist, bound, holds and (i + sum(calls[:-1])) % 3 != 0)
+                for i, (dist, bound, holds) in enumerate(checks(space, rows, delta))]
+
+    monkeypatch.setattr(classify, "b4_bound_checks", flagging)
+    trials = 2 * search.B4_CHUNK + 5
+    assert main(["--out", str(tmp_path), "b4-search", "--trials", str(trials),
+                 "--seed", "3"]) == 0
+    assert calls == [search.B4_CHUNK, search.B4_CHUNK, 5]
+    space = make_space(Fraction(1, 5), depth=60)
+    rng = random.Random(3)
+    expected = []
+    for i in range(trials):
+        f = search.generate_faithful_b4(space, rng)
+        dist, bound, _ = classify.b4_bound_check(space, lambda v: f[v], Fraction(1, 512))
+        if i % 3 == 0:
+            expected.append({"trial": i, "dist": rat_to_str(dist), "bound": rat_to_str(bound),
+                             "map": {str(k): str(v) for k, v in f.items()}})
+    assert json.loads(read(tmp_path, "b4-search.json"))["violations"] == expected
+    # a delta past 1/400 fails on the first chunk, and with no trials nothing is checked
+    monkeypatch.undo()
+    assert main(["--out", str(tmp_path), "b4-search", "--delta", "1/400", "--trials", "3",
+                 "--seed", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "PreconditionViolated", "message": "requires delta < 1/400"}
+    assert main(["--out", str(tmp_path), "b4-search", "--delta", "1/400", "--trials", "0",
+                 "--seed", "1"]) == 0
+    assert json.loads(read(tmp_path, "b4-search.json"))["violations"] == []
+
+
 # SHA-256 of every artifact of the Laakso commands, frozen from the exact DP
 # that built G_m before they ran on the branch-interval closed form: the
 # ratios, their rational strings and the plots must not move by a byte

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mconvex.embeddings.classify import _B4, _B4_PAIRS, b4_bound_check, b4_distortion
+from mconvex.embeddings.classify import (_B4, _B4_PAIRS, b4_bound_check, b4_bound_checks,
+                                         b4_distortion)
 from mconvex.embeddings.extract import extract_vertically_faithful
 from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
                                            htree_random_triple_violations, make_space,
@@ -14,15 +15,16 @@ from mconvex.embeddings import paths, search
 from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
-from mconvex.embeddings.search import distortion_gap_experiment, generate_faithful_b4
+from mconvex.embeddings.search import (distortion_gap_experiment, generate_faithful_b4,
+                                       nested_b4_indices)
 from mconvex.embeddings.vertical import VerticalReport, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
                             PreconditionViolated, TooLarge, check)
 from mconvex.metric import distortion_of
 from mconvex.randbits import random_bits
-from mconvex.trees import (EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn, sp_pairs,
-                           tree_distance)
+from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn,
+                           sp_pairs, tree_distance)
 
 
 def line_map(vals):
@@ -371,8 +373,82 @@ def test_distortion_gap_experiment():
             distortion_gap_experiment(space, lambda n: 5, n, seed=1)
 
 
-# The bit-tuple versions of random_bits, search._nested_embedding and
-# search._random_descents from before vertices were heap indices, kept
+# search._nested_embedding and search._random_descents, the TreeVertex code
+# of the nested maps before search.nested_b4_indices drew them as heap
+# indices, kept verbatim as its oracle.
+
+def _nested_embedding(L, h0, root_bits, descents):
+    """The nested B_4 embedding: root at the depth-h0 vertex along the h0-bit
+    int `root_bits`, each child placed `L` levels below its parent along its
+    L-bit int in `descents` (dict non-root TreeVertex -> int)."""
+    images = {ROOT: ROOT.hang(root_bits, h0)}
+    for v in enumerate_bn(4)[1:]:
+        images[v] = images[v.parent()].hang(descents[v], L)
+    return images
+
+
+def _random_descents(rng, L, collide_prob=0.0):
+    """Random per-edge bit runs; sibling edges get distinct leading bits unless
+    a (rare) deliberate collision is requested, which collapses the siblings
+    whenever the remaining bits also agree.  Each run is an L-bit int, its
+    first bit the highest."""
+    top = 1 << (L - 1)
+    descents = {}
+    for v in enumerate_bn(4)[1:]:      # heap order: each 0-child before its sibling
+        bits = random_bits(rng, L)
+        sib = descents.get(v.sibling())
+        if sib is not None:
+            if rng.random() < collide_prob:
+                bits = sib                      # exact sibling collapse
+            elif not (bits ^ sib) & top:
+                bits ^= top
+        descents[v] = bits
+    return descents
+
+
+def _generate_faithful_b4(space, rng, L=None, collide_prob=0.01, h0=None):
+    """generate_faithful_b4 on the descent code above, with h0 drawn as it
+    drew it unless given."""
+    if L is None:
+        L = rng.randint(3, 14)
+    if h0 is None:
+        h0 = rng.randint(0, space.max_depth - 4 * L)
+    root_bits = random_bits(rng, h0)
+    return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))
+
+
+def test_nested_b4_indices_match_the_descent_code():
+    # the same maps, in _B4 order, and the same stream left behind, on drawn
+    # and given L and h0, collisions included
+    for seed in range(300):
+        depth = (60, 100, 20)[seed % 3]
+        space = make_space(Fraction(1, 5), depth=depth)
+        L = (None, depth // 4, 1 + seed % 5)[seed % 3]
+        h0 = None if seed % 4 else seed % (depth - 4 * (L or 14) + 1)
+        for p in (0.0, 0.01, 0.5, 1.0):
+            new_rng, old_rng, gen_rng = (random.Random(seed) for _ in range(3))
+            old = _generate_faithful_b4(space, old_rng, L, p, h0)
+            new = nested_b4_indices(space, new_rng, L, p, h0)
+            assert new == [old[v].index for v in _B4]
+            assert all(type(i) is int for i in new)
+            assert new_rng.getstate() == old_rng.getstate()
+            if h0 is None:
+                assert generate_faithful_b4(space, gen_rng, L, p) == old
+                assert gen_rng.getstate() == old_rng.getstate()
+
+
+def test_nested_b4_indices_rejects_bad_h0():
+    space = make_space(Fraction(1, 5), depth=60)
+    for L, h0 in ((1, -1), (1, 57), (15, 1), (3, 49)):
+        with pytest.raises(OutOfRange, match=f"h0 = {h0} "):
+            nested_b4_indices(space, random.Random(1), L=L, h0=h0)
+    for L, h0 in ((1, 56), (15, 0), (3, 48)):
+        row = nested_b4_indices(space, random.Random(1), L=L, h0=h0)
+        assert row[0].bit_length() - 1 == h0 and max(row).bit_length() - 1 == h0 + 4 * L
+
+
+# The bit-tuple versions of random_bits, _nested_embedding and
+# _random_descents from before vertices were heap indices, kept
 # verbatim (TreeVertex._from_bits, which trusted its bits, is now the public
 # constructor) for the annealer oracle below.
 
@@ -483,9 +559,10 @@ def test_nested_b4_distortion_depends_only_on_L_h0_eps():
         h0 = rng.randint(0, space.max_depth - 4 * L)
         values = set()
         for _ in range(3):
-            images = search._nested_embedding(L, h0, random_bits(rng, h0),
-                                              search._random_descents(rng, L))
+            images = _nested_embedding(L, h0, random_bits(rng, h0), _random_descents(rng, L))
             values.add(b4_distortion(space, images))
+        rows = [nested_b4_indices(space, rng, L, 0.0, h0) for _ in range(3)]
+        values |= {dist for dist, _, _ in b4_bound_checks(space, rows, Fraction(1, 512))}
         assert len(values) == 1, (L, h0, values)
 
 
@@ -568,6 +645,82 @@ def test_b4_bound_check_matches_the_per_pair_oracle():
                     PreconditionViolated}, seen
 
 
+def _b4_rows_outcome(fn, space, rows, delta):
+    """The values with their types, or the error's type and message."""
+    try:
+        out = fn(space, rows, delta)
+    except (CollapsedAncestorPair, DepthExceeded, PreconditionViolated) as exc:
+        return type(exc), str(exc)
+    return out, [[type(x) for x in r] for r in out]
+
+
+def _b4_scalar_loop(space, rows, delta):
+    """b4_bound_checks as a loop of the per-pair oracle over its rows."""
+    return [_b4_bound_check_oracle(space, dict(zip(_B4, map(trees._vertex, row))).__getitem__,
+                                   delta)
+            for row in rows]
+
+
+def _b4_row_pool(space, rng):
+    """Rows for a batch on `space`: nested maps, collided ones (dist inf),
+    warped unfaithful ones, ones with ancestor pairs collapsed, and ones
+    deeper than max_depth, some of them past 2^63 in heap index."""
+    deep = make_space(Fraction(1, 5), depth=2 * space.max_depth)
+    pool = []
+    for _ in range(6):
+        L = rng.randint(1, space.max_depth // 4)
+        pool.append(generate_faithful_b4(space, rng, L=L, collide_prob=0.0))
+        pool.append(generate_faithful_b4(space, rng, L=L, collide_prob=1.0))
+    f = pool[0]
+    v = rng.choice(enumerate_bn(3)[1:])
+    pool.append({**f, v: f[v.parent()]})
+    pool.append(_warped_b4(rng))
+    pool.append(generate_faithful_b4(deep, rng, L=rng.randint(space.max_depth // 4 + 1,
+                                                              deep.max_depth // 4),
+                                     collide_prob=0.0))
+    return [[f[v].index for v in _B4] for f in pool]
+
+
+def test_b4_bound_checks_match_the_scalar_loop():
+    # batches of rows on the b4-search stream, on collided and deep rows, on
+    # heap indices past 2^63, and on schedules whose den * d_eps values
+    # overflow int64 (so scaled_path_distance gives Python ints): the same
+    # values and types as the per-pair oracle's loop, or the error of its
+    # first failing row
+    rng = random.Random(43)
+    space = make_space(Fraction(1, 5), depth=60)
+    gen = random.Random(1)
+    stream = [nested_b4_indices(space, gen) for _ in range(400)]
+    batches = [(space, stream[k:k + 37], Fraction(1, 512)) for k in range(0, 400, 37)]
+    harmonic = [Fraction(1, 4 + n) for n in range(101)]          # den = lcm(4..104)
+    overflow = [HTreeSpace(harmonic, 60), HTreeSpace(harmonic, 100)]
+    assert not any(trees._scaled_fits(s, s.max_depth) for s in overflow)
+    for sched in _schedules(rng, 4) + overflow + [make_space(Fraction(1, 7), depth=100)]:
+        pool = _b4_row_pool(sched, rng)
+        batches.append((sched, pool[:12:2], Fraction(1, 512)))
+        batches.append((sched, pool[:12], rng.choice((Fraction(1, 401), 1e-3, 0))))
+        for _ in range(4):
+            batch = rng.sample(pool, rng.randint(1, 8))
+            batches.append((sched, batch, rng.choice((Fraction(1, 512), Fraction(1, 400)))))
+    seen = set()
+    for sched, rows, delta in batches:
+        old = _b4_rows_outcome(_b4_scalar_loop, sched, rows, delta)
+        assert _b4_rows_outcome(b4_bound_checks, sched, rows, delta) == old
+        if isinstance(old[0], type):
+            seen.add(old[0])
+        else:
+            seen.add("ok")
+            if any(math.isinf(dist) for dist, _, _ in old[0]):
+                seen.add("inf")
+            if not trees._scaled_fits(sched, sched.max_depth):
+                seen.add("object")
+            if any(max(row) >= 2 ** 63 for row in rows):
+                seen.add("2^63")
+    assert seen >= {"ok", "inf", "object", "2^63", CollapsedAncestorPair, DepthExceeded,
+                    PreconditionViolated}, seen
+    assert b4_bound_checks(space, [], Fraction(1, 512)) == []
+
+
 def test_int_descents_match_tuple_code():
     # the int descents and their nested map against the tuple code they
     # replace, collisions included, on the same random stream
@@ -576,12 +729,12 @@ def test_int_descents_match_tuple_code():
         for p in (0.0, 0.5, 1.0):
             new_rng, old_rng = random.Random(seed), random.Random(seed)
             root, old_root = random_bits(new_rng, h0), _old_random_bits(old_rng, h0)
-            new = search._random_descents(new_rng, L, p)
+            new = _random_descents(new_rng, L, p)
             old = _old_random_descents(old_rng, L, p)
             assert new_rng.getstate() == old_rng.getstate()
             assert list(new) == list(old)
             assert all(new[v] == int("0" + "".join(map(str, old[v])), 2) for v in old)
-            assert search._nested_embedding(L, h0, root, new) == \
+            assert _nested_embedding(L, h0, root, new) == \
                 _old_nested_embedding(L, h0, old_root, old)
 
 

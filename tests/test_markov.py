@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,31 @@ def test_laakso_copy_recursion_matches_interval_kernel(p):
     # the float path is the interval kernel itself
     assert [rep.to_dict() for rep in laakso_ratios(5, p + 0.5)] == \
         [markov._laakso_interval_ratio(m, p + 0.5).to_dict() for m in range(6)]
+
+
+def _old_faulhaber(q):
+    """markov._faulhaber before the tangent numbers, verbatim: the Bernoulli
+    numbers by the O(q^2) Fraction recurrence."""
+    bern = [Fraction(1)]
+    for n in range(1, q + 1):
+        bern.append(-sum(math.comb(n + 1, i) * bern[i] for i in range(n)) / (n + 1))
+    bern[1] = -bern[1]
+    coef = [math.comb(q + 1, i) * b / (q + 1) for i, b in enumerate(bern)]
+    den = math.lcm(*(c.denominator for c in coef))
+    return [c.numerator * (den // c.denominator) for c in coef], den
+
+
+def test_faulhaber_matches_the_fraction_recurrence():
+    assert markov._tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
+    for q in range(1, 61):
+        assert markov._faulhaber(q) == _old_faulhaber(q), q
+    # the Fraction recurrence takes some 9 s at q = 1000
+    start = time.perf_counter()
+    coef, den = markov._faulhaber.__wrapped__(1000)
+    assert time.perf_counter() - start < 1
+    n = 7
+    assert n * sum(c * n ** (1000 - i) for i, c in enumerate(coef)) == \
+        den * sum(u ** 1000 for u in range(1, n + 1))
 
 
 def test_even_power_sum_matches_direct_sums():

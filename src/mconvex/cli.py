@@ -272,7 +272,7 @@ def _run_b4_search(args):
     import random
     from .embeddings.classify import _B4, b4_bound_checks
     from .embeddings.generators import make_space
-    from .embeddings.search import B4_CHUNK, nested_b4_indices
+    from .embeddings.search import B4_CHUNK, nested_b4_rows
     from .trees import _vertex
     rng = random.Random(args.seed)
     space = make_space(Fraction(1, args.s_const), depth=60)
@@ -281,13 +281,14 @@ def _run_b4_search(args):
     # the check draws nothing, so drawing a chunk before checking it leaves
     # every trial's draws as they are
     for start in range(0, args.trials, B4_CHUNK):
-        rows = [nested_b4_indices(space, rng) for _ in range(min(B4_CHUNK, args.trials - start))]
+        rows = nested_b4_rows(space, rng, min(B4_CHUNK, args.trials - start))
         for i, (row, (dist, bound, holds)) in enumerate(
                 zip(rows, b4_bound_checks(space, rows, delta)), start):
             if not holds:
                 violations.append({"trial": i, "dist": rat_to_str(dist),
                                    "bound": rat_to_str(bound),
-                                   "map": {str(k): str(_vertex(v)) for k, v in zip(_B4, row)}})
+                                   "map": {str(k): str(_vertex(v))
+                                           for k, v in zip(_B4, row.tolist())}})
     return {".json": _report({"experiment": "b4-search", "s_const": args.s_const,
                               "delta": rat_to_str(delta), "trials": args.trials,
                               "seed": args.seed, "violations": violations})}

@@ -8,7 +8,8 @@ from .classify import (MidpointClass, ForkClass, ThreePathClass,
                        b4_bound_check, b4_bound_checks)
 from .ramsey import ramsey_search, ExhaustionReport, tkm_vertices
 from .extract import extract_vertically_faithful, ExtractResult
-from .search import nested_b4_indices, generate_faithful_b4, distortion_gap_experiment
+from .search import (nested_b4_indices, nested_b4_rows, generate_faithful_b4,
+                     distortion_gap_experiment)
 
 __all__ = [
     "PathMap", "t_functional", "submultiplicative_split", "path_boost", "BoostResult",
@@ -18,5 +19,6 @@ __all__ = [
     "b4_bound_checks",
     "ramsey_search", "ExhaustionReport", "tkm_vertices",
     "extract_vertically_faithful", "ExtractResult",
-    "nested_b4_indices", "generate_faithful_b4", "distortion_gap_experiment",
+    "nested_b4_indices", "nested_b4_rows", "generate_faithful_b4",
+    "distortion_gap_experiment",
 ]

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from ..errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
                       PreconditionViolated, check)
-from ..metric import distortion_of, is_midpoint
+from ..metric import is_midpoint
 from ..trees import (_vertex, depth_path_arrays, enumerate_bn, scaled_path_distance,
                      sp_pairs, tree_distance)
 
@@ -361,11 +361,11 @@ _B4_PAIRS = [(i, j, tree_distance(_B4[i], _B4[j]))
 
 
 def _b4_column_key(pair):
-    """(tree distance, whether not a strict ancestor pair) of a pair of
+    """(whether not a strict ancestor pair, tree distance) of a pair of
     _B4_PAIRS: the strict ancestor pairs, whose tree distance is their depth
-    gap, come first within each tree distance."""
+    gap, come first, each part by tree distance."""
     i, j, d = pair
-    return d, not _B4[i].is_ancestor_of(_B4[j])
+    return not _B4[i].is_ancestor_of(_B4[j]), d
 
 
 def _run_starts(keys):
@@ -376,78 +376,101 @@ def _run_starts(keys):
 # The pairs of _B4_PAIRS in column order, sorted by _b4_column_key, as the
 # _B4 positions of their two ends.  The columns fall into 11 segments of one
 # key each, all nonempty, starting at _B4_SEGMENTS: the ancestor pairs of gap
-# 1..4 are the segments _B4_GAP_SEGMENTS, and the pairs of tree distance
-# 1..8 are the runs of segments starting at _B4_DISTANCE_RUNS.
+# 1..4 are the first _B4_GAP_SEGMENTS of them.  A segment's distances scaled by
+# _B4_SCALES, 840 / (its tree distance) with 840 = lcm(1..8), are the ratios
+# d_t / d_s of its pairs times 840.
 _B4_COLUMNS = sorted(_B4_PAIRS, key=_b4_column_key)
 _B4_I = [i for i, _, _ in _B4_COLUMNS]
 _B4_J = [j for _, j, _ in _B4_COLUMNS]
 _B4_SEGMENTS = _run_starts([_b4_column_key(p) for p in _B4_COLUMNS])
 _B4_SEGMENT_KEYS = [_b4_column_key(_B4_COLUMNS[k]) for k in _B4_SEGMENTS]
-_B4_GAP_SEGMENTS = [n for n, (_, other) in enumerate(_B4_SEGMENT_KEYS) if not other]
-_B4_DISTANCE_RUNS = _run_starts([d for d, _ in _B4_SEGMENT_KEYS])
-_B4_GAPS = [_B4_SEGMENT_KEYS[n][0] for n in _B4_GAP_SEGMENTS]           # 1..4
-_B4_DISTANCES = [_B4_SEGMENT_KEYS[n][0] for n in _B4_DISTANCE_RUNS]     # 1..8
+_B4_GAP_SEGMENTS = sum(not other for other, _ in _B4_SEGMENT_KEYS)          # 4
+_B4_SCALES = [840 // d for _, d in _B4_SEGMENT_KEYS]
+_B4_ARRAYS = []     # numpy loads lazily: these as arrays once used
+# rows per scaled_path_distance call: its transient arrays, some 50 KB a row,
+# stay under half a MB however many rows one b4_bound_checks call is given
+# (blocks of 16 read 0.15 to 0.4 MB more peak RSS in b4-search)
+_B4_BLOCK = 8
 
 
 def _b4_extremes(space, rows):
     """For each row of `rows` (31 heap indices each, a map of B_4 in _B4
-    order), in order: (h0, vertical, pairs), with h0 the least depth in the
-    row, and vertical and pairs the (d, least) and (d, greatest) ints
-    den * d_eps over the ancestor pairs of each depth gap d and over all
-    pairs of each tree distance d.
+    order), in order: (h0, vlo, vhi, lo, hi), with h0 the least depth in
+    the row, vlo and vhi the least and greatest 840 d_t / d_s over its
+    strict ancestor pairs, and lo and hi those over all its pairs, as ints,
+    where d_s is the tree distance in B_4 and d_t the int den * d_eps of
+    the images.  Then D = vhi / vlo and dist = hi / lo (inf when lo = 0):
+    lip and colip are the greatest d_t / d_s and d_s / d_t, and scaling every
+    d_t by den leaves lip * colip unchanged.
 
-    lip and colip are maxima of d_t / d_s and d_s / d_t, so of a group of
-    equal d_s only these two can attain them, and distortion_of gives the
-    same (lip, colip, dist) on them as on the whole group.  Scaling every
-    target distance by den divides lip by den and multiplies colip by it, so
-    dist is unchanged.
-
-    The den * d_eps of all rows and pairs come from one scaled_path_distance
-    call, the extremes of each segment from one reduceat over the columns,
-    and those of each tree distance from one more over the segments.
-    A row with a vertex deeper than space.max_depth raises DepthExceeded, as
-    space.check_depth does, once the rows before it are yielded."""
+    The den * d_eps of all pairs of _B4_BLOCK rows at a time come from one
+    scaled_path_distance call, and the extremes of each segment from one
+    reduceat over the columns; they become Python ints in an object array
+    where 840 times them could pass int64.  A row with a vertex deeper than
+    space.max_depth raises DepthExceeded, as space.check_depth does, once
+    the rows before it are yielded."""
     import numpy as np
 
+    if not _B4_ARRAYS:
+        _B4_ARRAYS.extend(np.array(a) for a in (_B4_I + _B4_J, _B4_SEGMENTS, _B4_SCALES))
+    ends, segments, scales = _B4_ARRAYS
     h, bits = (a.reshape(-1, len(_B4)) for a in depth_path_arrays(rows))
-    deep = np.flatnonzero((h > space.max_depth).any(axis=1))
-    n = int(deep[0]) if len(deep) else len(h)
-    h, bits = h[:n], bits[:n]
-    I, J = np.array(_B4_I), np.array(_B4_J)
-    scaled = scaled_path_distance(space, h[:, I], bits[:, I], h[:, J], bits[:, J])
-    lo = np.minimum.reduceat(scaled, _B4_SEGMENTS, axis=1)
-    hi = np.maximum.reduceat(scaled, _B4_SEGMENTS, axis=1)
-    gap_lo, gap_hi = lo[:, _B4_GAP_SEGMENTS].tolist(), hi[:, _B4_GAP_SEGMENTS].tolist()
-    dist_lo = np.minimum.reduceat(lo, _B4_DISTANCE_RUNS, axis=1).tolist()
-    dist_hi = np.maximum.reduceat(hi, _B4_DISTANCE_RUNS, axis=1).tolist()
-    for h0, gl, gh, dl, dh in zip(h.min(axis=1).tolist(), gap_lo, gap_hi, dist_lo, dist_hi):
-        yield (h0, [*zip(_B4_GAPS, gl), *zip(_B4_GAPS, gh)],
-               [*zip(_B4_DISTANCES, dl), *zip(_B4_DISTANCES, dh)])
+    n = len(h)
+    if n and h.max() > space.max_depth:
+        n = int(np.flatnonzero((h > space.max_depth).any(axis=1))[0])
+    k = len(_B4_I)
+    for start in range(0, n, _B4_BLOCK):
+        block = slice(start, min(n, start + _B4_BLOCK))
+        he, be = h[block, ends], bits[block, ends]
+        scaled = scaled_path_distance(space, he[:, :k], be[:, :k], he[:, k:], be[:, k:])
+        lo = np.minimum.reduceat(scaled, segments, axis=1)
+        hi = np.maximum.reduceat(scaled, segments, axis=1)
+        if hi.dtype != object and int(hi.max()) > (2 ** 63 - 1) // 840:
+            lo, hi = lo.astype(object), hi.astype(object)
+        lo, hi = lo * scales, hi * scales
+        yield from zip(h[block].min(axis=1).tolist(),
+                       lo[:, :_B4_GAP_SEGMENTS].min(axis=1).tolist(),
+                       hi[:, :_B4_GAP_SEGMENTS].max(axis=1).tolist(),
+                       lo.min(axis=1).tolist(), hi.max(axis=1).tolist())
     if n < len(rows):
-        space.check_depth(*map(_vertex, rows[n]))
+        space.check_depth(*(_vertex(int(i)) for i in rows[n]))
 
 
 def b4_bound_checks(space, rows, delta):
     """b4_bound_check on many maps at once: `rows` holds each map as the 31
-    heap indices of its images, in _B4 order (as search.nested_b4_indices
+    heap indices of its images, in _B4 order (as search.nested_b4_rows
     draws them).  Returns [(dist, bound, holds)], one per row; the first row
-    that fails raises the error b4_bound_check raises on it."""
-    if not Fraction(delta) < Fraction(1, 400):
+    that fails raises the error b4_bound_check raises on it.
+
+    D <= 1 + delta and dist >= bound are decided by cross-multiplying the
+    ints of _b4_extremes with the numerator and denominator of 1 + delta (a
+    float delta stays a float there, as in `D <= 1 + delta`) and of the
+    bound; the bound is computed once per h0, and only the returned dist,
+    and D in an error, become Fractions."""
+    exact = Fraction(delta)
+    dn, dd = exact.numerator, exact.denominator
+    if not 400 * dn < dd:
         raise PreconditionViolated("requires delta < 1/400")
-    slack = 500 * Fraction(delta)
-    bounds = {}                 # h0 -> bound
+    faith_n, faith_d = (1 + delta).as_integer_ratio()
+    bounds = {}                 # h0 -> (bound, its numerator, its denominator)
     out = []
-    for row, (h0, vertical, pairs) in zip(rows, _b4_extremes(space, rows)):
-        if not all(t for _, t in vertical):
+    for row, (h0, vlo, vhi, lo, hi) in zip(rows, _b4_extremes(space, rows)):
+        if not vlo:
             x, y = next((x, y) for x, y in sp_pairs(4) if row[x.index - 1] == row[y.index - 1])
             raise CollapsedAncestorPair(f"f collapses ancestor pair ({x}, {y})")
-        D = distortion_of(vertical)[2]
-        if not D <= 1 + delta:
-            raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: D = {D}")
-        dist = distortion_of(pairs)[2]
+        if vhi * faith_d > faith_n * vlo:
+            raise PreconditionViolated(f"f is not (1+delta)-vertically faithful: "
+                                       f"D = {Fraction(vhi, vlo)}")
         if h0 not in bounds:
-            bounds[h0] = 1 / (slack + space.eps[h0])
-        out.append((dist, bounds[h0], dist >= bounds[h0]))
+            # 1 / (500 delta + eps_h0), over the product of the denominators
+            eps = space.eps[h0]
+            bound = Fraction(dd * eps.denominator, 500 * dn * eps.denominator + eps.numerator * dd)
+            bounds[h0] = (bound, bound.numerator, bound.denominator)
+        bound, num, den = bounds[h0]
+        if lo:
+            out.append((Fraction(hi, lo), bound, hi * den >= num * lo))
+        else:
+            out.append((math.inf, bound, True))
     return out
 
 
@@ -469,5 +492,5 @@ def b4_bound_check(space, f, delta):
 def b4_distortion(space, images):
     """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
     vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
-    _, _, pairs = next(_b4_extremes(space, [[images[v].index for v in _B4]]))
-    return distortion_of(pairs)[2]
+    _, _, _, lo, hi = next(_b4_extremes(space, [[images[v].index for v in _B4]]))
+    return Fraction(hi, lo) if lo else math.inf

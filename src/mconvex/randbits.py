@@ -9,6 +9,9 @@ In CPython every draw below reads 32-bit Mersenne-Twister words w, and
 - `rng.randrange(n)` and `rng.randint(0, n - 1)` with n < 2^32 return
   w >> (32 - kb), where kb = n.bit_length(), drawing a new word while that
   is n or more.
+- `rng.random()` reads two words a, b, whatever their top bits, and returns
+  ((a >> 5) * 2^26 + (b >> 6)) / 2^53, so `rng.random() < p` is the int
+  (a >> 5) << 26 | b >> 6 compared with p * 2^53.
 """
 from __future__ import annotations
 
@@ -172,7 +175,9 @@ def _bits_at(digits, starts, widths, max_depth):
     span = 64 * max(1, -(-max_depth // 64))
     padded = np.zeros(len(digits) + span, dtype=np.uint8)
     padded[:len(digits)] = digits
-    rows = np.packbits(np.lib.stride_tricks.sliding_window_view(padded, span)[starts], axis=1)
+    # windows[s] is padded[s:s + span], a view over padded
+    windows = np.ndarray((len(digits) + 1, span), np.uint8, padded, strides=(1, 1))
+    rows = np.packbits(windows[starts], axis=1)
     if span == 64:
         out = rows.view(">u8")[:, 0].astype(np.uint64) >> ((64 - widths) % 64).astype(np.uint64)
         out[widths == 0] = 0

@@ -295,6 +295,32 @@ def test_b4_rigidity_floor_every_L_h0(s):
     assert b4_bound_checks(space, rows, delta) == [(s, floor, True)] * len(rows)
 
 
+# two decreasing schedules to depth 60: eps_n = 1/(5 + n), and 1/5 up to a
+# knee at n = 16, then 16/(5n) (n eps_n grows, as validity asks, in both)
+DECREASING = {"harmonic": [Fraction(1, 5 + n) for n in range(61)],
+              "knee": [Fraction(1, 5) * min(1, Fraction(16, max(n, 1))) for n in range(61)]}
+
+
+@pytest.mark.parametrize("name", sorted(DECREASING))
+def test_b4_rigidity_floor_every_L_h0_decreasing(name):
+    # as above, on schedules where eps_h0, and so the floor, moves with h0:
+    # every (L, h0) map holds at delta = 1/4096, and each dist is the per-pair
+    # oracle's
+    from test_embeddings import _b4_scalar_loop
+
+    space = HTreeSpace(EpsilonSequence(DECREASING[name]), 60)
+    rng = random.Random(len(name))
+    pairs = [(L, h0) for L in range(1, 16) for h0 in range(61 - 4 * L)]
+    rows = [nested_b4_indices(space, rng, L=L, collide_prob=0.0, h0=h0) for L, h0 in pairs]
+    delta = Fraction(1, 4096)
+    checks = b4_bound_checks(space, rows, delta)
+    assert [holds for _, _, holds in checks] == [True] * 435
+    assert [dist for dist, _, _ in checks] == \
+        [dist for dist, _, _ in _b4_scalar_loop(space, rows, delta)]
+    assert [bound for _, bound, _ in checks] == \
+        [1 / (500 * delta + space.eps[h0]) for _, h0 in pairs]
+
+
 # ------------------------------------------------------------------------ 11
 
 def _random_quotient_instance(rng):

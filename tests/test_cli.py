@@ -84,9 +84,12 @@ def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
     # b4-search draws and checks its trials in chunks; with every third
     # trial's check failing, the violations it reports (trial numbers across
     # chunks, dist, bound and the TreeVertex map) are those of the trial loop
-    # it replaced, on the same stream
+    # it replaced, on the same stream, drawn by the scalar code
+    from test_embeddings import scalar_nested_b4_indices
+
     from mconvex.embeddings import classify, search
     from mconvex.embeddings.generators import make_space
+    from mconvex.trees import _vertex
     checks = classify.b4_bound_checks
     calls = []
 
@@ -104,7 +107,7 @@ def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
     rng = random.Random(3)
     expected = []
     for i in range(trials):
-        f = search.generate_faithful_b4(space, rng)
+        f = dict(zip(classify._B4, map(_vertex, scalar_nested_b4_indices(space, rng))))
         dist, bound, _ = classify.b4_bound_check(space, lambda v: f[v], Fraction(1, 512))
         if i % 3 == 0:
             expected.append({"trial": i, "dist": rat_to_str(dist), "bound": rat_to_str(bound),

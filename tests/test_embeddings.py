@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mconvex.embeddings.classify import (_B4, _B4_PAIRS, b4_bound_check, b4_bound_checks,
@@ -16,7 +17,7 @@ from mconvex.embeddings.paths import (PathMap, path_boost, path_distortion,
                                       submultiplicative_split, t_functional)
 from mconvex.embeddings.ramsey import ExhaustionReport, ramsey_search, tkm_vertices
 from mconvex.embeddings.search import (distortion_gap_experiment, generate_faithful_b4,
-                                       nested_b4_indices)
+                                       nested_b4_indices, nested_b4_rows)
 from mconvex.embeddings.vertical import VerticalReport, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
@@ -447,6 +448,99 @@ def test_nested_b4_indices_rejects_bad_h0():
         assert row[0].bit_length() - 1 == h0 and max(row).bit_length() - 1 == h0 + 4 * L
 
 
+def scalar_nested_b4_indices(space, rng, L=None, collide_prob=0.01, h0=None):
+    """search.nested_b4_indices before it was the one row of
+    search.nested_b4_rows, kept verbatim as the oracle of the bulk draw: one
+    random_bits call per run and one rng.random() per sibling pair."""
+    if L is None:
+        L = rng.randint(3, 14)
+    if not 1 <= L <= space.max_depth // 4:
+        raise OutOfRange(f"L = {L} outside 1..{space.max_depth // 4}")
+    if h0 is None:
+        h0 = rng.randint(0, space.max_depth - 4 * L)
+    elif not 0 <= h0 <= space.max_depth - 4 * L:
+        raise OutOfRange(f"h0 = {h0} outside 0..{space.max_depth - 4 * L}")
+    top = 1 << (L - 1)
+    images = [1 << h0 | random_bits(rng, h0)]
+    runs = [0, 0]                          # by heap index; the root's unused
+    for v in range(2, 32):
+        bits = random_bits(rng, L)
+        if v & 1:
+            sib = runs[v - 1]
+            if rng.random() < collide_prob:
+                bits = sib                      # exact sibling collapse
+            elif not (bits ^ sib) & top:
+                bits ^= top
+        runs.append(bits)
+        images.append(images[(v >> 1) - 1] << L | bits)
+    return images
+
+
+def _draw_outcome(draw, rng):
+    """The rows drawn (lists of ints) or the error's message, and rng's state
+    after them, with its next random()."""
+    try:
+        out = draw()
+    except OutOfRange as exc:
+        out = str(exc)
+    return out, rng.getstate(), rng.random()
+
+
+def _check_rows(space, count, L, p, h0, seed):
+    ref, rng = random.Random(seed), random.Random(seed)
+    ref.gauss(0, 1)
+    rng.gauss(0, 1)
+    expected = _draw_outcome(
+        lambda: [scalar_nested_b4_indices(space, ref, L, p, h0) for _ in range(count)], ref)
+
+    def bulk():
+        rows = nested_b4_rows(space, rng, count, L, p, h0)
+        assert rows.shape == (max(count, 0), 31)
+        assert rows.dtype == (np.int64 if space.max_depth <= 62 else object)
+        return [[int(i) for i in row] for row in rows]
+
+    assert _draw_outcome(bulk, rng) == expected, (space.max_depth, count, L, p, h0, seed)
+    return expected[0]
+
+
+def test_nested_b4_rows_match_the_scalar_draw(monkeypatch):
+    # the bulk draw against count calls of the scalar code: the same rows and
+    # the same stream left behind (gauss_next set), on drawn and given L and
+    # h0, with no, some and only collisions, on counts around a chunk and
+    # past one read-ahead, and in an object array past depth 62
+    chunk = search.B4_CHUNK
+    space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
+    for count in (-1, 0, 1, chunk - 1, chunk + 1, 300):
+        for n, (L, h0) in enumerate(((None, None), (None, 7), (5, None), (2, 40))):
+            for p in (0.0, 0.01, 1.0):
+                _check_rows(space, count, L, p, h0, 1000 * count + 10 * n + int(100 * p))
+    for count in (1, 2, 40):
+        for L, h0 in ((None, None), (25, None), (3, 70)):
+            _check_rows(deep, count, L, 0.01, h0, count)
+    # read-aheads of 64 words: a map longer than one takes the next ones too
+    monkeypatch.setattr(search, "_READ_WORDS", 64)
+    for seed in range(10):
+        _check_rows(space, 3, None, 0.01, None, seed)
+        _check_rows(deep, 2, 25, 0.5, 70, seed)
+
+
+def test_nested_b4_rows_out_of_range_unchanged():
+    # an L or h0 out of range raises what the scalar loop raises, with rng
+    # where it leaves it: at once for a given L (or L and h0), and past the
+    # drawn L of the first map that fails, after the maps before it
+    shallow = make_space(Fraction(1, 5), depth=20)          # drawn L above 5 fails
+    space = make_space(Fraction(1, 5), depth=60)
+    cases = [(space, 0, None), (space, 16, None), (space, 3, 49), (space, 15, 1),
+             (space, None, 50), (shallow, None, None), (shallow, None, 3), (shallow, 6, None)]
+    errors = 0
+    for sp, L, h0 in cases:
+        for seed in range(8):
+            for count in (1, 5, 40):
+                out = _check_rows(sp, count, L, 0.01, h0, seed)
+                errors += isinstance(out, str)
+    assert errors > 100
+
+
 # The bit-tuple versions of random_bits, _nested_embedding and
 # _random_descents from before vertices were heap indices, kept
 # verbatim (TreeVertex._from_bits, which trusted its bits, is now the public
@@ -719,6 +813,24 @@ def test_b4_bound_checks_match_the_scalar_loop():
     assert seen >= {"ok", "inf", "object", "2^63", CollapsedAncestorPair, DepthExceeded,
                     PreconditionViolated}, seen
     assert b4_bound_checks(space, [], Fraction(1, 512)) == []
+
+
+def test_b4_bound_checks_scale_past_int64():
+    # den * d_eps fits int64 here (den = 10^15 + 37, values below 2^61), but
+    # 840 times it does not: the verdicts and dists are still those of the
+    # per-pair oracle's loop, on faithful, collided and unfaithful rows
+    rng = random.Random(47)
+    space = make_space(Fraction(1, 10 ** 15 + 37), depth=60)
+    assert trees._scaled_fits(space, space.max_depth)
+    # 840 L den passes 2^63 from L = 11 on
+    rows = [nested_b4_indices(space, rng, L=L, collide_prob=p)
+            for L, p in ((15, 0.0), (15, 1.0), (12, 0.0), (3, 0.0))]
+    warped = [[f[v].index for v in _B4] for f in (_warped_b4(rng), _warped_b4(rng))]
+    for batch in (rows, rows + warped[:1], warped):
+        for delta in (Fraction(1, 512), 1e-3):
+            assert _b4_rows_outcome(b4_bound_checks, space, batch, delta) == \
+                _b4_rows_outcome(_b4_scalar_loop, space, batch, delta)
+    assert b4_bound_checks(space, rows[:1], Fraction(1, 512))[0][0] == 10 ** 15 + 37
 
 
 def test_int_descents_match_tuple_code():

@@ -12,15 +12,22 @@ In CPython every draw below reads 32-bit Mersenne-Twister words w, and
 - `rng.random()` reads two words a, b, whatever their top bits, and returns
   ((a >> 5) * 2^26 + (b >> 6)) / 2^53, so `rng.random() < p` is the int
   (a >> 5) << 26 | b >> 6 compared with p * 2^53.
+
+`random_below`, `random_depth_bits` and `embeddings.search.nested_b4_rows`
+each parse blocks of these words into draws, and read them through one
+read-ahead loop, `_draw`, which keeps the words no draw has used yet and
+rewinds its last read, so rng ends where their scalar loops leave it.
 """
 from __future__ import annotations
 
 _REDRAW = bytes(range(128, 256))
 _DIGIT = bytes(b"01"[b >> 6 & 1] for b in range(256))   # ASCII "0"/"1" of b >> 6
 
-# words per read-ahead (256 KB): about 1,000 pairs at max_depth 64, and some
-# 1 MB of transient buffers while they are parsed
-CHUNK_WORDS = 1 << 16
+# the most words one read-ahead of _draw draws (128 KB), chosen by timing
+# caps of 16K, 32K and 64K words: at 16K, random_depth_bits' 15,000 pairs at
+# max_depth 64 took 8-15% longer; 64K was no faster, and a nested_b4_rows
+# parse keeps some 14 bytes a word of its read
+CHUNK_WORDS = 1 << 15
 
 
 def random_bits(rng, k):
@@ -35,101 +42,86 @@ def random_bits(rng, k):
     return int(out, 2)
 
 
-class _WordReader:
-    """The 32-bit words of rng, read ahead: `read(n)` draws n words as a
-    little-endian bytes object, and `rewind(unused)` leaves rng as if the last
-    `unused` words of the last read (at most that many) had not been drawn:
-    it restores the state saved before that read (`gauss_next` included) and
-    draws the used words again."""
+def _draw(rng, count, per_item, parse):
+    """The parts of `count` items parsed from the words of rng, leaving rng
+    in the state of the scalar loop that draws them (`gauss_next` included):
+    the one read-ahead of random_below, random_depth_bits and
+    `embeddings.search.nested_b4_rows`.
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.saved = None
-        self.drawn = 0
+    `parse(block, n)` reads up to n items from `block` (bytes, 4 per word,
+    each little-endian) and returns (part, items, used, error): what it
+    parsed, how many items that is, the words they used, and None; or, when
+    an item is refused, the words used up to the refusing word and the
+    exception, which is raised once rng stands just past that word.  It
+    parses fewer than n items only when the block ends inside one.
 
-    def read(self, n):
-        self.saved, self.drawn = self.rng.getstate(), n
-        return self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-
-    def rewind(self, unused):
-        if unused:
-            self.rng.setstate(self.saved)
-            self.rng.getrandbits(32 * (self.drawn - unused))
+    The words no item has used yet are kept for the next parse, so every
+    word is generated once.  More are read only when a parse stops inside
+    an item, so the items of each read use up the words kept before it, and
+    only the last read is rewound past the last word used: rng goes back to
+    its state before that read, and the used words of that read are drawn
+    again.  A read takes the `per_item` words expected of an item 1.1 times
+    for each item left, half an item more (so that one item longer than the
+    mean mostly fits one read), and 64 words, up to CHUNK_WORDS."""
+    parts, words, error = [], b"", None
+    while count > 0 and error is None:
+        size = min(CHUNK_WORDS, int((1.1 * count + 0.5) * per_item) + 64)
+        saved = rng.getstate()
+        words += rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        part, items, used, error = parse(words, count)
+        words = words[4 * used:]
+        if items:
+            parts.append(part)
+        count -= items
+    if words:
+        rng.setstate(saved)
+        rng.getrandbits(32 * (size - len(words) // 4))
+    if error is not None:
+        raise error
+    return parts
 
 
 def random_below(rng, n, count):
     """`count` draws of `rng.randrange(n)` (1 <= n < 2^32) as an int64 array,
-    in draw order, leaving rng in the state the scalar loop leaves
-    (`gauss_next` included).  Words are read up to CHUNK_WORDS at a time, and
-    the last read is rewound past the last word used."""
+    in draw order, on the words of the scalar loop (`_draw`)."""
     import numpy as np
 
     if not 0 < n < 2 ** 32:
         raise ValueError(f"n {n} not in 1 .. 2^32 - 1")
     kb = n.bit_length()
-    reader = _WordReader(rng)
-    out = [np.zeros(0, dtype=np.int64)]
-    while count > 0:
-        # the expected words of count draws, plus 10% and 64 words of margin
-        size = min(CHUNK_WORDS, int(1.1 * count * 2 ** kb / n) + 64)
-        draws = np.frombuffer(reader.read(size), dtype="<u4") >> (32 - kb)
-        kept = np.flatnonzero(draws < n)[:count]
-        out.append(draws[kept].astype(np.int64))
-        count -= len(kept)
-        if count == 0:
-            reader.rewind(size - 1 - int(kept[-1]))
-    return np.concatenate(out)
+
+    def parse(block, left):
+        draws = np.frombuffer(block, dtype="<u4") >> (32 - kb)
+        kept = np.flatnonzero(draws < n)[:left]
+        used = int(kept[-1]) + 1 if len(kept) == left else len(draws)
+        return draws[kept].astype(np.int64), len(kept), used, None
+
+    # a draw reads 2^kb / n words on average
+    return np.concatenate([np.zeros(0, dtype=np.int64), *_draw(rng, count, 2 ** kb / n, parse)])
 
 
 def random_depth_bits(rng, max_depth, count):
     """(depths, bits): the pairs (k, bits) of `count` repetitions of
     `k = rng.randint(0, max_depth); bits = random_bits(rng, k)`, in draw
     order, as an int64 array of the k and an array of the bits: uint64 when
-    max_depth <= 64, else an object array of Python ints.  rng is left in
-    the scalar loop's state (`gauss_next` included).
-
-    Words are read ahead about CHUNK_WORDS at a time and parsed into pairs;
-    the words the pairs did not use are kept for the next parse, so every
-    word is generated once.  A read-ahead is drawn only when the kept words
-    end inside a pair, so the pairs of each read-ahead use up the words kept
-    before it, and once the last pair is parsed only the last read-ahead is
-    rewound."""
+    max_depth <= 64, else an object array of Python ints.  The words are
+    those of the scalar loop (`_draw`)."""
     import numpy as np
 
     if not 0 <= max_depth < 2 ** 32 - 1:
         raise ValueError(f"max_depth {max_depth} not in 0 .. 2^32 - 2")
-    per_pair, chunk = _chunk(max_depth)
-    reader = _WordReader(rng)
-    words = b""        # drawn words that no pair has used, 4 bytes each
-    depths = [np.zeros(0, dtype=np.int64)]
-    bits = [np.zeros(0, dtype=np.uint64 if max_depth <= 64 else object)]
-    while count > 0:
-        n = min(count, chunk)
-        k, b, used = _parse(words, max_depth, n)
-        words = words[4 * used:]
-        depths.append(k)
-        bits.append(b)
-        count -= len(k)
-        if len(k) < n:
-            # the expected words of n pairs, plus 10% and 64 words of margin;
-            # a pair longer than that takes the next read-ahead too
-            words += reader.read(int(1.1 * n * per_pair) + 64)
-        elif count == 0:
-            reader.rewind(len(words) // 4)
+    # a pair reads 2^kb / (N + 1) words for k, then two per bit
+    per_pair = 2 ** (max_depth + 1).bit_length() / (max_depth + 1) + max_depth
+    parts = _draw(rng, count, per_pair, lambda block, n: _parse(block, max_depth, n))
+    empty = (np.zeros(0, dtype=np.int64),
+             np.zeros(0, dtype=np.uint64 if max_depth <= 64 else object))
+    depths, bits = zip(empty, *parts)
     return np.concatenate(depths), np.concatenate(bits)
 
 
-def _chunk(max_depth):
-    """(expected words per pair, pairs per read-ahead): 2^kb / (N + 1) words
-    for k, then two per bit."""
-    per_pair = 2 ** (max_depth + 1).bit_length() / (max_depth + 1) + max_depth
-    return per_pair, max(1, int(CHUNK_WORDS / per_pair))
-
-
 def _parse(block, max_depth, n):
-    """(depths, bits, used): up to n pairs of `random_depth_bits` from the
-    words of `block` (bytes, 4 per word, each little-endian), as its two
-    arrays, and the number of words those pairs used.
+    """The parse of random_depth_bits for `_draw`: up to n pairs from the
+    words of `block`, their part the pair (depths, bits) of arrays.
 
     A kept bit word has its top bit clear.  A rejected k word w has
     w >> (32 - kb) > max_depth >= 2^(kb - 1) - 1, so its top bit is set:
@@ -159,7 +151,8 @@ def _parse(block, max_depth, n):
         c += k
         q = pos[c - 1] + 1 if k else p + 1
     ks = np.array(ks, dtype=np.int64)
-    return ks, _bits_at(digits, np.array(cs, dtype=np.int64), ks, max_depth), q
+    bits = _bits_at(digits, np.array(cs, dtype=np.int64), ks, max_depth)
+    return (ks, bits), len(ks), q, None
 
 
 def _bits_at(digits, starts, widths, max_depth):

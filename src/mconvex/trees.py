@@ -35,6 +35,7 @@ strict ancestor pairs of B_n, `sp_pairs`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -262,6 +263,16 @@ class HTreeSpace:
         self._two_eps = [2 * v.numerator * (self.den // v.denominator) for v in vals]
         self._index_limit = 2 ** (max_depth + 1)   # the heap indices past max_depth
 
+    @functools.cached_property
+    def _path_two_eps(self):
+        """_two_eps as the array scaled_path_distance indexes, decided once
+        per space: int64 where every den * d_eps value to max_depth fits 2^61
+        in size, else Python ints in an object array."""
+        import numpy as np
+
+        exact = np.int64 if _scaled_fits(self, self.max_depth) else object
+        return np.array(self._two_eps, dtype=exact)
+
     @property
     def classifier_ready(self):
         return self.eps.classifier_ready
@@ -413,25 +424,27 @@ def _scaled_fits(space, top):
 def scaled_path_distance(space, ha, a, hb, b):
     """space.scaled_distance, elementwise, between the vertices at depths ha
     with root path bits a and those at depths hb with path bits b, as
-    `randbits.random_depth_bits` draws them: int64 depths up to
+    `randbits.random_depth_bits` draws them through the one read-ahead of
+    the package's bulk draws, `randbits._draw`: int64 depths up to
     space.max_depth (not checked), and uint64 bits, or Python ints in object
     arrays.  The result is int64 where every value to space.max_depth fits
-    2^61 in size, else Python ints in an object array.
+    2^61 in size, else Python ints in an object array; the space decides
+    which, and builds the array of its 2 * eps_m * den, once
+    (`HTreeSpace._path_two_eps`).
 
     For depths h <= h', min depth - lca depth is the bit length of
     p ^ (p' >> (h' - h)) for the paths p, p'; the shift, up to 64, is taken
     in two halves, as uint64 shifts of 64 are undefined."""
     import numpy as np
 
-    exact = np.int64 if _scaled_fits(space, space.max_depth) else object
+    two_eps = space._path_two_eps
     first = ha <= hb
     m = np.where(first, ha, hb)
     gap = np.abs(ha - hb)
     half = (gap >> 1).astype(a.dtype)
     deep = np.where(first, b, a) >> half >> (gap - (gap >> 1)).astype(a.dtype)
     split = bit_length(np.where(first, a, b) ^ deep)
-    two_eps = np.array(space._two_eps, dtype=exact)
-    return gap.astype(exact) * space.den + two_eps[m] * split
+    return gap.astype(two_eps.dtype) * space.den + two_eps[m] * split
 
 
 def depth_path_arrays(indices):

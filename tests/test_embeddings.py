@@ -23,9 +23,11 @@ from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
                             PreconditionViolated, TooLarge, check)
 from mconvex.metric import distortion_of
+from mconvex import randbits
 from mconvex.randbits import random_bits
 from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn,
                            sp_pairs, tree_distance)
+from test_randbits import CountingRandom, _check_below, _check_depth_bits
 
 
 def line_map(vals):
@@ -503,7 +505,7 @@ def _check_rows(space, count, L, p, h0, seed):
     return expected[0]
 
 
-def test_nested_b4_rows_match_the_scalar_draw(monkeypatch):
+def test_nested_b4_rows_match_the_scalar_draw():
     # the bulk draw against count calls of the scalar code: the same rows and
     # the same stream left behind (gauss_next set), on drawn and given L and
     # h0, with no, some and only collisions, on counts around a chunk and
@@ -517,11 +519,41 @@ def test_nested_b4_rows_match_the_scalar_draw(monkeypatch):
     for count in (1, 2, 40):
         for L, h0 in ((None, None), (25, None), (3, 70)):
             _check_rows(deep, count, L, 0.01, h0, count)
-    # read-aheads of 64 words: a map longer than one takes the next ones too
-    monkeypatch.setattr(search, "_READ_WORDS", 64)
+
+
+def test_every_bulk_draw_at_a_16_word_read_ahead(monkeypatch):
+    # read-aheads of 16 words in randbits._draw, for all three bulk draws: a
+    # pair or map longer than one read is parsed once the next ones arrive
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
+    for max_depth in (5, 64, 65, 1000):
+        for seed in range(20):
+            _check_depth_bits(max_depth, 7, seed)
+    for n in (3, 2100, 2 ** 31 + 1):
+        _check_below(n, 21)
+    space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
     for seed in range(10):
         _check_rows(space, 3, None, 0.01, None, seed)
         _check_rows(deep, 2, 25, 0.5, 70, seed)
+
+
+@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
+def test_nested_b4_rows_generate_each_word_once(monkeypatch, chunk_words):
+    # the bulk draw generates the words the scalar loop consumes (random()
+    # counted as its two), plus at most one read-ahead (its rewind), also
+    # when a drawn L is out of range (a drawn L above 5 is, at depth 20)
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+    space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
+    shallow = make_space(Fraction(1, 5), depth=20)
+    counts = (1, 3) if chunk_words == 16 else (1, 50, search.B4_CHUNK + 1)
+    for count in counts:
+        for sp, L, h0 in ((space, None, None), (space, 2, 40), (deep, 25, None),
+                          (shallow, None, None)):
+            ref, rng = CountingRandom(count), CountingRandom(count)
+            expected = _draw_outcome(
+                lambda: [scalar_nested_b4_indices(sp, ref, L, 0.01, h0) for _ in range(count)], ref)
+            got = _draw_outcome(lambda: nested_b4_rows(sp, rng, count, L, 0.01, h0).tolist(), rng)
+            assert got == expected, (sp.max_depth, count, L, h0)
+            assert rng.words <= ref.words + rng.largest, (sp.max_depth, count, L, h0)
 
 
 def test_nested_b4_rows_out_of_range_unchanged():
@@ -617,10 +649,11 @@ def _schedules(rng, count):
 
 
 def test_one_nested_map_matches_the_annealer(monkeypatch):
-    calls = []
-    counted = search.b4_bound_check
-    monkeypatch.setattr(search, "b4_bound_check",
-                        lambda *args: calls.append(1) or counted(*args))
+    calls = []          # the rows of each rigidity check distortion-gap makes
+    counted = search.b4_bound_checks
+    monkeypatch.setattr(search, "b4_bound_checks",
+                        lambda space, rows, delta: calls.append(len(rows))
+                        or counted(space, rows, delta))
     rng = random.Random(23)
     delta = Fraction(1, 512)
     for space in _schedules(rng, 12):
@@ -639,7 +672,7 @@ def test_one_nested_map_matches_the_annealer(monkeypatch):
                                                            seed=seed, L=max(1, n // 4))
             del calls[:]
             out = distortion_gap_experiment(space, upper, n, seed=seed)
-            assert len(calls) == 1
+            assert calls == [1]
             assert out == {"upper_bound": upper(n), "search_best_dist": best_d,
                            "rigidity_floor": bound, "floor_holds": holds}
             assert [type(x) for x in out.values()] == \

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mconvex import randbits
-from mconvex.randbits import _chunk, random_below, random_bits, random_depth_bits
+from mconvex.randbits import random_below, random_bits, random_depth_bits
 
 # -1: a negative count draws nothing, like range(-1)
 LENGTHS = (-1, 0, 1, 2, 5, 31, 64, 200)
@@ -45,6 +45,13 @@ def _pairs(max_depth, depths, bits):
     return list(zip(depths.tolist(), [int(b) for b in bits]))
 
 
+def _pairs_per_read(max_depth):
+    """About the pairs of random_depth_bits one read-ahead of CHUNK_WORDS
+    words holds: 2^kb / (N + 1) words for k, then two per bit, a pair."""
+    per_pair = 2 ** (max_depth + 1).bit_length() / (max_depth + 1) + max_depth
+    return max(1, int(randbits.CHUNK_WORDS / per_pair))
+
+
 def _check_depth_bits(max_depth, count, seed):
     ref, rng = random.Random(seed), random.Random(seed)
     ref.gauss(0, 1)
@@ -58,25 +65,17 @@ def _check_depth_bits(max_depth, count, seed):
 
 def test_random_depth_bits_matches_scalar_loop():
     # the bulk draw against randint then random_bits, across randint widths
-    # kb = 1..10 and the chunk boundaries, from a generator whose gauss_next
-    # is set (setstate must carry it through)
+    # kb = 1..10 and the read-ahead boundaries, from a generator whose
+    # gauss_next is set (setstate must carry it through)
     for max_depth in (0, 1, 5, 63, 64, 65, 127, 128, 255, 256, 1000):
-        chunk = _chunk(max_depth)[1]
+        chunk = _pairs_per_read(max_depth)
         for count in (0, 1, chunk - 1, chunk, chunk + 1, 15_000):
             _check_depth_bits(max_depth, count, max_depth + count)
 
 
-def test_random_depth_bits_short_read_ahead(monkeypatch):
-    # a pair longer than one read-ahead is parsed once the next ones arrive
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
-    for max_depth in (5, 64, 65, 1000):
-        for seed in range(20):
-            _check_depth_bits(max_depth, 7, seed)
-
-
 class CountingRandom(random.Random):
-    """A random.Random that counts the 32-bit words its getrandbits calls
-    generate, in all and in its largest call."""
+    """A random.Random that counts the 32-bit words it generates, in all
+    and in its largest getrandbits call; random() reads two."""
 
     def __init__(self, seed):
         self.words = self.largest = 0
@@ -88,15 +87,20 @@ class CountingRandom(random.Random):
         self.largest = max(self.largest, words)
         return super().getrandbits(k)
 
+    def random(self):
+        self.words += 2
+        return super().random()
 
-@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
+
+# read-ahead caps of 16 words, the default, and 64K words
+@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS, 1 << 16])
 def test_random_depth_bits_generates_each_word_once(monkeypatch, chunk_words):
     # the bulk draw generates the words the scalar loop consumes, plus at
     # most one read-ahead's worth (the words past the last pair and their
     # rewind), however many read-aheads it takes
     monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
     for max_depth in (0, 5, 64, 1000):
-        chunk = _chunk(max_depth)[1]
+        chunk = _pairs_per_read(max_depth)
         for count in (1, chunk, 3 * chunk + 7, 15_000):
             ref, rng = CountingRandom(count), CountingRandom(count)
             expected = _scalar_depth_bits(ref, max_depth, count)
@@ -112,7 +116,20 @@ def test_random_depth_bits_rejects_bad_depth():
             random_depth_bits(random.Random(0), max_depth, 1)
 
 
-@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
+def _check_below(n, count):
+    ref, rng = CountingRandom(n + count), CountingRandom(n + count)
+    ref.gauss(0, 1)
+    rng.gauss(0, 1)
+    expected = [ref.randrange(n) for _ in range(count)]
+    got = random_below(rng, n, count)
+    assert got.dtype == np.int64 and got.tolist() == expected, (n, count)
+    assert rng.getstate() == ref.getstate(), (n, count)
+    assert rng.words <= ref.words + rng.largest, (n, count)
+    assert rng.random() == ref.random(), (n, count)
+
+
+# read-ahead caps of 16 words, the default, and 64K words
+@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS, 1 << 16])
 def test_random_below_matches_randrange(monkeypatch, chunk_words):
     # count calls of randrange(n), in draw order, for n of every randrange
     # width kb = 1..32 and on both sides of each power of two, across
@@ -125,15 +142,7 @@ def test_random_below_matches_randrange(monkeypatch, chunk_words):
     cases = [(n, count) for n in sizes for count in (-1, 0, 1, 7, 3 * 16 + 5, 1000)]
     cases += [(n, chunk_words + 5) for n in (3, 2100, 2 ** 31 + 1)]
     for n, count in cases:
-        ref, rng = CountingRandom(n + count), CountingRandom(n + count)
-        ref.gauss(0, 1)
-        rng.gauss(0, 1)
-        expected = [ref.randrange(n) for _ in range(count)]
-        got = random_below(rng, n, count)
-        assert got.dtype == np.int64 and got.tolist() == expected, (n, count)
-        assert rng.getstate() == ref.getstate(), (n, count)
-        assert rng.words <= ref.words + rng.largest, (n, count)
-        assert rng.random() == ref.random(), (n, count)
+        _check_below(n, count)
 
 
 def test_random_below_rejects_bad_range():

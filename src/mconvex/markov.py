@@ -11,13 +11,12 @@ Chains use the constant extension X_t = X_{t_min} for t < t_min and
 X_t = X_{t_max} for t > t_max, which makes the time sums finite: every
 summand vanishes outside a provable window (checked, not assumed).
 
-All probabilities are exact rationals.  Internally, laws and conditional-law
-matrices are stored as integer numerators over a single common denominator so
-the dynamic programming inner loops run on (big)ints; d^p stays exact for
-integer p and is floated only at the final power for non-integer p.  When the
-space gives its distances as ints over one denominator (`den`) and p is an
-integer, the sums of probability weights times distance powers are ints too,
-divided once per term.
+All probabilities are exact rationals.  A chain keeps each kernel and law as
+ints over one common denominator, and the DP (`convexity_ratio`) runs on ints
+end to end: one table of distance powers serves the one-step sum and the fork
+terms, and a scale's exact terms are summed as (num, den) over their lcm, one
+Fraction per scale.  Float distance powers (non-integer p) are summed in the
+order and with the divisions of the Fraction DP, so they match it bit for bit.
 
 Two walks have closed forms that build no chain: the downward walk on B_n
 (`bn_ratio`) and the downward walk on the Laakso graph G_m (`laakso_ratio`).
@@ -82,6 +81,7 @@ class ChainSpec:
     kernels[t] is the transition law for the step from time t-1 to time t,
     as {state: {state: prob}}; rows may be omitted for states that cannot be
     occupied at time t-1.  States missing a row are treated as held fixed.
+    Probabilities are exact: ints or Fractions.
     """
 
     def __init__(self, states, t_min, t_max, kernels, initial):
@@ -92,13 +92,24 @@ class ChainSpec:
                         for t, k in kernels.items()}
         self.initial = dict(initial)
         known = set(self.states)
-        _check_law(self.initial, known, "initial law")
+        den, rows = _int_rows({None: self.initial}, known, "initial law")
+        law = rows[None]
+        self._steps = {}  # t -> kernels[t] as ints, for every nonempty kernel
         for t, kernel in self.kernels.items():
             if not (t_min < t <= t_max):
                 raise ValueError(f"kernel time {t} outside ({t_min}, {t_max}]")
-            for z, row in kernel.items():
-                _check_law(row, known, f"kernel row at time {t}, state {z!r}")
-        self._laws = None
+            if kernel:
+                self._steps[t] = _int_rows(kernel, known, f"kernel row at time {t}, state {{z!r}}")
+        self._laws = [(den, law)]  # int_law(t_min..t_max), propagated on ints
+        for t in range(t_min + 1, t_max + 1):
+            den_k, rows = self._steps.get(t, (1, {}))
+            nxt = {}
+            for z, n in law.items():
+                for x, nx in rows.get(z, {z: den_k}).items():  # no row: held
+                    nxt[x] = nxt.get(x, 0) + n * nx
+            g = math.gcd(den * den_k, *nxt.values())
+            den, law = den * den_k // g, {x: n // g for x, n in nxt.items()}
+            self._laws.append((den, law))
 
     @property
     def horizon(self):
@@ -110,36 +121,36 @@ class ChainSpec:
             return None
         return self.kernels.get(t)
 
+    def int_law(self, t):
+        """Law of X_t under the constant-extension convention as ints over its
+        least common denominator: (den, {state: num})."""
+        return self._laws[min(max(t, self.t_min), self.t_max) - self.t_min]
+
     def law(self, t):
         """Law of X_t under the constant-extension convention, as {state: Fraction}."""
-        if self._laws is None:
-            laws = [ {z: Fraction(p) for z, p in self.initial.items() if p} ]
-            for t_ in range(self.t_min + 1, self.t_max + 1):
-                kernel = self.kernels.get(t_) or {}
-                nxt = {}
-                for z, pz in laws[-1].items():
-                    row = kernel.get(z)
-                    if row is None:
-                        nxt[z] = nxt.get(z, 0) + pz
-                    else:
-                        for x, px in row.items():
-                            if px:
-                                nxt[x] = nxt.get(x, 0) + pz * px
-                laws.append(nxt)
-            self._laws = laws
-        t = min(max(t, self.t_min), self.t_max)
-        return self._laws[t - self.t_min]
+        den, law = self.int_law(t)
+        return {z: Fraction(n, den) for z, n in law.items()}
 
 
-def _check_law(law, known, where):
-    """A probability law must sum to 1 with nonnegative mass on known states."""
-    if sum(law.values()) != 1:
-        raise ValueError(f"{where} does not sum to 1")
-    for x, px in law.items():
-        if px < 0:
-            raise ValueError(f"{where} gives negative mass {px} to {x!r}")
-        if x not in known:
-            raise ValueError(f"{where} puts mass on unknown state {x!r}")
+def _int_rows(rows, known, where):
+    """Laws {z: {x: prob}} as ints over the common denominator of all entries,
+    (den, {z: {x: num}}), zeros left out.  A law with inexact, negative or
+    unknown-state mass, or not summing to 1, is a ValueError on `where.format(z=z)`."""
+    for z, row in rows.items():
+        for x, px in row.items():
+            if type(px) not in (int, Fraction):  # a bool is an int, but no probability
+                raise ValueError(f"{where.format(z=z)} gives inexact probability {px!r} to {x!r}")
+            if px < 0:
+                raise ValueError(f"{where.format(z=z)} gives negative mass {px} to {x!r}")
+            if x not in known:
+                raise ValueError(f"{where.format(z=z)} puts mass on unknown state {x!r}")
+    den = math.lcm(*[px.denominator for row in rows.values() for px in row.values()])
+    out = {z: {x: px.numerator * (den // px.denominator) for x, px in row.items() if px}
+           for z, row in rows.items()}
+    for z, row in out.items():
+        if sum(row.values()) != den:
+            raise ValueError(f"{where.format(z=z)} does not sum to 1")
+    return den, out
 
 
 class ConvexityReport:
@@ -190,13 +201,8 @@ def downward_walk(n):
         raise TooLarge(f"n = {n} > {DOWNWARD_LIMIT}")
     states = enumerate_bn(n)
     half = Fraction(1, 2)
-    kernels = {}
-    for t in range(1, n + 1):
-        kernel = {}
-        for v in states:
-            if v.depth == t - 1:
-                kernel[v] = {v.child(0): half, v.child(1): half}
-        kernels[t] = kernel
+    kernels = {t: {v: {v.child(0): half, v.child(1): half} for v in states if v.depth == t - 1}
+               for t in range(1, n + 1)}
     return ChainSpec(states, 0, n, kernels, {ROOT: Fraction(1)})
 
 
@@ -222,15 +228,6 @@ def laakso_walk(G):
 # ---------------------------------------------------------------------------
 # A "matrix" is None (identity) or (den, {z: {x: num}}); rows missing from the
 # dict are identity rows.  A "vector" is (den, {state: num}).
-
-def _fractions_to_common(rows, keep=None):
-    """Integer rows over one common denominator.  With `keep`, only the rows
-    of states in it are converted; the denominator still covers every row."""
-    den = math.lcm(*(p.denominator for row in rows.values() for p in row.values()))
-    out = {z: {x: p.numerator * (den // p.denominator) for x, p in row.items() if p}
-           for z, row in rows.items() if keep is None or z in keep}
-    return den, out
-
 
 def _compose(A, B, keep=None):
     """Matrix product A then B (A covers earlier steps).  With `keep`, the
@@ -283,10 +280,11 @@ def _reduced(den, rows):
 class _CondCache:
     """Conditional laws over dyadic step counts, built by binary composition.
 
-    cond(s, j) keeps only the rows of states in supp(law(s)), the rows that
-    _fork_term reads.  This is exact: from supp(law(s)) the first half lands
-    in supp(law(s + 2^(j-1))), whose rows the second half keeps.  Levels are
-    held per j; `release(j)` drops one once no later level is built from it.
+    cond(s, 0) is a step's kernel; cond(s, j > 0) keeps only the rows of
+    states in supp(law(s)), the rows that _fork_sum reads.  This is exact:
+    from supp(law(s)) the first half lands in supp(law(s + 2^(j-1))), whose
+    rows the second half keeps.  Levels are held per j; `release(j)` drops
+    one once no later level is built from it.
     """
 
     def __init__(self, chain):
@@ -301,15 +299,9 @@ class _CondCache:
         level = self.levels.setdefault(j, {})
         if s in level:
             return level[s]
-        keep = chain.law(s)
-        if j == 0:
-            kernel = chain.step_kernel(s + 1)
-            M = None if not kernel else _fractions_to_common(kernel, keep)
-        else:
-            A = self.cond(s, j - 1)
-            B = self.cond(s + 2 ** (j - 1), j - 1)
-            M = _compose(A, B, keep)
-        level[s] = M
+        level[s] = M = (chain._steps.get(s + 1) if j == 0 else
+                        _compose(self.cond(s, j - 1), self.cond(s + 2 ** (j - 1), j - 1),
+                                 chain.int_law(s)[1]))
         return M
 
     def release(self, j):
@@ -317,10 +309,11 @@ class _CondCache:
 
 
 class _DistPowCache:
-    """d(f(a), f(b))^p per pair of states.  For integer p >= 0 on a space
-    with integer distances over `space.den`, the values are the ints
-    scaled_distance^p over the denominator `self.den` = space.den^p;
-    otherwise `self.den` is None and the values are space.dist_pow's."""
+    """d(f(a), f(b))^p per unordered pair of states, one entry in `cache`
+    under the order first asked.  For integer p >= 0 on a space with integer
+    distances over `space.den`, the values are the ints scaled_distance^p
+    over the denominator `self.den` = space.den^p; otherwise `self.den` is
+    None and the values are space.dist_pow's."""
 
     def __init__(self, space, f, p):
         self.f = f
@@ -335,28 +328,29 @@ class _DistPowCache:
             self.dist_pow = lambda x, y: space.dist_pow(x, y, p)
 
     def get(self, a, b):
-        key = (a, b)
-        val = self.cache.get(key)
+        val = self.cache.get((a, b))
+        if val is None:
+            val = self.cache.get((b, a))
         if val is None:
             fa, fb = self.f(a), self.f(b)
-            val = self.dist_pow(fa, fb) if fa != fb else 0
-            self.cache[key] = val
-            self.cache[(b, a)] = val
+            val = self.cache[a, b] = self.dist_pow(fa, fb) if fa != fb else 0
         return val
 
 
-def _integer_law(mu):
-    """A law {state: Fraction} as the vector (den, {state: num})."""
-    den, rows = _fractions_to_common({None: mu})
-    return den, rows[None]
+def _add(acc, num, den):
+    """acc + num / den over the lcm of the denominators; acc = (num, den) or None."""
+    if acc is None:
+        return num, den
+    lcm = math.lcm(acc[1], den)
+    return acc[0] * (lcm // acc[1]) + num * (lcm // den), lcm
 
 
-def _fork_term(mu, M, dpow):
-    """E[d(f(X_t), f(X~_t))^p] for one (t, s): both copies share X_s ~ mu,
-    an integer law vector, and then evolve independently with conditional
-    law M."""
+def _fork_sum(mu, M, dpow):
+    """E[d(f(X_t), f(X~_t))^p] = 2 total / den for one (t, s) as (total,
+    den): both copies share X_s ~ mu, an int law vector, and then evolve
+    independently with conditional law M.  None if no state of mu splits."""
     if M is None:
-        return 0
+        return None
     denM, rows = M
     den_mu, mu_num = mu
     weights = {}
@@ -371,50 +365,49 @@ def _fork_term(mu, M, dpow):
                 key = (x, y)
                 weights[key] = weights.get(key, 0) + nzx * ny
     if not weights:
-        return 0
+        return None
+    cached = dpow.cache.get
     total = 0
     for (x, y), w in weights.items():
-        d = dpow.get(x, y)
+        d = cached((x, y))
+        if d is None:  # first asked in the other order, or not yet
+            d = cached((y, x)) or dpow.get(x, y)
         if d:
             total += d * w
-    return exact_or_float(2 * total) / (den_mu * denM ** 2 * (dpow.den or 1))
+    return total, den_mu * denM ** 2 * (dpow.den or 1)
 
 
 def pair_expectation(chain, f, space, t, s, p):
     """E[d(f(X_t), f(X~_t(s)))^p], exactly; 0 when s >= t."""
-    if s >= t:
-        return 0
-    mu = chain.law(s)
     # compose single steps from s to t (direct calls need no dyadic alignment)
-    M = None
-    for t_ in range(s + 1, t + 1):
-        kernel = chain.step_kernel(t_)
-        step = None if not kernel else _fractions_to_common(kernel)
-        M = _compose(M, step)
-    dpow = _DistPowCache(space, f, p)
-    return _fork_term(_integer_law(mu), M, dpow)
+    M = functools.reduce(_compose, map(chain._steps.get, range(s + 1, t + 1)), None)
+    fork = _fork_sum(chain.int_law(s), M, _DistPowCache(space, f, p))
+    return 0 if fork is None else exact_or_float(2 * fork[0]) / fork[1]
 
 
 def rhs_step_sum(chain, f, space, p):
     """sum_t E[d(f(X_t), f(X_{t-1}))^p]  (nonzero only inside the horizon)."""
-    dpow = _DistPowCache(space, f, p)
-    total = 0
-    for t in range(chain.t_min + 1, chain.t_max + 1):
-        kernel = chain.step_kernel(t)
-        if not kernel:
-            continue
-        mu = chain.law(t - 1)
-        for z, pz in mu.items():
-            row = kernel.get(z)
-            if row is None:
-                continue
-            for x, px in row.items():
+    return _step_sum(chain, _DistPowCache(space, f, p))
+
+
+def _step_sum(chain, dpow):
+    """rhs_step_sum on the int laws and kernels: exact distance powers summed
+    as ints per time, the times added by `_add`; a float d is added in order
+    as P(X_{t-1} = z, X_t = x) * d, that probability rounded once from ints."""
+    acc, flt = None, 0
+    for t, (den_k, rows) in sorted(chain._steps.items()):
+        den_mu, mu = chain.int_law(t - 1)
+        total = 0
+        for z, n in mu.items():
+            for x, nx in rows.get(z, {}).items():
                 d = dpow.get(z, x)
-                if d:
-                    total += pz * px * d
-    if dpow.den is not None and total:
-        total = total / dpow.den
-    return total
+                if d and isinstance(d, float):
+                    flt += n * nx / (den_mu * den_k) * d
+                elif d:
+                    total += n * nx * d
+        if total:
+            acc = _add(acc, total.numerator, total.denominator * den_mu * den_k)
+    return flt if acc is None else Fraction(acc[0], acc[1] * (dpow.den or 1)) + flt
 
 
 def _k_max(horizon):
@@ -453,38 +446,45 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     _check_p(p)
     if k_max is None:
         k_max = default_k_max(chain)
-    rhs = rhs_step_sum(chain, f, space, p)
-    dpow = _DistPowCache(space, f, p)
+    dpow = _DistPowCache(space, f, p)  # one table for the step sum and the fork terms
+    rhs = _step_sum(chain, dpow)
     cache = _CondCache(chain)
     sanity = power(4, p) * rhs  # the crude bound every per_k term must meet
-    # integer law vectors, once per time (the law is constant before t_min)
-    laws = [_integer_law(chain.law(s)) for s in range(chain.t_min, chain.t_max + 1)]
     per_k = []
     for k in range(k_max + 1):
         gap = 2 ** k
-        total = 0
+        acc, flt = None, 0  # the exact terms as one (num, den); the float ones in order
         boundary_lo = boundary_hi = None
         for t in range(chain.t_min, chain.t_max + gap + 1):
             s = t - gap
             if s >= chain.t_max:
                 break  # conditional law is the identity from here on
-            mu = laws[max(s - chain.t_min, 0)]
-            term = _fork_term(mu, cache.cond(s, k), dpow)
+            fork = _fork_sum(chain._laws[max(s - chain.t_min, 0)], cache.cond(s, k), dpow)
+            if fork is None:
+                continue
+            total, den = fork
+            if isinstance(total, float):
+                total = 2 * total / den
+                flt += total
+            else:
+                acc = _add(acc, 2 * total.numerator, den * total.denominator)
             if t == chain.t_min:
-                boundary_lo = term
+                boundary_lo = total
             if t == chain.t_max + gap:
-                boundary_hi = term
-            total += term
+                boundary_hi = total
         cache.release(k - 1)  # scale k + 1 composes level k only
         check(not boundary_lo, "lower boundary summand must vanish at k=%d", k)
         check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
-        term_k = total / power(2, k * p) if total else total
+        if acc is not None and isinstance(flt, int) and is_integral(p):  # no float term
+            term_k = Fraction(acc[0], acc[1] << k * int(p))
+        else:
+            total = flt if acc is None else Fraction(*acc) + flt
+            term_k = total / power(2, k * p) if total else total
         check(term_k <= sanity, "per-k sanity bound failed at k=%d", k)
         per_k.append(term_k)
     if rhs == 0:
-        report = ConvexityReport(p, per_k, sum(per_k), rhs, None, None)
         err = DegenerateChain("one-step sum is zero; ratio undefined")
-        err.report = report
+        err.report = ConvexityReport(p, per_k, sum(per_k), rhs, None, None)
         raise err
     return _report(p, per_k, rhs)
 

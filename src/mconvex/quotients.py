@@ -20,7 +20,7 @@ from bisect import bisect_left
 
 from .errors import (HorizonTooLong, LiftFailed, NotSurjective, OutOfRange,
                      PreconditionViolated)
-from .markov import ChainSpec, convexity_ratio, rhs_step_sum
+from .markov import ChainSpec, convexity_ratio
 from .metric import exact_or_float, is_exact, power, to_float
 
 MAX_HORIZON = 8

@@ -443,6 +443,22 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     assert _int_range("3") == [3] and _int_range("2..4") == [2, 3, 4]
 
 
+def test_inexact_chain_probability_is_bad_input(tmp_path, capsys):
+    # a probability given as a JSON number is a float, no exact rational:
+    # ChainSpec refuses it, naming the row, as the chain file is loaded
+    (tmp_path / "map.json").write_text(seeded_quotient_map(1))
+    chain = json.loads(seeded_lift_chain(1))
+    chain["kernels"]["2"]["y1"] = {"y0": 0.5, "y2": "1/2"}
+    (tmp_path / "chain.json").write_text(json.dumps(chain))
+    assert main(["--out", str(tmp_path / "out"), "quotient-lift",
+                 "--map", str(tmp_path / "map.json"), "--chain", str(tmp_path / "chain.json"),
+                 "--a", "73/4", "--b", "13/4"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BadInput"
+    assert "kernel row at time 2, state 'y1' gives inexact probability 0.5 to 'y0'" \
+        in err["message"]
+
+
 def seeded_quotient_map(seed):
     """map.json text: 9 points at random integer places on a line onto 4
     points at random places (multiples of 1/4, given as floats), every

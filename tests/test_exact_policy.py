@@ -21,9 +21,8 @@ from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.errors import (BoostFailed, DegenerateChain, MconvexError, OutOfRange,
                             PreconditionViolated, check)
 from mconvex.markov import (ConvexityReport, _bn_intervals, _check_p, _CondCache,
-                            _DistPowCache, _integer_law, _k_max, _laakso_intervals,
-                            _report, default_k_max, downward_walk, laakso_time_set,
-                            rhs_step_sum)
+                            _DistPowCache, _k_max, _laakso_intervals, _report,
+                            default_k_max, downward_walk, laakso_time_set, rhs_step_sum)
 from mconvex.metric import FiniteMetricSpace, is_integral
 from mconvex.quotients import QuotientMap, lift_chain, trajectory_chain
 from mconvex.trees import HTreeSpace, enumerate_bn, tree_distance
@@ -247,6 +246,13 @@ def old_path_boost(f, t, delta):
     check(float(bound) <= 1 + float(delta) * (1 + 1e-12),
           "log-embedding bound %s exceeds 1 + delta = 1 + %s", bound, delta)
     return best_grid, best_t, dist
+
+
+def _integer_law(mu):
+    """A law {state: Fraction} as the vector (den, {state: num}), as the DP
+    read it before its laws were propagated on ints."""
+    den = math.lcm(*(p.denominator for p in mu.values()))
+    return den, {z: p.numerator * (den // p.denominator) for z, p in mu.items() if p}
 
 
 def old_fork_term(mu, M, dpow):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mconvex import markov
+from mconvex.banach import LpSpace
 from mconvex.errors import DegenerateChain, OutOfRange, TooLarge
 from mconvex.laakso import build_laakso
-from mconvex.markov import (INTERVAL_LIMIT, RATIO_LIMIT, ChainSpec, _check_p, _k_max,
-                            _report, bn_ratio, convexity_ratio, default_k_max,
-                            downward_walk, laakso_ratio, laakso_ratios, laakso_time_set,
-                            laakso_walk, pair_expectation, per_k_laakso_bound,
-                            rhs_step_sum)
+from mconvex.markov import (INTERVAL_LIMIT, RATIO_LIMIT, ChainSpec, ConvexityReport,
+                            _check_p, _k_max, _report, bn_ratio, convexity_ratio,
+                            default_k_max, downward_walk, laakso_ratio, laakso_ratios,
+                            laakso_time_set, laakso_walk, pair_expectation,
+                            per_k_laakso_bound, rhs_step_sum)
 from mconvex.metric import FiniteMetricSpace, is_integral, rat_from_str
 from mconvex.trees import enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_chain
@@ -115,6 +118,21 @@ def test_chain_spec_rejects_negative_or_unknown_mass():
         ChainSpec([0, 1], 0, 2, {}, {5: Fraction(1)})
     with pytest.raises(ValueError, match="negative"):
         ChainSpec([0, 1], 0, 2, {}, {0: Fraction(2), 1: Fraction(-1)})
+
+
+def test_chain_spec_rejects_inexact_probabilities():
+    # once accepted, after which convexity_ratio died on the float's missing
+    # denominator; a bool is an int, but no probability
+    with pytest.raises(ValueError, match=r"kernel row at time 1, state 0 gives inexact "
+                                         r"probability 0\.5 to 1"):
+        ChainSpec([0, 1], 0, 1, {1: {0: {1: 0.5, 0: 0.5}}}, {0: 1})
+    with pytest.raises(ValueError, match="initial law gives inexact probability 1.0"):
+        ChainSpec([0, 1], 0, 1, {}, {0: 1.0})
+    with pytest.raises(ValueError, match="initial law gives inexact probability True"):
+        ChainSpec([0, 1], 0, 1, {}, {0: True})
+    chain = ChainSpec([0, 1], 0, 1, {1: {0: {1: Fraction(1, 2), 0: Fraction(1, 2)}}}, {0: 1})
+    assert chain.law(1) == {1: Fraction(1, 2), 0: Fraction(1, 2)}
+    assert chain.int_law(1) == (2, {1: 1, 0: 1})
 
 
 def test_bn_ratio_matches_generic_dp():
@@ -653,6 +671,31 @@ def test_cond_cache_two_levels_on_general_chains(chain_and_map):
     assert set(seen["composed"].values()) <= {1}
 
 
+def test_convexity_ratio_builds_no_fraction_law_and_one_power_per_pair(monkeypatch):
+    # on prop21-check's chains: the laws are int vectors, never law()'s
+    # Fractions, and the one-step sum and the fork terms read one table, so
+    # each unordered pair of states has its distance power computed once
+    laws = []
+    monkeypatch.setattr(ChainSpec, "law", lambda self, t: laws.append(t))
+    rng = random.Random(1)
+    sp = LpSpace(3, 2)
+    for _ in range(20):
+        chain, f = random_chain(rng)
+        images = [tuple(f(s)) for s in chain.states]
+        assert len(set(images)) == len(images)  # so point pairs are state pairs
+        target = sp.as_metric_space(images)
+        calls = []
+        dist_pow = target.dist_pow
+        monkeypatch.setattr(target, "dist_pow",
+                            lambda x, y, p: calls.append(frozenset((x, y))) or dist_pow(x, y, p))
+        try:
+            convexity_ratio(chain, lambda s: tuple(f(s)), target, 2)
+        except DegenerateChain:
+            pass
+        assert calls and len(calls) == len(set(calls))
+    assert laws == []
+
+
 def test_degenerate_chain_raises_with_report():
     # all states mapped to one point: RHS = 0
     chain = downward_walk(2)
@@ -670,3 +713,78 @@ def test_report_serialization():
     csv = rep.to_csv()
     assert csv.splitlines()[0].startswith("k,")
     rep.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the DP against its frozen outputs: reports of seeded chains written by the
+# Fraction-law DP (laws as {state: Fraction}, one Fraction per fork term),
+# floats as hex, so every number must come back equal in value and type and
+# every float bit for bit
+# ---------------------------------------------------------------------------
+
+DP_FIXTURE = pathlib.Path(__file__).with_name("markov_dp_frozen.json")
+FIXTURE_P = (1, 2, 3, 1.5, 2.5)
+
+
+def _fixture_runs():
+    """(name, report) of 20 random_chain chains into l_p^3, as prop21-check
+    builds them, and 30 _random_rational_chain chains, at each p of
+    FIXTURE_P; a degenerate chain gives the report its error carries."""
+    def run(chain, f, space, p):
+        try:
+            return convexity_ratio(chain, f, space, p)
+        except DegenerateChain as exc:
+            return exc.report
+
+    rng = random.Random(20261020)
+    for i in range(20):
+        chain, f = random_chain(rng)
+        for p in FIXTURE_P:
+            target = LpSpace(3, p).as_metric_space([f(s) for s in chain.states])
+            yield f"random_chain {i} p={p}", run(chain, lambda s: tuple(f(s)), target, p)
+    for i in range(20):
+        chain, space = _random_rational_chain(rng)
+        for p in FIXTURE_P:
+            yield f"rational_chain {i} p={p}", run(chain, lambda v: v, space, p)
+    # states folded onto two points or one: forks whose copies split but
+    # meet again in the image, so scales of zero terms (the Fraction 0, not
+    # the int 0) and degenerate chains
+    for i in range(10):
+        chain, space = _random_rational_chain(rng)
+        fold = (lambda v: v % 2) if i % 2 else (lambda v: 0)
+        for p in FIXTURE_P:
+            yield f"folded_chain {i} p={p}", run(chain, fold, space, p)
+
+
+def _encode(x):
+    if x is None:
+        return None
+    if isinstance(x, float):
+        return "float " + x.hex()
+    return f"{type(x).__name__} {x}"
+
+
+def _decode(s):
+    if s is None:
+        return None
+    kind, value = s.split(" ")
+    return {"float": float.fromhex, "int": int, "Fraction": Fraction}[kind](value)
+
+
+def _encode_report(rep):
+    return {"p": _encode(rep.p), "per_k": [_encode(x) for x in rep.per_k],
+            **{key: _encode(getattr(rep, key))
+               for key in ("rhs", "lhs_total", "ratio", "pi_lower")}}
+
+
+def test_dp_matches_the_frozen_fraction_dp():
+    frozen = json.loads(DP_FIXTURE.read_text())
+    runs = dict(_fixture_runs())
+    assert sorted(runs) == sorted(frozen)
+    for name, rep in runs.items():
+        want = frozen[name]
+        old = ConvexityReport(_decode(want["p"]), [_decode(x) for x in want["per_k"]],
+                              *(_decode(want[key])
+                                for key in ("lhs_total", "rhs", "ratio", "pi_lower")))
+        assert _encode_report(old) == want, name  # the decoding loses nothing
+        assert same_report(rep, old), name

@@ -62,10 +62,12 @@ def _draw(rng, count, per_item, parse):
     its state before that read, and the used words of that read are drawn
     again.  A read takes the `per_item` words expected of an item 1.1 times
     for each item left, half an item more (so that one item longer than the
-    mean mostly fits one read), and 64 words, up to CHUNK_WORDS."""
+    mean mostly fits one read), and 64 words, up to CHUNK_WORDS; but never
+    fewer than the words already kept, so that an item longer than a read
+    is parsed again a logarithmic number of times, not once per read."""
     parts, words, error = [], b"", None
     while count > 0 and error is None:
-        size = min(CHUNK_WORDS, int((1.1 * count + 0.5) * per_item) + 64)
+        size = max(min(CHUNK_WORDS, int((1.1 * count + 0.5) * per_item) + 64), len(words) // 4)
         saved = rng.getstate()
         words += rng.getrandbits(32 * size).to_bytes(4 * size, "little")
         part, items, used, error = parse(words, count)

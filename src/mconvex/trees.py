@@ -21,12 +21,11 @@ closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
 depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52).
 One function builds den * d_eps matrices, `scaled_distance_matrix(space,
 vertices)`, over the points of `HTreeSpace.as_metric_space`
-(`verify_metric`).  Over all of B_n one walk, `_row_blocks`, runs its kernel
-`_scaled_block` by rows, for two counts without an n x n matrix:
-`tree_metric_equality_violations`, and `htree_triangle_violations`
-(`htree-validate`), which compares each block against one representative
-row per depth, since the tree's automorphisms keep d_eps and act
-transitively on each level.  The sampled triangle check of
+(`verify_metric`).  Two counts over all of B_n build no n x n matrix, on
+one representative pair per orbit of the tree's automorphisms
+(`_orbit_classes`): `tree_metric_equality_violations` on scalar ints, and
+`htree_triangle_violations` (`htree-validate`) with one `_scaled_block` row
+of all of B_n per representative.  The sampled triangle check of
 `embeddings.generators` reads den * d_eps off (depth, path bits) arrays,
 past depth 52 too, through `scaled_path_distance`, and so does the bulk B_4
 rigidity check of `embeddings.classify`, on the arrays `depth_path_arrays`
@@ -481,57 +480,41 @@ def scaled_distance_matrix(space, vertices):
     return _scaled_block(idx[:, None], h[:, None], idx, h, space.den, two_eps)[1]
 
 
-# rows per block of the walks over all of B_depth, fewer where a block would
-# pass BLOCK_ENTRIES entries (past depth 10), so a block's memory stays bounded
-BLOCK_ROWS = 256
-BLOCK_ENTRIES = 2 ** 19
+def _orbit_classes(depth):
+    """(h, k, size) for each orbit of the automorphisms of B_depth on its
+    ordered pairs, in order of the depth of k: the orbit holds 2^h * size
+    pairs, among them (r_h, k) for r_h the vertex with heap index 2^h.
 
-
-def _heap_arrays(space, depth):
-    """(heap indices, depths, two_eps) of all of B_depth (depth <=
-    space.max_depth) as int64 arrays, with the guards of enumerate_bn and
-    scaled_distance_matrix (TooLarge)."""
-    import numpy as np
-
-    if depth > ENUMERATE_LIMIT:
-        raise TooLarge(f"n = {depth} > {ENUMERATE_LIMIT}")
-    two_eps = _two_eps_to(space, depth)
-    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    return idx, bit_length(idx) - 1, two_eps
-
-
-def _row_blocks(space, depth):
-    """Walk B_depth in blocks of BLOCK_ROWS heap-ordered rows: yield (rows,
-    h, lca, scaled), where rows slices the heap order, h holds every
-    vertex's depth, and lca and scaled are the lca depths and den * d_eps of
-    the rows against all of B_depth."""
-    idx, h, two_eps = _heap_arrays(space, depth)
-    step = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // len(idx)))
-    for lo in range(0, len(idx), step):
-        rows = slice(lo, lo + step)
-        lca, scaled = _scaled_block(idx[rows, None], h[rows, None], idx, h,
-                                    space.den, two_eps)
-        yield rows, h, lca, scaled
+    d_eps(x, y) depends only on h(x), h(y) and the lca depth, which every
+    automorphism keeps.  They act transitively on each level, and the
+    stabiliser of r_h on the vertices k of one depth h_k whose lca with r_h
+    lies at one depth a.  For a < min(h, h_k), k leaves r_h's root path (all
+    zeros) at depth a: k = 2^h_k | 2^(h_k - a - 1) stands for 2^(h_k - a - 1)
+    vertices.  Otherwise k = r_(h_k), an ancestor of r_h when h_k <= h, and
+    one of 2^(h_k - h) descendants when h_k > h."""
+    for hk in range(depth + 1):
+        for h in range(depth + 1):
+            for a in range(min(h, hk)):
+                yield h, 1 << hk | 1 << (hk - a - 1), 1 << (hk - a - 1)
+            yield h, 1 << hk, 1 << max(hk - h, 0)
 
 
 def tree_metric_equality_violations(eps, depth):
     """Count the ordered pairs up to `depth` where d_eps differs from the
-    tree metric.
-
-    By row blocks (`_row_blocks`), so depth 12 (8191 vertices, ~33M ordered
-    pairs) stays within a modest memory budget.  With eps identically 1 the
-    count must be 0: the contraction term 2*eps*(min - lca) then equals the
-    full horizontal travel of the shortest path.
+    tree metric, on one pair per orbit (`_orbit_classes`): O(depth^3) scalar
+    ints.  With eps identically 1 the count must be 0: the contraction term
+    2*eps*(min - lca) then equals the full horizontal travel of the shortest
+    path.
     """
     space = HTreeSpace(eps, depth)
-    count = 0
-    for rows, h, lca, scaled in _row_blocks(space, depth):
-        count += int((scaled != (h[rows, None] + h - 2 * lca) * space.den).sum())
-    return count
+    return sum(size << h for h, k, size in _orbit_classes(depth)
+               if space.scaled_index_distance(1 << h, k)
+               != tree_distance(_vertex(1 << h), _vertex(k)) * space.den)
 
 
 # the deepest B_n whose triangles htree_triangle_violations counts: depth 12
-# takes about 3 s, and each level further about 4 times as long
+# took 34 ms (best of 5 on a 2-core Xeon, numpy 2.4), depth 11 took 12 ms,
+# and each level further takes two to three times as long
 EXHAUSTIVE_TRIANGLE_DEPTH = 12
 
 
@@ -539,33 +522,41 @@ def htree_triangle_violations(eps, depth):
     """Number of ordered triples (i, k, j) of B_depth with
     d_eps(i, j) > d_eps(i, k) + d_eps(k, j), without the n x n matrix.
 
-    d_eps(x, y) depends only on h(x), h(y) and the lca depth, which every
-    automorphism of the rooted binary tree keeps, and the automorphisms of
-    B_depth act transitively on each level.  So the 2^h choices of i at depth
-    h have equally many bad (k, j), and the count is the sum over h of 2^h
-    times that of the representative i = r_h, the vertex with heap index 2^h:
-    (depth + 1) rows d(r_h, .) compared against each `_row_blocks` block of
-    d(k, .), in O(depth * n^2) time.  Raises TooLarge past
-    EXHAUSTIVE_TRIANGLE_DEPTH, before any of that work, and as
+    The pairs (i, k) of one orbit (`_orbit_classes`) have equally many bad
+    j, so the count is a sum over the orbits, each of its pair (r_h, k): one
+    row d(k, .) against the row d(r_h, .), in O(depth^3 n) time, with the
+    rows of r_0..r_depth and of one depth of k at a time.  Raises
+    TooLarge past EXHAUSTIVE_TRIANGLE_DEPTH, before any of that work, and as
     scaled_distance_matrix does.
     """
+    import itertools
+
     import numpy as np
 
     space = HTreeSpace(eps, depth)
     if depth > EXHAUSTIVE_TRIANGLE_DEPTH:
         raise TooLarge(f"exhaustive depth {depth} > {EXHAUSTIVE_TRIANGLE_DEPTH}")
-    idx, h, two_eps = _heap_arrays(space, depth)
-    levels = np.arange(depth + 1, dtype=np.int64)[:, None]
-    rep_rows = _scaled_block(2 ** levels, levels, idx, h, space.den, two_eps)[1]
+    two_eps = _two_eps_to(space, depth)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    h = bit_length(idx) - 1
+
+    def rows(ks):
+        ks = np.array(ks, dtype=np.int64)[:, None]
+        return _scaled_block(ks, bit_length(ks) - 1, idx, h, space.den, two_eps)[1]
+
+    rep_rows = rows([1 << level for level in range(depth + 1)])
     # every d_eps value is one of some r_h, so the sums fit twice the largest
     dtype = narrowest_int(2 * int(abs(rep_rows).max()))
     rep_rows = rep_rows.astype(dtype)
     count = 0
-    for rows, _, _, scaled in _row_blocks(space, depth):
-        scaled = scaled.astype(dtype)
-        for level, r in enumerate(rep_rows):
-            # r[j] > r[k] + d(k, j) over the block's k
-            count += int(np.count_nonzero(r > r[rows, None] + scaled)) << level
+    for _, classes in itertools.groupby(_orbit_classes(depth), lambda c: c[1].bit_length()):
+        classes = list(classes)
+        reps = sorted({k for _, k, _ in classes})
+        k_rows = dict(zip(reps, rows(reps).astype(dtype)))
+        for level, k, size in classes:
+            # r[j] > r[k] + d(k, j) over all j
+            r = rep_rows[level]
+            count += size * int(np.count_nonzero(r > r[k - 1] + k_rows[k])) << level
     return count
 
 

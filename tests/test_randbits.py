@@ -75,15 +75,17 @@ def test_random_depth_bits_matches_scalar_loop():
 
 class CountingRandom(random.Random):
     """A random.Random that counts the 32-bit words it generates, in all
-    and in its largest getrandbits call; random() reads two."""
+    and in its largest getrandbits call, and its getrandbits calls;
+    random() reads two words."""
 
     def __init__(self, seed):
-        self.words = self.largest = 0
+        self.words = self.largest = self.calls = 0
         super().__init__(seed)
 
     def getrandbits(self, k):
         words = -(-k // 32)
         self.words += words
+        self.calls += 1
         self.largest = max(self.largest, words)
         return super().getrandbits(k)
 
@@ -107,6 +109,20 @@ def test_random_depth_bits_generates_each_word_once(monkeypatch, chunk_words):
             assert _pairs(max_depth, *random_depth_bits(rng, max_depth, count)) == expected
             assert rng.getstate() == ref.getstate(), (max_depth, count)
             assert rng.words <= ref.words + rng.largest, (max_depth, count)
+
+
+def test_random_depth_bits_reads_grow_with_a_long_pair(monkeypatch):
+    # one pair far longer than a read (some 400K words of bits under a
+    # 16-word cap): each read takes at least the words already kept, so the
+    # reads double and their number grows with the log of the pair's length,
+    # where reads of 16 words each would parse the kept words once per read
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
+    ref, rng = CountingRandom(7), CountingRandom(7)
+    expected = _scalar_depth_bits(ref, 400_000, 1)
+    assert _pairs(400_000, *random_depth_bits(rng, 400_000, 1)) == expected
+    assert expected[0][0] > 100_000
+    assert rng.getstate() == ref.getstate()
+    assert rng.calls <= 64
 
 
 def test_random_depth_bits_rejects_bad_depth():

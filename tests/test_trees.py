@@ -403,7 +403,7 @@ def test_tree_metric_equality_counts():
 
 def test_tree_metric_equality_counts_match_brute_force():
     # the ordered pairs (x, y) of B_depth with d_eps(x, y) != the tree metric,
-    # counted pair by pair; depth 5 has 63 vertices, a single row block
+    # counted pair by pair
     rng = random.Random(20261020)
     for depth in range(6):
         for eps in [EpsilonSequence([Fraction(1)] * (depth + 1))] + \
@@ -415,6 +415,60 @@ def test_tree_metric_equality_counts_match_brute_force():
             assert tree_metric_equality_violations(eps, depth) == brute
             if set(eps.values) == {1}:
                 assert brute == 0
+
+
+# The walks over all of B_depth by row blocks that the orbit-class counts
+# replaced, kept as their oracles: O(depth * 4^depth) time, and memory
+# bounded by the rows of a block.
+
+BLOCK_ROWS = 256
+BLOCK_ENTRIES = 2 ** 19
+
+
+def _row_blocks(space, depth):
+    """Walk B_depth in blocks of BLOCK_ROWS heap-ordered rows (fewer where a
+    block would pass BLOCK_ENTRIES entries): yield (rows, h, lca, scaled),
+    where rows slices the heap order, h holds every vertex's depth, and lca
+    and scaled are the lca depths and den * d_eps of the rows against all
+    of B_depth."""
+    import numpy as np
+    two_eps = trees._two_eps_to(space, depth)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    h = bit_length(idx) - 1
+    step = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // len(idx)))
+    for lo in range(0, len(idx), step):
+        rows = slice(lo, lo + step)
+        lca, scaled = _scaled_block(idx[rows, None], h[rows, None], idx, h,
+                                    space.den, two_eps)
+        yield rows, h, lca, scaled
+
+
+def row_block_equality_violations(eps, depth):
+    space = HTreeSpace(eps, depth)
+    count = 0
+    for rows, h, lca, scaled in _row_blocks(space, depth):
+        count += int((scaled != (h[rows, None] + h - 2 * lca) * space.den).sum())
+    return count
+
+
+def row_block_triangle_violations(eps, depth):
+    """One representative row d(r_h, .) per level, times the level's size,
+    compared against each row block of d(k, .)."""
+    import numpy as np
+    from mconvex.metric import narrowest_int
+    space = HTreeSpace(eps, depth)
+    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
+    levels = np.arange(depth + 1, dtype=np.int64)[:, None]
+    rep_rows = _scaled_block(2 ** levels, levels, idx, bit_length(idx) - 1, space.den,
+                             trees._two_eps_to(space, depth))[1]
+    dtype = narrowest_int(2 * int(abs(rep_rows).max()))
+    rep_rows = rep_rows.astype(dtype)
+    count = 0
+    for rows, _, _, scaled in _row_blocks(space, depth):
+        scaled = scaled.astype(dtype)
+        for level, r in enumerate(rep_rows):
+            count += int(np.count_nonzero(r > r[rows, None] + scaled)) << level
+    return count
 
 
 def brute_triangle_violations(eps, depth):
@@ -433,16 +487,38 @@ def arbitrary_schedule(rng, n):
                             for _ in range(n + 1)], check=False)
 
 
-@pytest.mark.parametrize("rows, entries", [(1, trees.BLOCK_ENTRIES), (16, trees.BLOCK_ENTRIES),
-                                           (trees.BLOCK_ROWS, trees.BLOCK_ENTRIES),
-                                           (trees.BLOCK_ROWS, 100)])
-def test_htree_triangle_violations_match_the_full_matrix(monkeypatch, rows, entries):
-    # one representative row per level, times its level's size, against the
-    # brute force over all of B_depth, on valid schedules (count 0) and on
-    # arbitrary positive ones (some with violations), at any row block size,
-    # also where the entry cap sets it (100 entries: 1..3 rows from depth 5)
-    monkeypatch.setattr(trees, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(trees, "BLOCK_ENTRIES", entries)
+def test_orbit_classes_partition_the_pairs():
+    # the classes of (r_h, k), each level's size 2^h times, cover the n^2
+    # ordered pairs of B_depth; every representative lies in B_depth and
+    # meets r_h at the lca depth its class names
+    for depth in range(10):
+        classes = list(trees._orbit_classes(depth))
+        assert sum(size << h for h, _, size in classes) == (2 ** (depth + 1) - 1) ** 2
+        for h, k, size in classes:
+            hk = k.bit_length() - 1
+            a = TreeVertex.lca_depth(trees._vertex(1 << h), trees._vertex(k))
+            assert hk <= depth
+            assert size == (1 << max(hk - h, 0) if a == min(h, hk) else 1 << (hk - a - 1))
+
+
+def test_tree_metric_equality_counts_match_the_row_blocks():
+    rng = random.Random(20261021)
+    bad = 0
+    for depth in range(9):
+        for eps in ([EpsilonSequence([Fraction(1)] * (depth + 1))]
+                    + [random_valid_epsilon(rng, depth) for _ in range(2)]
+                    + [arbitrary_schedule(rng, depth) for _ in range(2)]):
+            count = tree_metric_equality_violations(eps, depth)
+            assert count == row_block_equality_violations(eps, depth), (depth, eps.values)
+            assert type(count) is int
+            bad += count > 0
+    assert bad >= 20
+
+
+def test_htree_triangle_violations_match_the_full_matrix():
+    # the orbit-class count against the brute force over all of B_depth, on
+    # valid schedules (count 0) and on arbitrary positive ones (some with
+    # violations)
     rng = random.Random(20261019)
     bad = 0
     for depth in range(8):
@@ -455,6 +531,28 @@ def test_htree_triangle_violations_match_the_full_matrix(monkeypatch, rows, entr
                 assert count == 0
             bad += count > 0
     assert bad >= 5
+
+
+def test_htree_triangle_violations_match_the_row_blocks():
+    # the orbit-class count against the row-block count it replaced: 63
+    # schedules at depths 0..8 and 4 each at depths 9 and 10, valid and
+    # arbitrary, many of them with violations
+    rng = random.Random(20261022)
+    cases = [(depth, eps) for depth in range(9)
+             for eps in ([random_valid_epsilon(rng, depth) for _ in range(2)]
+                         + [arbitrary_schedule(rng, depth) for _ in range(5)])]
+    cases += [(depth, eps) for depth in (9, 10)
+              for eps in (random_valid_epsilon(rng, depth), *(arbitrary_schedule(rng, depth)
+                                                              for _ in range(3)))]
+    bad = {}
+    for depth, eps in cases:
+        count = htree_triangle_violations(eps, depth)
+        assert count == row_block_triangle_violations(eps, depth), (depth, eps.values)
+        if not epsilon_violations(eps.values):
+            assert count == 0
+        bad[depth] = bad.get(depth, 0) + (count > 0)
+    assert sum(bad[d] for d in range(9)) >= 20
+    assert bad[9] >= 2 and bad[10] >= 2
 
 
 def test_htree_triangle_violations_guards():

@@ -425,9 +425,9 @@ BLOCK_ROWS = 256
 BLOCK_ENTRIES = 2 ** 19
 
 
-def _row_blocks(space, depth):
-    """Walk B_depth in blocks of BLOCK_ROWS heap-ordered rows (fewer where a
-    block would pass BLOCK_ENTRIES entries): yield (rows, h, lca, scaled),
+def _row_blocks(space, depth, block_rows=BLOCK_ROWS, block_entries=BLOCK_ENTRIES):
+    """Walk B_depth in blocks of block_rows heap-ordered rows (fewer where a
+    block would pass block_entries entries): yield (rows, h, lca, scaled),
     where rows slices the heap order, h holds every vertex's depth, and lca
     and scaled are the lca depths and den * d_eps of the rows against all
     of B_depth."""
@@ -435,7 +435,7 @@ def _row_blocks(space, depth):
     two_eps = trees._two_eps_to(space, depth)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
     h = bit_length(idx) - 1
-    step = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // len(idx)))
+    step = max(1, min(block_rows, block_entries // len(idx)))
     for lo in range(0, len(idx), step):
         rows = slice(lo, lo + step)
         lca, scaled = _scaled_block(idx[rows, None], h[rows, None], idx, h,
@@ -451,7 +451,8 @@ def row_block_equality_violations(eps, depth):
     return count
 
 
-def row_block_triangle_violations(eps, depth):
+def row_block_triangle_violations(eps, depth, block_rows=BLOCK_ROWS,
+                                  block_entries=BLOCK_ENTRIES):
     """One representative row d(r_h, .) per level, times the level's size,
     compared against each row block of d(k, .)."""
     import numpy as np
@@ -464,7 +465,7 @@ def row_block_triangle_violations(eps, depth):
     dtype = narrowest_int(2 * int(abs(rep_rows).max()))
     rep_rows = rep_rows.astype(dtype)
     count = 0
-    for rows, _, _, scaled in _row_blocks(space, depth):
+    for rows, _, _, scaled in _row_blocks(space, depth, block_rows, block_entries):
         scaled = scaled.astype(dtype)
         for level, r in enumerate(rep_rows):
             count += int(np.count_nonzero(r > r[rows, None] + scaled)) << level
@@ -515,10 +516,13 @@ def test_tree_metric_equality_counts_match_the_row_blocks():
     assert bad >= 20
 
 
-def test_htree_triangle_violations_match_the_full_matrix():
-    # the orbit-class count against the brute force over all of B_depth, on
-    # valid schedules (count 0) and on arbitrary positive ones (some with
-    # violations)
+@pytest.mark.parametrize("rows, entries", [(1, BLOCK_ENTRIES), (16, BLOCK_ENTRIES),
+                                           (BLOCK_ROWS, BLOCK_ENTRIES), (BLOCK_ROWS, 100)])
+def test_htree_triangle_violations_match_the_full_matrix(rows, entries):
+    # the orbit-class count and the row-block oracle against the brute force
+    # over all of B_depth, on valid schedules (count 0) and on arbitrary
+    # positive ones (some with violations); the oracle at any row block size,
+    # also where the entry cap sets it (100 entries: 1..3 rows from depth 5)
     rng = random.Random(20261019)
     bad = 0
     for depth in range(8):
@@ -526,6 +530,7 @@ def test_htree_triangle_violations_match_the_full_matrix():
                     + [arbitrary_schedule(rng, depth) for _ in range(4)]):
             count = htree_triangle_violations(eps, depth)
             assert count == brute_triangle_violations(eps, depth), (depth, eps.values)
+            assert count == row_block_triangle_violations(eps, depth, rows, entries)
             assert type(count) is int
             if not epsilon_violations(eps.values):
                 assert count == 0

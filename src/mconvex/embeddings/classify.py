@@ -414,15 +414,15 @@ def _b4_extremes(space, rows):
     if not _B4_ARRAYS:
         _B4_ARRAYS.extend(np.array(a) for a in (_B4_I + _B4_J, _B4_SEGMENTS, _B4_SCALES))
     ends, segments, scales = _B4_ARRAYS
-    h, bits = (a.reshape(-1, len(_B4)) for a in depth_path_arrays(rows))
+    h, words = (a.reshape(-1, len(_B4)) for a in depth_path_arrays(space, rows))
     n = len(h)
     if n and h.max() > space.max_depth:
         n = int(np.flatnonzero((h > space.max_depth).any(axis=1))[0])
     k = len(_B4_I)
     for start in range(0, n, _B4_BLOCK):
         block = slice(start, min(n, start + _B4_BLOCK))
-        he, be = h[block, ends], bits[block, ends]
-        scaled = scaled_path_distance(space, he[:, :k], be[:, :k], he[:, k:], be[:, k:])
+        he, we = h[block, ends], words[block, ends]
+        scaled = scaled_path_distance(space, he[:, :k], we[:, :k], he[:, k:], we[:, k:])
         lo = np.minimum.reduceat(scaled, segments, axis=1)
         hi = np.maximum.reduceat(scaled, segments, axis=1)
         if hi.dtype != object and int(hi.max()) > (2 ** 63 - 1) // 840:

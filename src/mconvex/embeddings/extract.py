@@ -68,10 +68,14 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
     """Run the pipeline for f: B_n -> target (a callable on TreeVertex).
 
     Returns an ExtractResult or raises PipelineFailed(stage); raises
-    OutOfRange for xi <= 0 or delta < 0.
+    OutOfRange for xi <= 0, for delta < 0, and where 1 + delta/4, the base
+    of the coloring's logarithms, is not above 1 as a float.
     """
     if not xi > 0 or delta < 0:
         raise OutOfRange(f"need xi > 0 and delta >= 0, got xi = {xi}, delta = {delta}")
+    base = 1 + to_float(delta, "delta") / 4
+    if not base > 1:
+        raise OutOfRange(f"1 + delta/4 is not above 1 as a float, for delta = {delta}")
     l = math.ceil(2 / xi)
     m = min(n // (l * k), 2)       # Ramsey guard caps the copy depth at 2
     if m < 1:
@@ -93,7 +97,6 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
         r = exact_or_float(dx) / (l * k * (len(v) - len(u)))
         lam = r if lam is None or r < lam else lam
         D_hi = r if D_hi is None or r > D_hi else D_hi
-    base = 1 + to_float(delta, "delta") / 4
     r_colors = max(1, math.ceil(math.log(float(D_hi / lam)) / math.log(base)) + 1)
 
     def coloring(u, v):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..metric import is_midpoint
 from ..randbits import random_bits, random_depth_bits
-from ..trees import ROOT, EpsilonSequence, HTreeSpace, scaled_path_distance
+from ..trees import ROOT, EpsilonSequence, HTreeSpace, aligned_paths, scaled_path_distance
 from .classify import path_scale_range
 from ..errors import NotApproximatePath, OutOfRange
 
@@ -258,15 +258,17 @@ def htree_random_triple_violations(space, rng, count):
 
     Each vertex is `_rand_vertex(rng, rng.randint(0, space.max_depth))`,
     drawn in bulk by `random_depth_bits` as (depth, path bits) arrays; all
-    triples (x, y, z) are compared at once on `scaled_path_distance`, and
-    only the violating ones become TreeVertex objects, in draw order."""
+    triples (x, y, z) are compared at once on `scaled_path_distance`, on the
+    path words of `aligned_paths`, and only the violating ones become
+    TreeVertex objects, in draw order."""
     import numpy as np
 
     depths, bits = random_depth_bits(rng, space.max_depth, 3 * count)
     h, b = depths.reshape(-1, 3).T, bits.reshape(-1, 3).T
+    w = aligned_paths(space, h, b)
 
     def sd(s, t):
-        return scaled_path_distance(space, h[s], b[s], h[t], b[t])
+        return scaled_path_distance(space, h[s], w[s], h[t], w[t])
 
     return [tuple(ROOT.hang(int(b[s, t]), int(h[s, t])) for s in range(3))
             for t in np.flatnonzero(sd(0, 2) > sd(0, 1) + sd(1, 2))]

@@ -81,21 +81,19 @@ class ChainSpec:
     kernels[t] is the transition law for the step from time t-1 to time t,
     as {state: {state: prob}}; rows may be omitted for states that cannot be
     occupied at time t-1.  States missing a row are treated as held fixed.
-    Probabilities are exact: ints or Fractions.
+    Probabilities are exact: ints or Fractions, held as ints over a common
+    denominator; `initial`, `step_kernel(t)` and `law(t)` are Fraction views.
     """
 
     def __init__(self, states, t_min, t_max, kernels, initial):
         self.states = list(states)
         self.t_min = t_min
         self.t_max = t_max
-        self.kernels = {t: {z: dict(row) for z, row in k.items()}
-                        for t, k in kernels.items()}
-        self.initial = dict(initial)
         known = set(self.states)
-        den, rows = _int_rows({None: self.initial}, known, "initial law")
+        den, rows = _int_rows({None: initial}, known, "initial law")
         law = rows[None]
         self._steps = {}  # t -> kernels[t] as ints, for every nonempty kernel
-        for t, kernel in self.kernels.items():
+        for t, kernel in kernels.items():
             if not (t_min < t <= t_max):
                 raise ValueError(f"kernel time {t} outside ({t_min}, {t_max}]")
             if kernel:
@@ -115,11 +113,17 @@ class ChainSpec:
     def horizon(self):
         return self.t_max - self.t_min
 
+    @property
+    def initial(self):
+        den, law = self._laws[0]
+        return {z: Fraction(n, den) for z, n in law.items()}
+
     def step_kernel(self, t):
-        """Kernel for the step into time t, or None (identity) outside the horizon."""
-        if t <= self.t_min or t > self.t_max:
+        """Kernel for the step into time t, or None (identity) where none is given."""
+        if t not in self._steps:
             return None
-        return self.kernels.get(t)
+        den, rows = self._steps[t]
+        return {z: {x: Fraction(n, den) for x, n in row.items()} for z, row in rows.items()}
 
     def int_law(self, t):
         """Law of X_t under the constant-extension convention as ints over its

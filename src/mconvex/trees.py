@@ -16,21 +16,21 @@ Every d_eps value to depth N is an integer multiple of 1/den, where den is the
 lcm of the denominators of eps_0..eps_N.  `HTreeSpace` fixes den once
 (`HTreeSpace.den`) and computes den * d_eps(x, y) with int operations only,
 on the two heap indices (`HTreeSpace.scaled_index_distance`, behind
-`scaled_distance`); `distance` is that int over den.  Every lca depth is one
-closed form on heap indices: `TreeVertex.lca_depth` on Python ints (any
-depth), and the numpy kernel `_lca_block` on int64 arrays (depth <= 52).
-One function builds den * d_eps matrices, `scaled_distance_matrix(space,
-vertices)`, over the points of `HTreeSpace.as_metric_space`
-(`verify_metric`).  Two counts over all of B_n build no n x n matrix, on
-one representative pair per orbit of the tree's automorphisms
-(`_orbit_classes`): `tree_metric_equality_violations` on scalar ints, and
-`htree_triangle_violations` (`htree-validate`) with one `_scaled_block` row
-of all of B_n per representative.  The sampled triangle check of
-`embeddings.generators` reads den * d_eps off (depth, path bits) arrays,
-past depth 52 too, through `scaled_path_distance`, and so does the bulk B_4
-rigidity check of `embeddings.classify`, on the arrays `depth_path_arrays`
-reads off heap indices.  One function lists the
-strict ancestor pairs of B_n, `sp_pairs`.
+`scaled_distance`); `distance` is that int over den, and
+`TreeVertex.lca_depth` reads the lca depth off two heap indices, at any
+depth.  Numpy arrays hold vertices as (depth, path word) pairs, the path
+bits left-aligned to one width per space (`aligned_paths`, or
+`depth_path_arrays` from heap indices), and one formula reads den * d_eps
+off them, `scaled_path_distance`.  It serves the den * d_eps matrices of
+`scaled_distance_matrix(space, vertices)`, over the points of
+`HTreeSpace.as_metric_space` (`verify_metric`); the exact triangle count
+`htree_triangle_violations` (`htree-validate`), one row of all of B_n per
+representative pair of an orbit of the tree's automorphisms
+(`_orbit_classes`), with no n x n matrix; the sampled triangle check of
+`embeddings.generators`; and the bulk B_4 rigidity check of
+`embeddings.classify`.  `tree_metric_equality_violations` counts on the
+same orbits with scalar ints.  One function lists the strict ancestor pairs
+of B_n, `sp_pairs`.
 """
 from __future__ import annotations
 
@@ -308,7 +308,7 @@ class HTreeSpace:
         """The vertices with d_eps, also as ints over the lcm of the
         denominators of eps_0..eps_d for the deepest vertex depth d (not over
         `den`, which covers eps to max_depth and can overflow int64), whose
-        whole matrix the heap-index kernel computes at once."""
+        whole matrix scaled_distance_matrix computes at once."""
         verts = list(vertices)
         local = HTreeSpace(self.eps, min(max((v.depth for v in verts), default=0),
                                          self.max_depth))
@@ -349,7 +349,7 @@ def sp_pairs(n):
 
 
 # ---------------------------------------------------------------------------
-# heap indices, scalar and vectorised
+# heap indices and path words
 #
 # The heap index of a vertex is a 1 bit followed by its root path bits (root
 # = 1, children 2k and 2k+1), so its depth is bit_length - 1.  For depths dA,
@@ -357,15 +357,16 @@ def sp_pairs(n):
 #
 #     m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
 #
-# TreeVertex.lca_depth evaluates it on Python ints, exact at every depth.
-# The numpy kernels below evaluate it on int64 arrays of heap indices
-# 1 .. 2^53 - 1, i.e. depths 0..HEAP_EXACT_DEPTH, and their callers raise
-# TooLarge beyond (`_two_eps_to`).  Their bit lengths come from `bit_length`,
-# which is exact on all 64 bits, as the sampled triangle check of
-# `embeddings.generators` needs for its uint64 root paths.
+# TreeVertex.lca_depth evaluates it on Python ints, at every depth.  Numpy
+# arrays hold a vertex as its depth h and its path word: the path bits p
+# left-aligned to the space's width W = max(64, max_depth), p << (W - h)
+# (`aligned_paths`).  Two words part at depth W - bit_length(A ^ B), so
+#
+#     lca depth = min(m, W - bit_length(A ^ B))
+#
+# with no shift of whole arrays: the one array formula of d_eps,
+# `scaled_path_distance`.  `bit_length` is exact on all 64 bits.
 # ---------------------------------------------------------------------------
-
-HEAP_EXACT_DEPTH = 52
 
 
 def bit_length(a):
@@ -384,73 +385,30 @@ def bit_length(a):
     return np.add(out, 32, out=out, where=~low)
 
 
-def _lca_block(A, dA, B, dB):
-    """(min depths, lca depths) of heap indices A against B (broadcast)."""
-    import numpy as np
-
-    m = np.minimum(dA, dB)
-    return m, m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
-
-
-def _scaled_block(A, dA, B, dB, den, two_eps):
-    """(lca depths, den * d_eps) of heap indices A at depths dA against B at
-    depths dB (broadcast), where two_eps[m] is the int64 2 * eps_m * den."""
-    import numpy as np
-
-    m, lca = _lca_block(A, dA, B, dB)
-    return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
-
-
-def _two_eps_to(space, top):
-    """space._two_eps[:top + 1] as an int64 array, after the guards of the
-    numpy kernels: TooLarge when depth `top` lies past HEAP_EXACT_DEPTH or a
-    den * d_eps value to that depth could exceed 2^61 in size."""
-    import numpy as np
-
-    if top > HEAP_EXACT_DEPTH:
-        raise TooLarge(f"depth {top} > {HEAP_EXACT_DEPTH}: heap indices past 2^53")
-    if not _scaled_fits(space, top):
-        raise TooLarge("scaled distances could exceed 2^61")
-    return np.array(space._two_eps[:top + 1], dtype=np.int64)
-
-
 def _scaled_fits(space, top):
     """Whether every den * d_eps value to depth `top` fits 2^61 in size."""
     # |entry| <= |dA - dB| * den + |two_eps[m]| * (m - lca), each factor <= top
     return top * (space.den + max(map(abs, space._two_eps[:top + 1]))) <= 2 ** 61
 
 
-def scaled_path_distance(space, ha, a, hb, b):
-    """space.scaled_distance, elementwise, between the vertices at depths ha
-    with root path bits a and those at depths hb with path bits b, as
-    `randbits.random_depth_bits` draws them through the one read-ahead of
-    the package's bulk draws, `randbits._draw`: int64 depths up to
-    space.max_depth (not checked), and uint64 bits, or Python ints in object
-    arrays.  The result is int64 where every value to space.max_depth fits
-    2^61 in size, else Python ints in an object array; the space decides
-    which, and builds the array of its 2 * eps_m * den, once
-    (`HTreeSpace._path_two_eps`).
-
-    For depths h <= h', min depth - lca depth is the bit length of
-    p ^ (p' >> (h' - h)) for the paths p, p'; the shift, up to 64, is taken
-    in two halves, as uint64 shifts of 64 are undefined."""
+def aligned_paths(space, h, bits):
+    """The path words of the vertices at depths h (int64, none past the
+    space's width W) with root path bits `bits` (an array of h's shape):
+    bits << (W - h), uint64 when W is 64, else Python ints in an object
+    array.  The one place that shifts: the root has no bits, so its shift
+    is taken as 0, never as the 64 that numpy leaves undefined on uint64."""
     import numpy as np
 
-    two_eps = space._path_two_eps
-    first = ha <= hb
-    m = np.where(first, ha, hb)
-    gap = np.abs(ha - hb)
-    half = (gap >> 1).astype(a.dtype)
-    deep = np.where(first, b, a) >> half >> (gap - (gap >> 1)).astype(a.dtype)
-    split = bit_length(np.where(first, a, b) ^ deep)
-    return gap.astype(two_eps.dtype) * space.den + two_eps[m] * split
+    W = max(64, space.max_depth)
+    dtype = np.uint64 if W == 64 else object
+    return bits.astype(dtype, copy=False) << ((W - h) % W).astype(dtype)
 
 
-def depth_path_arrays(indices):
-    """(depths, path bits) of the heap indices in the nested list `indices`,
-    as arrays of its shape in the form scaled_path_distance takes: int64
-    depths, and uint64 bits, or Python ints in an object array where some
-    heap index lies past 2^63 (depth 63 on)."""
+def depth_path_arrays(space, indices):
+    """(depths, path words) of the heap indices in the nested list `indices`,
+    as arrays of its shape: int64 depths, and the words of aligned_paths.  A
+    vertex deeper than space.max_depth gets the word 0; its callers refuse it
+    by its depth."""
     import numpy as np
 
     try:
@@ -459,25 +417,50 @@ def depth_path_arrays(indices):
         idx = np.array(indices, dtype=object)
     h = bit_length(idx) - 1
     bits = idx - (1 << h.astype(idx.dtype))
-    return h, bits if bits.dtype == object else bits.view(np.uint64)
+    bits[h > space.max_depth] = 0
+    return h, aligned_paths(space, h, bits)
+
+
+def scaled_path_distance(space, ha, a, hb, b):
+    """space.scaled_distance, elementwise and broadcast, between the vertices
+    at depths ha with path words a and those at depths hb with path words b
+    (`aligned_paths`), the depths int64 and up to space.max_depth (not
+    checked).  The result is int64 where every value to space.max_depth
+    fits 2^61 in size, else Python ints in an object array; the space
+    decides which, and builds the array of its 2 * eps_m * den, once
+    (`HTreeSpace._path_two_eps`).  The steps write in place, so that a
+    matrix holds few temporaries of its size."""
+    import numpy as np
+
+    two_eps = space._path_two_eps
+    m = np.minimum(ha, hb)
+    split = bit_length(a ^ b)       # min depth - lca depth, once cut at 0 below
+    split += m
+    split -= max(64, space.max_depth)
+    out = two_eps[m]
+    out *= np.maximum(split, 0, out=split)
+    gap = np.abs(np.subtract(ha, hb, out=split), out=split).astype(two_eps.dtype, copy=False)
+    out += gap * space.den
+    return out
 
 
 def scaled_distance_matrix(space, vertices):
     """The int64 matrix of space.scaled_distance (den * d_eps over
     `space.den`) over the vertices, every entry (both triangles and the
-    diagonal) computed from heap indices in one numpy pass.  Raises
-    DepthExceeded as scaled_distance does, and TooLarge when a vertex lies
-    deeper than HEAP_EXACT_DEPTH or an entry could exceed 2^61 in size."""
+    diagonal) from one scaled_path_distance call.  Raises DepthExceeded as
+    scaled_distance does, and TooLarge when an entry could exceed 2^61 in
+    size."""
     import numpy as np
 
     idx = [v.index for v in vertices]
     top = max(idx, default=1).bit_length() - 1
     if top > space.max_depth:
         space.check_depth(*vertices)
-    two_eps = _two_eps_to(space, top)
-    idx = np.array(idx, dtype=np.int64)
-    h = bit_length(idx) - 1
-    return _scaled_block(idx[:, None], h[:, None], idx, h, space.den, two_eps)[1]
+    if not _scaled_fits(space, top):
+        raise TooLarge("scaled distances could exceed 2^61")
+    h, words = depth_path_arrays(space, idx)
+    out = scaled_path_distance(space, h[:, None], words[:, None], h, words)
+    return out.astype(np.int64, copy=False)
 
 
 def _orbit_classes(depth):
@@ -536,13 +519,13 @@ def htree_triangle_violations(eps, depth):
     space = HTreeSpace(eps, depth)
     if depth > EXHAUSTIVE_TRIANGLE_DEPTH:
         raise TooLarge(f"exhaustive depth {depth} > {EXHAUSTIVE_TRIANGLE_DEPTH}")
-    two_eps = _two_eps_to(space, depth)
-    idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
-    h = bit_length(idx) - 1
+    if not _scaled_fits(space, depth):
+        raise TooLarge("scaled distances could exceed 2^61")
+    h, words = depth_path_arrays(space, np.arange(1, 2 ** (depth + 1)))
 
     def rows(ks):
-        ks = np.array(ks, dtype=np.int64)[:, None]
-        return _scaled_block(ks, bit_length(ks) - 1, idx, h, space.den, two_eps)[1]
+        hk, wk = depth_path_arrays(space, ks)
+        return scaled_path_distance(space, hk[:, None], wk[:, None], h, words)
 
     rep_rows = rows([1 << level for level in range(depth + 1)])
     # every d_eps value is one of some r_h, so the sums fit twice the largest

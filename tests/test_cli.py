@@ -418,8 +418,12 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     out_of_range += [["pconvex-check", *opts, "--seed", "1"]
                      for opts in (["--K", "0"], ["--K", "-1", "--p", "5/2"], ["--p", "1"],
                                   ["--p", "0"], ["--p", "-1"])]
+    # a delta too small to move 1 + delta/4 off 1 as a float leaves the
+    # coloring's logarithms no base
     out_of_range += [["extract-subtree", *opts]
-                     for opts in (["--xi", "0"], ["--xi", "-1"], ["--delta", "-1"])]
+                     for opts in (["--xi", "0"], ["--xi", "-1"], ["--delta", "-1"],
+                                  ["--delta", "0"], ["--delta", "1e-300"],
+                                  ["--delta", "1/10000000000000000000"])]
     # an exact number past the float range, where a command works in floats
     out_of_range += [["pconvex-check", "--K", huge, "--trials", "10", "--seed", "1"],
                      ["pconvex-check", "--p", huge, "--trials", "10", "--seed", "1"],

@@ -448,7 +448,7 @@ def trajectories(chain):
     """[(path, prob)] with path[i] = X_{t_min + i}; rows left out hold fixed."""
     paths = [((z,), pz) for z, pz in chain.initial.items() if pz]
     for t in range(chain.t_min + 1, chain.t_max + 1):
-        kernel = chain.kernels.get(t, {})
+        kernel = chain.step_kernel(t) or {}
         paths = [(path + (x,), pr * px) for path, pr in paths
                  for x, px in kernel.get(path[-1], {path[-1]: Fraction(1)}).items()
                  if px]

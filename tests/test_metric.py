@@ -18,8 +18,7 @@ from mconvex.metric import (DEFAULT_TOL, FiniteMetricSpace, PointMap, _checked_m
                             distortion, distortion_of, is_integral, is_midpoint,
                             midpoint_set, rat_from_str, rat_to_str, triangle_failures,
                             verify_metric)
-from mconvex.trees import (HEAP_EXACT_DEPTH, EpsilonSequence, HTreeSpace, TreeVertex,
-                           enumerate_bn, tree_distance)
+from mconvex.trees import EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_valid_epsilon
 
 
@@ -881,7 +880,8 @@ def test_scaled_matrix_equals_numpy_matrix_of_fractions():
         wide = HTreeSpace(EpsilonSequence([Fraction(1, q) for q in primes]), len(primes) - 1)
         spaces.append(wide.as_metric_space(enumerate_bn(len(primes) - 1)))
     spaces.append(build_laakso(3).as_metric_space())
-    # vertices past the heap-index kernel's exact range: the hook refuses
+    # vertices past the old heap-index kernel's exact range (depth 52): the
+    # hook takes them too
     deep = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
     spaces.append(deep.as_metric_space(deep_vertices(rng, 80, 60)))
     routes = []
@@ -901,10 +901,10 @@ def test_scaled_matrix_equals_numpy_matrix_of_fractions():
             assert mat.tolist() == plain.tolist()
         if slow is not None:
             assert slow[1] == 0 and same_up_to_scale(mat, slow[0])
-    # the Laakso space's hook is its hop-count matrix; the deep tree's refuses
+    # the Laakso space's hook is its hop-count matrix
     assert routes == ([(True, "i", "i", False)] * 12
                       + [(True, "i", "i", True), (False, "O", "O", True)]
-                      + [(True, "i", "i", False), (False, "i", "i", False)])
+                      + [(True, "i", "i", False), (True, "i", "i", False)])
     mat, tol = _checked_matrix(line_space(70))
     assert tol == 0 and mat.tolist() == [[abs(i - j) for j in range(70)] for i in range(70)]
 
@@ -957,17 +957,18 @@ def old_scaled_matrix(space):
 
 
 def test_verify_metric_kernel_matches_pair_loop():
-    # the heap-index hook gives verify_metric the matrix of the old per-pair
+    # the path-word hook gives verify_metric the matrix of the old per-pair
     # fill, and the violation list of the same space without the hook, on
-    # every route: kernel, refused (depth past HEAP_EXACT_DEPTH, or a
-    # possible entry past 2^61: then Python ints in an object matrix)
+    # every route: kernel (at any depth), refused (a possible entry past
+    # 2^61: then Python ints in an object matrix)
     rng = random.Random(20261021)
     cases = []
     for _ in range(8):
         space = HTreeSpace(random_valid_epsilon(rng, 64), 64)
         cases.append(space.as_metric_space(rng.sample(enumerate_bn(7), rng.randint(65, 300))))
-    # deepest heap indices the kernel takes (2^53 - 1), and just past them
-    for depth in (HEAP_EXACT_DEPTH, HEAP_EXACT_DEPTH + 1, 64):
+    # the deepest heap indices the old heap-index kernel took (2^53 - 1),
+    # just past them, and depth 64 (heap indices past 2^64)
+    for depth in (52, 53, 64):
         for eps in (EpsilonSequence([Fraction(2, 9)] * 65), random_valid_epsilon(rng, 64)):
             cases.append(HTreeSpace(eps, 64).as_metric_space(deep_vertices(rng, 70, depth)))
     # unchecked schedules: increasing eps breaks the triangle inequality,
@@ -1000,8 +1001,7 @@ def test_verify_metric_kernel_matches_pair_loop():
         assert verify_metric(without_hook(ms)).violations == violations
         kinds.update(v[0] for v in violations)
     assert routes == ([("kernel", "i", False)] * 8
-                      + [("kernel", "i", False)] * 2 + [("refused", "i", False)] * 2
-                      + [("refused", "i", False)] * 2
+                      + [("kernel", "i", False)] * 6
                       + [("kernel", "i", False)] * 3
                       + [("kernel", "i", False), ("refused", "O", True)])
     assert kinds == {"negative", "triangle"}

@@ -9,9 +9,9 @@ from mconvex import trees
 from mconvex.embeddings.generators import random_valid_epsilon
 from mconvex.errors import (DepthExceeded, HypothesisViolated, InvariantViolated,
                             PreconditionViolated, TooLarge)
-from mconvex.trees import (HEAP_EXACT_DEPTH, ROOT, EpsilonSequence, HTreeSpace,
-                           TreeVertex, _lca_block, _scaled_block, bit_length,
-                           enumerate_bn, epsilon_from_growth, epsilon_violations,
+from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex, aligned_paths,
+                           bit_length, depth_path_arrays, enumerate_bn,
+                           epsilon_from_growth, epsilon_violations,
                            htree_triangle_violations, scaled_distance_matrix,
                            scaled_path_distance, sp_pairs,
                            tree_metric_equality_violations,
@@ -52,6 +52,18 @@ def old_heap_lca_depth(i, j):
 def heap_index(p):
     """The heap index of a root path: a 1 bit followed by the path bits."""
     return int("1" + "".join(map(str, p)), 2)
+
+
+def heap_scaled_block(A, dA, B, dB, den, two_eps):
+    """(lca depths, den * d_eps) of int64 heap indices A at depths dA against
+    B at depths dB (broadcast), where two_eps[m] is the int64
+    2 * eps_m * den: the array kernel on heap indices that the path words
+    replaced, kept as the oracle of the old matrix and row-block builders
+    below."""
+    import numpy as np
+    m = np.minimum(dA, dB)
+    lca = m - bit_length((A >> (dA - m)) ^ (B >> (dB - m)))
+    return lca, np.abs(dA - dB) * den + two_eps[m] * (m - lca)
 
 
 @given(bits, bits)
@@ -285,7 +297,7 @@ def old_scaled_distance_matrix(eps, depth):
                        dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
     depths = bit_length(idx) - 1
-    return _scaled_block(idx[:, None], depths[:, None], idx, depths, denom, two_eps)[1], denom
+    return heap_scaled_block(idx[:, None], depths[:, None], idx, depths, denom, two_eps)[1], denom
 
 
 def test_scaled_distance_matrix_matches_the_old_builder():
@@ -300,51 +312,70 @@ def test_scaled_distance_matrix_matches_the_old_builder():
             assert new.shape == old.shape and (new == old).all()
 
 
-def lca_block(rows, cols):
-    """_lca_block's lca depths of heap indices rows (k,) against cols (m,)."""
-    import numpy as np
-    A = np.asarray(rows, dtype=np.int64)[:, None]
-    B = np.asarray(cols, dtype=np.int64)[None, :]
-    return _lca_block(A, bit_length(A) - 1, B, bit_length(B) - 1)[1]
+def kernel_block(space, rows, cols):
+    """scaled_path_distance of the heap indices rows (k,) against cols (m,),
+    through depth_path_arrays."""
+    hr, wr = depth_path_arrays(space, rows)
+    hc, wc = depth_path_arrays(space, cols)
+    return scaled_path_distance(space, hr[:, None], wr[:, None], hc, wc)
 
 
-def test_heap_lca_block_matches_scalar():
-    import numpy as np
-    rows = np.arange(1, 120)
-    cols = np.arange(1, 260)
-    blk = lca_block(rows, cols)
-    verts = enumerate_bn(8)   # heap order: verts[i - 1] has heap index i
-    rng = random.Random(3)
-    for _ in range(400):
-        a, b = rng.randrange(len(rows)), rng.randrange(len(cols))
-        i, j = int(rows[a]), int(cols[b])
-        assert blk[a, b] == old_heap_lca_depth(i, j) == verts[i - 1].lca_depth(verts[j - 1])
-
-
-def test_heap_lca_block_exact_below_2_53():
-    # 2^53 - 1 is the all-ones depth-52 vertex, the largest index whose bit
-    # length float64 holds exactly; pairs share prefixes of every length
-    rng = random.Random(8)
-    top = 2 ** 53 - 1
-    idx = [1, 2, 3, top, top - 1, 2 ** 52, 2 ** 52 + 1, top >> 1, top >> 30]
-    for _ in range(300):
-        d = rng.randint(1, 52)
+def prefix_sharing_indices(rng, count, lo, hi):
+    """count triples of heap indices: a random a at a depth d in lo..hi, the
+    sibling of a's ancestor k levels up (the root for k = d) hung s random
+    levels down, with depth at most hi, and an ancestor of a: pairs that
+    share prefixes of every length."""
+    idx = []
+    for _ in range(count):
+        d = rng.randint(lo, hi)
         a = rng.randrange(2 ** d, 2 ** (d + 1))
-        # the sibling of a's ancestor k levels up (the root for k = d), then
-        # s random levels down; and an ancestor of a
         k = rng.randint(1, d)
         b = (a >> k) ^ 1 if k < d else 1
-        s = rng.randint(0, 52 - (d - k))
+        s = rng.randint(0, hi - (d - k))
         idx += [a, (b << s) | rng.randrange(2 ** s), a >> rng.randint(0, d)]
-    blk = lca_block(idx, idx)
-    assert blk.tolist() == [[old_heap_lca_depth(i, j) for j in idx] for i in idx]
-    # the matrix kernel refuses vertices deeper than HEAP_EXACT_DEPTH
+    return idx
+
+
+def test_scaled_path_distance_matches_heap_indices():
+    # the one array formula of d_eps against scaled_index_distance on heap
+    # indices, at widths 64 (uint64 words) and 100 (Python ints): all of
+    # B_6 against B_7; pairs sharing prefixes of every length to depth 52,
+    # around 2^53 - 1 (the all-ones depth-52 vertex); and the same past it,
+    # with the all-zeros and all-ones paths at depths 0, 52, 53, 62, 63, 64
+    # (and 100 at width 100).  With eps identically 1 (den = 1) d_eps is the
+    # tree metric, whose lca depths are those of the per-level loop.
+    import numpy as np
+    rng = random.Random(8)
+    top = 2 ** 53 - 1
+    exact = [1, 2, 3, top, top - 1, 2 ** 52, 2 ** 52 + 1, top >> 1, top >> 30]
+    exact += prefix_sharing_indices(rng, 300, 1, 52)
+    edges = [i for d in (0, 52, 53, 62, 63, 64) for i in (2 ** d, 2 ** (d + 1) - 1)]
+    deep = edges + prefix_sharing_indices(rng, 60, 53, 64)
+    wide = [2 ** 100, 2 ** 101 - 1] + prefix_sharing_indices(rng, 30, 65, 100)
+    for width in (64, 100):
+        for eps in (EpsilonSequence([1] * (width + 1)), random_valid_epsilon(rng, width)):
+            space = HTreeSpace(eps, width)
+            sets = [(range(1, 120), range(1, 260)), (exact, exact), (exact, deep), (deep, deep)]
+            if width == 100:
+                sets += [(deep + wide, wide)]
+            for rows, cols in sets:
+                got = kernel_block(space, rows, cols)
+                assert got.dtype == np.int64
+                assert got.tolist() == [[space.scaled_index_distance(i, j) for j in cols]
+                                        for i in rows], (width, len(rows))
+                if width == 64 and space.den == 1:
+                    depth = [i.bit_length() - 1 for i in rows]
+                    lca = [[(depth[a] + j.bit_length() - 1 - got[a, b]) // 2
+                            for b, j in enumerate(cols)] for a in range(len(rows))]
+                    assert lca == [[old_heap_lca_depth(i, j) for j in cols] for i in rows]
+    # the matrix takes vertices past depth 52 too, as scaled_distance does
     space = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
-    for bad in ((0,) * 53, (1,) * 53, (1,) * 61):
-        for verts in ([TreeVertex(bad), ROOT, TreeVertex((1,))], [TreeVertex((0, 1)), TreeVertex(bad)]):
-            with pytest.raises(TooLarge):
-                scaled_distance_matrix(space, verts)
-    top = TreeVertex((1,) * HEAP_EXACT_DEPTH)
+    for far in ((0,) * 53, (1,) * 53, (1,) * 61, (0,) * 64, (1,) * 64):
+        for verts in ([TreeVertex(far), ROOT, TreeVertex((1,))],
+                      [TreeVertex((0, 1)), TreeVertex(far)]):
+            assert scaled_distance_matrix(space, verts).tolist() == \
+                [[space.scaled_distance(x, y) for y in verts] for x in verts]
+    top = TreeVertex((1,) * 52)
     assert scaled_distance_matrix(space, [top, ROOT])[0, 1] == space.scaled_distance(top, ROOT)
     # the root (heap index 1) has no parent or sibling (no index below 1)
     for op in (ROOT.parent, ROOT.sibling):
@@ -368,8 +399,9 @@ def test_bit_length_exact_on_all_64_bits():
 
 def test_scaled_path_distance_matches_scaled_distance():
     # elementwise den * d_eps on (depth, path bits) arrays, as the sampled
-    # triangle check draws them: uint64 paths to depth 64, Python ints past
-    # it, and an object result where den * d_eps could pass 2^61
+    # triangle check draws them, through aligned_paths: uint64 paths to
+    # depth 64, Python ints past it, and an object result where den * d_eps
+    # could pass 2^61
     import numpy as np
     rng = random.Random(64)
     huge = EpsilonSequence([Fraction(1, 2 ** 70 + 1)] * 3 + [Fraction(1, 3 ** 50)] * 98,
@@ -385,8 +417,9 @@ def test_scaled_path_distance_matches_scaled_distance():
         ha = np.array([v.depth for v in verts], dtype=np.int64)
         paths = np.array([v.index - (1 << v.depth) for v in verts],
                          dtype=np.uint64 if depth <= 64 else object)
+        words = aligned_paths(space, ha, paths)
         order = [rng.randrange(len(verts)) for _ in range(len(verts))]
-        got = scaled_path_distance(space, ha, paths, ha[order], paths[order])
+        got = scaled_path_distance(space, ha, words, ha[order], words[order])
         assert got.dtype == (np.int64 if trees._scaled_fits(space, depth) else object)
         seen.add((got.dtype, paths.dtype))
         assert got.tolist() == [space.scaled_distance(verts[i], verts[j])
@@ -432,14 +465,14 @@ def _row_blocks(space, depth, block_rows=BLOCK_ROWS, block_entries=BLOCK_ENTRIES
     and scaled are the lca depths and den * d_eps of the rows against all
     of B_depth."""
     import numpy as np
-    two_eps = trees._two_eps_to(space, depth)
+    two_eps = np.array(space._two_eps, dtype=np.int64)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
     h = bit_length(idx) - 1
     step = max(1, min(block_rows, block_entries // len(idx)))
     for lo in range(0, len(idx), step):
         rows = slice(lo, lo + step)
-        lca, scaled = _scaled_block(idx[rows, None], h[rows, None], idx, h,
-                                    space.den, two_eps)
+        lca, scaled = heap_scaled_block(idx[rows, None], h[rows, None], idx, h,
+                                        space.den, two_eps)
         yield rows, h, lca, scaled
 
 
@@ -460,8 +493,8 @@ def row_block_triangle_violations(eps, depth, block_rows=BLOCK_ROWS,
     space = HTreeSpace(eps, depth)
     idx = np.arange(1, 2 ** (depth + 1), dtype=np.int64)
     levels = np.arange(depth + 1, dtype=np.int64)[:, None]
-    rep_rows = _scaled_block(2 ** levels, levels, idx, bit_length(idx) - 1, space.den,
-                             trees._two_eps_to(space, depth))[1]
+    rep_rows = heap_scaled_block(2 ** levels, levels, idx, bit_length(idx) - 1, space.den,
+                                 np.array(space._two_eps, dtype=np.int64))[1]
     dtype = narrowest_int(2 * int(abs(rep_rows).max()))
     rep_rows = rep_rows.astype(dtype)
     count = 0

@@ -368,6 +368,39 @@ def test_scaled_path_distance_matches_heap_indices():
                     lca = [[(depth[a] + j.bit_length() - 1 - got[a, b]) // 2
                             for b, j in enumerate(cols)] for a in range(len(rows))]
                     assert lca == [[old_heap_lca_depth(i, j) for j in cols] for i in rows]
+
+
+def lca_block(rows, cols):
+    """lca depths of heap indices rows (k,) against cols (m,), read off the
+    path-word kernel at eps identically 1, where d_eps is the tree metric."""
+    space = HTreeSpace(EpsilonSequence([1] * 65), 64)
+    dist = kernel_block(space, rows, cols)
+    dr = [int(i).bit_length() - 1 for i in rows]
+    dc = [int(j).bit_length() - 1 for j in cols]
+    return [[(dr[a] + dc[b] - int(dist[a, b])) // 2 for b in range(len(dc))]
+            for a in range(len(dr))]
+
+
+def test_heap_lca_block_matches_scalar():
+    rows = range(1, 120)
+    cols = range(1, 260)
+    blk = lca_block(rows, cols)
+    verts = enumerate_bn(8)   # heap order: verts[i - 1] has heap index i
+    rng = random.Random(3)
+    for _ in range(400):
+        a, b = rng.randrange(len(rows)), rng.randrange(len(cols))
+        i, j = rows[a], cols[b]
+        assert blk[a][b] == old_heap_lca_depth(i, j) == verts[i - 1].lca_depth(verts[j - 1])
+
+
+def test_heap_lca_block_exact_below_2_53():
+    # 2^53 - 1 is the all-ones depth-52 vertex, the largest index whose bit
+    # length float64 holds exactly; pairs share prefixes of every length
+    rng = random.Random(8)
+    top = 2 ** 53 - 1
+    idx = [1, 2, 3, top, top - 1, 2 ** 52, 2 ** 52 + 1, top >> 1, top >> 30]
+    idx += prefix_sharing_indices(rng, 300, 1, 52)
+    assert lca_block(idx, idx) == [[old_heap_lca_depth(i, j) for j in idx] for i in idx]
     # the matrix takes vertices past depth 52 too, as scaled_distance does
     space = HTreeSpace(EpsilonSequence([Fraction(1, 5)] * 65), 64)
     for far in ((0,) * 53, (1,) * 53, (1,) * 61, (0,) * 64, (1,) * 64):

@@ -476,6 +476,12 @@ KERNEL_DTYPES = [(np.int64, 1), (np.int64, 2 ** 12), (np.int64, 2 ** 40), (objec
                  (np.float64, 0.125)]
 
 
+def line_rows(rng, n, scale):
+    """The distance rows of n random points of {0, ..., 50} on a line, times scale."""
+    xs = [rng.randint(0, 50) for _ in range(n)]
+    return [[abs(a - b) * scale for b in xs] for a in xs]
+
+
 @pytest.mark.parametrize("dtype, scale", KERNEL_DTYPES)
 def test_triangle_failures_match_the_per_k_scan(dtype, scale):
     # clean matrices (the one-pass certificate yields nothing) and matrices
@@ -484,8 +490,7 @@ def test_triangle_failures_match_the_per_k_scan(dtype, scale):
     found = clean = 0
     for trial in range(40):
         n = rng.randint(1, 24)
-        xs = [rng.randint(0, 50) for _ in range(n)]
-        rows = [[abs(a - b) * scale for b in xs] for a in xs]
+        rows = line_rows(rng, n, scale)
         for _ in range(rng.choice([0, 0, 1, 3])):
             i, j = rng.randrange(n), rng.randrange(n)
             rows[i][j] += rng.choice([1, 2, 60]) * scale
@@ -501,6 +506,39 @@ def test_triangle_failures_match_the_per_k_scan(dtype, scale):
         found += bool(expected)
         clean += not expected
     assert found >= 5 and clean >= 5
+
+    # every size at and around the edges of the one pass's row blocks (n/2,
+    # 3n/4), clean and dirty (symmetric: one pass), and asymmetric matrices
+    # whose violations all lie strictly below the diagonal: only the pass on
+    # mat.T sees those (not at n = 301, where each listing costs seconds on
+    # Python ints)
+    dirty = {"dirty": 0, "lower": 0}
+    for n in [*range(2, 10), *range(63, 67), 301]:
+        for kind in ("clean", "dirty", "lower")[:2 if n > 100 else 3]:
+            rows = line_rows(rng, n, scale)
+            for _ in range(0 if kind == "clean" else rng.choice([1, 3])):
+                i, j = sorted((rng.randrange(n), rng.randrange(n)))
+                step = rng.choice([2, 60]) * scale
+                if kind == "dirty":
+                    rows[i][j] += step
+                if i < j:
+                    rows[j][i] += step
+            tol = rng.choice([0, scale] if dtype is not np.float64 else [0, scale, 1e-12])
+            mat = np.array(rows, dtype=dtype)
+            expected = per_k_failures(mat, tol)
+            assert kernel_failures(mat, tol) == expected, (n, kind)
+            if kind == "clean":
+                assert expected == []
+            else:
+                dirty[kind] += bool(expected)
+            if kind == "dirty":
+                assert np.array_equal(mat, mat.T)
+            if kind == "lower":
+                assert all(i > j for _, bad in expected for i, j in bad)
+    assert min(dirty.values()) >= 8
+
+    # a clean symmetric matrix at the benchmark's B_8 size, 511 points
+    assert list(triangle_failures(np.array(line_rows(rng, 511, scale), dtype=dtype))) == []
 
 
 def test_triangle_failures_small_and_clean():

@@ -196,12 +196,11 @@ def _run_prop21_check(args):
     while checked < args.trials:
         chain, f = random_chain(rng)
         try:
-            lhs, bound, holds = check_prop21(chain, f, space, 1)
+            holds = check_prop21(chain, f, space, 1)[2]
         except DegenerateChain:
             continue
         checked += 1
-        if not holds:
-            failures += 1
+        failures += not holds
     return {".json": _report({"experiment": "prop21-check", "trials": checked,
                               "seed": args.seed, "failures": failures})}
 
@@ -510,7 +509,7 @@ def _build_parser():
 
     lp = sub.add_parser("list", help="experiment catalog")
     lp.set_defaults(runner=None, name="list")
-    lp.set_defaults(catalog={name: help_text for name, (s, help_text) in specs.items()})
+    lp.set_defaults(catalog={name: help_text for name, (_, help_text) in specs.items()})
 
     rp = sub.add_parser("run", help="run an experiment by name")
     rp.add_argument("experiment")

@@ -239,7 +239,7 @@ def classify_fork(space, x, y, z, w, delta):
     # promotion: one prong certified path, the other reversed-tent; a fresh
     # path witness for the tent prong is found among the ancestors of the
     # certified path witness's middle point
-    for (sa, sb, za, wb, swap) in ((sz, sw, z, w, False), (sw, sz, w, z, True)):
+    for sa, sb, wb, swap in ((sz, sw, w, False), (sw, sz, z, True)):
         if "P" in sa and "t" in sb:
             n_p, (xp, yp, _) = sa["P"]
             best = _promote_path(space, xp, yp, wb, cap)

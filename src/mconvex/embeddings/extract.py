@@ -25,8 +25,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import BoostFailed, OutOfRange, PipelineFailed, TooLarge
-from ..metric import distortion_of, exact_or_float, to_float
+from ..errors import BoostFailed, CollapsedAncestorPair, OutOfRange, PipelineFailed, TooLarge
+from ..metric import distortion_of, to_float
 from ..trees import TreeVertex, enumerate_bn, sp_pairs, tree_distance
 from .paths import PathMap, path_boost
 from .ramsey import ExhaustionReport, ramsey_search
@@ -87,21 +87,17 @@ def extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
     g = _spread_map(k, m, l, n)
 
     # stage 2: stretch statistics and coloring
-    pairs = [(v[:i], v) for v in g for i in range(len(v))]
-    lam = None
-    D_hi = None
-    for u, v in pairs:
-        dx = target.dist(f(g[u]), f(g[v]))
-        if dx == 0:
-            raise PipelineFailed("vertical", f"f o g collapses ancestor pair {u}, {v}")
-        r = exact_or_float(dx) / (l * k * (len(v) - len(u)))
-        lam = r if lam is None or r < lam else lam
-        D_hi = r if D_hi is None or r > D_hi else D_hi
-    r_colors = max(1, math.ceil(math.log(float(D_hi / lam)) / math.log(base)) + 1)
+    try:
+        stretch = vertical_report(f, [(g[v[:i]], g[v]) for v in g for i in range(len(v))],
+                                  target)
+    except CollapsedAncestorPair as e:
+        raise PipelineFailed("vertical", str(e))
+    lam = float(stretch.lam)
+    r_colors = max(1, math.ceil(math.log(float(stretch.D)) / math.log(base)) + 1)
 
     def coloring(u, v):
         dx = target.dist(f(g[u]), f(g[v]))
-        ratio = float(dx) / (l * k * float(lam) * (len(v) - len(u)))
+        ratio = float(dx) / (l * k * lam * (len(v) - len(u)))
         return min(int(math.log(ratio) / math.log(base)) if ratio > 1 else 0,
                    r_colors - 1)
 

@@ -122,8 +122,9 @@ def gen_midpoint(rng, delta, depth=40):
 def gen_fork(rng, delta, depth=40):
     """A random (space, x, y, z, w): y an exact delta-midpoint of (x, z) and
     (x, w).  Families cover tents (type I), descending prong pairs
-    (contracted), mixed chains (type III) and parallel-branch shapes that
-    exercise the promotion path."""
+    (contracted), mixed chains (type III) and parallel-branch shapes, which
+    classify as type II directly: both of their triples are near path-type.
+    No family reaches type IV or the promotion to type II."""
     delta = _exact_delta(delta)
     while True:
         space = make_space(rng.choice(FORK_EPS), depth)

@@ -68,6 +68,13 @@ def _block_t(f, lo, hi):
     return num(end) / ((hi - lo) * num(mx))
 
 
+def _best_block(f, base, step, count):
+    """The i in range(count) maximising T on the block [base + i step,
+    base + (i + 1) step], ties to the lowest i (0 when count is 0)."""
+    return max(range(count), key=lambda i: _block_t(f, base + i * step, base + (i + 1) * step),
+               default=0)
+
+
 def submultiplicative_split(f, m, n):
     """Split f over P_{mn} into the coarse map i -> i*n over P_m and the best
     contiguous length-n block (argmax T, ties to the lowest index).
@@ -78,13 +85,7 @@ def submultiplicative_split(f, m, n):
     if f.n != m * n:
         raise LengthMismatch(f"path length {f.n} != {m} * {n}")
     coarse = f.restrict([i * n for i in range(m + 1)])
-    best_i = 0
-    best_t = None
-    for i in range(m):
-        ti = _block_t(f, i * n, (i + 1) * n)
-        if best_t is None or ti > best_t:
-            best_t = ti
-            best_i = i
+    best_i = _best_block(f, 0, n, m)
     block = f.restrict(list(range(best_i * n, (best_i + 1) * n + 1)))
     tf = t_functional(f)
     tc = t_functional(coarse)
@@ -150,15 +151,7 @@ def path_boost(f, t, delta, D=None):
         if tg > best_t:
             best_t = tg
             best_grid = grid
-        # descend into the best block of this level
-        blk_best = None
-        blk_i = 0
-        for i in range(t):
-            ti = _block_t(f, base + i * step, base + (i + 1) * step)
-            if blk_best is None or ti > blk_best:
-                blk_best = ti
-                blk_i = i
-        base = base + blk_i * step
+        base += _best_block(f, base, step, t) * step   # descend into this level's best block
 
     threshold = 1 - exact_or_float(delta) / (2 * t)
     if best_t < threshold:

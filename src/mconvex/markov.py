@@ -8,8 +8,9 @@ against the one-step sum:
         vs.  sum_t E[d(f(X_t), f(X_{t-1}))^p]
 
 Chains use the constant extension X_t = X_{t_min} for t < t_min and
-X_t = X_{t_max} for t > t_max, which makes the time sums finite: every
-summand vanishes outside a provable window (checked, not assumed).
+X_t = X_{t_max} for t > t_max, which makes the time sums finite: a fork
+summand vanishes unless t_min < t and t - 2^k < t_max, so the DP sums over
+exactly that window, by construction (the tests check the boundary terms).
 
 All probabilities are exact rationals.  A chain keeps each kernel and law as
 ints over one common denominator, and the DP (`convexity_ratio`) runs on ints
@@ -443,9 +444,9 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     """Exact per-scale sums, their total, the one-step sum, and the ratio.
 
     Raises DegenerateChain (carrying the zero report) when the one-step sum
-    vanishes.  Raises InvariantViolated unless the truncated time window is
-    exact (boundary summands vanish) and the crude per-scale sanity bound
-    per_k <= 4^p * rhs holds.  Raises OutOfRange for p < 1.
+    vanishes.  Raises InvariantViolated when a scale breaks the crude sanity
+    bound per_k <= 4^p * rhs.  Raises OutOfRange for p < 1.  The time window
+    needs no check: it holds every t whose summand can be nonzero.
     """
     _check_p(p)
     if k_max is None:
@@ -458,27 +459,19 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     for k in range(k_max + 1):
         gap = 2 ** k
         acc, flt = None, 0  # the exact terms as one (num, den); the float ones in order
-        boundary_lo = boundary_hi = None
-        for t in range(chain.t_min, chain.t_max + gap + 1):
-            s = t - gap
-            if s >= chain.t_max:
-                break  # conditional law is the identity from here on
+        # t = s + gap runs over (t_min, t_max + gap): for t <= t_min no kernel
+        # lies in (s, t], and from s = t_max on the conditional law is the
+        # identity, so the two copies never split outside that window
+        for s in range(chain.t_min - gap + 1, chain.t_max):
             fork = _fork_sum(chain._laws[max(s - chain.t_min, 0)], cache.cond(s, k), dpow)
             if fork is None:
                 continue
             total, den = fork
             if isinstance(total, float):
-                total = 2 * total / den
-                flt += total
+                flt += 2 * total / den
             else:
                 acc = _add(acc, 2 * total.numerator, den * total.denominator)
-            if t == chain.t_min:
-                boundary_lo = total
-            if t == chain.t_max + gap:
-                boundary_hi = total
         cache.release(k - 1)  # scale k + 1 composes level k only
-        check(not boundary_lo, "lower boundary summand must vanish at k=%d", k)
-        check(not boundary_hi, "upper boundary summand must vanish at k=%d", k)
         if acc is not None and isinstance(flt, int) and is_integral(p):  # no float term
             term_k = Fraction(acc[0], acc[1] << k * int(p))
         else:

@@ -442,12 +442,7 @@ def midpoint_set(space, x, z, delta):
     """
     if x == z:
         raise ValueError("midpoint_set requires x != z")
-    bound = (1 + exact_or_float(delta)) / 2 * space.dist(x, z)
-    out = set()
-    for y in space.points:
-        if max(space.dist(x, y), space.dist(y, z)) <= bound:
-            out.add(y)
-    return out
+    return {y for y in space.points if is_midpoint(space, x, y, z, delta)}
 
 
 def is_midpoint(space, x, y, z, delta):

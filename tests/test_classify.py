@@ -69,6 +69,60 @@ def test_fork_contracted_prongs():
     assert sp.distance(z, w) <= bound
 
 
+# Shapes the generators do not reach.  With eps far below 1/4, a horizontal
+# run of h levels below an lca costs only 2 eps h, so a point can stand at a
+# unit distance beside another at the same height.
+
+def test_fork_type_iv_in_both_prong_orders():
+    # x and y at depth 36 on the two sides of the root, d(x, y) = 72 / 72 = 1;
+    # z one level below y, w one level above it: (z, y, x) is path-type and
+    # (w, y, x) tent-type, exactly
+    sp = make_space(Fraction(1, 72))
+    delta = Fraction(1, 71)
+    x, y = TreeVertex((1,) + (0,) * 35), TreeVertex((0,) * 36)
+    z, w = y.child(0), y.ancestor(35)
+    for prongs in ((z, w), (w, z)):
+        out = classify_fork(sp, x, y, *prongs, delta)
+        assert out.variant == "IV" and out.nearness == 0
+        assert out.witnesses == ((z, y, x), (w, y, x))
+
+
+def test_fork_type_iii_with_the_tent_prong_first():
+    # found by a search over shapes: x and y hang 4 and 6 levels below their
+    # lca at depth 12, z and w 8 levels below it; (x, y, z) is near tent-type
+    # and (w, y, x) near path-type, but (x, y, w) is not near tent-type, so
+    # III comes from the prongs in the other order
+    sp = make_space(Fraction(1, 256), depth=20)
+    x, y, z, w = (TreeVertex(tuple(map(int, p))) for p in (
+        "1011010001100100", "101101000110110000",
+        "10110100011011010010", "10110100011011001101"))
+    out = classify_fork(sp, x, y, z, w, Fraction(1, 100))
+    assert out.variant == "III" and out.nearness == Fraction(1, 32)
+    assert out.witnesses[0][0] == w and out.witnesses[1][1] == y
+
+
+def test_3path_types_b_and_c_and_their_reversals():
+    # delta just under 1/200 and 2 eps = 1/201 or 1/202: a branch point about
+    # 200 levels up lets the path switch branches within its scale window
+    delta = Fraction(1, 201)
+    # B: x0 two levels below x1 on one side of the root; x2 on the other
+    # side, one level above x1 and 200 levels below the root; x3 two above x2
+    sp = make_space(Fraction(1, 402), depth=205)
+    x2 = TreeVertex((1,) + (0,) * 199)
+    pts = (TreeVertex((0,) * 203), TreeVertex((0,) * 201), x2, x2.ancestor(198))
+    assert classify_3path(sp, *pts, delta).variant == "B"
+    assert classify_3path(sp, *pts[::-1], delta).variant == "ReverseB"
+    # C: x0, x1, x2 two levels apart down one line; x3 leaves that line at
+    # depth 3, one level deeper than x2
+    sp = make_space(Fraction(1, 404), depth=210)
+    x1 = TreeVertex((0,) * 203)
+    pts = (x1.ancestor(201), x1, TreeVertex((0,) * 205), TreeVertex((0, 0, 0, 1) + (0,) * 202))
+    assert classify_3path(sp, *pts, delta).variant == "C"
+    assert classify_3path(sp, *pts[::-1], delta).variant == "ReverseC"
+    for p in (pts, pts[::-1]):
+        assert classify_3path(sp, *p, delta).nearness == 0
+
+
 def test_fork_soundness_randomized():
     rng = random.Random(0)
     delta = Fraction(1, 128)

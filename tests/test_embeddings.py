@@ -1,13 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from mconvex.embeddings.classify import (_B4, _B4_PAIRS, b4_bound_check, b4_bound_checks,
                                          b4_distortion)
-from mconvex.embeddings.extract import extract_vertically_faithful
+from mconvex.embeddings.extract import (ExtractResult, _spread_map,
+                                        extract_vertically_faithful)
 from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
                                            htree_random_triple_violations, make_space,
                                            random_valid_epsilon)
@@ -22,7 +24,7 @@ from mconvex.embeddings.vertical import VerticalReport, vertical_report
 from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
                             PreconditionViolated, TooLarge, check)
-from mconvex.metric import distortion_of
+from mconvex.metric import distortion_of, exact_or_float, to_float
 from mconvex import randbits
 from mconvex.randbits import random_bits
 from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn,
@@ -61,6 +63,14 @@ def test_submultiplicative_split():
         coarse, block, idx = submultiplicative_split(f, m, total // m)
         assert coarse.n == m and block.n == total // m
         assert 0 <= idx < m
+
+
+def test_submultiplicative_split_ties_to_the_lowest_block():
+    # block 0 goes out and back (T = 0); blocks 1 and 2 are straight (T = 1)
+    f = line_map([0, 1, 0, 1, 2, 3, 4])
+    coarse, block, idx = submultiplicative_split(f, 3, 2)
+    assert idx == 1
+    assert block.assignment == [0, 1, 2] and coarse.assignment == [0, 0, 2, 4]
 
 
 @pytest.mark.parametrize("one", [Fraction(1), 1.0])
@@ -331,6 +341,132 @@ def test_extract_fails_honestly_on_wild_stretch():
     assert exc.value.stage in ("ramsey", "verify")
 
 
+def old_extract_vertically_faithful(f, n, target, t, delta, xi, k=1):
+    """extract_vertically_faithful with stage 2 as it was before it ran on
+    vertical_report: a min/max loop over the ancestor stretches of f o g.
+    Kept as the oracle of the pipeline."""
+    if not xi > 0 or delta < 0:
+        raise OutOfRange(f"need xi > 0 and delta >= 0, got xi = {xi}, delta = {delta}")
+    base = 1 + to_float(delta, "delta") / 4
+    if not base > 1:
+        raise OutOfRange(f"1 + delta/4 is not above 1 as a float, for delta = {delta}")
+    l = math.ceil(2 / xi)
+    m = min(n // (l * k), 2)
+    if m < 1:
+        raise PipelineFailed("depth", f"n = {n} too small for l*k = {l * k}")
+    if t > m:
+        raise PipelineFailed("depth", f"boost target t = {t} exceeds copy depth m = {m}")
+    g = _spread_map(k, m, l, n)
+    pairs = [(v[:i], v) for v in g for i in range(len(v))]
+    lam = None
+    D_hi = None
+    for u, v in pairs:
+        dx = target.dist(f(g[u]), f(g[v]))
+        if dx == 0:
+            raise PipelineFailed("vertical", f"f o g collapses ancestor pair {u}, {v}")
+        r = exact_or_float(dx) / (l * k * (len(v) - len(u)))
+        lam = r if lam is None or r < lam else lam
+        D_hi = r if D_hi is None or r > D_hi else D_hi
+    r_colors = max(1, math.ceil(math.log(float(D_hi / lam)) / math.log(base)) + 1)
+
+    def coloring(u, v):
+        dx = target.dist(f(g[u]), f(g[v]))
+        ratio = float(dx) / (l * k * float(lam) * (len(v) - len(u)))
+        return min(int(math.log(ratio) / math.log(base)) if ratio > 1 else 0,
+                   r_colors - 1)
+
+    try:
+        copy = ramsey_search(2 ** k, m, r_colors, coloring)
+    except TooLarge as e:
+        raise PipelineFailed("ramsey", str(e))
+    if isinstance(copy, ExhaustionReport):
+        raise PipelineFailed("ramsey", f"no monochromatic copy: {copy}")
+    chain = [TreeVertex((0,) * i) for i in range(m + 1)]
+    path = PathMap(m, target, [f(g[copy[v]]) for v in chain])
+    try:
+        boost = path_boost(path, t, float(delta) / 4)
+    except BoostFailed as e:
+        raise PipelineFailed("boost", str(e))
+    a = boost.grid[0]
+    b = boost.grid[1] - boost.grid[0]
+    verts = enumerate_bn(t)
+    phi = {}
+    for v in verts:
+        psi_v = TreeVertex((0,) * a + sum((((bit,) + (0,) * (b - 1)) for bit in v.path), ()))
+        phi[v] = g[copy[psi_v]]
+    pairs = list(sp_pairs(t))
+    if not all(phi[x].is_strict_ancestor_of(phi[y]) for x, y in pairs):
+        raise PipelineFailed("verify", "ancestor relation not preserved")
+    dist = distortion_of((tree_distance(u, v), tree_distance(phi[u], phi[v]))
+                         for u, v in combinations(verts, 2))[2]
+    if dist > 1 + Fraction(xi):
+        raise PipelineFailed("verify", f"dist(phi) = {float(dist):.4f} > 1 + xi")
+    rep = vertical_report(lambda v: f(phi[v]), pairs, target)
+    if not rep.faithful(delta):
+        raise PipelineFailed("verify", f"f o phi not (1+delta)-faithful: D = {float(rep.D):.6f}")
+    return ExtractResult(phi, t, {"l": l, "k": k, "m": m, "r": r_colors}, rep, boost)
+
+
+class _LevelWeightedTree:
+    """The tree metric with weight[h] on every edge from depth h to h + 1."""
+
+    def __init__(self, weight):
+        self.below = [0]
+        for w in weight:
+            self.below.append(self.below[-1] + w)
+
+    def dist(self, u, v):
+        return self.below[u.depth] + self.below[v.depth] - 2 * self.below[u.lca_depth(v)]
+
+
+def _extract_outcome(fn, *args):
+    """What the pipeline returns, as plain data, or the stage it fails at."""
+    try:
+        res = fn(*args)
+    except PipelineFailed as exc:
+        return exc.stage
+    rep = res.report
+    return res.params, res.phi, (rep.lam, rep.D, rep.pairs_checked), res.boost.grid
+
+
+def test_extract_matches_the_old_stretch_loop():
+    # exact targets whose ancestor stretch under f o g depends on depth, so
+    # stage 2 sees D > 1: depth-weighted tree metrics under the identity, and
+    # maps that pad each vertex with zeros by a depth-dependent count
+    rng = random.Random(29)
+    stages = set()
+    stretched = 0
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        if rng.random() < 0.5:
+            target = _LevelWeightedTree([Fraction(rng.randint(2, 9), rng.randint(1, 4))
+                                         for _ in range(n)])
+            f = lambda v: v
+        else:
+            pad = [0]
+            for _ in range(n):
+                pad.append(pad[-1] + rng.randint(0, 2))
+            target = _TreeMetric()
+            f = lambda v, pad=pad: TreeVertex(v.path + (0,) * pad[v.depth])
+        args = (f, n, target, 2, rng.choice((Fraction(1, 4), Fraction(1), Fraction(3))),
+                rng.choice((1, 2, Fraction(1, 2))))
+        old = _extract_outcome(old_extract_vertically_faithful, *args)
+        assert _extract_outcome(extract_vertically_faithful, *args) == old
+        stages.add(old if isinstance(old, str) else "ok")
+        stretched += not isinstance(old, str) and old[0]["r"] > 1
+    assert {"ok", "ramsey", "boost"} <= stages and stretched > 0, (stages, stretched)
+
+
+def test_extract_fails_at_vertical_on_a_collapsing_map():
+    # f o g sends an ancestor pair to one point: stage 2 fails, as it did
+    # before it ran on vertical_report
+    for f in (lambda v: ROOT, lambda v: v.ancestor(min(v.depth, 2))):
+        for fn in (old_extract_vertically_faithful, extract_vertically_faithful):
+            with pytest.raises(PipelineFailed) as exc:
+                fn(f, 6, _TreeMetric(), 2, Fraction(1, 4), 1)
+            assert exc.value.stage == "vertical"
+
+
 # -------------------------------------------------------------------- search
 
 def test_generate_faithful_b4_rejects_bad_L():
@@ -534,6 +670,21 @@ def test_every_bulk_draw_at_a_16_word_read_ahead(monkeypatch):
     for seed in range(10):
         _check_rows(space, 3, None, 0.01, None, seed)
         _check_rows(deep, 2, 25, 0.5, 70, seed)
+
+
+@pytest.mark.parametrize("chunk_words", [1, 2, 3])
+def test_bulk_draws_at_a_read_ahead_of_a_few_words(monkeypatch, chunk_words):
+    # reads of 1 to 3 words end a block inside almost every scan of a parse,
+    # the scan of _parse_b4 for the word of randint(3, 14) among them; rows,
+    # pairs and the rng left behind match the scalar loops
+    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+    for max_depth in (0, 5, 64, 65):
+        for seed in range(5):
+            _check_depth_bits(max_depth, 4, seed)
+    space = make_space(Fraction(1, 5), depth=60)
+    for seed in range(10):
+        _check_rows(space, 3, None, 0.01, None, seed)
+        _check_rows(space, 2, 4, 0.5, None, seed)
 
 
 @pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])

@@ -79,6 +79,41 @@ def test_pair_expectation_zero_for_future_fork():
     assert pair_expectation(chain, f, space, 2, 5, 2) == 0
 
 
+def _shifted(chain, offset):
+    """The chain with every time moved by `offset`."""
+    return ChainSpec(chain.states, chain.t_min + offset, chain.t_max + offset,
+                     {t + offset: chain.step_kernel(t) for t in chain._steps}, chain.initial)
+
+
+def test_boundary_summands_vanish():
+    # convexity_ratio sums the fork terms over t_min < t < t_max + 2^k only.
+    # The terms just outside, at (t, s) = (t_min, t_min - 2^k) and
+    # (t_max + 2^k, t_max), are 0 by pair_expectation and by the kernel
+    # products of the oracle, for every summed scale; the terms just inside
+    # are not all 0
+    rng = random.Random(29)
+    cases = []
+    for i in range(16):
+        chain, f = random_chain(rng, max_states=6, horizon=6)
+        if i % 2:
+            chain = _shifted(chain, rng.choice((-3, -1, 2, 5)))
+        cases.append((chain, f, l1_space({z: f(z) for z in chain.states})))
+    verts = enumerate_bn(3)
+    cases.append((downward_walk(3), lambda v: v, FiniteMetricSpace(verts, tree_distance)))
+    assert any(chain.t_min != 0 for chain, _, _ in cases)
+    inside = 0
+    for chain, f, space in cases:
+        for k in range(default_k_max(chain) + 1):
+            gap = 2 ** k
+            for p in (1, 2, 1.5):
+                for t, s in ((chain.t_min, chain.t_min - gap), (chain.t_max + gap, chain.t_max)):
+                    assert pair_expectation(chain, f, space, t, s, p) == 0, (k, t, s, p)
+                    assert oracle_pair_expectation(chain, f, space, t, s, p) == 0
+                inside += any(pair_expectation(chain, f, space, t, t - gap, p)
+                              for t in (chain.t_min + 1, chain.t_max + gap - 1))
+    assert inside > 0
+
+
 def test_rhs_step_sum_matches_oracle():
     rng = random.Random(3)
     for _ in range(15):

@@ -231,22 +231,34 @@ def _run_htree_validate(args):
 
 
 def _run_classify(args):
+    """Draw the trials CLASSIFY_CHUNK at a time (the classifiers draw
+    nothing, so the random stream is the trial loop's), then classify the
+    trials of each generated space in the chunk with one bulk call."""
     import random
-    from .embeddings.classify import classify_3path, classify_fork, classify_midpoint
-    from .embeddings.generators import gen_3path, gen_fork, gen_midpoint
+    from .embeddings import classify, generators
+    gen, bulk = {"midpoint": (generators.gen_midpoint, classify.classify_midpoints),
+                 "fork": (generators.gen_fork, classify.classify_forks),
+                 "3path": (generators.gen_3path, classify.classify_3paths)}[args.kind]
     rng = random.Random(args.seed)
     counts = {}
-    for _ in range(args.trials):
-        if args.kind == "midpoint":
-            sp, *pts = gen_midpoint(rng, args.delta)
-            variant = classify_midpoint(sp, *pts, args.delta).variant
-        elif args.kind == "fork":
-            sp, *pts = gen_fork(rng, args.delta)
-            variant = classify_fork(sp, *pts, args.delta).variant
-        else:
-            sp, *pts = gen_3path(rng, args.delta)
-            variant = classify_3path(sp, *pts, args.delta).variant
-        counts[variant] = counts.get(variant, 0) + 1
+    for start in range(0, args.trials, classify.CLASSIFY_CHUNK):
+        trials = [gen(rng, args.delta)
+                  for _ in range(min(classify.CLASSIFY_CHUNK, args.trials - start))]
+        groups = {}
+        for sp, *pts in trials:
+            groups.setdefault(sp, []).append(pts)
+        try:
+            variants = [v for sp, rows in groups.items()
+                        for v in bulk(sp, rows, args.delta).variants]
+        except Exception:
+            # a group raises for its own first failing trial, and every
+            # earlier chunk has passed: raise the first failing trial's error
+            # in draw order, one trial of this chunk at a time
+            for sp, *pts in trials:
+                bulk(sp, [pts], args.delta)
+            raise
+        for variant in variants:
+            counts[variant] = counts.get(variant, 0) + 1
     return {".json": _report({"experiment": "classify", "kind": args.kind,
                               "delta": rat_to_str(Fraction(args.delta)),
                               "trials": args.trials, "seed": args.seed,

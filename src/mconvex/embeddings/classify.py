@@ -18,6 +18,16 @@ candidate pool.  Fork quadruples and approximate 3-paths are classified by
 combining triple labels through small resolution tables, with two genuinely
 constructive cases ("promotions") where a fresh witness is found by a 1-D
 search over ancestor heights.
+
+Each classifier decides many instances of one space in one pass over numpy
+arrays of the ints den * d_eps (`classify_midpoints`, `classify_forks`,
+`classify_3paths`; `classify_midpoint`, `classify_fork` and `classify_3path`
+are their one-row calls), through `embeddings.bulk`: the labels of all
+their triples come from one array pass, and the resolution tables are masks
+in their priority order.  Fractions and TreeVertex objects are built only
+for the class objects read, and the promotions, which no generator reaches,
+run per row.  A row that fails a check raises the error of its one-row
+call, once the rows before it have passed.
 """
 from __future__ import annotations
 
@@ -25,69 +35,17 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
-                      PreconditionViolated, check)
+from ..errors import CollapsedAncestorPair, NotApproximatePath, PreconditionViolated, check
 from ..metric import is_midpoint
-from ..trees import (_vertex, depth_path_arrays, enumerate_bn, scaled_path_distance,
+from ..trees import (_vertex, bit_length, depth_path_arrays, enumerate_bn, scaled_path_distance,
                      sp_pairs, tree_distance)
-
-# label characters: 'P' = (x,y,z) path-type, 'T' = (x,y,z) tent-type,
-# 'p' = (z,y,x) path-type, 't' = (z,y,x) tent-type.
-
-
-def _path_type(a, b, c):
-    return (c.depth <= b.depth <= a.depth
-            and b.is_ancestor_of(a)
-            and c.lca_depth(b) < b.depth)
+from .bulk import (LABELS, Classified, finish, midpoints, prepare, resolve, times,
+                   triple_labels)
 
 
-def _tent_type(a, b, c):
-    return (b.depth <= c.depth
-            and a.is_ancestor_of(b)
-            and a.lca_depth(c) < a.depth)
-
-
-def _certify_labels(space, x, y, z, budget):
-    """All labels in {P, T, p, t} certified within `budget`.
-
-    Returns {label: (nearness, (a, b, c))} where (a, b, c) is the exact
-    configuration witnessing the label (ordered to match the triple the label
-    refers to) and nearness = max over positions of d_eps(point, witness).
-    Candidates are the ancestors of x, y, z at heights in {h(x), h(y), h(z)}.
-    Nearness is compared as den * d_eps ints; the winning one becomes a Fraction.
-    """
-    heights = sorted({x.depth, y.depth, z.depth})
-    # distinct candidates, in order of first appearance
-    pool = list(dict.fromkeys(v.ancestor(h) for v in (x, y, z) for h in heights
-                              if h <= v.depth))
-    sd, den = space.scaled_distance, space.den
-    # d = s / den <= budget  <=>  s * budget.denominator <= budget.numerator * den
-    top, scale = budget.numerator * den, budget.denominator
-    near = {v: [(c, s) for c in pool if (s := sd(v, c)) * scale <= top]
-            for v in (x, y, z)}
-
-    labels = {}
-    for label, (o1, o2, o3), shape in (
-            ("P", (x, y, z), _path_type),
-            ("T", (x, y, z), _tent_type),
-            ("p", (z, y, x), _path_type),
-            ("t", (z, y, x), _tent_type)):
-        best = None
-        for a, na in near[o1]:
-            for b, nb in near[o2]:
-                if shape is _path_type and not b.is_ancestor_of(a):
-                    continue
-                if shape is _tent_type and not a.is_ancestor_of(b):
-                    continue
-                for c, nc in near[o3]:
-                    if shape(a, b, c):
-                        n = max(na, nb, nc)
-                        if best is None or n < best[0]:
-                            best = (n, (a, b, c))
-        if best is not None:
-            labels[label] = (Fraction(best[0], den), best[1])
-    return labels
-
+# trials per chunk of `mconvex classify`, which draws a chunk and then
+# classifies it, so that its arrays do not grow with --trials
+CLASSIFY_CHUNK = 1024
 
 _VARIANT = {"P": "PathType", "T": "TentType",
             "p": "ReversePathType", "t": "ReverseTentType"}
@@ -105,55 +63,43 @@ class MidpointClass:
         return f"MidpointClass({self.variant}, nearness={self.nearness})"
 
 
-def _require_ready(space, delta, limit, what):
-    if not space.classifier_ready:
-        raise PreconditionViolated("classifier requires eps_n < 1/4 throughout")
-    if not Fraction(delta) < limit:
-        raise PreconditionViolated(f"{what} requires delta < {limit}")
+def classify_midpoints(space, rows, delta):
+    """classify_midpoint on each triple (x, y, z) of `rows`, all in one
+    space, as a Classified; the first row that fails raises its error.  The
+    variant is the label nearest its witness, ties going to the first in
+    LABELS order."""
+    import numpy as np
 
+    idx, dist = prepare(space, rows, 3, delta, Fraction(1, 16), "midpoint classification")
+    exact = Fraction(delta)
+    s_xz = dist[:, 0, 2]
+    labels, excl = triple_labels(space, idx, dist, [(0, 1, 2)],
+                                  times(s_xz, 3 * exact.numerator, exact.denominator))
+    best = np.where(labels.has, labels.near, labels.near.max(initial=0) + 1).argmin(axis=1)
+    best = np.where(labels.has.any(axis=1), best, -1).tolist()
 
-def _check_exclusions(space, x, y, z, labels):
-    """The certified labels can never combine in geometrically impossible ways
-    below the stated nearness thresholds; check that (InvariantViolated), since
-    a violation would mean the configuration predicates themselves are wrong.
+    def check_row(r):
+        if not is_midpoint(space, *rows[r], delta):
+            raise PreconditionViolated("y is not a delta-approximate midpoint of x, z")
 
-    A threshold d_eps(u, y) / k is s / (k * den) with s = den * d_eps(u, y),
-    so nearness n is within it when n.numerator * k * den <= s * n.denominator."""
-    sd, den = space.scaled_distance, space.den
+    def build(r):
+        budget = 3 * exact * Fraction(int(s_xz[r]), space.den)
+        found = labels.of(r, space.den)
+        if not found:
+            return MidpointClass("Unclassified", None, None, budget, found)
+        nearness, witness = found[LABELS[best[r]]]
+        return MidpointClass(_VARIANT[LABELS[best[r]]], witness, nearness, budget, found)
 
-    def tight(l, s, k):
-        if l not in labels:
-            return False
-        n = labels[l][0]
-        return n.numerator * k * den <= s * n.denominator
-
-    exclusions = []
-    if x != y:
-        sxy = sd(x, y)
-        exclusions += [("P", "T", sxy, 5), ("P", "p", sxy, 11), ("T", "t", sxy, 11)]
-    if z != y:
-        exclusions.append(("p", "t", sd(z, y), 5))
-    for l1, l2, s, k in exclusions:
-        if tight(l1, s, k) and tight(l2, s, k):
-            raise InvariantViolated(f"labels {l1} and {l2} both within "
-                                    f"{Fraction(s, k * den)}: {(x, y, z, labels)}")
+    return finish(space, rows, [(0, 1, 2)], labels, excl,
+                   ~midpoints(space, rows, delta, idx, dist, 2), check_row, build,
+                   [_VARIANT[LABELS[l]] if l >= 0 else "Unclassified" for l in best])
 
 
 def classify_midpoint(space, x, y, z, delta):
     """Classify the approximate-midpoint triple (x, y, z); the guarantee is
-    that (x, y, z) or (z, y, x) is 3*delta*d_eps(x, z)-near path- or tent-type."""
-    _require_ready(space, delta, Fraction(1, 16), "midpoint classification")
-    space.check_depth(x, y, z)
-    if not is_midpoint(space, x, y, z, delta):
-        raise PreconditionViolated("y is not a delta-approximate midpoint of x, z")
-    budget = 3 * Fraction(delta) * space.distance(x, z)
-    labels = _certify_labels(space, x, y, z, budget)
-    _check_exclusions(space, x, y, z, labels)
-    if not labels:
-        return MidpointClass("Unclassified", None, None, budget, labels)
-    best = min(labels, key=lambda l: (labels[l][0], "PTpt".index(l)))
-    nearness, witness = labels[best]
-    return MidpointClass(_VARIANT[best], witness, nearness, budget, labels)
+    that (x, y, z) or (z, y, x) is 3*delta*d_eps(x, z)-near path- or tent-type.
+    This is classify_midpoints on the one row (x, y, z)."""
+    return classify_midpoints(space, [(x, y, z)], delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,60 +131,22 @@ def _promote_path(space, x_w, y_w, target, budget):
     return best
 
 
-def classify_fork(space, x, y, z, w, delta):
-    """Classify the fork (x; y; z, w): y a delta-approximate midpoint of both
-    (x, z) and (x, w).
+# triple 0 is (x, y, z) and triple 1 (x, y, w).  The four direct shapes and
+# the contracted prongs, in priority order, as (variant, triple, label,
+# triple, label), the witness of the first label first; the contracted
+# prongs are both reversed triples (nearly) path- or tent-type.
+_FORK_CASES = (("I", 0, "T", 1, "T"), ("II", 0, "P", 1, "P"),
+               ("III", 0, "p", 1, "T"), ("III", 1, "p", 0, "T"),
+               ("IV", 0, "p", 1, "t"), ("IV", 1, "p", 0, "t"),
+               ("ProngsContracted", 0, "p", 1, "p"), ("ProngsContracted", 0, "t", 1, "t"))
+# the label pairs of the promotion: one prong path, the other reversed tent
+_FORK_PROMOTIONS = (("II", 0, "P", 1, "t"), ("II", 1, "P", 0, "t"))
 
-    Every fork is 35*delta*d_eps(x, y)-near one of four rigid shapes, or else
-    its prongs are contracted: d_eps(z, w) <= 2(35 delta + eps_h0) d_eps(x, y)
-    with h0 the minimum of the four heights.
-    """
-    _require_ready(space, delta, Fraction(1, 70), "fork classification")
-    space.check_depth(x, y, z, w)
-    for prong in (z, w):
-        if not is_midpoint(space, x, y, prong, delta):
-            raise PreconditionViolated("y must be an approximate midpoint of both prongs")
-    delta = Fraction(delta)
-    d = space.distance(x, y)
-    eta = 7 * delta                      # per-triple certification budget
-    cap = 35 * delta * d                 # final nearness cap
-    sz = _certify_labels(space, x, y, z, eta * d)
-    sw = _certify_labels(space, x, y, w, eta * d)
-    _check_exclusions(space, x, y, z, sz)
-    _check_exclusions(space, x, y, w, sw)
 
-    def result(variant, lz, lw, extra=None):
-        nz, wz = lz
-        nw, ww = lw
-        n = max(nz, nw)
-        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
-        return ForkClass(variant, (wz, ww), n, cap, prong_bound=extra)
-
-    # the four direct shapes (both prongs symmetric except where noted)
-    if "T" in sz and "T" in sw:
-        return result("I", sz["T"], sw["T"])
-    if "P" in sz and "P" in sw:
-        return result("II", sz["P"], sw["P"])
-    if "p" in sz and "T" in sw:
-        return result("III", sz["p"], sw["T"])
-    if "T" in sz and "p" in sw:
-        return result("III", sw["p"], sz["T"])
-    if "p" in sz and "t" in sw:
-        return result("IV", sz["p"], sw["t"])
-    if "t" in sz and "p" in sw:
-        return result("IV", sw["p"], sz["t"])
-    # contracted prongs: both reversed triples are (nearly) path- or tent-type
-    if ("p" in sz and "p" in sw) or ("t" in sz and "t" in sw):
-        h0 = min(x.depth, y.depth, z.depth, w.depth)
-        bound = 2 * (35 * delta + space.eps[h0]) * d
-        dzw = space.distance(z, w)
-        check(dzw <= bound, "contracted prongs %s apart, above %s", dzw, bound)
-        key = "p" if ("p" in sz and "p" in sw) else "t"
-        fc = result("ProngsContracted", sz[key], sw[key], extra=bound)
-        return fc
-    # promotion: one prong certified path, the other reversed-tent; a fresh
-    # path witness for the tent prong is found among the ancestors of the
-    # certified path witness's middle point
+def _promote_fork(space, z, w, sz, sw, cap):
+    """The fork class when one prong is certified path and the other
+    reversed-tent: a fresh path witness for the tent prong is found among
+    the ancestors of the certified path witness's middle point."""
     for sa, sb, wb, swap in ((sz, sw, w, False), (sw, sz, z, True)):
         if "P" in sa and "t" in sb:
             n_p, (xp, yp, _) = sa["P"]
@@ -252,6 +160,66 @@ def classify_fork(space, x, y, z, w, delta):
                 wits = (wit_a, wit_b) if not swap else (wit_b, wit_a)
                 return ForkClass("II", wits, n, cap)
     return ForkClass("Unclassified", None, None, cap)
+
+
+def classify_forks(space, rows, delta):
+    """classify_fork on each fork (x, y, z, w) of `rows`, all in one space,
+    as a Classified; the first row that fails raises its error."""
+    import numpy as np
+
+    idx, dist = prepare(space, rows, 4, delta, Fraction(1, 70), "fork classification")
+    n, den, exact = len(idx), space.den, Fraction(delta)
+    p, q = exact.numerator, exact.denominator
+    s_xy = dist[:, 0, 1]
+    triples = [(0, 1, 2), (0, 1, 3)]
+    labels, excl = triple_labels(space, idx, dist, triples, times(s_xy, 7 * p, q))
+    case, suspect, variants = resolve(labels, n, _FORK_CASES, _FORK_PROMOTIONS,
+                                       times(s_xy, 35 * p, q))
+    suspect |= ~(midpoints(space, rows, delta, idx, dist, 2)
+                 & midpoints(space, rows, delta, idx, dist, 3))
+    # contracted prongs: d(z, w) <= 2 (35 delta + eps_h0) d(x, y), times q den
+    contracted = np.flatnonzero(case >= _FORK_CASES.index(("ProngsContracted", 0, "p", 1, "p")))
+    h0 = (bit_length(idx[contracted]) - 1).min(axis=1, initial=space.max_depth)
+    for r, s_zw, s, h in zip(contracted.tolist(), dist[contracted, 2, 3].tolist(),
+                             s_xy[contracted].tolist(), h0.tolist()):
+        suspect[r] |= s_zw * q * den > (70 * p * den + space._two_eps[h] * q) * s
+
+    def check_row(r):
+        x, y, z, w = rows[r]
+        for prong in (z, w):
+            if not is_midpoint(space, x, y, prong, delta):
+                raise PreconditionViolated("y must be an approximate midpoint of both prongs")
+
+    def build(r):
+        z, w = rows[r][2:]
+        d = Fraction(int(s_xy[r]), den)
+        cap = 35 * exact * d
+        if case[r] < 0:
+            return _promote_fork(space, z, w, labels.of(r, den), labels.of(n + r, den), cap)
+        variant, t1, l1, t2, l2 = _FORK_CASES[case[r]]
+        (n1, wit1), (n2, wit2) = labels.of(t1 * n + r, den)[l1], labels.of(t2 * n + r, den)[l2]
+        bound = None
+        if variant == "ProngsContracted":
+            bound = 2 * (35 * exact + space.eps[min(v.depth for v in rows[r])]) * d
+            dzw = space.distance(z, w)
+            check(dzw <= bound, "contracted prongs %s apart, above %s", dzw, bound)
+        nearness = max(n1, n2)
+        check(nearness <= cap, "%s: nearness %s above cap %s", variant, nearness, cap)
+        return ForkClass(variant, (wit1, wit2), nearness, cap, prong_bound=bound)
+
+    return finish(space, rows, triples, labels, excl, suspect, check_row, build, variants)
+
+
+def classify_fork(space, x, y, z, w, delta):
+    """Classify the fork (x; y; z, w): y a delta-approximate midpoint of both
+    (x, z) and (x, w).
+
+    Every fork is 35*delta*d_eps(x, y)-near one of four rigid shapes, or else
+    its prongs are contracted: d_eps(z, w) <= 2(35 delta + eps_h0) d_eps(x, y)
+    with h0 the minimum of the four heights.  This is classify_forks on the
+    one row (x, y, z, w).
+    """
+    return classify_forks(space, [(x, y, z, w)], delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,50 +259,21 @@ def path_scale_range(space, pts, delta):
     return lo, hi
 
 
-def classify_3path(space, x0, x1, x2, x3, delta):
-    """Classify a (1 + delta)-approximate 3-path (x0, x1, x2, x3).
+# triple 0 is (x0, x1, x2) and triple 1 (x1, x2, x3).  The reversed
+# quadruple (x3, x2, x1, x0) has the reversed triples, so its labels come
+# from the same two tables with P <-> p and T <-> t.
+_PATH_CASES = (("A", 0, "P", 1, "P"), ("B", 0, "P", 1, "t"), ("C", 0, "p", 1, "T"),
+               ("ReverseA", 1, "p", 0, "p"), ("ReverseB", 1, "p", 0, "T"),
+               ("ReverseC", 1, "P", 0, "t"))
+# the label pairs of the double-tent promotions
+_PATH_PROMOTIONS = (("C", 0, "T", 1, "T"), ("ReverseC", 1, "t", 0, "t"))
 
-    The quadruple, forwards or reversed, is 35*delta*d_eps(x0, x1)-near one of
-    three shapes built from the triple types of (x0, x1, x2) and (x1, x2, x3):
 
-      A: both triples path-type (a monotone descending staircase);
-      B: first triple path-type, second reversed tent-type;
-      C: first reversed path-type, second tent-type.
-    """
-    _require_ready(space, delta, Fraction(1, 200), "3-path classification")
-    pts = (x0, x1, x2, x3)
-    space.check_depth(*pts)
-    scale = path_scale_range(space, pts, delta)
-    delta = Fraction(delta)
-    d01 = space.distance(x0, x1)
-    budget = 8 * delta * d01             # covers the triple guarantees
-    cap = 35 * delta * d01
-    s1 = _certify_labels(space, x0, x1, x2, budget)   # triple (x0, x1, x2)
-    s2 = _certify_labels(space, x1, x2, x3, budget)   # triple (x1, x2, x3)
-    _check_exclusions(space, x0, x1, x2, s1)
-    _check_exclusions(space, x1, x2, x3, s2)
-
-    def result(variant, l1, l2):
-        n = max(l1[0], l2[0])
-        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
-        return ThreePathClass(variant, (l1[1], l2[1]), n, cap, scale)
-
-    combos = (
-        # forward quadruple: triples (x0,x1,x2) and (x1,x2,x3)
-        ("A", s1, "P", s2, "P"),
-        ("B", s1, "P", s2, "t"),
-        ("C", s1, "p", s2, "T"),
-        # reversed quadruple (x3,x2,x1,x0): triples are the reversals, so the
-        # labels come from the same two tables with P <-> p and T <-> t
-        ("ReverseA", s2, "p", s1, "p"),
-        ("ReverseB", s2, "p", s1, "T"),
-        ("ReverseC", s2, "P", s1, "t"),
-    )
-    for variant, sa, la, sb, lb in combos:
-        if la in sa and lb in sb:
-            return result(variant, sa[la], sb[lb])
-    # double-tent promotions: both triples tent-type forces shape C after
-    # replacing the outer point by an ancestor of the second tent's apex
+def _promote_3path(space, pts, s1, s2, cap, scale):
+    """The 3-path class when both triples are tent-type: that forces shape C
+    after replacing the outer point by an ancestor of the second tent's
+    apex."""
+    x0, _, _, x3 = pts
     for variant, sa, la, sb, lb, far in (
             ("C", s1, "T", s2, "T", x0),
             ("ReverseC", s2, "t", s1, "t", x3)):
@@ -348,6 +287,60 @@ def classify_3path(space, x0, x1, x2, x3, delta):
                 path_wit = (b2, a2, far_w)   # path-type for the reversed triple
                 return ThreePathClass(variant, (path_wit, sb[lb][1]), n, cap, scale)
     return ThreePathClass("Unclassified", None, None, cap, scale)
+
+
+def classify_3paths(space, rows, delta):
+    """classify_3path on each quadruple (x0, x1, x2, x3) of `rows`, all in
+    one space, as a Classified; the first row that fails raises its error."""
+    import numpy as np
+
+    idx, dist = prepare(space, rows, 4, delta, Fraction(1, 200), "3-path classification")
+    n, den, exact = len(idx), space.den, Fraction(delta)
+    p, q = exact.numerator, exact.denominator
+    s01 = dist[:, 0, 1]
+    triples = [(0, 1, 2), (1, 2, 3)]
+    labels, excl = triple_labels(space, idx, dist, triples, times(s01, 8 * p, q))
+    case, suspect, variants = resolve(labels, n, _PATH_CASES, _PATH_PROMOTIONS,
+                                       times(s01, 35 * p, q))
+    # path_scale_range's window on ints: with `least` and `most` the least
+    # and greatest 6 d(x_i, x_j) / (j - i), [most / (1 + delta), least] is
+    # empty when least = 0 or most > (1 + delta) least; a delta <= -1 is
+    # left to path_scale_range
+    if dist.dtype != object and int(dist.max(initial=0)) > (2 ** 63 - 1) // 6:
+        dist = dist.astype(object)
+    ratios = np.stack([dist[:, i, j] * (6 // (j - i)) for i, j in combinations(range(4), 2)], 1)
+    least, most = ratios.min(axis=1), ratios.max(axis=1)
+    suspect |= (least == 0) | (most - least > times(least, p, q)) | (p + q <= 0)
+
+    def build(r):
+        scale = path_scale_range(space, rows[r], delta)
+        cap = 35 * exact * Fraction(int(s01[r]), den)
+        if case[r] < 0:
+            return _promote_3path(space, rows[r], labels.of(r, den), labels.of(n + r, den),
+                                  cap, scale)
+        variant, t1, l1, t2, l2 = _PATH_CASES[case[r]]
+        (n1, wit1), (n2, wit2) = labels.of(t1 * n + r, den)[l1], labels.of(t2 * n + r, den)[l2]
+        nearness = max(n1, n2)
+        check(nearness <= cap, "%s: nearness %s above cap %s", variant, nearness, cap)
+        return ThreePathClass(variant, (wit1, wit2), nearness, cap, scale)
+
+    return finish(space, rows, triples, labels, excl, suspect,
+                   lambda r: path_scale_range(space, rows[r], delta), build, variants)
+
+
+def classify_3path(space, x0, x1, x2, x3, delta):
+    """Classify a (1 + delta)-approximate 3-path (x0, x1, x2, x3).
+
+    The quadruple, forwards or reversed, is 35*delta*d_eps(x0, x1)-near one of
+    three shapes built from the triple types of (x0, x1, x2) and (x1, x2, x3):
+
+      A: both triples path-type (a monotone descending staircase);
+      B: first triple path-type, second reversed tent-type;
+      C: first reversed path-type, second tent-type.
+
+    This is classify_3paths on the one row (x0, x1, x2, x3).
+    """
+    return classify_3paths(space, [(x0, x1, x2, x3)], delta)[0]
 
 
 # ---------------------------------------------------------------------------

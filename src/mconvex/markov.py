@@ -454,6 +454,12 @@ def convexity_ratio(chain, f, space, p, k_max=None):
     dpow = _DistPowCache(space, f, p)  # one table for the step sum and the fork terms
     rhs = _step_sum(chain, dpow)
     cache = _CondCache(chain)
+    # the exact fork sum of (s, k) depends only on the window of times
+    # (max(s, t_min), min(s + 2^k, t_max)), where both copies move: one sum
+    # per window over all scales.  A float sum is not kept, since another
+    # (s, k) of its window composes its rows in another order and its float
+    # total may differ in the last bits.
+    forks = {}
     sanity = power(4, p) * rhs  # the crude bound every per_k term must meet
     per_k = []
     for k in range(k_max + 1):
@@ -463,7 +469,16 @@ def convexity_ratio(chain, f, space, p, k_max=None):
         # lies in (s, t], and from s = t_max on the conditional law is the
         # identity, so the two copies never split outside that window
         for s in range(chain.t_min - gap + 1, chain.t_max):
-            fork = _fork_sum(chain._laws[max(s - chain.t_min, 0)], cache.cond(s, k), dpow)
+            M = cache.cond(s, k)
+            if M is None:
+                continue
+            window = (max(s, chain.t_min), min(s + gap, chain.t_max))
+            if window in forks:
+                fork = forks[window]
+            else:
+                fork = _fork_sum(chain._laws[max(s - chain.t_min, 0)], M, dpow)
+                if fork is None or not isinstance(fork[0], float):
+                    forks[window] = fork
             if fork is None:
                 continue
             total, den = fork

@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import BadInput, CollapsedPair, OutOfRange, TooLarge
 from .randbits import random_below
@@ -239,13 +239,14 @@ def _checked_matrix(space):
     slack of its triangle inequality.
 
     The space's scaled_matrix hook gives den times them as int64 where it
-    does not raise TooLarge.  Otherwise exact distances are scaled to ints
-    over the lcm of their denominators: int64 when every int fits 2^61 in
-    size, else an object array of Python ints (compared exactly).  tol is 0,
-    as a positive scale changes no check.  The distances of a space not
-    flagged exact, or holding a float, become float64, with tol `space.tol`
-    times the largest of them (at least 1); OutOfRange where an exact one
-    lies past the float range.
+    does not raise TooLarge.  Otherwise one pass over the distances reads
+    their types.  Exact distances are scaled to ints over the lcm of their
+    denominators (plain ints, whose lcm is 1, as they are): int64 when every
+    int fits 2^61 in size, else an object array of Python ints (compared
+    exactly).  tol is 0, as a positive scale changes no check.  The
+    distances of a space not flagged exact, or holding a float, become
+    float64, with tol `space.tol` times the largest of them (at least 1);
+    OutOfRange where an exact one lies past the float range.
     """
     import numpy as np
 
@@ -255,9 +256,12 @@ def _checked_matrix(space):
         except TooLarge:
             pass
     rows = space.distance_matrix()
-    if space.exact and all(isinstance(d, _EXACT) for row in rows for d in row):
-        den = math.lcm(*{d.denominator for row in rows for d in row})
-        scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if space.exact and all(issubclass(kind, _EXACT) for kind in kinds):
+        scaled = rows
+        if not kinds <= {int}:
+            den = math.lcm(*{d.denominator for row in rows for d in row})
+            scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
         fits = max(max(map(abs, row)) for row in scaled) <= 2 ** 61
         return np.array(scaled, dtype=np.int64 if fits else object), 0
     mat = np.array([[to_float(d, "a distance") for d in row] for row in rows], dtype=np.float64)

@@ -27,8 +27,9 @@ off them, `scaled_path_distance`.  It serves the den * d_eps matrices of
 `htree_triangle_violations` (`htree-validate`), one row of all of B_n per
 representative pair of an orbit of the tree's automorphisms
 (`_orbit_classes`), with no n x n matrix; the sampled triangle check of
-`embeddings.generators`; and the bulk B_4 rigidity check of
-`embeddings.classify`.  `tree_metric_equality_violations` counts on the
+`embeddings.generators`; the bulk B_4 rigidity check of
+`embeddings.classify`; and the triple labels of the bulk classifiers
+(`embeddings.bulk`), with the lca depths of `path_lca_depth`.  `tree_metric_equality_violations` counts on the
 same orbits with scalar ints.  One function lists the strict ancestor pairs
 of B_n, `sp_pairs`.
 """
@@ -404,17 +405,24 @@ def aligned_paths(space, h, bits):
     return bits.astype(dtype, copy=False) << ((W - h) % W).astype(dtype)
 
 
+def index_array(indices):
+    """The heap indices in the nested list (or array) `indices` as an int64
+    array, or as Python ints in an object array where one does not fit
+    int64."""
+    import numpy as np
+
+    try:
+        return np.array(indices, dtype=np.int64)
+    except OverflowError:
+        return np.array(indices, dtype=object)
+
+
 def depth_path_arrays(space, indices):
     """(depths, path words) of the heap indices in the nested list `indices`,
     as arrays of its shape: int64 depths, and the words of aligned_paths.  A
     vertex deeper than space.max_depth gets the word 0; its callers refuse it
     by its depth."""
-    import numpy as np
-
-    try:
-        idx = np.array(indices, dtype=np.int64)
-    except OverflowError:
-        idx = np.array(indices, dtype=object)
+    idx = index_array(indices)
     h = bit_length(idx) - 1
     bits = idx - (1 << h.astype(idx.dtype))
     bits[h > space.max_depth] = 0
@@ -442,6 +450,15 @@ def scaled_path_distance(space, ha, a, hb, b):
     gap = np.abs(np.subtract(ha, hb, out=split), out=split).astype(two_eps.dtype, copy=False)
     out += gap * space.den
     return out
+
+
+def path_lca_depth(space, ha, a, hb, b):
+    """The lca depths of the vertices at depths ha with path words a and
+    those at depths hb with path words b (`aligned_paths`), elementwise and
+    broadcast: min(ha, hb, W - bit_length(a ^ b)) as int64."""
+    import numpy as np
+
+    return np.minimum(np.minimum(ha, hb), max(64, space.max_depth) - bit_length(a ^ b))
 
 
 def scaled_distance_matrix(space, vertices):

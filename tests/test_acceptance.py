@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from mconvex.banach import LpSpace, check_prop21, pconvexity_slacks, fork_slack
-from mconvex.embeddings.classify import (b4_bound_check, b4_bound_checks, classify_3path,
-                                         classify_fork, classify_midpoint)
+from mconvex.embeddings.classify import (b4_bound_check, b4_bound_checks, classify_3paths,
+                                         classify_forks, classify_midpoints)
 from mconvex.embeddings.generators import (gen_3path, gen_boost_path, gen_fork,
                                            gen_midpoint, make_space,
                                            htree_random_triple_violations,
@@ -247,17 +247,21 @@ def test_path_boost_100_of_100():
 
 def test_classifier_soundness_bulk():
     cases = [
-        (gen_midpoint, classify_midpoint, Fraction(1, 32)),
-        (gen_fork, classify_fork, Fraction(1, 128)),
-        (gen_3path, classify_3path, Fraction(1, 256)),
+        (gen_midpoint, classify_midpoints, Fraction(1, 32)),
+        (gen_fork, classify_forks, Fraction(1, 128)),
+        (gen_3path, classify_3paths, Fraction(1, 256)),
     ]
     for gen, classify, delta in cases:
         rng = random.Random(9)
-        counts = {}
+        groups = {}
         for _ in range(10_000):
             sp, *pts = gen(rng, delta)
-            out = classify(sp, *pts, delta)
-            counts[out.variant] = counts.get(out.variant, 0) + 1
+            groups.setdefault(sp, []).append(pts)
+        counts = {}
+        for sp, rows in groups.items():
+            for variant in classify(sp, rows, delta).variants:
+                counts[variant] = counts.get(variant, 0) + 1
+        assert sum(counts.values()) == 10_000
         assert counts.get("Unclassified", 0) == 0, counts
         assert len(counts) >= 2, counts  # generators hit multiple variants
 

@@ -1,18 +1,24 @@
+import math
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mconvex.embeddings.classify import (b4_bound_check, classify_3path,
-                                         classify_fork, classify_midpoint,
-                                         path_scale_range)
+from mconvex.embeddings.bulk import require_ready
+from mconvex.embeddings.classify import (ForkClass, MidpointClass, ThreePathClass,
+                                         _promote_path, b4_bound_check,
+                                         classify_3path, classify_3paths, classify_fork,
+                                         classify_forks, classify_midpoint,
+                                         classify_midpoints, path_scale_range)
 from mconvex.embeddings.generators import (gen_3path, gen_fork, gen_midpoint,
                                            make_space)
 from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
                             PreconditionViolated, check)
-from mconvex.trees import ROOT, TreeVertex
+from mconvex.metric import is_midpoint
+from mconvex.trees import ROOT, TreeVertex, index_array
 
 
 def test_midpoint_path_shape():
@@ -201,10 +207,21 @@ def test_make_space_shares_one_space_per_schedule():
     assert inspect.isfunction(generators.make_space)
 
 
+def _path_type(a, b, c):
+    return (c.depth <= b.depth <= a.depth
+            and b.is_ancestor_of(a)
+            and c.lca_depth(b) < b.depth)
+
+
+def _tent_type(a, b, c):
+    return (b.depth <= c.depth
+            and a.is_ancestor_of(b)
+            and a.lca_depth(c) < a.depth)
+
+
 def old_certify_labels(space, x, y, z, budget):
     """_certify_labels as it was before the integer distances, kept verbatim
     as the oracle."""
-    from mconvex.embeddings.classify import _path_type, _tent_type
     heights = sorted({x.depth, y.depth, z.depth})
     pool = []
     seen = set()
@@ -267,11 +284,21 @@ def _scale_outcome(fn, sp, pts, delta):
         return str(exc)
 
 
+def _bulk_labels(sp, cases):
+    """The label dicts of certify on the (triple, budget) cases, all in one
+    call: den * d <= floor(den * budget) exactly when d <= budget."""
+    from mconvex.embeddings.bulk import certify
+    idx = index_array([[v.index for v in triple] for triple, _ in cases])
+    thr = index_array([math.floor(budget * sp.den) for _, budget in cases])
+    labels = certify(sp, idx, thr)
+    return [labels.of(t, sp.den) for t in range(len(cases))]
+
+
 def test_certify_labels_and_scale_range_match_fraction_code():
     """Integer nearness and scale windows against the Fraction code, on
     seeded generator instances, with the classifiers' budgets and budgets
-    that sit exactly on a candidate distance."""
-    from mconvex.embeddings.classify import _certify_labels
+    that sit exactly on a candidate distance; the labels of all triples of
+    a space come from one bulk call."""
     rng = random.Random(77)
     triples = []
     for _ in range(60):
@@ -293,13 +320,15 @@ def test_certify_labels_and_scale_range_match_fraction_code():
                 assert got == expected
                 if isinstance(expected, tuple):
                     assert [type(v) for v in got] == [Fraction, Fraction]
-    checked = 0
+    by_space = {}
     for sp, (x, y, z), budget in triples:
         exact = sp.distance(x, y.ancestor(rng.randint(0, y.depth)))
-        for b in (budget, exact, exact * 3, Fraction(0)):
-            expected = old_certify_labels(sp, x, y, z, b)
-            got = _certify_labels(sp, x, y, z, b)
-            assert got == expected
+        by_space.setdefault(sp, []).extend(((x, y, z), b)
+                                           for b in (budget, exact, exact * 3, Fraction(0)))
+    checked = 0
+    for sp, cases in by_space.items():
+        for (triple, budget), got in zip(cases, _bulk_labels(sp, cases)):
+            assert got == old_certify_labels(sp, *triple, budget)
             assert all(type(n) is Fraction for n, _ in got.values())
             checked += len(got)
     assert checked >= 300
@@ -324,19 +353,36 @@ def old_check_exclusions(space, x, y, z, labels):
               "labels %s and %s both within %s: %s", l1, l2, bound, (x, y, z, labels))
 
 
-def _exclusion_outcome(fn, sp, triple, labels):
+def _exclusion_outcome(sp, triple, labels):
     try:
-        fn(sp, *triple, labels)
+        old_check_exclusions(sp, *triple, labels)
     except InvariantViolated as exc:
         return str(exc)
     return None
 
 
+def _bulk_exclusion_outcomes(sp, triple, label_sets):
+    """The message of the first exclusion each label set breaks, or None,
+    from one exclusion_codes call over all of them (nearness times den,
+    as Fractions where the label sets hold no multiple of 1/den)."""
+    from mconvex.embeddings.bulk import exclusion_codes, exclusion_error
+    x, y, z = triple
+    m = len(label_sets)
+    has = np.array([[l in labels for l in "PTpt"] for labels in label_sets])
+    near = np.array([[labels[l][0] * sp.den if l in labels else 0 for l in "PTpt"]
+                     for labels in label_sets], dtype=object)
+    codes = exclusion_codes(has, near, np.full(m, sp.scaled_distance(x, y)),
+                             np.full(m, sp.scaled_distance(z, y)),
+                             np.full(m, x == y), np.full(m, z == y))
+    return [None if e < 0 else str(exclusion_error(sp, triple, labels, e))
+            for labels, e in zip(label_sets, codes.tolist())]
+
+
 def test_check_exclusions_match_fraction_code():
     """Label sets with nearness on, just below and just above every
-    exclusion threshold, including contradictory ones, raise exactly when
-    and as the Fraction code did."""
-    from mconvex.embeddings.classify import _check_exclusions
+    exclusion threshold, including contradictory ones, fail the bulk
+    exclusion masks exactly when, and with the message, the Fraction code
+    raised."""
     rng = random.Random(78)
     raised = passed = 0
     for _ in range(40):
@@ -345,22 +391,241 @@ def test_check_exclusions_match_fraction_code():
             a, b, c = triple
             bounds = [sp.distance(a, b) / k for k in (5, 11)] + [sp.distance(c, b) / 5]
             nears = [n + e for n in bounds for e in (0, Fraction(-1, sp.den), Fraction(1, sp.den))]
-            for _ in range(12):
-                labels = {l: (rng.choice(nears), (a, b, c))
-                          for l in rng.sample("PTpt", rng.randint(2, 4))}
-                expected = _exclusion_outcome(old_check_exclusions, sp, triple, labels)
-                assert _exclusion_outcome(_check_exclusions, sp, triple, labels) == expected
-                raised += expected is not None
-                passed += expected is None
+            label_sets = [{l: (rng.choice(nears), (a, b, c))
+                           for l in rng.sample("PTpt", rng.randint(2, 4))} for _ in range(12)]
+            expected = [_exclusion_outcome(sp, triple, labels) for labels in label_sets]
+            assert _bulk_exclusion_outcomes(sp, triple, label_sets) == expected
+            raised += sum(e is not None for e in expected)
+            passed += sum(e is None for e in expected)
     assert raised >= 100 and passed >= 100
     # a contradictory label set: path- and tent-type both within d(x, y) / 5
     sp = make_space(Fraction(1, 128))
     x = TreeVertex((0,) * 12)
     y = x.ancestor(6)
     bound = sp.distance(x, y) / 5
-    with pytest.raises(InvariantViolated, match=f"labels P and T both within {bound}: "):
-        _check_exclusions(sp, x, y, ROOT, {"P": (bound, None), "T": (bound / 2, None)})
-    _check_exclusions(sp, x, y, ROOT, {"P": (bound, None), "T": (bound * 2, None)})
+    bad, good = _bulk_exclusion_outcomes(sp, (x, y, ROOT), [
+        {"P": (bound, None), "T": (bound / 2, None)}, {"P": (bound, None), "T": (bound * 2, None)}])
+    assert bad.startswith(f"labels P and T both within {bound}: ") and good is None
+
+
+# ---------------------------------------------------------------------------
+# the per-instance classifiers as they were before the bulk ones, kept as the
+# differential oracle (on the Fraction labels and exclusions above)
+# ---------------------------------------------------------------------------
+
+_VARIANT = {"P": "PathType", "T": "TentType",
+            "p": "ReversePathType", "t": "ReverseTentType"}
+
+
+def old_classify_midpoint(space, x, y, z, delta):
+    require_ready(space, delta, Fraction(1, 16), "midpoint classification")
+    space.check_depth(x, y, z)
+    if not is_midpoint(space, x, y, z, delta):
+        raise PreconditionViolated("y is not a delta-approximate midpoint of x, z")
+    budget = 3 * Fraction(delta) * space.distance(x, z)
+    labels = old_certify_labels(space, x, y, z, budget)
+    old_check_exclusions(space, x, y, z, labels)
+    if not labels:
+        return MidpointClass("Unclassified", None, None, budget, labels)
+    best = min(labels, key=lambda l: (labels[l][0], "PTpt".index(l)))
+    nearness, witness = labels[best]
+    return MidpointClass(_VARIANT[best], witness, nearness, budget, labels)
+
+
+def old_classify_fork(space, x, y, z, w, delta):
+    require_ready(space, delta, Fraction(1, 70), "fork classification")
+    space.check_depth(x, y, z, w)
+    for prong in (z, w):
+        if not is_midpoint(space, x, y, prong, delta):
+            raise PreconditionViolated("y must be an approximate midpoint of both prongs")
+    delta = Fraction(delta)
+    d = space.distance(x, y)
+    eta = 7 * delta                      # per-triple certification budget
+    cap = 35 * delta * d                 # final nearness cap
+    sz = old_certify_labels(space, x, y, z, eta * d)
+    sw = old_certify_labels(space, x, y, w, eta * d)
+    old_check_exclusions(space, x, y, z, sz)
+    old_check_exclusions(space, x, y, w, sw)
+
+    def result(variant, lz, lw, extra=None):
+        nz, wz = lz
+        nw, ww = lw
+        n = max(nz, nw)
+        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
+        return ForkClass(variant, (wz, ww), n, cap, prong_bound=extra)
+
+    if "T" in sz and "T" in sw:
+        return result("I", sz["T"], sw["T"])
+    if "P" in sz and "P" in sw:
+        return result("II", sz["P"], sw["P"])
+    if "p" in sz and "T" in sw:
+        return result("III", sz["p"], sw["T"])
+    if "T" in sz and "p" in sw:
+        return result("III", sw["p"], sz["T"])
+    if "p" in sz and "t" in sw:
+        return result("IV", sz["p"], sw["t"])
+    if "t" in sz and "p" in sw:
+        return result("IV", sw["p"], sz["t"])
+    if ("p" in sz and "p" in sw) or ("t" in sz and "t" in sw):
+        h0 = min(x.depth, y.depth, z.depth, w.depth)
+        bound = 2 * (35 * delta + space.eps[h0]) * d
+        dzw = space.distance(z, w)
+        check(dzw <= bound, "contracted prongs %s apart, above %s", dzw, bound)
+        key = "p" if ("p" in sz and "p" in sw) else "t"
+        return result("ProngsContracted", sz[key], sw[key], extra=bound)
+    for sa, sb, wb, swap in ((sz, sw, w, False), (sw, sz, z, True)):
+        if "P" in sa and "t" in sb:
+            n_p, (xp, yp, _) = sa["P"]
+            best = _promote_path(space, xp, yp, wb, cap)
+            if best is not None:
+                n_b, bar = best
+                n = max(n_p, sb["t"][0], n_b)
+                check(n <= cap, "promoted fork: nearness %s above cap %s", n, cap)
+                wit_a = sa["P"][1]
+                wit_b = (xp, yp, bar)
+                wits = (wit_a, wit_b) if not swap else (wit_b, wit_a)
+                return ForkClass("II", wits, n, cap)
+    return ForkClass("Unclassified", None, None, cap)
+
+
+def old_classify_3path(space, x0, x1, x2, x3, delta):
+    require_ready(space, delta, Fraction(1, 200), "3-path classification")
+    pts = (x0, x1, x2, x3)
+    space.check_depth(*pts)
+    scale = path_scale_range(space, pts, delta)
+    delta = Fraction(delta)
+    d01 = space.distance(x0, x1)
+    budget = 8 * delta * d01
+    cap = 35 * delta * d01
+    s1 = old_certify_labels(space, x0, x1, x2, budget)
+    s2 = old_certify_labels(space, x1, x2, x3, budget)
+    old_check_exclusions(space, x0, x1, x2, s1)
+    old_check_exclusions(space, x1, x2, x3, s2)
+
+    def result(variant, l1, l2):
+        n = max(l1[0], l2[0])
+        check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
+        return ThreePathClass(variant, (l1[1], l2[1]), n, cap, scale)
+
+    combos = (
+        ("A", s1, "P", s2, "P"),
+        ("B", s1, "P", s2, "t"),
+        ("C", s1, "p", s2, "T"),
+        ("ReverseA", s2, "p", s1, "p"),
+        ("ReverseB", s2, "p", s1, "T"),
+        ("ReverseC", s2, "P", s1, "t"),
+    )
+    for variant, sa, la, sb, lb in combos:
+        if la in sa and lb in sb:
+            return result(variant, sa[la], sb[lb])
+    for variant, sa, la, sb, lb, far in (
+            ("C", s1, "T", s2, "T", x0),
+            ("ReverseC", s2, "t", s1, "t", x3)):
+        if la in sa and lb in sb:
+            n_b, (a2, b2, _) = sb[lb]
+            best = _promote_path(space, b2, a2, far, cap)
+            if best is not None:
+                n_f, far_w = best
+                n = max(sa[la][0], n_b, n_f)
+                check(n <= cap, "%s: nearness %s above cap %s", variant, n, cap)
+                path_wit = (b2, a2, far_w)
+                return ThreePathClass(variant, (path_wit, sb[lb][1]), n, cap, scale)
+    return ThreePathClass("Unclassified", None, None, cap, scale)
+
+
+# per kind: the generator, the bulk classifier, the oracle, and the deltas
+# compared: the CLI's, as a Fraction and as a float, and 0.001
+KINDS = {"midpoint": (gen_midpoint, classify_midpoints, old_classify_midpoint,
+                      (Fraction(1, 32), 0.03125, 0.001)),
+         "fork": (gen_fork, classify_forks, old_classify_fork,
+                  (Fraction(1, 128), 0.0078125, 0.001)),
+         "3path": (gen_3path, classify_3paths, old_classify_3path,
+                   (Fraction(1, 256), 0.00390625, 0.001))}
+
+
+def _by_space(instances):
+    groups = {}
+    for sp, *pts in instances:
+        groups.setdefault(sp, []).append(pts)
+    return groups
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_bulk_classifiers_match_the_per_instance_code(kind):
+    """Every field of every class, on 1,000 seeded instances per delta, a
+    float delta keeping is_midpoint's float comparison; the one-row calls
+    agree too."""
+    gen, bulk, oracle, deltas = KINDS[kind]
+    one_row = {"midpoint": classify_midpoint, "fork": classify_fork, "3path": classify_3path}[kind]
+    for delta in deltas:
+        rng = random.Random(31)
+        seen = set()
+        for sp, rows in _by_space([gen(rng, delta) for _ in range(1000)]).items():
+            got = bulk(sp, rows, delta)
+            assert len(got) == len(rows)
+            for pts, variant, out in zip(rows, got.variants, got):
+                old = oracle(sp, *pts, delta)
+                assert type(out) is type(old) and vars(out) == vars(old)
+                assert variant == old.variant
+                seen.add(variant)
+            assert vars(one_row(sp, *rows[-1], delta)) == vars(got[-1])
+        assert len(seen) >= 2 and "Unclassified" not in seen
+
+
+def test_bulk_classifiers_decide_clean_rows_on_arrays(monkeypatch):
+    # at an exact delta, a row that passes every check and reaches no
+    # promotion makes no per-row call: its variant is read off the arrays
+    from mconvex.embeddings import classify
+    calls = []
+    for name in ("is_midpoint", "path_scale_range", "_promote_path"):
+        monkeypatch.setattr(classify, name, lambda *a, name=name: calls.append(name))
+    for gen, bulk, _, deltas in KINDS.values():
+        rng = random.Random(8)
+        for sp, rows in _by_space([gen(rng, deltas[0]) for _ in range(300)]).items():
+            assert "Unclassified" not in bulk(sp, rows, deltas[0]).variants
+    assert calls == []
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:        # noqa: BLE001 -- compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+def test_bulk_raises_the_error_of_the_first_failing_row():
+    """A batch raises what the per-instance loop raises first: a failing
+    check of an earlier row before a later row's, a vertex past the space's
+    depth included."""
+    sp = make_space(Fraction(1, 128), depth=20)
+    x = TreeVertex((0,) * 12)
+    deep = TreeVertex((1,) * 21)
+    good = (x, x.ancestor(6), ROOT)
+    off = (x, x.ancestor(1), ROOT)              # not a midpoint
+    same = (x, x.ancestor(6), x)                # x == z
+    for rows in ([good, off, (deep, x, ROOT)], [good, (deep, x, ROOT), off],
+                 [good, same, off], [off, same], [good, good]):
+        for delta in (Fraction(1, 32), 0.03125, Fraction(1, 16)):
+            expected = next(filter(None, (_outcome(lambda r=r: old_classify_midpoint(sp, *r, delta))
+                                          for r in rows)), None)
+            assert _outcome(lambda: classify_midpoints(sp, rows, delta)) == expected
+    line = TreeVertex((0, 1) * 9)
+    path = (line, line.ancestor(12), line.ancestor(6), ROOT)
+    bent = (ROOT, TreeVertex((0,)), TreeVertex((1,)), TreeVertex((0, 0)))   # no scale
+    y = TreeVertex((0,) * 6)
+    fork = (ROOT, y, y.descend((0,) + (1,) * 5), y.descend((1,) + (0,) * 5))
+    far = fork[:3] + (TreeVertex((1,) * 12),)     # y is no midpoint of (x, w)
+    loop = fork[:3] + (ROOT,)                      # x == w
+    cases = [(classify_3paths, old_classify_3path, [path, bent, path[::-1]]),
+             (classify_3paths, old_classify_3path, [path, (deep,) + path[1:], bent]),
+             (classify_3paths, old_classify_3path, [path[::-1], bent, (deep,) + path[1:]]),
+             (classify_forks, old_classify_fork, [fork, far, loop]),
+             (classify_forks, old_classify_fork, [fork, loop, far, (deep,) + fork[1:]])]
+    for bulk, oracle, rows in cases:
+        expected = next(filter(None, (_outcome(lambda r=r: oracle(sp, *r, Fraction(1, 256)))
+                                      for r in rows)))
+        assert _outcome(lambda: bulk(sp, rows, Fraction(1, 256))) == expected
 
 
 def test_b4_ancestor_pairs_are_the_strict_ancestor_pairs():

@@ -36,6 +36,53 @@ def test_laakso_ratio_artifacts(tmp_path, capsys):
     assert read(tmp_path, "laakso-ratio.svg").startswith("<svg")
 
 
+def test_classify_zero_trials(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "classify", "--kind", "fork", "--delta", "1/128",
+                 "--trials", "0", "--seed", "1"]) == 0
+    data = json.loads(read(tmp_path, "classify.json"))
+    assert (data["trials"], data["variants"], data["unclassified"]) == (0, {}, 0)
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_classify_raises_the_first_failing_trial(tmp_path, capsys, monkeypatch, chunk):
+    # trials 2 and 5 fail, in two spaces, and trial 5's space is classified
+    # first: the error is trial 2's, as in a loop over the trials in order,
+    # whether the two are drawn in one chunk or trial 5 in a later one
+    from mconvex.embeddings import classify, generators
+    monkeypatch.setattr(classify, "CLASSIFY_CHUNK", chunk)
+    from mconvex.trees import ROOT, TreeVertex
+    a = generators.make_space(Fraction(1, 128), depth=20)
+    b = generators.make_space(Fraction(1, 512), depth=20)
+    x = TreeVertex((0,) * 12)
+    good, off = (x, x.ancestor(6), ROOT), (x, x.ancestor(1), ROOT)
+    deep = (TreeVertex((1,) * 21), x, ROOT)
+    trials = iter([(a, *good), (b, *good), (b, *off), (a, *good), (b, *good), (a, *deep)])
+    monkeypatch.setattr(generators, "gen_midpoint", lambda rng, delta: next(trials))
+    assert main(["--out", str(tmp_path), "classify", "--kind", "midpoint", "--delta", "1/32",
+                 "--trials", "6", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PreconditionViolated", "message": "y is not a delta-approximate midpoint of x, z"}
+
+
+def test_classify_chunks_leave_the_output_unchanged(tmp_path, capsys, monkeypatch):
+    # classify draws and classifies its trials a chunk at a time: chunks of 7
+    # give the bytes of one chunk, with one bulk call or more per chunk
+    from mconvex.embeddings import classify
+    args = ["classify", "--kind", "fork", "--delta", "1/128", "--trials", "40", "--seed", "4"]
+    assert main(["--out", str(tmp_path / "a")] + args) == 0
+    forks, sizes = classify.classify_forks, []
+
+    def counting(space, rows, delta):
+        sizes.append(len(rows))
+        return forks(space, rows, delta)
+
+    monkeypatch.setattr(classify, "classify_forks", counting)
+    monkeypatch.setattr(classify, "CLASSIFY_CHUNK", 7)
+    assert main(["--out", str(tmp_path / "b")] + args) == 0
+    assert read(tmp_path / "a", "classify.json") == read(tmp_path / "b", "classify.json")
+    assert sum(sizes) == 40 and max(sizes) <= 7 and len(sizes) >= 6
+
+
 def test_reruns_byte_identical(tmp_path, capsys):
     args = ["classify", "--kind", "midpoint", "--delta", "1/32",
             "--trials", "40", "--seed", "5"]

@@ -706,6 +706,31 @@ def test_cond_cache_two_levels_on_general_chains(chain_and_map):
     assert set(seen["composed"].values()) <= {1}
 
 
+def test_one_fork_sum_per_window(monkeypatch):
+    # the fork sum of (s, k) depends only on its window of times, clipped to
+    # (t_min, t_max]: one exact sum per window that holds a kernel, over all
+    # scales, on the Laakso m = 3 walk and on prop21-check's random chains
+    calls = []
+    fork_sum = markov._fork_sum
+    monkeypatch.setattr(markov, "_fork_sum", lambda *a: calls.append(1) or fork_sum(*a))
+    G = build_laakso(3)
+    rng = random.Random(1)
+    cases = [(laakso_walk(G), lambda v: v, G.as_metric_space())]
+    for chain, f in (random_chain(rng) for _ in range(30)):
+        target = LpSpace(3, 2).as_metric_space([f(s) for s in chain.states])
+        cases.append((chain, lambda s, f=f: tuple(f(s)), target))
+    for chain, f, space in cases:
+        calls.clear()
+        try:
+            convexity_ratio(chain, f, space, 2)
+        except DegenerateChain:
+            pass
+        windows = {(max(s, chain.t_min), min(s + 2 ** k, chain.t_max))
+                   for k in range(default_k_max(chain) + 1)
+                   for s in range(chain.t_min - 2 ** k + 1, chain.t_max)}
+        assert len(calls) == sum(any(lo < t <= hi for t in chain._steps) for lo, hi in windows)
+
+
 def test_convexity_ratio_builds_no_fraction_law_and_one_power_per_pair(monkeypatch):
     # on prop21-check's chains: the laws are int vectors, never law()'s
     # Fractions, and the one-step sum and the fork terms read one table, so

@@ -360,6 +360,48 @@ def test_numpy_matrix_scales_exactly():
         assert mat.tolist() == [[float(d) for d in row] for row in mixed]
 
 
+def old_checked_matrix(space):
+    """_checked_matrix before its one type pass, verbatim: an isinstance
+    scan, the set of denominators and a scaling comprehension."""
+    if space._scaled_matrix is not None:
+        try:
+            return space._scaled_matrix(), 0
+        except TooLarge:
+            pass
+    rows = space.distance_matrix()
+    if space.exact and all(isinstance(d, (int, Fraction)) for row in rows for d in row):
+        den = math.lcm(*{d.denominator for row in rows for d in row})
+        scaled = [[d.numerator * (den // d.denominator) for d in row] for row in rows]
+        fits = max(max(map(abs, row)) for row in scaled) <= 2 ** 61
+        return np.array(scaled, dtype=np.int64 if fits else object), 0
+    mat = np.array([[metric.to_float(d, "a distance") for d in row] for row in rows],
+                   dtype=np.float64)
+    return mat, space.tol * max(1.0, float(mat.max()))
+
+
+def test_checked_matrix_matches_the_three_pass_code():
+    # int, Fraction, mixed, bool and float rows, in spaces flagged exact or
+    # not, and ints on both sides of the int64/object boundary at 2^61
+    def line(scale, shift=0):
+        return [[abs(i - j) * scale + shift * (i != j) for j in range(4)] for i in range(4)]
+
+    matrices = [line(1), line(3), line(Fraction(3, 4)), line(Fraction(1, 3), 1), line(0.5),
+                [[0, Fraction(3, 4), 2], [Fraction(3, 4), 0, 0.25], [2, 0.25, 0]],
+                [[False, True], [True, False]], line(1, 2 ** 61 - 3), line(1, 2 ** 61 - 2),
+                line(-1, -2 ** 61 + 3), line(-1, -2 ** 61 + 2), line(1, 2 ** 63),
+                line(1, 2 ** 70), line(Fraction(1, 2), 2 ** 60), line(1)[:1]]
+    for rows in matrices:
+        for exact in (True, False):
+            space = FiniteMetricSpace.from_matrix(range(len(rows)), rows, exact=exact)
+            (mat, tol), (old, old_tol) = _checked_matrix(space), old_checked_matrix(space)
+            assert (mat.dtype, mat.shape, tol) == (old.dtype, old.shape, old_tol)
+            assert mat.tolist() == old.tolist()
+            assert [type(v) for v in mat.ravel()] == [type(v) for v in old.ravel()]
+    dtypes = [_checked_matrix(FiniteMetricSpace.from_matrix(range(4), line(1, shift)))[0].dtype
+              for shift in (2 ** 61 - 3, 2 ** 61 - 2)]
+    assert dtypes == [np.int64, object]
+
+
 def test_verify_metric_exact_distance_past_the_float_range():
     # a space not flagged exact is checked in float64: an exact distance past
     # the float range is OutOfRange, not an OverflowError

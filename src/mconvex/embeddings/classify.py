@@ -35,7 +35,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import CollapsedAncestorPair, NotApproximatePath, PreconditionViolated, check
+from ..errors import (CollapsedAncestorPair, NotApproximatePath, OutOfRange,
+                      PreconditionViolated, check)
 from ..metric import is_midpoint
 from ..trees import (_vertex, bit_length, depth_path_arrays, enumerate_bn, scaled_path_distance,
                      sp_pairs, tree_distance)
@@ -433,7 +434,8 @@ def b4_bound_checks(space, rows, delta):
     """b4_bound_check on many maps at once: `rows` holds each map as the 31
     heap indices of its images, in _B4 order (as search.nested_b4_rows
     draws them).  Returns [(dist, bound, holds)], one per row; the first row
-    that fails raises the error b4_bound_check raises on it.
+    that fails raises the error b4_bound_check raises on it.  A delta below
+    0 is OutOfRange, one of 1/400 or more PreconditionViolated.
 
     D <= 1 + delta and dist >= bound are decided by cross-multiplying the
     ints of _b4_extremes with the numerator and denominator of 1 + delta (a
@@ -442,6 +444,8 @@ def b4_bound_checks(space, rows, delta):
     and D in an error, become Fractions."""
     exact = Fraction(delta)
     dn, dd = exact.numerator, exact.denominator
+    if dn < 0:
+        raise OutOfRange(f"delta = {delta} < 0")
     if not 400 * dn < dd:
         raise PreconditionViolated("requires delta < 1/400")
     faith_n, faith_d = (1 + delta).as_integer_ratio()
@@ -481,9 +485,3 @@ def b4_bound_check(space, f, delta):
     """
     return b4_bound_checks(space, [[f(v).index for v in _B4]], delta)[0]
 
-
-def b4_distortion(space, images):
-    """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
-    vertex -> image) over all vertex pairs of B_4; inf on a collapse."""
-    _, _, _, lo, hi = next(_b4_extremes(space, [[images[v].index for v in _B4]]))
-    return Fraction(hi, lo) if lo else math.inf

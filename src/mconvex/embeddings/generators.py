@@ -257,11 +257,12 @@ def random_chain(rng, max_states=10, horizon=8, dim=3, coord_range=8):
 def htree_random_triple_violations(space, rng, count):
     """Triangle-inequality violations over random vertex triples (exact).
 
-    Each vertex is `_rand_vertex(rng, rng.randint(0, space.max_depth))`,
-    drawn in bulk by `random_depth_bits` as (depth, path bits) arrays; all
-    triples (x, y, z) are compared at once on `scaled_path_distance`, on the
-    path words of `aligned_paths`, and only the violating ones become
-    TreeVertex objects, in draw order."""
+    The 3 count vertices are drawn by `random_depth_bits`, each a depth
+    from 0..max_depth and that many path bits, from a fixed number of words,
+    so that count triples are count one-triple draws; all triples (x, y, z)
+    are compared at once on `scaled_path_distance`, on the path words of
+    `aligned_paths`, and only the violating ones become TreeVertex objects,
+    in draw order."""
     import numpy as np
 
     depths, bits = random_depth_bits(rng, space.max_depth, 3 * count)

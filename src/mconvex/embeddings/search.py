@@ -4,14 +4,14 @@ The rigidity bound says a (1 + delta)-vertically faithful image of B_4 in
 (B_infty, d_eps) cannot have small distortion: dist >= 1/(500 delta + eps_h0).
 The generator below produces exactly faithful "nested" embeddings: every edge
 of B_4 becomes a descending run of L levels, so ancestor pairs stretch by
-exactly L.  `nested_b4_indices` draws one as the 31 heap indices of its images,
-and `nested_b4_rows` draws many as an array, on the same Mersenne-Twister
-words, read through `randbits._draw`, the one read-ahead of every bulk draw
-of the package.  `b4-search` draws its trials B4_CHUNK at
-a time with one nested_b4_rows call and checks each chunk with one
+exactly L.  `nested_b4_rows` draws maps as an array of the 31 heap indices
+of their images, each map from a fixed number of 64-bit words of
+`randbits.random_words`, so that a draw of many maps equals as many one-map
+draws; `nested_b4_indices` is its one row, and `generate_faithful_b4` the
+TreeVertex map of that row.  `b4-search` draws its trials B4_CHUNK at a time
+with one nested_b4_rows call and checks each chunk with one
 `classify.b4_bound_checks` call, which decides its verdicts on ints, building
-TreeVertex maps only for the trials that violate the floor
-(`generate_faithful_b4` gives the TreeVertex map of the same draws).
+TreeVertex maps only for the trials that violate the floor.
 
 One nested map stands for the whole family.  Sibling descents start with
 different bits, so the image of lca(u, v) is the lca of the images of u and v,
@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 from ..errors import OutOfRange, check
-from ..randbits import _bits_at, _draw
+from ..randbits import random_words, top_bits
 from ..trees import _vertex
 # b4_bound_check is not used here, but stays a name of this module:
 # bench/tests/test_bench.py reaches it as search.b4_bound_check
@@ -53,163 +53,75 @@ def nested_b4_indices(space, rng, L=None, collide_prob=0.01, h0=None):
     The root goes to the depth-h0 vertex along h0 random bits, and each
     other vertex of B_4, in heap order, L levels below its parent's image
     along a random L-bit run (its first bit the highest).  A 1-child's run
-    starts with the other bit than its sibling's (the 0-child, drawn just
-    before), unless a deliberate collision, with probability collide_prob,
-    copies the sibling's run: then the two siblings collapse.  L is drawn
-    from 3..14 and h0 from 0..max_depth - 4L unless given; L must lie in
+    starts with the other bit than its sibling's (the 0-child), unless a
+    deliberate collision, with probability collide_prob, copies the
+    sibling's run: then the two siblings collapse.  L is drawn from 3..14
+    and h0 from 0..max_depth - 4L unless given; L must lie in
     1..max_depth // 4 and h0 in 0..max_depth - 4L (OutOfRange otherwise),
-    so the image fits.  The draws are `rng.randint(3, 14)` for L,
-    `rng.randint(0, max_depth - 4L)` for h0, `random_bits(rng, h0)` for the
-    root, then per sibling pair `random_bits(rng, L)` twice and
-    `rng.random()`.  This is the one row of nested_b4_rows.
+    so the image fits.  This is the one row of nested_b4_rows, which gives
+    the words it reads.
     """
     return nested_b4_rows(space, rng, 1, L, collide_prob, h0)[0].tolist()
 
 
 def nested_b4_rows(space, rng, count, L=None, collide_prob=0.01, h0=None):
     """`count` maps of nested_b4_indices as a (count, 31) array of heap
-    indices, on the words of `count` calls to it: rng is left as they leave
-    it (`gauss_next` included), and an OutOfRange of a drawn L, or of a
-    given h0 below it, is raised with rng just past that L's word.  The
-    array is int64 when space.max_depth <= 62, else Python ints in an
+    indices: int64 when space.max_depth <= 62, else Python ints in an
     object array.
 
-    The words are read through `randbits._draw` and parsed map by map
-    (_parse_b4); the bit runs of every parsed map are then packed at once,
-    and the sibling flips, collisions and images are numpy operations on
-    all maps (_b4_rows)."""
+    Each map reads the same 2 + 31 W + 15 words of `randbits.random_words`,
+    W = max(1, ceil(max_depth / 64)), whether L and h0 are given or drawn,
+    so a draw of count maps equals count one-map draws: L = 3 + w % 12 of
+    its first word, h0 = w % (max_depth - 4L + 1) of its second, the root's
+    run of the next W, then per sibling pair, in heap order, the runs of the
+    0-child and the 1-child (W words each) and a collision word w, which
+    collides when (w >> 11) < collide_prob * 2^53 (as `rng.random() <
+    collide_prob` reads 53 bits).  A run is the top L bits, the root's the
+    top h0 bits, of its words (`randbits.top_bits`).  An image is its
+    parent's image shifted up by L, ORed with its run, under the root's
+    marker bit 1 << h0.
+
+    A given L or h0 out of range raises OutOfRange before anything is
+    drawn.  A drawn L that does not fit (or leaves no room for a given h0)
+    raises it for the first such map, with rng past all count maps' words.
+    """
     import numpy as np
 
-    dtype = np.int64 if space.max_depth <= 62 else object
+    N, width = space.max_depth, max(1, -(-space.max_depth // 64))
     if count > 0 and L is not None:
         _check_L_h0(space, L, h0)
-    # a map reads 2L kept words, some 4L words, and the two of rng.random()
-    # for each of its 15 sibling pairs, 2 h0 words for the root run (h0 averaging (max_depth - 4L) / 2 when drawn), and a few
-    # for the draws of L and h0; linear in L, so a drawn L averages to 8.5
-    mean_L = 8.5 if L is None else L
-    per_map = 60 * mean_L + 34 + (2 * h0 if h0 is not None else space.max_depth - 4 * mean_L)
-    parts = _draw(rng, count, per_map,
-                  lambda block, n: _parse_b4(space, L, h0, collide_prob, dtype, block, n))
-    return np.concatenate([np.zeros((0, len(_B4)), dtype=dtype), *parts])
-
-
-def _parse_b4(space, L, h0, collide_prob, dtype, block, n):
-    """The parse of nested_b4_rows for `randbits._draw`: up to n maps from
-    the words of `block`, their part the rows of _b4_rows.
-
-    A kept bit word (one of random_bits) has its top bit clear, and an
-    L-bit run is L kept words, ending at the last; `before[q]` counts the
-    kept words before word q and `pos[c]` is the c-th kept word, so a run
-    from word q ends at word pos[before[q] + L - 1].  The two runs of a
-    sibling pair are the 2L kept words from the pair's first word, and its
-    rng.random() reads the two words after them, whatever their top bits.
-
-    Each parsed map adds 33 ints to `maps`: h0, L, the root run's first
-    kept word, then per pair the first kept word c of its runs and the
-    first word q of its rng.random()."""
-    import numpy as np
-
-    words = np.frombuffer(block, dtype="<u4")
-    top = np.frombuffer(block, dtype=np.uint8)[3::4]        # each word's top byte
-    kept = top < 128
-    pos = kept.nonzero()[0]
-    before = np.zeros(len(kept) + 1, dtype=np.int32)
-    kept.cumsum(out=before[1:])
-    N, given_L, given_h0 = space.max_depth, L, h0
-    wv, before, pv = memoryview(words), memoryview(before), memoryview(pos)
-    nw, npos = len(wv), len(pv)
-    maps = []
-    q = 0              # the next unread word
-    for _ in range(n):
-        start, mark = q, len(maps)
-        if given_L is None:
-            # randint(3, 14) keeps a word w with w >> 28 < 12
-            while q < nw and wv[q] >> 28 >= 12:
-                q += 1
-            if q == nw:
-                q = start
-                break
-            L, q = (wv[q] >> 28) + 3, q + 1
-            try:
-                _check_L_h0(space, L, given_h0)
-            except OutOfRange as exc:
-                return None, 0, q, exc
-        if given_h0 is None:
-            m = N - 4 * L + 1
-            shift = 32 - m.bit_length()
-            while q < nw and wv[q] >> shift >= m:
-                q += 1
-            if q == nw:
-                q = start
-                break
-            h0, q = wv[q] >> shift, q + 1
-        root = before[q]
-        if root + h0 > npos:
-            q = start
-            break
-        if h0:
-            q = pv[root + h0 - 1] + 1
-        maps += h0, L, root
-        for _ in range(15):
-            c = before[q]
-            if c + 2 * L > npos:
-                break
-            q = pv[c + 2 * L - 1] + 1
-            if q + 2 > nw:
-                break
-            maps += c, q
-            q += 2
-        else:
-            continue
-        del maps[mark:]
-        q = start
-        break
-    items = len(maps) // 33
-    return _b4_rows(maps, words, top, pos, collide_prob, dtype) if items else None, items, q, None
-
-
-def _b4_rows(maps, words, top, pos, collide_prob, dtype):
-    """The heap indices of the maps _parse_b4 parsed into `maps`, from the
-    words of its block, their top bytes and its kept bit words, as
-    nested_b4_rows returns them.  An image is the OR of its own and its
-    ancestors' runs, each shifted up by L per level below it, under the
-    root's marker bit 1 << h0."""
-    import numpy as np
-
-    if not _COLUMNS:
-        # the runs' first kept words by heap index - 1 (the root's, then
-        # each pair's twice), their widths (h0, then L), and for each
-        # vertex its ancestors' runs and how many levels of L lie below
-        # them (a vertex above depth 4 repeats its own run, shifted by 0)
-        lines = [[(v >> k) - 1 for k in range(v.bit_length())] for v in range(1, 32)]
-        _COLUMNS.extend(np.array(a) for a in (
-            [2] + [3 + 2 * (i // 2) for i in range(30)], [0] + [1] * 30,
-            [line + line[:1] * (5 - len(line)) for line in lines],
-            [list(range(len(line))) + [0] * (5 - len(line)) for line in lines]))
-    start_cols, width_cols, ancestors, levels = _COLUMNS
-    maps = np.array(maps).reshape(-1, 33)
-    m, Ls = len(maps), maps[:, 1:2]
-    zero, after = maps[:, 3::2], maps[:, 4::2]
-    one = zero + Ls
-    # rng.random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 for its words a, b
-    a, b = words[after], words[after + 1]
-    collide = ((a >> 5).astype(np.int64) << 26 | b >> 6) < collide_prob * 2 ** 53
+    per_map = 2 + 31 * width + 15
+    words = random_words(rng, count * per_map).reshape(-1, per_map)
+    if L is None:
+        L = 3 + (words[:, :1] % 12).astype(np.int64)
+        room = N - 4 * L
+        fits = room >= 0 if h0 is None else (0 <= h0) & (h0 <= room)
+        if not fits.all():
+            _check_L_h0(space, int(L[fits.argmin(), 0]), h0)
+    if h0 is None:
+        h0 = words[:, 1:2] % np.asarray(N + 1 - 4 * L, dtype=np.uint64)
+    # columns of one L and h0 a map: a 0-d uint64 mixed with an int would
+    # turn float on numpy 1.x
+    L, h0 = (np.broadcast_to(a, (len(words), 1)).astype(np.uint64) for a in (L, h0))
+    pairs = words[:, 2 + width:].reshape(-1, 15, 2 * width + 1)
+    root = top_bits(words[:, None, 2:2 + width], h0)
+    runs = top_bits(pairs[:, :, :2 * width].reshape(-1, 30, width), L)
     # a 1-child's run starts with the other bit than its sibling's, or is
     # its sibling's run on a collision
-    digits = top[pos] >> 6
-    digits[one] = 1 - digits[zero]
-    starts = maps[:, start_cols]
-    starts[:, 2::2] = np.where(collide, zero, one)
-    widths = maps[:, width_cols]
-    runs = _bits_at(digits, starts.ravel(), widths.ravel(), int(widths.max()))
-    runs = (runs.view(np.int64) if dtype is np.int64 else runs.astype(object)).reshape(m, -1)
-    # the root's image; each other's is its parent's, L levels up, and its run
-    runs[:, 0] |= 1 << maps[:, 0].astype(dtype)
-    shifts = (levels * Ls[:, :, None]).astype(dtype)
-    return np.bitwise_or.reduce(runs[:, ancestors] << shifts, axis=2)
-
-
-_COLUMNS = []       # numpy loads lazily: the column arrays of _b4_rows once used
+    dtype = np.uint64 if N <= 62 else object
+    root, runs, L, h0 = (a.astype(dtype) for a in (root, runs, L, h0))
+    top = 1 << (L - 1)
+    zero, one = runs[:, 0::2], runs[:, 1::2]
+    collide = (pairs[:, :, 2 * width] >> 11) < collide_prob * 2 ** 53
+    runs[:, 1::2] = np.where(collide, zero, (one & (top - 1)) | (zero & top ^ top))
+    # the images by depth, each vertex's the parent's shifted up by L and its run
+    level = root | 1 << h0
+    images = [level]
+    for d in range(1, 5):
+        level = np.repeat(level, 2, axis=1) << L | runs[:, 2 ** d - 2:2 ** (d + 1) - 2]
+        images.append(level)
+    rows = np.hstack(images)
+    return rows.view(np.int64) if dtype is np.uint64 else rows
 
 
 def generate_faithful_b4(space, rng, L=None, collide_prob=0.01):

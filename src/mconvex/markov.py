@@ -65,7 +65,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateChain, OutOfRange, TooLarge, check
-from .metric import exact_or_float, is_integral, number_type, power, rat_to_str
+from .metric import is_integral, number_type, power, rat_to_str
 
 DOWNWARD_LIMIT = 16
 # the largest m of laakso_ratio, which builds no graph: the copy recursion of
@@ -380,14 +380,6 @@ def _fork_sum(mu, M, dpow):
         if d:
             total += d * w
     return total, den_mu * denM ** 2 * (dpow.den or 1)
-
-
-def pair_expectation(chain, f, space, t, s, p):
-    """E[d(f(X_t), f(X~_t(s)))^p], exactly; 0 when s >= t."""
-    # compose single steps from s to t (direct calls need no dyadic alignment)
-    M = functools.reduce(_compose, map(chain._steps.get, range(s + 1, t + 1)), None)
-    fork = _fork_sum(chain.int_law(s), M, _DistPowCache(space, f, p))
-    return 0 if fork is None else exact_or_float(2 * fork[0]) / fork[1]
 
 
 def rhs_step_sum(chain, f, space, p):

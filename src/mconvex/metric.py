@@ -200,11 +200,12 @@ def verify_metric(space, seed=0):
     ordered triples (i, k, j) up to EXHAUSTIVE_LIMIT points (all n^3 are
     proved, though `triangle_failures` sums only the pairs i <= j of a
     symmetric matrix: the pair (j, i) has the same check), beyond that on
-    SAMPLED_TRIPLES triples drawn from random.Random(seed) (the report records
-    the mode), with slack 0 on exact distances and `space.tol` times the
-    largest distance (at least 1) on floats.  A degenerate triple (two equal
-    indices) fails only where a diagonal entry is nonzero or a distance
-    negative, so only where an axiom fails too.
+    SAMPLED_TRIPLES triples (i, k, j) drawn from random.Random(seed) by
+    `randbits.random_below`, one 64-bit word an index, and checked in draw
+    order (the report records the mode), with slack 0 on exact distances
+    and `space.tol` times the largest distance (at least 1) on floats.  A
+    degenerate triple (two equal indices) fails only where a diagonal entry
+    is nonzero or a distance negative, so only where an axiom fails too.
     """
     import numpy as np
 

@@ -131,9 +131,7 @@ def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
     # b4-search draws and checks its trials in chunks; with every third
     # trial's check failing, the violations it reports (trial numbers across
     # chunks, dist, bound and the TreeVertex map) are those of the trial loop
-    # it replaced, on the same stream, drawn by the scalar code
-    from test_embeddings import scalar_nested_b4_indices
-
+    # it replaced, one nested_b4_indices map a trial on the same seed
     from mconvex.embeddings import classify, search
     from mconvex.embeddings.generators import make_space
     from mconvex.trees import _vertex
@@ -154,7 +152,7 @@ def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
     rng = random.Random(3)
     expected = []
     for i in range(trials):
-        f = dict(zip(classify._B4, map(_vertex, scalar_nested_b4_indices(space, rng))))
+        f = dict(zip(classify._B4, map(_vertex, search.nested_b4_indices(space, rng))))
         dist, bound, _ = classify.b4_bound_check(space, lambda v: f[v], Fraction(1, 512))
         if i % 3 == 0:
             expected.append({"trial": i, "dist": rat_to_str(dist), "bound": rat_to_str(bound),
@@ -167,6 +165,11 @@ def test_b4_search_chunks_match_the_trial_loop(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "PreconditionViolated", "message": "requires delta < 1/400"}
     assert main(["--out", str(tmp_path), "b4-search", "--delta", "1/400", "--trials", "0",
+                 "--seed", "1"]) == 0
+    assert json.loads(read(tmp_path, "b4-search.json"))["violations"] == []
+    # delta = 0 is in range (a negative one is OutOfRange): the maps are
+    # exactly faithful, so every check runs
+    assert main(["--out", str(tmp_path), "b4-search", "--delta", "0", "--trials", "3",
                  "--seed", "1"]) == 0
     assert json.loads(read(tmp_path, "b4-search.json"))["violations"] == []
 
@@ -444,8 +447,9 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     still.write_text(json.dumps({"states": ["y0"], "t_min": 0, "t_max": 1, "kernels": {},
                                  "initial": {"y0": "1"}}))
     # the depth budget n of distortion-gap is checked by the experiment
-    # itself, the quotient factors (> 0) by verify_quotient, and the boost
-    # slack delta (>= 0) by path_boost
+    # itself, the quotient factors (> 0) by verify_quotient, the boost
+    # slack delta (>= 0) by path_boost, and the b4-search delta (>= 0) by
+    # b4_bound_checks
     out_of_range = [["distortion-gap", "--n", n, "--seed", "1"] for n in ("13", "0", "-2")]
     out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
                      for a, b in (("0", "1"), ("1", "-1"))]
@@ -454,6 +458,8 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     out_of_range += [["quotient-verify", "--map", str(fold), "--a", a, "--b", b]
                      for a, b in ((huge, "1"), ("1", huge))]
     out_of_range.append(["boost", "--delta", "-1e-3", "--seed", "1"])
+    out_of_range += [["b4-search", "--delta", delta, "--trials", "5", "--seed", "1"]
+                     for delta in ("-1/2", "-1e-3")]
     out_of_range.append(["quotient-lift", "--map", str(fold), "--chain", str(still),
                          "--a", "1", "--b", "-1"])
     # no generated instance has a negative delta: the generators refuse it

@@ -6,11 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mconvex.embeddings.classify import (_B4, _B4_PAIRS, b4_bound_check, b4_bound_checks,
-                                         b4_distortion)
+from mconvex.embeddings.classify import (_B4, _B4_PAIRS, _b4_extremes, b4_bound_check,
+                                         b4_bound_checks)
 from mconvex.embeddings.extract import (ExtractResult, _spread_map,
                                         extract_vertically_faithful)
-from mconvex.embeddings.generators import (RealLine, _rand_vertex, gen_boost_path,
+from mconvex.embeddings.generators import (RealLine, gen_boost_path,
                                            htree_random_triple_violations, make_space,
                                            random_valid_epsilon)
 from mconvex import trees
@@ -25,11 +25,10 @@ from mconvex.errors import (BoostFailed, CollapsedAncestorPair, DepthExceeded,
                             InvariantViolated, OutOfRange, PipelineFailed,
                             PreconditionViolated, TooLarge, check)
 from mconvex.metric import distortion_of, exact_or_float, to_float
-from mconvex import randbits
 from mconvex.randbits import random_bits
 from mconvex.trees import (ROOT, EpsilonSequence, HTreeSpace, TreeVertex, enumerate_bn,
                            sp_pairs, tree_distance)
-from test_randbits import CountingRandom, _check_below, _check_depth_bits
+from test_randbits import CountingRandom, _scalar_depth_bits
 
 
 def line_map(vals):
@@ -545,20 +544,65 @@ def _random_descents(rng, L, collide_prob=0.0):
     return descents
 
 
-def _generate_faithful_b4(space, rng, L=None, collide_prob=0.01, h0=None):
-    """generate_faithful_b4 on the descent code above, with h0 drawn as it
-    drew it unless given."""
+def _words_per_map(space):
+    """The 64-bit words nested_b4_rows reads a map: the words of L and h0,
+    31 runs of W = max(1, ceil(max_depth / 64)) words, 15 collision words."""
+    return 2 + 31 * max(1, -(-space.max_depth // 64)) + 15
+
+
+def _scalar_b4_draw(space, rng, L=None, collide_prob=0.01, h0=None):
+    """(L, h0, root bits, descents) of one nested map, decoded one scalar
+    word of rng.getrandbits(64) at a time in the layout nested_b4_rows
+    documents, with its OutOfRange checks: the per-map oracle of the bulk
+    draw.  The descents are those of _random_descents, on these words."""
+    N = space.max_depth
+    width = max(1, -(-N // 64))
+
+    def run(k):
+        bits = 0
+        for _ in range(width):
+            bits = bits << 64 | rng.getrandbits(64)
+        return bits >> (64 * width - k)
+
+    if L is not None and not 1 <= L <= N // 4:
+        raise OutOfRange(f"L = {L} outside 1..{N // 4}")
+    if L is not None and h0 is not None and not 0 <= h0 <= N - 4 * L:
+        raise OutOfRange(f"h0 = {h0} outside 0..{N - 4 * L}")
+    L_word, h0_word = rng.getrandbits(64), rng.getrandbits(64)
     if L is None:
-        L = rng.randint(3, 14)
+        L = 3 + L_word % 12
+        if not L <= N // 4:
+            raise OutOfRange(f"L = {L} outside 1..{N // 4}")
+        if h0 is not None and not 0 <= h0 <= N - 4 * L:
+            raise OutOfRange(f"h0 = {h0} outside 0..{N - 4 * L}")
     if h0 is None:
-        h0 = rng.randint(0, space.max_depth - 4 * L)
-    root_bits = random_bits(rng, h0)
-    return _nested_embedding(L, h0, root_bits, _random_descents(rng, L, collide_prob))
+        h0 = h0_word % (N - 4 * L + 1)
+    root = run(h0)
+    top = 1 << (L - 1)
+    descents = {}
+    for v in enumerate_bn(4)[1:]:      # heap order: each 0-child before its sibling
+        bits = run(L)
+        if v.index & 1:
+            sib = descents[v.sibling()]
+            if rng.getrandbits(64) >> 11 < collide_prob * 2 ** 53:
+                bits = sib                      # exact sibling collapse
+            elif not (bits ^ sib) & top:
+                bits ^= top
+        descents[v] = bits
+    return L, h0, root, descents
+
+
+def scalar_nested_b4_indices(space, rng, L=None, collide_prob=0.01, h0=None):
+    """nested_b4_indices on the per-map oracle: _nested_embedding of its
+    scalar decode, as heap indices in _B4 order."""
+    images = _nested_embedding(*_scalar_b4_draw(space, rng, L, collide_prob, h0))
+    return [images[v].index for v in _B4]
 
 
 def test_nested_b4_indices_match_the_descent_code():
-    # the same maps, in _B4 order, and the same stream left behind, on drawn
-    # and given L and h0, collisions included
+    # the same maps, in _B4 order, and the same stream left behind as the
+    # descent code on the scalar decode of the same words, on drawn and
+    # given L and h0, collisions included, at depths of one and two words
     for seed in range(300):
         depth = (60, 100, 20)[seed % 3]
         space = make_space(Fraction(1, 5), depth=depth)
@@ -566,7 +610,7 @@ def test_nested_b4_indices_match_the_descent_code():
         h0 = None if seed % 4 else seed % (depth - 4 * (L or 14) + 1)
         for p in (0.0, 0.01, 0.5, 1.0):
             new_rng, old_rng, gen_rng = (random.Random(seed) for _ in range(3))
-            old = _generate_faithful_b4(space, old_rng, L, p, h0)
+            old = _nested_embedding(*_scalar_b4_draw(space, old_rng, L, p, h0))
             new = nested_b4_indices(space, new_rng, L, p, h0)
             assert new == [old[v].index for v in _B4]
             assert all(type(i) is int for i in new)
@@ -586,34 +630,6 @@ def test_nested_b4_indices_rejects_bad_h0():
         assert row[0].bit_length() - 1 == h0 and max(row).bit_length() - 1 == h0 + 4 * L
 
 
-def scalar_nested_b4_indices(space, rng, L=None, collide_prob=0.01, h0=None):
-    """search.nested_b4_indices before it was the one row of
-    search.nested_b4_rows, kept verbatim as the oracle of the bulk draw: one
-    random_bits call per run and one rng.random() per sibling pair."""
-    if L is None:
-        L = rng.randint(3, 14)
-    if not 1 <= L <= space.max_depth // 4:
-        raise OutOfRange(f"L = {L} outside 1..{space.max_depth // 4}")
-    if h0 is None:
-        h0 = rng.randint(0, space.max_depth - 4 * L)
-    elif not 0 <= h0 <= space.max_depth - 4 * L:
-        raise OutOfRange(f"h0 = {h0} outside 0..{space.max_depth - 4 * L}")
-    top = 1 << (L - 1)
-    images = [1 << h0 | random_bits(rng, h0)]
-    runs = [0, 0]                          # by heap index; the root's unused
-    for v in range(2, 32):
-        bits = random_bits(rng, L)
-        if v & 1:
-            sib = runs[v - 1]
-            if rng.random() < collide_prob:
-                bits = sib                      # exact sibling collapse
-            elif not (bits ^ sib) & top:
-                bits ^= top
-        runs.append(bits)
-        images.append(images[(v >> 1) - 1] << L | bits)
-    return images
-
-
 def _draw_outcome(draw, rng):
     """The rows drawn (lists of ints) or the error's message, and rng's state
     after them, with its next random()."""
@@ -625,11 +641,18 @@ def _draw_outcome(draw, rng):
 
 
 def _check_rows(space, count, L, p, h0, seed):
-    ref, rng = random.Random(seed), random.Random(seed)
-    ref.gauss(0, 1)
-    rng.gauss(0, 1)
+    """nested_b4_rows against count maps of the per-map oracle and count
+    one-map draws, from generators whose gauss_next is set: the same rows
+    and the same state left behind, or the error of the first failing map.
+    After an error rng stands where nested_b4_rows documents: untouched for
+    a given L (or L and h0), past all count maps' words for a drawn L."""
+    ref, rng, single, past = (random.Random(seed) for _ in range(4))
+    for r in (ref, rng, single, past):
+        r.gauss(0, 1)
     expected = _draw_outcome(
         lambda: [scalar_nested_b4_indices(space, ref, L, p, h0) for _ in range(count)], ref)
+    one_by_one = _draw_outcome(
+        lambda: [nested_b4_indices(space, single, L, p, h0) for _ in range(count)], single)
 
     def bulk():
         rows = nested_b4_rows(space, rng, count, L, p, h0)
@@ -637,84 +660,62 @@ def _check_rows(space, count, L, p, h0, seed):
         assert rows.dtype == (np.int64 if space.max_depth <= 62 else object)
         return [[int(i) for i in row] for row in rows]
 
-    assert _draw_outcome(bulk, rng) == expected, (space.max_depth, count, L, p, h0, seed)
+    got = _draw_outcome(bulk, rng)
+    case = (space.max_depth, count, L, p, h0, seed)
+    if isinstance(expected[0], str):
+        assert got[0] == one_by_one[0] == expected[0], case
+        if L is None:
+            past.getrandbits(64 * count * _words_per_map(space))
+        assert got[1:] == (past.getstate(), past.random()), case
+    else:
+        assert got == expected == one_by_one, case
     return expected[0]
 
 
 def test_nested_b4_rows_match_the_scalar_draw():
-    # the bulk draw against count calls of the scalar code: the same rows and
-    # the same stream left behind (gauss_next set), on drawn and given L and
-    # h0, with no, some and only collisions, on counts around a chunk and
-    # past one read-ahead, and in an object array past depth 62
+    # the bulk draw against the per-map oracle and one-map draws, on drawn
+    # and given L and h0, with no, some and only collisions, on counts
+    # around a chunk, and in an object array at depth 63 and past 64
     chunk = search.B4_CHUNK
     space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
-    for count in (-1, 0, 1, chunk - 1, chunk + 1, 300):
+    for count in (-1, 0, 1, chunk - 1, chunk + 1):
         for n, (L, h0) in enumerate(((None, None), (None, 7), (5, None), (2, 40))):
             for p in (0.0, 0.01, 1.0):
                 _check_rows(space, count, L, p, h0, 1000 * count + 10 * n + int(100 * p))
-    for count in (1, 2, 40):
-        for L, h0 in ((None, None), (25, None), (3, 70)):
-            _check_rows(deep, count, L, 0.01, h0, count)
+    for sp in (make_space(Fraction(1, 5), depth=63), deep):
+        for count in (1, 2, 40):
+            for L, h0 in ((None, None), (sp.max_depth // 4, None), (3, sp.max_depth - 30)):
+                for p in (0.0, 0.01, 1.0):
+                    _check_rows(sp, count, L, p, h0, count)
 
 
-def test_every_bulk_draw_at_a_16_word_read_ahead(monkeypatch):
-    # read-aheads of 16 words in randbits._draw, for all three bulk draws: a
-    # pair or map longer than one read is parsed once the next ones arrive
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
-    for max_depth in (5, 64, 65, 1000):
-        for seed in range(20):
-            _check_depth_bits(max_depth, 7, seed)
-    for n in (3, 2100, 2 ** 31 + 1):
-        _check_below(n, 21)
-    space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
-    for seed in range(10):
-        _check_rows(space, 3, None, 0.01, None, seed)
-        _check_rows(deep, 2, 25, 0.5, 70, seed)
-
-
-@pytest.mark.parametrize("chunk_words", [1, 2, 3])
-def test_bulk_draws_at_a_read_ahead_of_a_few_words(monkeypatch, chunk_words):
-    # reads of 1 to 3 words end a block inside almost every scan of a parse,
-    # the scan of _parse_b4 for the word of randint(3, 14) among them; rows,
-    # pairs and the rng left behind match the scalar loops
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
-    for max_depth in (0, 5, 64, 65):
-        for seed in range(5):
-            _check_depth_bits(max_depth, 4, seed)
-    space = make_space(Fraction(1, 5), depth=60)
-    for seed in range(10):
-        _check_rows(space, 3, None, 0.01, None, seed)
-        _check_rows(space, 2, 4, 0.5, None, seed)
-
-
-@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS])
-def test_nested_b4_rows_generate_each_word_once(monkeypatch, chunk_words):
-    # the bulk draw generates the words the scalar loop consumes (random()
-    # counted as its two), plus at most one read-ahead (its rewind), also
-    # when a drawn L is out of range (a drawn L above 5 is, at depth 20)
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+@pytest.mark.parametrize("count", [16, 1 << 15])
+def test_nested_b4_rows_generate_each_word_once(count):
+    # one getrandbits call generates the words of the count maps and no
+    # more, also when a drawn L is out of range (a drawn L above 5 is, at
+    # depth 20); two 32-bit words a 64-bit word
     space, deep = make_space(Fraction(1, 5), depth=60), make_space(Fraction(1, 5), depth=100)
     shallow = make_space(Fraction(1, 5), depth=20)
-    counts = (1, 3) if chunk_words == 16 else (1, 50, search.B4_CHUNK + 1)
-    for count in counts:
-        for sp, L, h0 in ((space, None, None), (space, 2, 40), (deep, 25, None),
-                          (shallow, None, None)):
-            ref, rng = CountingRandom(count), CountingRandom(count)
-            expected = _draw_outcome(
-                lambda: [scalar_nested_b4_indices(sp, ref, L, 0.01, h0) for _ in range(count)], ref)
-            got = _draw_outcome(lambda: nested_b4_rows(sp, rng, count, L, 0.01, h0).tolist(), rng)
-            assert got == expected, (sp.max_depth, count, L, h0)
-            assert rng.words <= ref.words + rng.largest, (sp.max_depth, count, L, h0)
+    for sp, L, h0 in ((space, None, None), (space, 2, 40), (deep, 25, None),
+                      (shallow, None, None)):
+        n = count if sp is space else 16       # object rows past depth 62
+        rng = CountingRandom(n)
+        try:
+            assert len(nested_b4_rows(sp, rng, n, L, 0.01, h0)) == n
+        except OutOfRange:
+            assert sp is shallow
+        assert (rng.calls, rng.words) == (1, 2 * n * _words_per_map(sp)), (sp.max_depth, L)
 
 
 def test_nested_b4_rows_out_of_range_unchanged():
-    # an L or h0 out of range raises what the scalar loop raises, with rng
-    # where it leaves it: at once for a given L (or L and h0), and past the
-    # drawn L of the first map that fails, after the maps before it
+    # an L or h0 out of range raises what the per-map oracle raises: at
+    # once for a given L (or L and h0), with nothing drawn, and for the
+    # drawn L of the first map that fails, with rng past every map's words
     shallow = make_space(Fraction(1, 5), depth=20)          # drawn L above 5 fails
     space = make_space(Fraction(1, 5), depth=60)
     cases = [(space, 0, None), (space, 16, None), (space, 3, 49), (space, 15, 1),
-             (space, None, 50), (shallow, None, None), (shallow, None, 3), (shallow, 6, None)]
+             (space, None, 50), (shallow, None, None), (shallow, None, 3), (shallow, 6, None),
+             (space, None, -1)]
     errors = 0
     for sp, L, h0 in cases:
         for seed in range(8):
@@ -758,14 +759,15 @@ def _old_random_descents(rng, L, collide_prob=0.0):
     return descents
 
 
-def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None):
+def _b4_search_oracle(space, delta, trials=2000, seed=0, L=None, h0=None):
     """The simulated annealer distortion-gap ran before, kept verbatim as the
-    reference: it returns its starting map, since the distortion is constant
-    on the nested family."""
+    reference but for an h0 that may be given: it returns its starting map,
+    since the distortion is constant on the nested family."""
     rng = random.Random(seed)
     if L is None:
         L = rng.randint(3, 8)
-    h0 = rng.randint(0, space.max_depth - 4 * L)
+    if h0 is None:
+        h0 = rng.randint(0, space.max_depth - 4 * L)
     root_bits = _old_random_bits(rng, h0)
     descents = _old_random_descents(rng, L)
     cur = _old_nested_embedding(L, h0, root_bits, descents)
@@ -811,16 +813,18 @@ def test_one_nested_map_matches_the_annealer(monkeypatch):
         upper = lambda n: max(1 / space.eps[m] for m in range(1, n + 1))
         seed = rng.randrange(10 ** 6)
         for L in (None, 1, 2, 3, 5):
-            best, best_d, bound, holds = _b4_search_oracle(space, delta, trials=12,
-                                                           seed=seed, L=L)
-            gen = random.Random(seed)
-            f = generate_faithful_b4(space, gen, L=gen.randint(3, 8) if L is None else L,
-                                     collide_prob=0.0)
-            assert f == best
+            # the annealer on the (L, h0) of a drawn map: another map of its
+            # family, so the same rigidity check
+            f = generate_faithful_b4(space, random.Random(seed), L=L, collide_prob=0.0)
+            h0 = f[ROOT].depth
+            best, best_d, bound, holds = _b4_search_oracle(
+                space, delta, trials=12, seed=seed, L=f[ROOT.child(0)].depth - h0, h0=h0)
             assert b4_bound_check(space, lambda v: f[v], delta) == (best_d, bound, holds)
         for n in (1, 4, 8, 12):
+            L = max(1, n // 4)
+            h0 = nested_b4_indices(space, random.Random(seed), L, 0.0)[0].bit_length() - 1
             best, best_d, bound, holds = _b4_search_oracle(space, delta, trials=12,
-                                                           seed=seed, L=max(1, n // 4))
+                                                           seed=seed, L=L, h0=h0)
             del calls[:]
             out = distortion_gap_experiment(space, upper, n, seed=seed)
             assert calls == [1]
@@ -862,6 +866,14 @@ def _b4_bound_check_oracle(space, f, delta):
     bound = 1 / (500 * Fraction(delta) + space.eps[h0])
     holds = dist >= bound
     return dist, bound, holds
+
+
+def b4_distortion(space, images):
+    """dist of the map B_4 -> (B_infty, d_eps) given by `images` (a dict
+    vertex -> image) over all vertex pairs of B_4; inf on a collapse: the
+    extremes of the bulk B_4 check, on one row."""
+    _, _, _, lo, hi = next(_b4_extremes(space, [[images[v].index for v in _B4]]))
+    return Fraction(hi, lo) if lo else math.inf
 
 
 def _b4_distortion_oracle(space, images):
@@ -1034,14 +1046,14 @@ def test_int_descents_match_tuple_code():
                 _old_nested_embedding(L, h0, old_root, old)
 
 
-def _old_htree_random_triple_violations(space, rng, count):
-    """The per-triple loop of htree_random_triple_violations before its bulk
-    draws, kept verbatim as the reference."""
+def _scalar_triple_violations(space, rng, count):
+    """htree_random_triple_violations as a per-triple loop: each vertex
+    decoded from scalar words by the per-vertex oracle of
+    random_depth_bits, hung from ROOT and compared on scaled_distance."""
     bad = []
-    N = space.max_depth
     sd = space.scaled_distance
     for _ in range(count):
-        x, y, z = (_rand_vertex(rng, rng.randint(0, N)) for _ in range(3))
+        x, y, z = (ROOT.hang(bits, k) for k, bits in _scalar_depth_bits(rng, space.max_depth, 3))
         if sd(x, z) > sd(x, y) + sd(y, z):
             bad.append((x, y, z))
     return bad
@@ -1053,14 +1065,14 @@ def test_triple_violations_match_per_triple_loop():
     rng = random.Random(14)
     cases = [(random_valid_epsilon(rng, depth), depth, 0)
              for depth in (0, 1, 7, 64, 64, 64, 100)]
-    cases += [(EpsilonSequence([Fraction(1, 100)] * 5 + [1] * 60, check=False), 64, 82),
-              (EpsilonSequence([3] * 65, check=False), 64, 287),
-              (EpsilonSequence([Fraction(1, 2)] * 2 + [1] * 9, check=False), 10, 62)]
+    cases += [(EpsilonSequence([Fraction(1, 100)] * 5 + [1] * 60, check=False), 64, 87),
+              (EpsilonSequence([3] * 65, check=False), 64, 296),
+              (EpsilonSequence([Fraction(1, 2)] * 2 + [1] * 9, check=False), 10, 65)]
     for eps, depth, violations in cases:
         space = HTreeSpace(eps, depth)
         new_rng, old_rng = random.Random(1), random.Random(1)
         new = htree_random_triple_violations(space, new_rng, 2000)
-        assert new == _old_htree_random_triple_violations(space, old_rng, 2000)
+        assert new == _scalar_triple_violations(space, old_rng, 2000)
         assert all(type(v) is TreeVertex for triple in new for v in triple)
         assert len(new) == violations
         assert new_rng.getstate() == old_rng.getstate()
@@ -1085,7 +1097,7 @@ def test_triple_violations_match_per_triple_loop_at_every_width():
             new_rng.gauss(0, 1)
             old_rng.gauss(0, 1)
             new = htree_random_triple_violations(space, new_rng, 600)
-            assert new == _old_htree_random_triple_violations(space, old_rng, 600), depth
+            assert new == _scalar_triple_violations(space, old_rng, 600), depth
             # at depth 0 every vertex is the root, which violates nothing
             assert bool(new) == (depth > 0), (depth, trial)
             assert new_rng.getstate() == old_rng.getstate()

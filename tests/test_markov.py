@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -16,9 +17,9 @@ from mconvex.laakso import build_laakso
 from mconvex.markov import (INTERVAL_LIMIT, RATIO_LIMIT, ChainSpec, ConvexityReport,
                             _check_p, _k_max, _report, bn_ratio, convexity_ratio,
                             default_k_max, downward_walk, laakso_ratio, laakso_ratios,
-                            laakso_time_set, laakso_walk, pair_expectation,
-                            per_k_laakso_bound, rhs_step_sum)
-from mconvex.metric import FiniteMetricSpace, is_integral, rat_from_str
+                            laakso_time_set, laakso_walk, per_k_laakso_bound,
+                            rhs_step_sum)
+from mconvex.metric import FiniteMetricSpace, exact_or_float, is_integral, rat_from_str
 from mconvex.trees import enumerate_bn, tree_distance
 from mconvex.embeddings.generators import random_chain
 
@@ -45,6 +46,14 @@ def conditional_law(chain, z, s, t):
                 nxt[x] = nxt.get(x, Fraction(0)) + p * px
         law = nxt
     return law
+
+
+def pair_expectation(chain, f, space, t, s, p):
+    """E[d(f(X_t), f(X~_t(s)))^p], exactly; 0 when s >= t: one fork term of
+    the convexity ratio's kernels, on single steps composed from s to t."""
+    M = functools.reduce(markov._compose, map(chain._steps.get, range(s + 1, t + 1)), None)
+    fork = markov._fork_sum(chain.int_law(s), M, markov._DistPowCache(space, f, p))
+    return 0 if fork is None else exact_or_float(2 * fork[0]) / fork[1]
 
 
 def oracle_pair_expectation(chain, f, space, t, s, p):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mconvex.embeddings.classify import b4_distortion
 from mconvex.embeddings.generators import make_space
 from mconvex.embeddings.paths import PathMap, path_distortion
 from mconvex.embeddings.search import generate_faithful_b4
@@ -305,6 +304,8 @@ def random_point_map(rng, mode):
 
 
 def test_distortion_of_matches_old_loops_on_seeded_maps():
+    from test_embeddings import b4_distortion
+
     rng = random.Random(20261017)
     checked = collapsed = 0
     # nested faithful B_4 maps, sibling collisions included
@@ -706,7 +707,8 @@ def old_verify_metric(space, seed=0):
         rng = random.Random(seed)
         checked = metric.SAMPLED_TRIPLES
         for _ in range(metric.SAMPLED_TRIPLES):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            # verify_metric's draws, one 64-bit word each, taken modulo n
+            i, j, k = (rng.getrandbits(64) % n for _ in range(3))
             if tri_bad(i, j, k):
                 violations.append(("triangle", pts[i], pts[j], pts[k]))
     return metric.MetricReport(violations, mode, checked)
@@ -897,8 +899,9 @@ def test_verify_metric_one_route_matches_old_routes():
 
 
 def test_verify_metric_sampled_mode_matches_scalar_draws(monkeypatch):
-    # past EXHAUSTIVE_LIMIT the triples are the old scalar loop's draws from
-    # random.Random(seed), compared in numpy, in draw order
+    # past EXHAUSTIVE_LIMIT the triples are those of the old scalar loop,
+    # drawn from random.Random(seed) one 64-bit word at a time, compared in
+    # numpy, in draw order
     monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 40)
     monkeypatch.setattr(metric, "SAMPLED_TRIPLES", 4000)
     rng = random.Random(20261025)
@@ -920,11 +923,10 @@ def test_verify_metric_sampled_mode_matches_scalar_draws(monkeypatch):
     assert triangles >= 100
 
 
-def test_verify_metric_sampled_triples_are_the_randrange_loop(monkeypatch):
-    # the triples (i, k, j) are 3 * SAMPLED_TRIPLES scalar randrange(n) calls
-    # on random.Random(seed), here across more than one read-ahead of words,
-    # so a triangle violation is listed exactly for the triples that loop
-    # draws, in its order
+def test_verify_metric_sampled_triples_are_the_word_loop(monkeypatch):
+    # the triples (i, k, j) are 3 * SAMPLED_TRIPLES scalar words of
+    # random.Random(seed), each taken modulo n, so a triangle violation is
+    # listed exactly for the triples that loop draws, in its order
     monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 40)
     monkeypatch.setattr(metric, "SAMPLED_TRIPLES", 30_000)
     rng = random.Random(20261019)
@@ -935,7 +937,7 @@ def test_verify_metric_sampled_triples_are_the_randrange_loop(monkeypatch):
             draws = random.Random(seed)
             expected = []
             for _ in range(metric.SAMPLED_TRIPLES):
-                i, k, j = draws.randrange(n), draws.randrange(n), draws.randrange(n)
+                i, k, j = (draws.getrandbits(64) % n for _ in range(3))
                 if rows[i][j] > rows[i][k] + rows[k][j]:
                     expected.append(("triangle", space.points[i], space.points[k],
                                      space.points[j]))

@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from mconvex import randbits
-from mconvex.randbits import random_below, random_bits, random_depth_bits
+from mconvex.randbits import random_below, random_bits, random_depth_bits, random_words, top_bits
 
 # -1: a negative count draws nothing, like range(-1)
 LENGTHS = (-1, 0, 1, 2, 5, 31, 64, 200)
@@ -25,12 +24,52 @@ def test_random_bits_matches_randint_stream():
             assert rng.random() == ref.random(), (seed, k)
 
 
+def test_random_words_are_the_scalar_words():
+    # one getrandbits(64 n) is n calls of getrandbits(64), the first the
+    # lowest word, in values and in the state left behind; so a draw split
+    # anywhere reads the words of one draw of its total
+    for seed in range(50):
+        for n in LENGTHS:
+            ref, rng = random.Random(seed), random.Random(seed)
+            words = random_words(rng, n)
+            assert words.dtype == np.uint64 and words.shape == (max(n, 0),)
+            assert words.tolist() == [ref.getrandbits(64) for _ in range(n)], (seed, n)
+            assert rng.getstate() == ref.getstate(), (seed, n)
+        split = random.Random(seed)
+        parts = [random_words(split, k) for k in (3, 0, 5, 1)]
+        assert np.concatenate(parts).tolist() == random_words(random.Random(seed), 9).tolist()
+
+
+def test_top_bits_of_one_and_many_words():
+    # the top k bits of rows of m words read as one big-endian int, k from 0
+    # to 64 m, broadcast over the rows: uint64 up to one word, else ints
+    rng = random.Random(5)
+    for m in (0, 1, 2, 3):
+        words = random_words(rng, 4 * 7 * m).reshape(4, 7, m)
+        k = np.array([[rng.randint(0, 64 * m) for _ in range(7)] for _ in range(4)])
+        k[0, :2] = 0, 64 * m
+        got = top_bits(words, k)
+        assert got.shape == (4, 7) and got.dtype == (np.uint64 if m <= 1 else object)
+        for r in range(4):
+            for c in range(7):
+                whole = int.from_bytes(words[r, c].astype(">u8").tobytes(), "big")
+                assert int(got[r, c]) == whole >> (64 * m - int(k[r, c])), (m, r, c)
+        column = top_bits(words, k[:, :1])
+        assert (column == top_bits(words, np.repeat(k[:, :1], 7, axis=1))).all()
+
+
 def _scalar_depth_bits(rng, max_depth, count):
-    """The loop random_depth_bits replaces."""
+    """The per-vertex oracle of random_depth_bits, on scalar words of
+    rng.getrandbits(64): the depth k = w % (N + 1) of the first, then the
+    top k bits of the next ceil(N / 64), the first word highest."""
+    m = -(-max_depth // 64)
     out = []
     for _ in range(count):
-        k = rng.randint(0, max_depth)
-        out.append((k, random_bits(rng, k)))
+        k = rng.getrandbits(64) % (max_depth + 1)
+        path = 0
+        for _ in range(m):
+            path = path << 64 | rng.getrandbits(64)
+        out.append((k, path >> (64 * m - k)))
     return out
 
 
@@ -45,32 +84,44 @@ def _pairs(max_depth, depths, bits):
     return list(zip(depths.tolist(), [int(b) for b in bits]))
 
 
-def _pairs_per_read(max_depth):
-    """About the pairs of random_depth_bits one read-ahead of CHUNK_WORDS
-    words holds: 2^kb / (N + 1) words for k, then two per bit, a pair."""
-    per_pair = 2 ** (max_depth + 1).bit_length() / (max_depth + 1) + max_depth
-    return max(1, int(randbits.CHUNK_WORDS / per_pair))
-
-
 def _check_depth_bits(max_depth, count, seed):
-    ref, rng = random.Random(seed), random.Random(seed)
-    ref.gauss(0, 1)
-    rng.gauss(0, 1)
+    # the bulk draw against the per-vertex oracle and against count
+    # one-vertex draws: the same pairs, and the same state left behind
+    # (gauss_next set, so that it must be carried through)
+    ref, rng, single = (random.Random(seed) for _ in range(3))
+    for r in (ref, rng, single):
+        r.gauss(0, 1)
     expected = _scalar_depth_bits(ref, max_depth, count)
     got = _pairs(max_depth, *random_depth_bits(rng, max_depth, count))
-    assert got == expected, (max_depth, count)
-    assert rng.getstate() == ref.getstate(), (max_depth, count)
+    one_by_one = [pair for _ in range(count)
+                  for pair in _pairs(max_depth, *random_depth_bits(single, max_depth, 1))]
+    assert got == expected == one_by_one, (max_depth, count)
+    assert all(0 <= k <= max_depth and 0 <= b < 2 ** k for k, b in got)
+    assert rng.getstate() == ref.getstate() == single.getstate(), (max_depth, count)
     assert rng.random() == ref.random(), (max_depth, count)
 
 
 def test_random_depth_bits_matches_scalar_loop():
-    # the bulk draw against randint then random_bits, across randint widths
-    # kb = 1..10 and the read-ahead boundaries, from a generator whose
-    # gauss_next is set (setstate must carry it through)
-    for max_depth in (0, 1, 5, 63, 64, 65, 127, 128, 255, 256, 1000):
-        chunk = _pairs_per_read(max_depth)
-        for count in (0, 1, chunk - 1, chunk, chunk + 1, 15_000):
+    # the bulk draw against the per-vertex oracle and one-vertex draws, at
+    # depths of no path word (0), of one (1..64), and of two to sixteen
+    for max_depth in (0, 1, 5, 63, 64, 65, 100, 127, 128, 129, 1000):
+        for count in (-1, 0, 1, 2, 7, 200):
             _check_depth_bits(max_depth, count, max_depth + count)
+
+
+def test_random_depth_bits_are_uniform():
+    # every depth about equally often, and every bit of a path about half
+    # the time (a word's bias modulo N + 1 is below (N + 1) / 2^64)
+    rng = random.Random(8)
+    for max_depth in (5, 64, 130):
+        depths, bits = random_depth_bits(rng, max_depth, 30_000)
+        counts = np.bincount(depths, minlength=max_depth + 1)
+        mean = 30_000 / (max_depth + 1)
+        assert abs(counts - mean).max() < 6 * mean ** 0.5, max_depth
+        deep = [int(b) for k, b in zip(depths.tolist(), bits) if k == max_depth]
+        for i in range(max_depth):
+            ones = sum(b >> i & 1 for b in deep)
+            assert abs(ones - len(deep) / 2) < 6 * (len(deep) / 4) ** 0.5, (max_depth, i)
 
 
 class CountingRandom(random.Random):
@@ -94,71 +145,68 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-# read-ahead caps of 16 words, the default, and 64K words
-@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS, 1 << 16])
-def test_random_depth_bits_generates_each_word_once(monkeypatch, chunk_words):
-    # the bulk draw generates the words the scalar loop consumes, plus at
-    # most one read-ahead's worth (the words past the last pair and their
-    # rewind), however many read-aheads it takes
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+@pytest.mark.parametrize("count", [16, 1 << 15, 1 << 16])
+def test_random_depth_bits_generates_each_word_once(count):
+    # one getrandbits call generates the words of the count vertices and no
+    # more: 1 + ceil(N / 64) 64-bit words a vertex, two 32-bit words each
     for max_depth in (0, 5, 64, 1000):
-        chunk = _pairs_per_read(max_depth)
-        for count in (1, chunk, 3 * chunk + 7, 15_000):
-            ref, rng = CountingRandom(count), CountingRandom(count)
-            expected = _scalar_depth_bits(ref, max_depth, count)
-            assert _pairs(max_depth, *random_depth_bits(rng, max_depth, count)) == expected
-            assert rng.getstate() == ref.getstate(), (max_depth, count)
-            assert rng.words <= ref.words + rng.largest, (max_depth, count)
+        rng = CountingRandom(count)
+        depths, _ = random_depth_bits(rng, max_depth, count)
+        assert len(depths) == count
+        assert (rng.calls, rng.words) == (1, 2 * count * (1 - (-max_depth // 64))), max_depth
 
 
-def test_random_depth_bits_reads_grow_with_a_long_pair(monkeypatch):
-    # one pair far longer than a read (some 400K words of bits under a
-    # 16-word cap): each read takes at least the words already kept, so the
-    # reads double and their number grows with the log of the pair's length,
-    # where reads of 16 words each would parse the kept words once per read
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", 16)
-    ref, rng = CountingRandom(7), CountingRandom(7)
-    expected = _scalar_depth_bits(ref, 400_000, 1)
-    assert _pairs(400_000, *random_depth_bits(rng, 400_000, 1)) == expected
+def test_random_depth_bits_reads_grow_with_a_long_pair():
+    # the words a vertex reads grow with max_depth, 64 path bits a word, and
+    # come in one getrandbits call: one vertex of B_400000 reads its 6,250
+    # path words after its depth word, as the per-vertex oracle reads them
+    for max_depth, words in ((64, 2), (6400, 101), (400_000, 6251)):
+        ref, rng = random.Random(7), CountingRandom(7)
+        expected = _scalar_depth_bits(ref, max_depth, 1)
+        assert _pairs(max_depth, *random_depth_bits(rng, max_depth, 1)) == expected
+        assert rng.getstate() == ref.getstate()
+        assert (rng.calls, rng.words) == (1, 2 * words), max_depth
     assert expected[0][0] > 100_000
-    assert rng.getstate() == ref.getstate()
-    assert rng.calls <= 64
 
 
 def test_random_depth_bits_rejects_bad_depth():
-    # randint(0, 2^32 - 1) reads 33 bits, two words a draw
     for max_depth in (-1, 2 ** 32 - 1, 2 ** 32):
         with pytest.raises(ValueError):
             random_depth_bits(random.Random(0), max_depth, 1)
 
 
 def _check_below(n, count):
-    ref, rng = CountingRandom(n + count), CountingRandom(n + count)
-    ref.gauss(0, 1)
-    rng.gauss(0, 1)
-    expected = [ref.randrange(n) for _ in range(count)]
+    # count draws against the loop of w % n on scalar words and against
+    # count one-draw calls: the same values and end state (gauss_next set),
+    # the same next random(), and one word a draw
+    ref, rng, single = CountingRandom(n + count), CountingRandom(n + count), random.Random(n + count)
+    for r in (ref, rng, single):
+        r.gauss(0, 1)
+    expected = [ref.getrandbits(64) % n for _ in range(count)]
     got = random_below(rng, n, count)
     assert got.dtype == np.int64 and got.tolist() == expected, (n, count)
-    assert rng.getstate() == ref.getstate(), (n, count)
-    assert rng.words <= ref.words + rng.largest, (n, count)
+    assert [int(random_below(single, n, 1)[0]) for _ in range(count)] == expected, (n, count)
+    assert rng.getstate() == ref.getstate() == single.getstate(), (n, count)
+    assert rng.words == ref.words, (n, count)
     assert rng.random() == ref.random(), (n, count)
 
 
-# read-ahead caps of 16 words, the default, and 64K words
-@pytest.mark.parametrize("chunk_words", [16, randbits.CHUNK_WORDS, 1 << 16])
-def test_random_below_matches_randrange(monkeypatch, chunk_words):
-    # count calls of randrange(n), in draw order, for n of every randrange
-    # width kb = 1..32 and on both sides of each power of two, across
-    # read-aheads; the same end state (gauss_next included) and the next
-    # random(); and the words generated are those of the scalar loop plus at
-    # most one read-ahead (its rewind)
-    monkeypatch.setattr(randbits, "CHUNK_WORDS", chunk_words)
+def test_random_below_matches_the_word_loop():
+    # count draws of w % n, in draw order, for n of every bit width 1..32
+    # and on both sides of each power of two
     sizes = [1, 2, 3, 5, 2001, 2100, 2 ** 31, 2 ** 32 - 1]
     sizes += [2 ** kb + d for kb in range(1, 32) for d in (-1, 1)]
-    cases = [(n, count) for n in sizes for count in (-1, 0, 1, 7, 3 * 16 + 5, 1000)]
-    cases += [(n, chunk_words + 5) for n in (3, 2100, 2 ** 31 + 1)]
-    for n, count in cases:
-        _check_below(n, count)
+    for n in sizes:
+        for count in (-1, 0, 1, 7, 53, 1000):
+            _check_below(n, count)
+
+
+def test_random_below_is_uniform():
+    # each value about equally often: the bias of w % n is below n / 2^64
+    rng = random.Random(9)
+    for n in (3, 7, 2100):
+        counts = np.bincount(random_below(rng, n, 200 * n), minlength=n)
+        assert abs(counts - 200).max() < 6 * 200 ** 0.5, n
 
 
 def test_random_below_rejects_bad_range():

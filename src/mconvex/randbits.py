@@ -13,7 +13,7 @@ up to a bias below n / 2^64 (Lemire, "Fast random integer generation in an
 interval", ACM TOMACS 2019); the top k bits of words are uniform.
 
 - `random_below(rng, n, count)`: one word a draw, w % n.
-- `random_depth_bits(rng, N, count)`: 1 + ceil(N / 64) words a pair: the
+- `random_depth_bits(rng, N, count)`: 1 + ceil(N / 64) words a vertex: the
   depth k = w % (N + 1) of the first, and as path bits the top k bits of
   the others (`top_bits`).
 - `embeddings.search.nested_b4_rows` lays its maps out on the same words.

@@ -201,6 +201,21 @@ def test_random_below_matches_the_word_loop():
             _check_below(n, count)
 
 
+@pytest.mark.parametrize("count", [16, 1 << 15, 1 << 16])
+def test_random_below_matches_randrange(count):
+    # random_below stands in for count calls of randrange(n): long draws,
+    # just past each count, are the word loop exactly, and their values
+    # follow randrange's law, bin by bin within six standard deviations
+    for n in (3, 2100, 2 ** 31 + 1):
+        _check_below(n, count + 5)
+    rng, ref = random.Random(count), random.Random(-count)
+    for n in (3, 7, 2100):
+        got = np.bincount(random_below(rng, n, count), minlength=n)
+        want = np.bincount([ref.randrange(n) for _ in range(count)], minlength=n)
+        assert got.shape == want.shape == (n,), (n, count)
+        assert (abs(got - want) <= 6 * np.sqrt(got + want + 1)).all(), (n, count)
+
+
 def test_random_below_is_uniform():
     # each value about equally often: the bias of w % n is below n / 2^64
     rng = random.Random(9)

@@ -87,6 +87,8 @@ class ChainSpec:
     """
 
     def __init__(self, states, t_min, t_max, kernels, initial):
+        if t_max < t_min:
+            raise ValueError(f"t_max {t_max} < t_min {t_min}")
         self.states = list(states)
         self.t_min = t_min
         self.t_max = t_max

@@ -27,10 +27,10 @@ off them, `scaled_path_distance`.  It serves the den * d_eps matrices of
 `htree_triangle_violations` (`htree-validate`), one row of all of B_n per
 representative pair of an orbit of the tree's automorphisms
 (`_orbit_classes`), with no n x n matrix; the sampled triangle check of
-`embeddings.generators`; the bulk B_4 rigidity check of
-`embeddings.classify`; and the triple labels of the bulk classifiers
-(`embeddings.bulk`), with the lca depths of `path_lca_depth`.  `tree_metric_equality_violations` counts on the
-same orbits with scalar ints.  One function lists the strict ancestor pairs
+`embeddings.generators`; and the bulk B_4 rigidity check and the triple
+labels of the bulk classifiers of `embeddings.classify`, the latter with the
+lca depths of `path_lca_depth`.  `tree_metric_equality_violations` counts on
+the same orbits with scalar ints.  One function lists the strict ancestor pairs
 of B_n, `sp_pairs`.
 """
 from __future__ import annotations

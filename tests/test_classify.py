@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mconvex.embeddings.bulk import require_ready
-from mconvex.embeddings.classify import (ForkClass, MidpointClass, ThreePathClass,
-                                         _promote_path, b4_bound_check,
+from mconvex.embeddings.classify import (ForkClass, MidpointClass, ThreePathClass, _certify,
+                                         _exclusion_codes, _exclusion_error, _promote_path,
+                                         _require_ready, b4_bound_check,
                                          classify_3path, classify_3paths, classify_fork,
                                          classify_forks, classify_midpoint,
                                          classify_midpoints, path_scale_range)
@@ -285,12 +285,11 @@ def _scale_outcome(fn, sp, pts, delta):
 
 
 def _bulk_labels(sp, cases):
-    """The label dicts of certify on the (triple, budget) cases, all in one
+    """The label dicts of _certify on the (triple, budget) cases, all in one
     call: den * d <= floor(den * budget) exactly when d <= budget."""
-    from mconvex.embeddings.bulk import certify
     idx = index_array([[v.index for v in triple] for triple, _ in cases])
     thr = index_array([math.floor(budget * sp.den) for _, budget in cases])
-    labels = certify(sp, idx, thr)
+    labels = _certify(sp, idx, thr)
     return [labels.of(t, sp.den) for t in range(len(cases))]
 
 
@@ -363,18 +362,17 @@ def _exclusion_outcome(sp, triple, labels):
 
 def _bulk_exclusion_outcomes(sp, triple, label_sets):
     """The message of the first exclusion each label set breaks, or None,
-    from one exclusion_codes call over all of them (nearness times den,
+    from one _exclusion_codes call over all of them (nearness times den,
     as Fractions where the label sets hold no multiple of 1/den)."""
-    from mconvex.embeddings.bulk import exclusion_codes, exclusion_error
     x, y, z = triple
     m = len(label_sets)
     has = np.array([[l in labels for l in "PTpt"] for labels in label_sets])
     near = np.array([[labels[l][0] * sp.den if l in labels else 0 for l in "PTpt"]
                      for labels in label_sets], dtype=object)
-    codes = exclusion_codes(has, near, np.full(m, sp.scaled_distance(x, y)),
-                             np.full(m, sp.scaled_distance(z, y)),
-                             np.full(m, x == y), np.full(m, z == y))
-    return [None if e < 0 else str(exclusion_error(sp, triple, labels, e))
+    codes = _exclusion_codes(has, near, np.full(m, sp.scaled_distance(x, y)),
+                              np.full(m, sp.scaled_distance(z, y)),
+                              np.full(m, x == y), np.full(m, z == y))
+    return [None if e < 0 else str(_exclusion_error(sp, triple, labels, e))
             for labels, e in zip(label_sets, codes.tolist())]
 
 
@@ -418,7 +416,7 @@ _VARIANT = {"P": "PathType", "T": "TentType",
 
 
 def old_classify_midpoint(space, x, y, z, delta):
-    require_ready(space, delta, Fraction(1, 16), "midpoint classification")
+    _require_ready(space, delta, Fraction(1, 16), "midpoint classification")
     space.check_depth(x, y, z)
     if not is_midpoint(space, x, y, z, delta):
         raise PreconditionViolated("y is not a delta-approximate midpoint of x, z")
@@ -433,7 +431,7 @@ def old_classify_midpoint(space, x, y, z, delta):
 
 
 def old_classify_fork(space, x, y, z, w, delta):
-    require_ready(space, delta, Fraction(1, 70), "fork classification")
+    _require_ready(space, delta, Fraction(1, 70), "fork classification")
     space.check_depth(x, y, z, w)
     for prong in (z, w):
         if not is_midpoint(space, x, y, prong, delta):
@@ -489,7 +487,7 @@ def old_classify_fork(space, x, y, z, w, delta):
 
 
 def old_classify_3path(space, x0, x1, x2, x3, delta):
-    require_ready(space, delta, Fraction(1, 200), "3-path classification")
+    _require_ready(space, delta, Fraction(1, 200), "3-path classification")
     pts = (x0, x1, x2, x3)
     space.check_depth(*pts)
     scale = path_scale_range(space, pts, delta)

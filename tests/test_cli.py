@@ -395,6 +395,30 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     chain.write_text(json.dumps({
         "states": ["0", "1"], "t_min": 0, "t_max": 1,
         "kernels": {"1": {"0": {"0": "3/2", "1": "-1/2"}}}, "initial": {"0": "1"}}))
+    # maps that once crashed or ran, each with the words of its error: an
+    # assignment to no target point, a ragged matrix, a negative, asymmetric,
+    # nonzero diagonal or infinite entry, and duplicate point names
+    line = {"points": ["0", "1", "2"], "exact": True,
+            "dist": [["0/1", "1/1", "2/1"], ["1/1", "0/1", "1/1"], ["2/1", "1/1", "0/1"]]}
+    pair = {"points": ["a", "b"], "exact": True, "dist": [["0/1", "1/1"], ["1/1", "0/1"]]}
+    onto = {"0": "a", "1": "b", "2": "b"}
+    bad_maps = {"not a target point": json.dumps(
+        {"source": line, "target": pair, "assignment": {**onto, "2": "zz"}})}
+    for why, space in (("not a 2 x 2 matrix", {"dist": [["0/1"], ["1/1", "0/1"]]}),
+                       ("is negative", {"dist": [["0/1", "-1/1"], ["-1/1", "0/1"]]}),
+                       ("differs from dist[1][0]", {"dist": [["0/1", "1/1"], ["2/1", "0/1"]]}),
+                       ("nonzero diagonal", {"dist": [["1/1", "1/1"], ["1/1", "0/1"]]}),
+                       ("duplicate point names", {"points": ["a", "a"]})):
+        bad_maps[why] = json.dumps({"source": line, "target": {**pair, **space},
+                                    "assignment": onto})
+    bad_maps["inf is not finite"] = bad_maps["is negative"].replace('"-1/1"', "1e400")
+    map_files = {}
+    for k, (why, text) in enumerate(bad_maps.items()):
+        map_files[why] = tmp_path / f"badmap{k}.json"
+        map_files[why].write_text(text)
+    backwards = tmp_path / "backwards.json"
+    backwards.write_text(json.dumps({"states": ["y0"], "t_min": 3, "t_max": 1, "kernels": {},
+                                     "initial": {"y0": "1"}}))
     runs = [["quotient-verify", "--map", str(bad_json), "--a", "1", "--b", "1"],
             ["quotient-verify", "--map", str(no_source), "--a", "1", "--b", "1"],
             ["quotient-verify", "--map", str(zero_den), "--a", "1", "--b", "1"],
@@ -441,11 +465,15 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             # a negative value in scientific notation is a value, not an option
             ["boost", "--delta", "-1e400", "--seed", "1"],
             ["quotient-verify", "--map", str(bad_json), "--a", "1e400", "--b", "1"]]
+    runs += [["quotient-verify", "--map", str(mp), "--a", "1", "--b", "1"]
+             for mp in map_files.values()]
     fold = tmp_path / "fold.json"
     fold.write_text(seeded_quotient_map(1))
     still = tmp_path / "still.json"
     still.write_text(json.dumps({"states": ["y0"], "t_min": 0, "t_max": 1, "kernels": {},
                                  "initial": {"y0": "1"}}))
+    runs.append(["quotient-lift", "--map", str(fold), "--chain", str(backwards),
+                 "--a", "1", "--b", "1"])
     # the depth budget n of distortion-gap is checked by the experiment
     # itself, the quotient factors (> 0) by verify_quotient, the boost
     # slack delta (>= 0) by path_boost, and the b4-search delta (>= 0) by
@@ -493,6 +521,10 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
         assert err["error"] == ("OutOfRange" if argv in out_of_range else
                                 "TooLarge" if argv in too_large else "BadInput")
         assert err["message"]
+    for why, mp in map_files.items():
+        assert main(["--out", str(tmp_path), "quotient-verify", "--map", str(mp),
+                     "--a", "1", "--b", "1"]) == 1
+        assert why in json.loads(capsys.readouterr().err)["message"]
     # plain numbers keep their type: "3" is the int 3, "0.5" a float
     assert _frac("3") == 3 and type(_frac("3")) is int
     assert _frac("0.5") == 0.5 and type(_frac("0.5")) is float

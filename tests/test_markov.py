@@ -164,6 +164,13 @@ def test_chain_spec_rejects_negative_or_unknown_mass():
         ChainSpec([0, 1], 0, 2, {}, {0: Fraction(2), 1: Fraction(-1)})
 
 
+def test_chain_spec_rejects_t_max_below_t_min():
+    # once accepted: int_law then read _laws at a negative offset
+    with pytest.raises(ValueError, match="t_max 1 < t_min 3"):
+        ChainSpec([0, 1], 3, 1, {}, {0: Fraction(1)})
+    assert ChainSpec([0, 1], 3, 3, {}, {0: Fraction(1)}).int_law(3) == (1, {0: 1})
+
+
 def test_chain_spec_rejects_inexact_probabilities():
     # once accepted, after which convexity_ratio died on the float's missing
     # denominator; a bool is an int, but no probability

@@ -324,33 +324,19 @@ def _load(path, what, build):
             return build(json.load(fh))
     # TypeError/AttributeError: a JSON value of the wrong shape, e.g. a list
     # where an object is expected
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, BadInput) as exc:
         raise BadInput(f"bad {what} file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_space(data, what):
-    """A map file's `what` space, once its points are distinct and dist is an n x n
-    matrix, finite, >= 0 and symmetric with a zero diagonal; else BadInput."""
-    points, rows = data["points"], [[rat_from_str(d) for d in row] for row in data["dist"]]
-    n = len(points)
-    if len(set(points)) < n:
-        raise BadInput(f"{what}: duplicate point names")
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise BadInput(f"{what}: dist is not a {n} x {n} matrix")
-    for i, row in enumerate(rows):
-        for j, d in enumerate(row):
-            why = ("is not finite" if isinstance(d, float) and not math.isfinite(d) else
-                   "is negative" if d < 0 else
-                   f"differs from dist[{j}][{i}]" if d != rows[j][i] else
-                   "is a nonzero diagonal entry" if i == j and d else None)
-            if why:
-                raise BadInput(f"{what}: dist[{i}][{j}] = {d} {why}")
-    return FiniteMetricSpace.from_matrix(points, rows, exact=data["exact"])
-
-
 def _load_map(path):
+    def space(data, what):
+        try:
+            return FiniteMetricSpace.from_dict(data[what])
+        except BadInput as exc:
+            raise BadInput(f"{what}: {exc}") from exc
+
     def build(data):
-        src, tgt = _load_space(data["source"], "source"), _load_space(data["target"], "target")
+        src, tgt = space(data, "source"), space(data, "target")
         assignment = {p: data["assignment"][str(p)] for p in src.points}
         targets = set(tgt.points)
         for p in src.points:

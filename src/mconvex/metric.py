@@ -169,10 +169,24 @@ class FiniteMetricSpace:
         })
 
     @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        rows = [[rat_from_str(d) for d in row] for row in data["dist"]]
-        return cls.from_matrix(data["points"], rows, exact=data["exact"])
+    def from_dict(cls, data):
+        """The space of a loaded to_json document, once its points are distinct and
+        dist is an n x n matrix, finite, >= 0 and symmetric with a zero diagonal
+        (distinct points may be at distance 0); else BadInput.  Plain Python, O(n^2)."""
+        points, rows = data["points"], [[rat_from_str(d) for d in row] for row in data["dist"]]
+        if len(set(points)) < len(points):
+            raise BadInput("duplicate point names")
+        if len(rows) != len(points) or any(len(row) != len(points) for row in rows):
+            raise BadInput(f"dist is not a {len(points)} x {len(points)} matrix")
+        for i, row in enumerate(rows):
+            for j, d in enumerate(row):
+                why = ("is not finite" if isinstance(d, float) and not math.isfinite(d) else
+                       "is negative" if d < 0 else
+                       f"differs from dist[{j}][{i}]" if d != rows[j][i] else
+                       "is a nonzero diagonal entry" if i == j and d else None)
+                if why:
+                    raise BadInput(f"dist[{i}][{j}] = {d} {why}")
+        return cls.from_matrix(points, rows, exact=data["exact"])
 
 
 class MetricReport:

@@ -395,23 +395,27 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     chain.write_text(json.dumps({
         "states": ["0", "1"], "t_min": 0, "t_max": 1,
         "kernels": {"1": {"0": {"0": "3/2", "1": "-1/2"}}}, "initial": {"0": "1"}}))
-    # maps that once crashed or ran, each with the words of its error: an
-    # assignment to no target point, a ragged matrix, a negative, asymmetric,
-    # nonzero diagonal or infinite entry, and duplicate point names
+    # maps that once crashed or ran, each with its error message: an
+    # assignment to no target point, a ragged matrix, a negative, infinite,
+    # asymmetric or nonzero diagonal entry, and duplicate point names
     line = {"points": ["0", "1", "2"], "exact": True,
             "dist": [["0/1", "1/1", "2/1"], ["1/1", "0/1", "1/1"], ["2/1", "1/1", "0/1"]]}
     pair = {"points": ["a", "b"], "exact": True, "dist": [["0/1", "1/1"], ["1/1", "0/1"]]}
     onto = {"0": "a", "1": "b", "2": "b"}
-    bad_maps = {"not a target point": json.dumps(
+    bad_maps = {"assignment: '2' goes to 'zz', not a target point": json.dumps(
         {"source": line, "target": pair, "assignment": {**onto, "2": "zz"}})}
-    for why, space in (("not a 2 x 2 matrix", {"dist": [["0/1"], ["1/1", "0/1"]]}),
-                       ("is negative", {"dist": [["0/1", "-1/1"], ["-1/1", "0/1"]]}),
-                       ("differs from dist[1][0]", {"dist": [["0/1", "1/1"], ["2/1", "0/1"]]}),
-                       ("nonzero diagonal", {"dist": [["1/1", "1/1"], ["1/1", "0/1"]]}),
+    for why, space in (("dist is not a 2 x 2 matrix", {"dist": [["0/1"], ["1/1", "0/1"]]}),
+                       ("dist[0][1] = -1 is negative",
+                        {"dist": [["0/1", "-1/1"], ["-1/1", "0/1"]]}),
+                       ("dist[0][1] = 1 differs from dist[1][0]",
+                        {"dist": [["0/1", "1/1"], ["2/1", "0/1"]]}),
+                       ("dist[0][0] = 1 is a nonzero diagonal entry",
+                        {"dist": [["1/1", "1/1"], ["1/1", "0/1"]]}),
                        ("duplicate point names", {"points": ["a", "a"]})):
-        bad_maps[why] = json.dumps({"source": line, "target": {**pair, **space},
-                                    "assignment": onto})
-    bad_maps["inf is not finite"] = bad_maps["is negative"].replace('"-1/1"', "1e400")
+        bad_maps[f"target: {why}"] = json.dumps({"source": line, "target": {**pair, **space},
+                                                 "assignment": onto})
+    bad_maps["target: dist[0][1] = inf is not finite"] = \
+        bad_maps["target: dist[0][1] = -1 is negative"].replace('"-1/1"', "1e400")
     map_files = {}
     for k, (why, text) in enumerate(bad_maps.items()):
         map_files[why] = tmp_path / f"badmap{k}.json"
@@ -465,8 +469,6 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
             # a negative value in scientific notation is a value, not an option
             ["boost", "--delta", "-1e400", "--seed", "1"],
             ["quotient-verify", "--map", str(bad_json), "--a", "1e400", "--b", "1"]]
-    runs += [["quotient-verify", "--map", str(mp), "--a", "1", "--b", "1"]
-             for mp in map_files.values()]
     fold = tmp_path / "fold.json"
     fold.write_text(seeded_quotient_map(1))
     still = tmp_path / "still.json"
@@ -524,7 +526,9 @@ def test_bad_input_reported_as_json(tmp_path, capsys):
     for why, mp in map_files.items():
         assert main(["--out", str(tmp_path), "quotient-verify", "--map", str(mp),
                      "--a", "1", "--b", "1"]) == 1
-        assert why in json.loads(capsys.readouterr().err)["message"]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadInput"
+        assert err["message"] == f"bad map file {mp}: BadInput: {why}"
     # plain numbers keep their type: "3" is the int 3, "0.5" a float
     assert _frac("3") == 3 and type(_frac("3")) is int
     assert _frac("0.5") == 0.5 and type(_frac("0.5")) is float

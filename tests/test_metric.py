@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import random
 from fractions import Fraction
@@ -103,7 +104,7 @@ def test_verify_metric_float_tolerance_on_both_routes():
 
 def test_space_json_roundtrip():
     sp = line_space(5)
-    back = FiniteMetricSpace.from_json(sp.to_json())
+    back = FiniteMetricSpace.from_dict(json.loads(sp.to_json()))
     for i in range(5):
         for j in range(5):
             assert back.dist(back.points[i], back.points[j]) == sp.dist(i, j)

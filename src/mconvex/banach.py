@@ -22,13 +22,15 @@ SLACK_REL_TOL = 1e-9
 
 
 def norm_pow(v, p):
-    """||v||_p^p = sum |v_i|^p; exact for integer p and rational coordinates,
-    and an int when the coordinates are ints and p >= 0."""
+    """||v||_p^p = sum |v_i|^p.  The number type is chosen once: for integral
+    p and exact coordinates it is sum |v_i| ** int(p), exact, and an int when
+    the coordinates are ints and p >= 0 (Fractions for p < 0); else it is
+    the same sum in floats."""
     if number_type(p, *v) is float:
-        v = map(float, v)
-    elif p < 0:
+        return sum(abs(float(c)) ** p for c in v)
+    if p < 0:
         v = map(Fraction, v)
-    return sum(power(abs(c), p) for c in v)
+    return sum(abs(c) ** int(p) for c in v)
 
 
 class LpSpace:

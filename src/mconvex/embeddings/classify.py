@@ -192,6 +192,8 @@ def _exclusion_error(space, triple, labels, e):
 def _require_ready(space, delta, limit, what):
     if not space.classifier_ready:
         raise PreconditionViolated("classifier requires eps_n < 1/4 throughout")
+    if delta < 0:
+        raise OutOfRange(f"delta = {delta} < 0")
     if not Fraction(delta) < limit:
         raise PreconditionViolated(f"{what} requires delta < {limit}")
 
@@ -508,23 +510,40 @@ class ThreePathClass:
         return f"ThreePathClass({self.variant}, nearness={self.nearness})"
 
 
-def path_scale_range(space, pts, delta):
-    """Feasible scales L with (j-i) L <= d(x_i, x_j) <= (1+delta)(j-i) L for
-    all i < j, or raise NotApproximatePath when the interval is empty.
+def _scale_window(space, pts, delta):
+    """(fits, lo, hi): the window [lo, hi] of path_scale_range, with its ends
+    as (num, den) int pairs, and whether it holds a scale, decided on ints.
 
-    Every ratio d(x_i, x_j) / (j-i) is an int over den * g, with g the lcm of
-    the gaps j-i: hi is the least of them, and lo the larger of 0 and the
-    greatest of them over 1+delta."""
-    delta = Fraction(delta)
+    Every ratio d(x_i, x_j) / (j-i) is an int over den * g, with g the lcm
+    of the gaps j-i: hi is the least of them, and lo the greatest of them
+    over 1 + delta = (q + p)/q, or 0 when q + p < 0.  Raises OutOfRange at
+    delta = -1.  A float delta is taken at its exact value."""
+    p, q = delta.as_integer_ratio()
+    if p + q == 0:
+        raise OutOfRange("delta = -1 gives no scale window")
     n = len(pts)
     g = math.lcm(*range(1, n))
     sd = space.scaled_distance
     ratios = [sd(pts[i], pts[j]) * (g // (j - i))
               for i in range(n) for j in range(i + 1, n)]
     unit = space.den * g
-    lo = max(Fraction(0), Fraction(max(ratios), unit) / (1 + delta))
-    hi = Fraction(min(ratios), unit)
-    if lo > hi or hi == 0:
+    lo = (max(ratios) * q, unit * (q + p)) if q + p > 0 else (0, 1)
+    hi = (min(ratios), unit)
+    return hi[0] > 0 and lo[0] * hi[1] <= hi[0] * lo[1], lo, hi
+
+
+def has_scale_window(space, pts, delta):
+    """Whether path_scale_range finds a scale, without building Fractions."""
+    return _scale_window(space, pts, delta)[0]
+
+
+def path_scale_range(space, pts, delta):
+    """Feasible scales L with (j-i) L <= d(x_i, x_j) <= (1+delta)(j-i) L for
+    all i < j, as Fractions (lo, hi), or raise NotApproximatePath when the
+    interval is empty or [0, 0] (`_scale_window`)."""
+    fits, lo, hi = _scale_window(space, pts, delta)
+    lo, hi = Fraction(*lo), Fraction(*hi)
+    if not fits:
         raise NotApproximatePath(f"no feasible scale: need L in [{lo}, {hi}]")
     return lo, hi
 
@@ -574,13 +593,12 @@ def classify_3paths(space, rows, delta):
                                        _times(s01, 35 * p, q))
     # path_scale_range's window on ints: with `least` and `most` the least
     # and greatest 6 d(x_i, x_j) / (j - i), [most / (1 + delta), least] is
-    # empty when least = 0 or most > (1 + delta) least; a delta <= -1 is
-    # left to path_scale_range
+    # empty when least = 0 or most > (1 + delta) least
     if dist.dtype != object and int(dist.max(initial=0)) > (2 ** 63 - 1) // 6:
         dist = dist.astype(object)
     ratios = np.stack([dist[:, i, j] * (6 // (j - i)) for i, j in combinations(range(4), 2)], 1)
     least, most = ratios.min(axis=1), ratios.max(axis=1)
-    suspect |= (least == 0) | (most - least > _times(least, p, q)) | (p + q <= 0)
+    suspect |= (least == 0) | (most - least > _times(least, p, q))
 
     def build(r):
         scale = path_scale_range(space, rows[r], delta)

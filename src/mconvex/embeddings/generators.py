@@ -13,8 +13,8 @@ from fractions import Fraction
 from ..metric import is_midpoint
 from ..randbits import random_bits, random_depth_bits
 from ..trees import ROOT, EpsilonSequence, HTreeSpace, aligned_paths, scaled_path_distance
-from .classify import path_scale_range
-from ..errors import NotApproximatePath, OutOfRange
+from .classify import has_scale_window
+from ..errors import OutOfRange
 
 # small constant schedules: horizontal terms stay below the delta windows of
 # the classifiers; all satisfy eps < 1/4, non-increasing, n*eps_n non-decreasing
@@ -188,11 +188,8 @@ def gen_3path(rng, delta, depth=40):
                     pts[i] = _branch_off(rng, line, h - g, h)
         if rng.random() < 0.5:
             pts.reverse()
-        try:
-            path_scale_range(space, pts, delta)
-        except NotApproximatePath:
-            continue
-        return (space, *pts)
+        if has_scale_window(space, pts, delta):
+            return (space, *pts)
 
 
 # ---------------------------------------------------------------------------

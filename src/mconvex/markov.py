@@ -147,7 +147,7 @@ def _int_rows(rows, known, where):
         for x, px in row.items():
             if type(px) not in (int, Fraction):  # a bool is an int, but no probability
                 raise ValueError(f"{where.format(z=z)} gives inexact probability {px!r} to {x!r}")
-            if px < 0:
+            if px.numerator < 0:
                 raise ValueError(f"{where.format(z=z)} gives negative mass {px} to {x!r}")
             if x not in known:
                 raise ValueError(f"{where.format(z=z)} puts mass on unknown state {x!r}")

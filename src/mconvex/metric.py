@@ -467,13 +467,14 @@ def midpoint_set(space, x, z, delta):
 def is_midpoint(space, x, y, z, delta):
     """Membership test y in Mid(x, z, delta) without enumerating the space.
 
-    On a space with int distances over one denominator and an exact
-    delta = p/q this is max(sd(x, y), sd(y, z)) * 2q <= (q + p) * sd(x, z)."""
+    On a space with int distances over one denominator and an int or
+    Fraction delta = p/q (its numerator and denominator read as they are)
+    this is max(sd(x, y), sd(y, z)) * 2q <= (q + p) * sd(x, z), on ints."""
     if x == z:
         raise ValueError("midpoints need x != z")
     sd = space.scaled_distance
-    delta = exact_or_float(delta)
-    if sd is not None and is_exact(delta):
+    if sd is not None and isinstance(delta, _EXACT):
         p, q = delta.numerator, delta.denominator
         return max(sd(x, y), sd(y, z)) * 2 * q <= (q + p) * sd(x, z)
+    delta = exact_or_float(delta)
     return max(space.dist(x, y), space.dist(y, z)) <= (1 + delta) * space.dist(x, z) / 2

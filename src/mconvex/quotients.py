@@ -8,15 +8,17 @@ x and radius r
 On finite spaces ball memberships only change at realized distances, so it
 suffices to test r over the realized distances of both spaces together with
 the midpoints between consecutive realized values (any other radius gives the
-same pair of balls as one of these).  The co-Lipschitz inclusion is exactly
-what allows a Y-valued Markov chain to be lifted step by step to X while
-expanding each step by at most the factor a; that lift transfers the
-p-convexity functional between the two spaces with factor (ab)^p = D^p.
+same pair of balls as one of these); exact inputs are swept as ints over one
+common scale.  The co-Lipschitz inclusion is exactly what allows a Y-valued
+Markov chain to be lifted step by step to X while expanding each step by at
+most the factor a; that lift transfers the p-convexity functional between the
+two spaces with factor (ab)^p = D^p.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 
 from .errors import (HorizonTooLong, LiftFailed, NotSurjective, OutOfRange,
                      PreconditionViolated)
@@ -48,17 +50,10 @@ class QuotientMap:
         return self.f(x)
 
 
-def _realized(space):
-    """The distances between distinct points of the space, pair by pair (a
-    set would keep Fraction(1, 2) and drop an equal 0.5)."""
-    pts = space.points
-    return [space.dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-
-
-def _test_radii(vals):
-    """The distinct realized distances `vals` plus consecutive midpoints, sorted."""
-    vals = sorted(set(vals))
-    return sorted(vals + [exact_or_float(lo + hi) / 2 for lo, hi in zip(vals, vals[1:])])
+def _upper(rows):
+    """The entries above the diagonal of a distance matrix, row by row: the
+    distances between distinct points, pair by pair."""
+    return [d for i, row in enumerate(rows) for d in row[i + 1:]]
 
 
 def verify_quotient(f, a, b):
@@ -70,53 +65,74 @@ def verify_quotient(f, a, b):
     distance meets an exact value past the float range, and NotSurjective
     when some target point has no preimage.
 
-    One exactness decision per call: a, b, the radii and every distance are
-    exact when a, b and every distance are, else all floats (a float factor
-    times an exact distance would round, and compare falsely with exact ones).
+    Each space's distances are read once, from its distance_matrix().  One
+    exactness decision per call: when a, b and every distance are exact, the
+    distances become ints over one scale, den = 2 lcm(denominators), so that
+    the midpoint of two of them is an int too, and dy*a <= r and b*r < dy
+    are compared as dy*a_num <= r*a_den and b_num*r < dy*b_den; else a, b
+    and every distance are floats (a float factor times an exact distance
+    would round, and compare falsely with exact ones).  A reported radius is
+    a realized distance as the space gives it (of equal ones, the one a set
+    of them keeps), or a midpoint: a Fraction, or a float in floats.
     A radius sweep per center x: y is in f(B_X(x, r)) exactly when
     r >= enter[y], the least d(x, u) over the preimages u of y.  So the
     colip radii of y (dy*a <= r < enter[y]) and its lip radii
     (enter[y] <= r with b*r < dy) are ranges of the sorted radii, found by
     bisection (b*r is non-decreasing in r in either number type); the two
-    never meet at one (r, y).  Cost O(|X| (|X| + |Y| log |R|) + V log V) for
-    R test radii and V violations.
+    never meet at one (r, y).  Cost O(|X| (|X| + |Y| log |R|) + |Y|^2 + V log V)
+    for R test radii and V violations.
     """
     for name, v in (("a", a), ("b", b)):
         if not v > 0 or isinstance(v, float) and math.isinf(v):
             raise OutOfRange(f"{name} = {v} must be finite and > 0")
     src, tgt = f.source, f.target
-    targets = set(tgt.points)
-    images = {f(x) for x in src.points}
-    missing = targets - images
+    images = [f(x) for x in src.points]
+    missing = set(tgt.points).difference(images)
     if missing:
         raise NotSurjective(f"no preimage for {sorted(missing, key=repr)[0]!r}")
-    vals = _realized(src) + _realized(tgt)
-    sdist, tdist = src.dist, tgt.dist
-    if not is_exact(a, b, *vals):
-        a, b = to_float(a, "a"), to_float(b, "b")
-        vals = [to_float(v, "a distance") for v in vals]
-        sdist = lambda x, y: float(src.dist(x, y))
-        tdist = lambda x, y: float(tgt.dist(x, y))
-    radii = _test_radii(vals)
-    br = [b * r for r in radii]
+    smat, tmat = src.distance_matrix(), tgt.distance_matrix()
+    vals = _upper(smat) + _upper(tmat)
+    if is_exact(a, b, *vals):
+        ratios = [[d.as_integer_ratio() for d in row] for row in smat + tmat]
+        den = 2 * math.lcm(*{q for row in ratios for _, q in row})
+        scaled = [[n * (den // q) for n, q in row] for row in ratios]
+        smat, tmat = scaled[:len(smat)], scaled[len(smat):]
+        keys = _upper(smat) + _upper(tmat)
+        (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+        halve, value = (lambda s: s // 2), (lambda r: Fraction(r, den))
+    else:
+        a_num, a_den, b_num, b_den = to_float(a, "a"), 1, to_float(b, "b"), 1
+        smat, tmat = ([[to_float(d, "a distance") for d in row] for row in m] for m in (smat, tmat))
+        vals = keys = _upper(smat) + _upper(tmat)
+        halve, value = (lambda s: s / 2), float
+    shown = {}
+    for k, v in zip(keys, vals):
+        shown.setdefault(k, v)
+    realized = sorted(shown)
+    radii = sorted(realized + [halve(lo + hi) for lo, hi in zip(realized, realized[1:])])
+    ar = [a_den * r for r in radii]
+    br = [b_num * r for r in radii]
+
+    def radius(i):
+        r = radii[i]
+        return shown[r] if r in shown else value(r)
+
+    tindex = {y: j for j, y in enumerate(tgt.points)}
     violations = []
-    for x in src.points:
+    for x, fx, row in zip(src.points, images, smat):
         enter = {}
-        for u in src.points:
-            d, y = sdist(x, u), f(u)
+        for y, d in zip(images, row):
             if y not in enter or d < enter[y]:
                 enter[y] = d
-        fx = f(x)
         found = []
-        for j, y in enumerate(tgt.points):
-            dy = tdist(fx, y)
+        for j, (y, dy) in enumerate(zip(tgt.points, tmat[tindex[fx]])):
             inside = bisect_left(radii, enter[y])
-            colip = range(bisect_left(radii, dy * a, 0, inside), inside)
-            lip = range(inside, bisect_left(br, dy, inside))
+            colip = range(bisect_left(ar, dy * a_num, 0, inside), inside)
+            lip = range(inside, bisect_left(br, dy * b_den, inside))
             found += [(i, j, "colip", y) for i in colip]
             found += [(i, j, "lip", y) for i in lip]
         found.sort()
-        violations += ((kind, x, radii[i], y) for i, _, kind, y in found)
+        violations += ((kind, x, radius(i), y) for i, _, kind, y in found)
     return violations
 
 

@@ -11,12 +11,13 @@ from mconvex.embeddings.classify import (ForkClass, MidpointClass, ThreePathClas
                                          _require_ready, b4_bound_check,
                                          classify_3path, classify_3paths, classify_fork,
                                          classify_forks, classify_midpoint,
-                                         classify_midpoints, path_scale_range)
-from mconvex.embeddings.generators import (gen_3path, gen_fork, gen_midpoint,
-                                           make_space)
+                                         classify_midpoints, has_scale_window,
+                                         path_scale_range)
+from mconvex.embeddings.generators import (FORK_EPS, _branch_off, _rand_vertex, gen_3path,
+                                           gen_fork, gen_midpoint, make_space)
 from mconvex.embeddings.search import generate_faithful_b4
 from mconvex.errors import (CollapsedAncestorPair, InvariantViolated, NotApproximatePath,
-                            PreconditionViolated, check)
+                            OutOfRange, PreconditionViolated, check)
 from mconvex.metric import is_midpoint
 from mconvex.trees import ROOT, TreeVertex, index_array
 
@@ -165,6 +166,91 @@ def test_3path_rejects_non_path():
         path_scale_range(sp, pts, Fraction(1, 256))
     with pytest.raises(NotApproximatePath):
         classify_3path(sp, *pts, Fraction(1, 256))
+
+
+@pytest.mark.parametrize("delta", [-1, Fraction(-1, 2), -1e-3, -3])
+def test_classifiers_refuse_a_negative_delta(delta):
+    # every bulk and one-row classifier, before any arithmetic on delta
+    sp = make_space(Fraction(1, 2048))
+    line = TreeVertex((0, 1) * 9)
+    x, y, z = line, line.ancestor(9), ROOT
+    w = y.descend((1,) * 9)
+    pts = [line, line.ancestor(12), line.ancestor(6), ROOT]
+    for call in (lambda: classify_midpoint(sp, x, y, z, delta),
+                 lambda: classify_midpoints(sp, [(x, y, z)], delta),
+                 lambda: classify_fork(sp, x, y, z, w, delta),
+                 lambda: classify_forks(sp, [(x, y, z, w)], delta),
+                 lambda: classify_3path(sp, *pts, delta),
+                 lambda: classify_3paths(sp, [pts], delta)):
+        with pytest.raises(OutOfRange, match="< 0"):
+            call()
+
+
+def test_path_scale_range_refuses_delta_minus_one():
+    # 1 + delta = 0 leaves no window, where the old code divided by zero
+    sp = make_space(Fraction(1, 2048))
+    line = TreeVertex((0, 1) * 9)
+    pts = [line, line.ancestor(12), line.ancestor(6), ROOT]
+    for delta in (-1, Fraction(-1), -1.0):
+        with pytest.raises(OutOfRange):
+            path_scale_range(sp, pts, delta)
+        with pytest.raises(OutOfRange):
+            has_scale_window(sp, pts, delta)
+        with pytest.raises(ZeroDivisionError):
+            old_path_scale_range(sp, pts, delta)
+
+
+def gen_3path_candidates(rng, count, depth=40):
+    """`count` candidates drawn as gen_3path draws them, each with the space
+    it is drawn in, whether or not gen_3path would keep it."""
+    out = []
+    for _ in range(count):
+        space = make_space(rng.choice(FORK_EPS), depth)
+        M = rng.randint(3, (depth - 2) // 3)
+        h_top = rng.randint(0, depth - 3 * M - 1)
+        line = _rand_vertex(rng, h_top + 3 * M)
+        pts = [line, line.ancestor(h_top + 2 * M), line.ancestor(h_top + M), line.ancestor(h_top)]
+        for i in (1, 2):
+            if rng.random() < 0.4:
+                h = pts[i].depth
+                g = rng.randint(1, 2)
+                if h - g > h_top:
+                    pts[i] = _branch_off(rng, line, h - g, h)
+        if rng.random() < 0.5:
+            pts.reverse()
+        out.append((space, pts))
+    return out
+
+
+def test_scale_window_matches_the_fraction_interval():
+    """path_scale_range's raise-or-range, and has_scale_window, against the
+    Fraction interval (empty when lo > hi or hi == 0) on seeded gen_3path
+    candidates, wiggles that gen_3path rejects among them, and degenerate
+    quadruples, under exact, float and negative deltas."""
+    rng = random.Random(33)
+    cases = gen_3path_candidates(rng, 300)
+    sp = make_space(Fraction(1, 2048))
+    line = TreeVertex((0, 1) * 9)
+    cases += [(sp, [line] * 4), (sp, [line, line, line.ancestor(6), ROOT]),
+              (sp, [line, line.ancestor(12), line.ancestor(12), ROOT]),
+              (sp, [line, line.ancestor(12), line.ancestor(6), ROOT]),
+              (sp, [ROOT, line.ancestor(6), line.ancestor(12), line]), (sp, [line, ROOT])]
+    deltas = (Fraction(1, 256), Fraction(0), 0, 1, True, False, 0.25, 1 / 3, 1e-3,
+              Fraction(-1, 2), -3, -2.5)
+    kept = rejected = 0
+    for space, pts in cases:
+        for delta in deltas:
+            expected = _scale_outcome(old_path_scale_range, space, pts, delta)
+            got = _scale_outcome(path_scale_range, space, pts, delta)
+            assert got == expected
+            fits = isinstance(expected, tuple)
+            if fits:
+                assert [type(v) for v in got] == [Fraction, Fraction]
+            assert has_scale_window(space, pts, delta) is fits
+            if 0 <= delta < Fraction(1, 200):
+                kept += fits
+                rejected += not fits
+    assert kept >= 800 and rejected >= 500
 
 
 def test_3path_vertical_line_is_type_a():

@@ -580,6 +580,45 @@ def test_midpoints_and_dist_pow_match_the_old_formulas():
     assert checked >= 300
 
 
+def test_norm_pow_and_is_midpoint_on_every_number_type():
+    """norm_pow at p in {1, 2, 2.0, 5/2, -1} on int, Fraction, bool, float
+    and mixed coordinates, and is_midpoint under int, Fraction, bool and
+    float deltas, on spaces with and without int distances over one
+    denominator, against the old formulas: the same values of the same
+    types, or the same exception."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(400):
+        p = rng.choice((1, 2, 2.0, Fraction(5, 2), -1))
+        kind = rng.choice(KINDS + ("bool",))
+        d = rng.randint(1, 4)
+        v = (tuple(rng.random() < 0.5 for _ in range(d)) if kind == "bool" else
+             vector(rng, d, kind))
+        assert_same(outcome(banach.norm_pow, v, p), outcome(old_norm_pow, v, p), seen)
+    assert {"int", "Fraction", "float", "raised"} <= seen
+    deltas = (0, 1, 3, True, False, Fraction(1, 32), Fraction(1, 3), Fraction(5, 2),
+              0.25, 1 / 3, 0.0)
+    verts = enumerate_bn(3)
+    spaces = [HTreeSpace([Fraction(1, 5)] * 7, 6).as_metric_space(verts),
+              HTreeSpace([Fraction(1, 128)] * 7, 6)]
+    for kind in ("int", "frac", "float"):
+        coords = [number(rng, kind) for _ in range(7)]
+        spaces.append(FiniteMetricSpace(list(range(7)), lambda i, j, c=coords: abs(c[i] - c[j]),
+                                        exact=kind != "float"))
+    answers = set()
+    for space in spaces:
+        pts = getattr(space, "points", verts)
+        for _ in range(60):
+            x, y, z = (rng.choice(pts) for _ in range(3))
+            if x == z:
+                continue
+            for delta in deltas:
+                new = metric.is_midpoint(space, x, y, z, delta)
+                assert same(new, old_is_midpoint(space, x, y, z, delta))
+                answers.add(new)
+    assert answers == {True, False}
+
+
 @pytest.mark.parametrize("p", P_VALUES)
 def test_convexity_ratio_matches_the_old_formula(p):
     # B_3's downward walk into an exact tree space, a float copy of it, and

@@ -200,6 +200,97 @@ def test_one_exactness_decision_per_call():
     assert all(math.isclose(u[2], v[2]) for u, v in zip(bad, floats))
 
 
+def assert_matches_old_loop(f, a, b, old=None):
+    """verify_quotient(f, a, b) equals the old loop under the number policy
+    (or `old`), in values and in types; returns it."""
+    if old is None:
+        old = old_verify_quotient(*number_policy(f, a, b))
+    new = verify_quotient(f, a, b)
+    assert new == old
+    assert [tuple(map(type, v)) for v in new] == [tuple(map(type, v)) for v in old]
+    return new
+
+
+def fold_table(dist):
+    """The fold of P_4 onto P_2, x -> |2 - x|, with the distance |i - j|
+    given as dist(|i - j|)."""
+    def table(n):
+        return FiniteMetricSpace.from_matrix(
+            range(n + 1), [[dist(abs(i - j)) for j in range(n + 1)] for i in range(n + 1)])
+    return PointMap(table(4), table(2), {i: abs(2 - i) for i in range(5)})
+
+
+def test_integer_sweep_past_int64_scales():
+    # two coprime denominators near 2^31 and 2^61: one scale over their lcm
+    # holds ints past 2^63, which stay exact
+    p1, p2 = 2 ** 31 - 1, 2 ** 61 - 1
+    assert math.lcm(p1, p2) > 2 ** 63
+    f = fold_table(lambda k: Fraction(k * p1 + 1, p1) if k % 2 else Fraction(k * p2 - 1, p2))
+    for a, b in ((1, 1), (Fraction(1, 2), 1), (1, Fraction(1, 2)), (Fraction(5, 7), Fraction(3, 2))):
+        bad = assert_matches_old_loop(f, a, b)
+        assert {type(v[2]) for v in bad} <= {Fraction}
+    assert verify_quotient(f, Fraction(1, 2), 1)
+
+
+def test_integer_sweep_keeps_int_radii_ints():
+    f = fold_table(lambda k: k)
+    bad = assert_matches_old_loop(f, Fraction(1, 2), 1)
+    # a realized radius stays an int, a midpoint is a Fraction
+    assert [(v[2], type(v[2])) for v in bad[:2]] == [(1, int), (Fraction(3, 2), Fraction)]
+    # of equal realized distances the one a set keeps is reported: the
+    # source's Fraction(1) comes before the target's int 1
+    src = FiniteMetricSpace.from_matrix([0, 1, 2], [[0, Fraction(1), 2], [Fraction(1), 0, 1],
+                                                    [2, 1, 0]])
+    tgt = FiniteMetricSpace.from_matrix(["a", "b"], [[0, 1], [1, 0]])
+    g = PointMap(src, tgt, {0: "a", 1: "b", 2: "a"})
+    bad = assert_matches_old_loop(g, 1, Fraction(1, 2))
+    assert {type(v[2]) for v in bad if v[2] == 1} == {Fraction}
+
+
+def test_integer_sweep_on_maps_read_from_json():
+    def space(points, coord, diagonal):
+        return {"points": points, "exact": True,
+                "dist": [[f"{abs(coord(u) - coord(v))}/1" if u != v else diagonal
+                          for v in points] for u in points]}
+    labels = ["a", "b", "c"]
+    for diagonal in ("0/1", 0):
+        src = FiniteMetricSpace.from_dict(space([str(i) for i in range(5)], int, diagonal))
+        tgt = FiniteMetricSpace.from_dict(space(labels, labels.index, diagonal))
+        f = PointMap(src, tgt, {str(i): labels[abs(2 - i)] for i in range(5)})
+        for a, b in ((1, 1), (Fraction(1, 2), 1), (1, Fraction(1, 2))):
+            # a float 0 on the diagonal leaves the decision exact, as before
+            old = old_verify_quotient(f, a, b) if diagonal == 0 else None
+            assert_matches_old_loop(f, a, b, old)
+        bad = verify_quotient(f, Fraction(1, 2), 1)
+        assert [(k, x, r, y) for k, x, r, y in bad] == [
+            ("colip", c, r, w) for c, w in (("0", "a"), ("2", "c"), ("4", "a"))
+            for r in (Fraction(1), Fraction(3, 2))]
+
+
+def test_integer_sweep_with_a_zero_distance_between_distinct_points():
+    # source points 0 and 1 coincide: a zero realized distance and radius 0
+    src = FiniteMetricSpace.from_matrix([0, 1, 2], [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    tgt = FiniteMetricSpace.from_matrix(["a", "b"], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    for assignment in ({0: "a", 1: "b", 2: "b"}, {0: "a", 1: "a", 2: "b"}):
+        f = PointMap(src, tgt, assignment)
+        for a in FACTORS:
+            for b in FACTORS:
+                assert_matches_old_loop(f, a, b)
+    bad = verify_quotient(PointMap(src, tgt, {0: "a", 1: "b", 2: "b"}), 1, 1)
+    assert ("lip", 0, 0, "b") in bad
+
+
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 7)])
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(3, 2), Fraction(5, 7)])
+def test_integer_sweep_with_fractional_factors(a, b):
+    rng = random.Random(f"{a}:{b}")
+    with_violations = 0
+    for _ in range(60):
+        f = random_surjection(rng, "exact")
+        with_violations += bool(assert_matches_old_loop(f, a, b))
+    assert with_violations >= 20
+
+
 def walk_chain(n):
     """Symmetric nearest-neighbor walk on P_n started at 0."""
     half = Fraction(1, 2)
